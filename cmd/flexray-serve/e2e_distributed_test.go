@@ -11,6 +11,7 @@ package main
 // artifacts on failure) or in the test's temp dir otherwise.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -29,13 +30,22 @@ import (
 )
 
 // TestMain lets the test binary double as flexray-serve: children are
-// started with FLEXRAY_SERVE_CHILD=1 and plain serve arguments.
+// started with FLEXRAY_SERVE_CHILD=1 and plain serve arguments. A child
+// started with holdAfterClaimEnv=1 runs its -peer worker with a hook
+// that holds every claimed lease, heartbeating, until the process dies.
 func TestMain(m *testing.M) {
 	if os.Getenv("FLEXRAY_SERVE_CHILD") == "1" {
+		if os.Getenv(holdAfterClaimEnv) == "1" {
+			peerAfterClaim = func(ctx context.Context) { <-ctx.Done() }
+		}
 		os.Exit(runServe(os.Args[1:]))
 	}
 	os.Exit(m.Run())
 }
+
+// holdAfterClaimEnv names the child environment switch of the
+// hold-after-claim worker fault.
+const holdAfterClaimEnv = "FLEXRAY_E2E_HOLD_AFTER_CLAIM"
 
 // serveChild is one re-execed flexray-serve process.
 type serveChild struct {
@@ -50,6 +60,13 @@ type serveChild struct {
 // on an ephemeral port and waits until it serves /readyz.
 func startServeChild(t *testing.T, name string, args ...string) *serveChild {
 	t.Helper()
+	return startServeChildEnv(t, name, nil, args...)
+}
+
+// startServeChildEnv is startServeChild with extra child environment
+// variables ("KEY=value").
+func startServeChildEnv(t *testing.T, name string, env []string, args ...string) *serveChild {
+	t.Helper()
 	logDir := os.Getenv("FLEXRAY_E2E_LOG_DIR")
 	if logDir == "" {
 		logDir = t.TempDir()
@@ -62,7 +79,7 @@ func startServeChild(t *testing.T, name string, args ...string) *serveChild {
 	addrFile := filepath.Join(t.TempDir(), name+".addr")
 	full := append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}, args...)
 	cmd := exec.Command(os.Args[0], full...)
-	cmd.Env = append(os.Environ(), "FLEXRAY_SERVE_CHILD=1")
+	cmd.Env = append(append(os.Environ(), "FLEXRAY_SERVE_CHILD=1"), env...)
 	cmd.Stdout = logFile
 	cmd.Stderr = logFile
 	if err := cmd.Start(); err != nil {
@@ -325,27 +342,28 @@ func TestDistributedCampaignMultiProcess(t *testing.T) {
 // TestDistributedChaosWorkerKill: SIGKILL a worker while it holds a
 // lease. The lease must expire and re-queue, the campaign must still
 // complete on the surviving worker, and the merged result must match a
-// serial run exactly.
+// serial run exactly. The victim runs the hold-after-claim fault, so
+// it never finishes the shard it claims: the kill always lands on a
+// held lease, however fast shards run.
 func TestDistributedChaosWorkerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process chaos e2e")
 	}
-	heavy := quickServeOptions()
-	heavy["max_evaluations"] = 2000
-	heavy["sa_iterations"] = 600
+	tuning := quickServeOptions()
 
 	coord := startServeChild(t, "coordinator",
 		"-store", filepath.Join(t.TempDir(), "jobs.jsonl"),
 		"-lease-ttl", "750ms", "-lease-systems", "1",
 		"-job-workers", "1", "-workers", "1")
-	victim := startServeChild(t, "victim", "-peer", coord.url, "-peer-id", "victim", "-peer-poll", "10ms", "-workers", "1")
+	victim := startServeChildEnv(t, "victim", []string{holdAfterClaimEnv + "=1"},
+		"-peer", coord.url, "-peer-id", "victim", "-peer-poll", "10ms", "-workers", "1")
 	startServeChild(t, "survivor", "-peer", coord.url, "-peer-id", "survivor", "-peer-poll", "10ms", "-workers", "1")
 
 	counts := []int{2, 3, 2, 3, 2}
-	dist := submitChildJob(t, coord.url, distributedE2ESpec(counts, heavy, true))
+	dist := submitChildJob(t, coord.url, distributedE2ESpec(counts, tuning, true))
 
-	// Wait until the victim actually holds a granted shard, then pull
-	// the plug — no drain, no goodbye lease report.
+	// Wait until the victim holds a granted shard, then pull the plug —
+	// no drain, no goodbye lease report.
 	deadline := time.Now().Add(time.Minute)
 	for {
 		_, body := childGet(t, coord.url, "/v1/leases")
@@ -380,7 +398,7 @@ func TestDistributedChaosWorkerKill(t *testing.T) {
 		t.Errorf("flexray_lease_granted_total = %v, want > %d (the lost shard re-granted)", n, len(counts))
 	}
 
-	serial := submitChildJob(t, coord.url, distributedE2ESpec(counts, heavy, false))
+	serial := submitChildJob(t, coord.url, distributedE2ESpec(counts, tuning, false))
 	pollChildJob(t, coord.url, serial.ID, jobs.StatusDone, 4*time.Minute)
 	want := childRecords(t, coord.url, serial.ID)
 	if got := childRecords(t, coord.url, dist.ID); string(got) != string(want) {

@@ -189,6 +189,11 @@ func registerFlags(fs *flag.FlagSet) *serveOptions {
 
 func main() { os.Exit(runServe(os.Args[1:])) }
 
+// peerAfterClaim is the -peer worker's jobs.WorkerOptions.AfterClaim
+// hook. It is nil in production; the e2e tests' TestMain sets a fault
+// hook here in worker children re-execed from the test binary.
+var peerAfterClaim func(ctx context.Context)
+
 // runServe is the whole server lifecycle behind main, factored on an
 // explicit argument list and exit code so the multi-process e2e tests
 // can re-exec the test binary as a real coordinator or worker.
@@ -300,8 +305,9 @@ func runServe(args []string) int {
 			Logf: func(format string, args ...any) {
 				logger.Info(fmt.Sprintf(format, args...))
 			},
-			Tracer:  s.tracer,
-			Metrics: s.jobsMetrics,
+			Tracer:     s.tracer,
+			Metrics:    s.jobsMetrics,
+			AfterClaim: peerAfterClaim,
 		})
 		workerDone = make(chan struct{})
 		go func() {

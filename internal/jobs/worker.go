@@ -55,6 +55,12 @@ type WorkerOptions struct {
 	// (flexray_worker_*). Sharing the manager's Metrics value is fine:
 	// the worker only touches families NewMetrics registered.
 	Metrics *Metrics
+	// AfterClaim, when non-nil, runs once per granted shard with the
+	// lease's context, after the heartbeat has started and before the
+	// shard runs. It is a fault-injection hook for tests: one that
+	// blocks until the context ends keeps the lease held and renewed
+	// for as long as the process lives.
+	AfterClaim func(ctx context.Context)
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
@@ -166,6 +172,9 @@ func (w *Worker) runLease(ctx context.Context, g *ShardGrant) {
 		}
 	}()
 
+	if w.o.AfterClaim != nil {
+		w.o.AfterClaim(sctx)
+	}
 	runCtx := sctx
 	var span *obs.Span
 	if w.o.Tracer != nil {

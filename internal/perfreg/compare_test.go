@@ -260,7 +260,7 @@ func TestSuiteShape(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"eval/fresh", "eval/session", "campaign/serial", "campaign/parallel",
+		"eval/fresh", "eval/session", "sched/build-table", "campaign/serial", "campaign/parallel",
 		"jobs/pipeline", "jobs/distributed-drain", "fig7/sweep", "fig9/quick",
 		"store/replay", "store/compact",
 	} {

@@ -145,6 +145,15 @@ func Suite() []*Scenario {
 			Setup:       evalSetup(true),
 		},
 		{
+			Name:        "sched/build-table",
+			Description: "one schedule-table construction through a reused sched.Plan, cycling over the distinct slot geometries of the session mix",
+			Unit:        "table",
+			Serial:      true,
+			AllocWarmup: sessionGeometries,
+			AllocOps:    2 * sessionGeometries,
+			Setup:       buildTableSetup,
+		},
+		{
 			Name:        "campaign/serial",
 			Description: "campaign-engine pass over the Fig. 7 population at 1 worker",
 			Unit:        "system",
@@ -296,6 +305,45 @@ func evalSetup(session bool) func() (func() error, func(), error) {
 			return err
 		}, nil, nil
 	}
+}
+
+// sessionGeometries is the number of distinct slot geometries in the
+// SessionConfigs mix: each step of the DYN-length sweep is one, and the
+// FrameID rotations reuse the base geometry.
+const sessionGeometries = 16
+
+// buildTableSetup measures the schedule-table layer alone: one
+// Plan.BuildTable per op over the mix's distinct slot geometries — the
+// tables a session builds on its memo misses.
+func buildTableSetup() (func() error, func(), error) {
+	sys, err := SessionSystem()
+	if err != nil {
+		return nil, nil, err
+	}
+	cfgs, err := SessionConfigs(sys)
+	if err != nil {
+		return nil, nil, err
+	}
+	seen := map[string]bool{}
+	var geoms []*flexray.Config
+	for _, c := range cfgs {
+		key := fmt.Sprint(c.StaticSlotLen, c.NumStaticSlots, c.DYNBus(), c.StaticSlotOwner)
+		if !seen[key] {
+			seen[key] = true
+			geoms = append(geoms, c)
+		}
+	}
+	if len(geoms) != sessionGeometries {
+		return nil, nil, fmt.Errorf("perfreg: session mix has %d slot geometries, want %d", len(geoms), sessionGeometries)
+	}
+	plan := sched.NewPlan(sys)
+	opts := sched.DefaultOptions()
+	i := 0
+	return func() error {
+		_, err := plan.BuildTable(geoms[i%len(geoms)], opts)
+		i++
+		return err
+	}, nil, nil
 }
 
 // campaignSetup builds one campaign pass over the shared population

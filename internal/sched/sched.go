@@ -5,11 +5,16 @@
 // metric (ref [12]) and — optionally — placing each SCS task where the
 // holistic analysis reports the least damage to FPS tasks and DYN
 // messages (schedule_TT_task, Fig. 2 lines 10-12).
+//
+// The scheduler is split in two: a Plan holds everything that depends
+// only on the system (the TT instances of the hyper-period, their
+// releases, critical-path priorities and precedence), computed once,
+// and Plan.BuildTable runs the per-configuration list-scheduling loop
+// over those arrays.
 package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/flexray"
@@ -38,13 +43,6 @@ func DefaultOptions() Options {
 	return Options{PlacementCandidates: 1, Analysis: analysis.DefaultOptions()}
 }
 
-// instKey identifies one instance of a TT activity inside the
-// hyper-period.
-type instKey struct {
-	act  model.ActID
-	inst int
-}
-
 // Build runs the global scheduling algorithm for the given bus
 // configuration: it constructs the static schedule table for every
 // instance of every TT activity inside the hyper-period and then runs
@@ -62,40 +60,68 @@ func Build(sys *model.System, cfg *flexray.Config, opts Options) (*schedule.Tabl
 }
 
 // BuildTable runs the table-construction part of the global scheduling
-// algorithm without the final holistic analysis. Callers that hold a
-// reusable analysis session (core.Session, the campaign engine workers)
-// use it to bind their own analyzer to the finished table; Build is
-// BuildTable plus one fresh analysis.
-//
-// With PlacementCandidates <= 1 (plain first-fit) the resulting table
-// depends only on the slot geometry — static slot length, count,
-// owners, and the dynamic segment length — never on the FrameID
-// assignment, which is what makes schedule-table reuse across FrameID
-// moves sound.
+// algorithm without the final holistic analysis, through a single-use
+// Plan. Callers that build many tables for one system (core.Session,
+// and through it the campaign engine workers) keep a Plan instead;
+// Build is BuildTable plus one fresh analysis.
 func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule.Table, error) {
+	return NewPlan(sys).BuildTable(cfg, opts)
+}
+
+// planNode is one instance of a TT activity inside the hyper-period:
+// the system-derived half of a ready-list entry.
+type planNode struct {
+	act     model.ActID
+	inst    int
+	release units.Time     // graph instance release + own offset
+	remain  units.Duration // critical-path priority
+	preds   int32          // TT predecessor edges
+	// succ[succLo:succHi] are the node's TT successor instances.
+	succLo, succHi int32
+}
+
+// Plan is the compiled form of the list scheduler for one system. Its
+// node arrays are immutable after NewPlan; the asap, pend and ready
+// scratch is reset by every BuildTable, so one Plan serves any number
+// of builds. A Plan is not safe for concurrent use.
+type Plan struct {
+	sys     *model.System
+	horizon units.Duration
+	// err is the construction failure (a cyclic task graph), reported
+	// by every build.
+	err error
+
+	// nodes are the TT instances in enumeration order: graph, then
+	// graph instance, then activity in graph order.
+	nodes []planNode
+	succ  []int32 // successor node indices, sliced by planNode
+	roots []int32 // nodes without TT predecessors
+	// tasks and msgs count the SCS task and ST message instances: the
+	// entries every table receives.
+	tasks, msgs int
+
+	// Per-build scratch, indexed like nodes.
+	asap  []units.Time
+	pend  []int32
+	ready []int32 // binary min-heap under before
+}
+
+// NewPlan compiles the list scheduler for one system.
+func NewPlan(sys *model.System) *Plan {
 	app := &sys.App
-	horizon := app.HyperPeriod()
-	table := schedule.New(cfg, horizon)
+	p := &Plan{sys: sys, horizon: app.HyperPeriod()}
 
-	type node struct {
-		key      instKey
-		release  units.Time // graph instance release + own offset
-		asap     units.Time
-		remain   units.Duration // critical-path priority
-		pendPred int            // unscheduled TT predecessors
-	}
-	nodes := map[instKey]*node{}
-	var ready []*node
-
-	// Instantiate every TT activity for each graph instance in the
-	// hyper-period.
+	// byAct[act][inst] is the node index of each instance, for the
+	// successor lists below.
+	byAct := make([][]int32, len(app.Acts))
 	for g := range app.Graphs {
 		tg := &app.Graphs[g]
 		rp, err := app.RemainingPath(g)
 		if err != nil {
-			return nil, err
+			p.err = err
+			return p
 		}
-		n := int64(horizon / tg.Period)
+		n := int64(p.horizon / tg.Period)
 		if n == 0 {
 			n = 1
 		}
@@ -106,47 +132,75 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 				if !a.IsTT() {
 					continue
 				}
-				pend := 0
-				for _, p := range a.Preds {
-					if app.Act(p).IsTT() {
-						pend++
+				var preds int32
+				for _, q := range a.Preds {
+					if app.Act(q).IsTT() {
+						preds++
 					}
 				}
-				nd := &node{
-					key:      instKey{id, int(inst)},
-					release:  base.Add(a.Release),
-					remain:   rp[id],
-					pendPred: pend,
+				if a.IsTask() {
+					p.tasks++
+				} else {
+					p.msgs++
 				}
-				nd.asap = nd.release
-				nodes[nd.key] = nd
-				if pend == 0 {
-					ready = append(ready, nd)
+				idx := int32(len(p.nodes))
+				byAct[id] = append(byAct[id], idx)
+				if preds == 0 {
+					p.roots = append(p.roots, idx)
 				}
+				p.nodes = append(p.nodes, planNode{
+					act:     id,
+					inst:    int(inst),
+					release: base.Add(a.Release),
+					remain:  rp[id],
+					preds:   preds,
+				})
 			}
 		}
 	}
 
-	finish := func(nd *node, f units.Time) {
-		a := app.Act(nd.key.act)
-		for _, s := range a.Succs {
-			sa := app.Act(s)
-			if !sa.IsTT() {
-				continue
-			}
-			sk := instKey{s, nd.key.inst}
-			sn, ok := nodes[sk]
-			if !ok {
-				continue
-			}
-			if f > sn.asap {
-				sn.asap = f
-			}
-			sn.pendPred--
-			if sn.pendPred == 0 {
-				ready = append(ready, sn)
+	// A successor instance shares the instance index of its
+	// predecessor; one the hyper-period does not contain is skipped.
+	for i := range p.nodes {
+		nd := &p.nodes[i]
+		nd.succLo = int32(len(p.succ))
+		for _, s := range app.Act(nd.act).Succs {
+			if app.Act(s).IsTT() && nd.inst < len(byAct[s]) {
+				p.succ = append(p.succ, byAct[s][nd.inst])
 			}
 		}
+		nd.succHi = int32(len(p.succ))
+	}
+
+	p.asap = make([]units.Time, len(p.nodes))
+	p.pend = make([]int32, len(p.nodes))
+	p.ready = make([]int32, 0, len(p.nodes))
+	return p
+}
+
+// BuildTable runs the list-scheduling loop of Fig. 2 for one bus
+// configuration and returns the finished static schedule table.
+//
+// With PlacementCandidates <= 1 (plain first-fit) the resulting table
+// depends only on the slot geometry — static slot length, count,
+// owners, and the dynamic segment length — never on the FrameID
+// assignment, which is what makes schedule-table reuse across FrameID
+// moves sound.
+func (p *Plan) BuildTable(cfg *flexray.Config, opts Options) (*schedule.Table, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
+	app := &p.sys.App
+	table := schedule.New(cfg, p.horizon)
+	table.Reserve(p.tasks, p.msgs)
+
+	for i := range p.nodes {
+		p.asap[i] = p.nodes[i].release
+		p.pend[i] = p.nodes[i].preds
+	}
+	p.ready = p.ready[:0]
+	for _, i := range p.roots {
+		p.push(i)
 	}
 
 	// One resettable analyzer serves every placement-candidate trial:
@@ -155,45 +209,100 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 	// construction.
 	var trialAn *analysis.Analyzer
 	if opts.PlacementCandidates > 1 {
-		trialAn = analysis.NewReusable(sys, opts.Analysis)
+		trialAn = analysis.NewReusable(p.sys, opts.Analysis)
 	}
 
-	for len(ready) > 0 {
+	for len(p.ready) > 0 {
 		// Select the ready activity with the greatest remaining
 		// critical path (Fig. 2 line 2); earliest ASAP breaks ties,
 		// then id for determinism.
-		sort.Slice(ready, func(i, j int) bool {
-			a, b := ready[i], ready[j]
-			if a.remain != b.remain {
-				return a.remain > b.remain
-			}
-			if a.asap != b.asap {
-				return a.asap < b.asap
-			}
-			if a.key.act != b.key.act {
-				return a.key.act < b.key.act
-			}
-			return a.key.inst < b.key.inst
-		})
-		nd := ready[0]
-		ready = ready[1:]
-		a := app.Act(nd.key.act)
+		i := p.pop()
+		nd := &p.nodes[i]
+		a := app.Act(nd.act)
 
+		var f units.Time
 		if a.IsTask() {
-			start, err := placeTask(cfg, table, trialAn, nd.key, a, nd.asap, opts)
+			start, err := placeTask(cfg, table, trialAn, nd, a, p.asap[i], opts)
 			if err != nil {
 				return nil, err
 			}
-			finish(nd, start.Add(a.C))
+			f = start.Add(a.C)
 		} else {
-			e, err := table.PlaceMessage(app, nd.key.act, nd.key.inst, nd.asap)
+			e, err := table.PlaceMessage(app, nd.act, nd.inst, p.asap[i])
 			if err != nil {
 				return nil, fmt.Errorf("sched: %w", err)
 			}
-			finish(nd, e.Delivery)
+			f = e.Delivery
+		}
+		for _, s := range p.succ[nd.succLo:nd.succHi] {
+			if f > p.asap[s] {
+				p.asap[s] = f
+			}
+			p.pend[s]--
+			if p.pend[s] == 0 {
+				p.push(s)
+			}
 		}
 	}
 	return table, nil
+}
+
+// before is the ready-list order: greatest remaining critical path
+// first, then earliest ASAP, then activity id and instance. It is a
+// total order over distinct nodes, and a node's key is final once it
+// is ready (its predecessors have all finished), so popping the heap
+// minimum selects exactly the node a full sort would put first.
+func (p *Plan) before(i, j int32) bool {
+	a, b := &p.nodes[i], &p.nodes[j]
+	if a.remain != b.remain {
+		return a.remain > b.remain
+	}
+	if p.asap[i] != p.asap[j] {
+		return p.asap[i] < p.asap[j]
+	}
+	if a.act != b.act {
+		return a.act < b.act
+	}
+	return a.inst < b.inst
+}
+
+// push adds node i to the ready heap.
+func (p *Plan) push(i int32) {
+	h := append(p.ready, i)
+	for c := len(h) - 1; c > 0; {
+		parent := (c - 1) / 2
+		if !p.before(h[c], h[parent]) {
+			break
+		}
+		h[c], h[parent] = h[parent], h[c]
+		c = parent
+	}
+	p.ready = h
+}
+
+// pop removes and returns the first node of the ready heap.
+func (p *Plan) pop() int32 {
+	h := p.ready
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for c := 0; ; {
+		m := 2*c + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && p.before(h[r], h[m]) {
+			m = r
+		}
+		if !p.before(h[m], h[c]) {
+			break
+		}
+		h[c], h[m] = h[m], h[c]
+		c = m
+	}
+	p.ready = h
+	return top
 }
 
 // placeTask implements schedule_TT_task: it finds candidate start
@@ -203,12 +312,12 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 // trial table; the configuration-derived analysis caches survive every
 // rebind because cfg never changes within one build.
 func placeTask(cfg *flexray.Config, table *schedule.Table, trialAn *analysis.Analyzer,
-	key instKey, a *model.Activity, asap units.Time, opts Options) (units.Time, error) {
+	nd *planNode, a *model.Activity, asap units.Time, opts Options) (units.Time, error) {
 
 	k := opts.PlacementCandidates
 	if k <= 1 {
 		start := table.FirstGap(a.Node, asap, a.C)
-		return start, table.PlaceTask(key.act, key.inst, a.Node, start, a.C)
+		return start, table.PlaceTask(nd.act, nd.inst, a.Node, start, a.C)
 	}
 
 	cands := table.Gaps(a.Node, asap, a.C, k)
@@ -219,7 +328,7 @@ func placeTask(cfg *flexray.Config, table *schedule.Table, trialAn *analysis.Ana
 	bestCost := 0.0
 	for i, start := range cands {
 		trial := table.Clone()
-		if err := trial.PlaceTask(key.act, key.inst, a.Node, start, a.C); err != nil {
+		if err := trial.PlaceTask(nd.act, nd.inst, a.Node, start, a.C); err != nil {
 			continue
 		}
 		trialAn.Reset(cfg, trial)
@@ -229,5 +338,5 @@ func placeTask(cfg *flexray.Config, table *schedule.Table, trialAn *analysis.Ana
 		}
 	}
 	start := cands[bestIdx]
-	return start, table.PlaceTask(key.act, key.inst, a.Node, start, a.C)
+	return start, table.PlaceTask(nd.act, nd.inst, a.Node, start, a.C)
 }

@@ -1,39 +1,37 @@
 package schedule
 
 import (
-	"repro/internal/model"
-	"repro/internal/units"
+	"maps"
+	"slices"
 )
 
 // Clone deep-copies the table. The global scheduling algorithm clones
 // tables to evaluate alternative placements of an SCS task against the
 // holistic analysis before committing one (Fig. 2 line 11).
 func (t *Table) Clone() *Table {
-	c := &Table{
+	return &Table{
 		Cfg:      t.Cfg,
 		Horizon:  t.Horizon,
-		Tasks:    append([]TaskEntry(nil), t.Tasks...),
-		Msgs:     append([]MsgEntry(nil), t.Msgs...),
-		nodeBusy: make(map[model.NodeID][]Interval, len(t.nodeBusy)),
-		slotUsed: make(map[slotKey]units.Duration, len(t.slotUsed)),
-		taskAt:   make(map[model.ActID][]int, len(t.taskAt)),
-		msgAt:    make(map[model.ActID][]int, len(t.msgAt)),
+		Tasks:    slices.Clone(t.Tasks),
+		Msgs:     slices.Clone(t.Msgs),
+		nodeBusy: cloneEach(t.nodeBusy),
+		taskAt:   cloneEach(t.taskAt),
+		msgAt:    cloneEach(t.msgAt),
+		slotUsed: maps.Clone(t.slotUsed),
+		// The per-node slot lists derive from the shared Cfg and are
+		// never modified, so the clone shares them.
+		slots: slices.Clone(t.slots),
 		// The availability memo is intentionally NOT shared: the
 		// clone exists to be mutated, and clone-side invalidation
 		// must never poison (or race with) the original's memo.
-		avail: map[model.NodeID]*Availability{},
 	}
-	for k, v := range t.nodeBusy {
-		c.nodeBusy[k] = append([]Interval(nil), v...)
+}
+
+// cloneEach copies a dense index and each of its lists.
+func cloneEach[T any](s [][]T) [][]T {
+	out := make([][]T, len(s))
+	for i, v := range s {
+		out[i] = slices.Clone(v)
 	}
-	for k, v := range t.slotUsed {
-		c.slotUsed[k] = v
-	}
-	for k, v := range t.taskAt {
-		c.taskAt[k] = append([]int(nil), v...)
-	}
-	for k, v := range t.msgAt {
-		c.msgAt[k] = append([]int(nil), v...)
-	}
-	return c
+	return out
 }

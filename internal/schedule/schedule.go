@@ -11,6 +11,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/flexray"
@@ -64,30 +65,57 @@ type Table struct {
 	Tasks []TaskEntry
 	Msgs  []MsgEntry
 
-	nodeBusy map[model.NodeID][]Interval // sorted, non-overlapping
-	slotUsed map[slotKey]units.Duration  // packed payload per slot instance
-	taskAt   map[model.ActID][]int       // act -> indices into Tasks
-	msgAt    map[model.ActID][]int       // act -> indices into Msgs
+	// The per-node and per-activity indexes are dense slices addressed
+	// by NodeID and ActID, grown on first use.
+	nodeBusy [][]Interval               // sorted, non-overlapping
+	taskAt   [][]int                    // indices into Tasks
+	msgAt    [][]int                    // indices into Msgs
+	slotUsed map[slotKey]units.Duration // packed payload per slot instance
+
+	// slots[n] lists the static slots node n owns, ascending; it is
+	// derived from Cfg on the node's first message placement (nil: not
+	// yet derived).
+	slots [][]int
 
 	// avail memoises the per-node supply functions; PlaceTask
 	// invalidates the touched node. The memo makes Availability — and
 	// with it a Table — unsafe for concurrent use; the evaluation
 	// sessions pin each table to one goroutine.
-	avail map[model.NodeID]*Availability
+	avail []*Availability
 }
 
 // New returns an empty table for the given bus configuration and
 // horizon.
 func New(cfg *flexray.Config, horizon units.Duration) *Table {
-	return &Table{
-		Cfg:      cfg,
-		Horizon:  horizon,
-		nodeBusy: map[model.NodeID][]Interval{},
-		slotUsed: map[slotKey]units.Duration{},
-		taskAt:   map[model.ActID][]int{},
-		msgAt:    map[model.ActID][]int{},
-		avail:    map[model.NodeID]*Availability{},
+	return &Table{Cfg: cfg, Horizon: horizon}
+}
+
+// Reserve makes room for the given numbers of further task and message
+// entries, so a builder that knows its instance counts places them
+// without regrowing the entry lists or the slot-packing map.
+func (t *Table) Reserve(tasks, msgs int) {
+	t.Tasks = slices.Grow(t.Tasks, tasks)
+	t.Msgs = slices.Grow(t.Msgs, msgs)
+	if t.slotUsed == nil {
+		t.slotUsed = make(map[slotKey]units.Duration, msgs)
 	}
+}
+
+// at returns s[i], or the zero value when s is too short.
+func at[T any](s []T, i int) T {
+	if i < 0 || i >= len(s) {
+		var zero T
+		return zero
+	}
+	return s[i]
+}
+
+// grow returns s extended with zero values so that s[i] exists.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
 }
 
 // PlaceTask reserves [start, start+c) on the node for an SCS task
@@ -95,16 +123,20 @@ func New(cfg *flexray.Config, horizon units.Duration) *Table {
 // SCS tasks are not preemptable (Section 2).
 func (t *Table) PlaceTask(act model.ActID, instance int, node model.NodeID, start units.Time, c units.Duration) error {
 	iv := Interval{start, start.Add(c)}
-	busy := t.nodeBusy[node]
+	busy := t.Busy(node)
 	i := sort.Search(len(busy), func(i int) bool { return busy[i].End > iv.Start })
 	if i < len(busy) && busy[i].Start < iv.End {
 		return fmt.Errorf("schedule: task %d overlaps busy interval [%v,%v) on node %d",
 			act, busy[i].Start, busy[i].End, node)
 	}
-	t.nodeBusy[node] = append(busy[:i:i], append([]Interval{iv}, busy[i:]...)...)
+	t.nodeBusy = grow(t.nodeBusy, int(node))
+	t.nodeBusy[node] = slices.Insert(busy, i, iv)
 	t.Tasks = append(t.Tasks, TaskEntry{act, instance, node, iv.Start, iv.End})
+	t.taskAt = grow(t.taskAt, int(act))
 	t.taskAt[act] = append(t.taskAt[act], len(t.Tasks)-1)
-	delete(t.avail, node) // the node's supply function changed
+	if int(node) < len(t.avail) {
+		t.avail[node] = nil // the node's supply function changed
+	}
 	return nil
 }
 
@@ -112,7 +144,7 @@ func (t *Table) PlaceTask(act model.ActID, instance int, node model.NodeID, star
 // c contiguous free time.
 func (t *Table) FirstGap(node model.NodeID, earliest units.Time, c units.Duration) units.Time {
 	start := earliest
-	for _, iv := range t.nodeBusy[node] {
+	for _, iv := range t.Busy(node) {
 		if iv.End <= start {
 			continue
 		}
@@ -131,7 +163,7 @@ func (t *Table) FirstGap(node model.NodeID, earliest units.Time, c units.Duratio
 func (t *Table) Gaps(node model.NodeID, earliest units.Time, c units.Duration, max int) []units.Time {
 	var out []units.Time
 	start := earliest
-	busy := t.nodeBusy[node]
+	busy := t.Busy(node)
 	i := 0
 	for len(out) < max {
 		for i < len(busy) && busy[i].End <= start {
@@ -159,7 +191,7 @@ func (t *Table) Gaps(node model.NodeID, earliest units.Time, c units.Duration, m
 // has room left for packing. It returns the resulting entry.
 func (t *Table) PlaceMessage(app *model.Application, m model.ActID, instance int, ready units.Time) (MsgEntry, error) {
 	a := app.Act(m)
-	slots := t.Cfg.SlotsOfNode(a.Node)
+	slots := t.slotsOf(a.Node)
 	if len(slots) == 0 {
 		return MsgEntry{}, fmt.Errorf("schedule: node %d of ST message %q owns no static slot", a.Node, a.Name)
 	}
@@ -195,8 +227,12 @@ func (t *Table) PlaceMessage(app *model.Application, m model.ActID, instance int
 				TxStart:  start.Add(used),
 				Delivery: t.Cfg.StaticSlotEnd(cy, slot),
 			}
+			if t.slotUsed == nil {
+				t.slotUsed = map[slotKey]units.Duration{}
+			}
 			t.slotUsed[key] = used + a.C
 			t.Msgs = append(t.Msgs, e)
+			t.msgAt = grow(t.msgAt, int(m))
 			t.msgAt[m] = append(t.msgAt[m], len(t.Msgs)-1)
 			return e, nil
 		}
@@ -204,11 +240,28 @@ func (t *Table) PlaceMessage(app *model.Application, m model.ActID, instance int
 	return MsgEntry{}, fmt.Errorf("schedule: no slot instance for ST message %q after %v", a.Name, ready)
 }
 
+// slotsOf returns the static slots node n owns, as Cfg.SlotsOfNode
+// does, computed once per node and table.
+func (t *Table) slotsOf(n model.NodeID) []int {
+	t.slots = grow(t.slots, int(n))
+	if t.slots[n] == nil {
+		s := []int{} // non-nil: computed, possibly empty
+		for i, o := range t.Cfg.StaticSlotOwner {
+			if o == n {
+				s = append(s, i+1)
+			}
+		}
+		t.slots[n] = s
+	}
+	return t.slots[n]
+}
+
 // TaskEntries returns the table entries of one SCS task (all
 // instances).
 func (t *Table) TaskEntries(a model.ActID) []TaskEntry {
-	out := make([]TaskEntry, 0, len(t.taskAt[a]))
-	for _, i := range t.taskAt[a] {
+	idx := t.TaskEntryIndices(a)
+	out := make([]TaskEntry, 0, len(idx))
+	for _, i := range idx {
 		out = append(out, t.Tasks[i])
 	}
 	return out
@@ -217,8 +270,9 @@ func (t *Table) TaskEntries(a model.ActID) []TaskEntry {
 // MsgEntries returns the table entries of one ST message (all
 // instances).
 func (t *Table) MsgEntries(a model.ActID) []MsgEntry {
-	out := make([]MsgEntry, 0, len(t.msgAt[a]))
-	for _, i := range t.msgAt[a] {
+	idx := t.MsgEntryIndices(a)
+	out := make([]MsgEntry, 0, len(idx))
+	for _, i := range idx {
 		out = append(out, t.Msgs[i])
 	}
 	return out
@@ -227,15 +281,16 @@ func (t *Table) MsgEntries(a model.ActID) []MsgEntry {
 // TaskEntryIndices returns the indices into Tasks of one SCS task's
 // instances, avoiding the entry copies of TaskEntries. The returned
 // slice is shared and must not be modified.
-func (t *Table) TaskEntryIndices(a model.ActID) []int { return t.taskAt[a] }
+func (t *Table) TaskEntryIndices(a model.ActID) []int { return at(t.taskAt, int(a)) }
 
 // MsgEntryIndices returns the indices into Msgs of one ST message's
 // instances. The returned slice is shared and must not be modified.
-func (t *Table) MsgEntryIndices(a model.ActID) []int { return t.msgAt[a] }
+func (t *Table) MsgEntryIndices(a model.ActID) []int { return at(t.msgAt, int(a)) }
 
 // Busy returns the node's busy intervals (sorted, non-overlapping).
-// The returned slice must not be modified.
-func (t *Table) Busy(node model.NodeID) []Interval { return t.nodeBusy[node] }
+// The returned slice must not be modified, and a later PlaceTask on
+// the node may change its contents.
+func (t *Table) Busy(node model.NodeID) []Interval { return at(t.nodeBusy, int(node)) }
 
 // SlotContent returns the messages packed into the given slot instance,
 // in packing order.
@@ -256,11 +311,11 @@ func (t *Table) SlotContent(cycle int64, slot int) []MsgEntry {
 // availability queries see this folded, repeating pattern.
 func (t *Table) foldedBusy(node model.NodeID) []Interval {
 	if t.Horizon <= 0 {
-		return t.nodeBusy[node]
+		return slices.Clone(t.Busy(node))
 	}
 	h := int64(t.Horizon)
 	var folded []Interval
-	for _, iv := range t.nodeBusy[node] {
+	for _, iv := range t.Busy(node) {
 		s, e := int64(iv.Start), int64(iv.End)
 		for s < e {
 			fs := ((s % h) + h) % h
@@ -307,11 +362,14 @@ type Availability struct {
 // the table (PlaceTask invalidates the touched node). The memo makes
 // this method unsafe for concurrent use.
 func (t *Table) Availability(node model.NodeID) *Availability {
-	if av, ok := t.avail[node]; ok {
+	if av := at(t.avail, int(node)); av != nil {
 		return av
 	}
 	av := t.buildAvailability(node)
-	t.avail[node] = av
+	if node >= 0 {
+		t.avail = grow(t.avail, int(node))
+		t.avail[node] = av
+	}
 	return av
 }
 
