@@ -14,23 +14,21 @@ package jobs
 // Durability rides on the existing JSONL store: every shard completion
 // is appended (and fsynced) as a "lease" record before the worker is
 // acknowledged, so finished shards survive a coordinator crash and a
-// restarted job re-runs only what is missing. Grant/expire/fail events
-// are appended best-effort as an audit trail; replay ignores them.
+// restarted job re-runs only what is missing. Expire and fail events
+// are appended best-effort as evidence of a fault; replay ignores
+// them. Grants are not stored: GET /v1/leases and the grant counter
+// already show them, and a grant that never completes re-queues with
+// its job anyway.
 //
 // Worker death is survived by lease expiry: a janitor re-queues any
 // granted shard whose lease outlived its TTL without a renewal, and
 // the retired lease ID answers ErrLeaseStale from then on. Re-queueing
-// is deterministic — the shard returns to pending with its identity
-// (range, routing key) unchanged, so a re-grant computes the identical
-// records.
+// is deterministic — the shard returns to pending with its range
+// unchanged, so a re-grant computes the identical records.
 //
-// Claim routing is cache-affine: worker IDs form a consistent-hash
-// ring (ring.go) and a claim prefers a pending shard the ring assigns
-// to the claiming worker, so repeated grants of the same shard (and
-// re-claims after a failure) land where the fingerprint-keyed eval
-// cache is already warm. When a worker owns no pending shard it
-// steals the oldest one instead — progress never waits for a dead
-// owner.
+// Claims are FIFO: whichever worker asks gets the first pending shard
+// in (job submission order, shard index) order. Every system's records
+// depend on that system alone, so placement never changes results.
 
 import (
 	"context"
@@ -40,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/campaign"
@@ -50,9 +47,10 @@ import (
 
 // LeaseEvent is the payload of a "lease" store record: one event of a
 // distributed shard's lifecycle. Only "complete" events carry records
-// and matter to replay; the rest are an audit trail.
+// and matter to replay; "expire" and "fail" record faults.
 type LeaseEvent struct {
-	// Event is "grant", "complete", "expire" or "fail".
+	// Event is "complete", "expire" or "fail"; stores written by older
+	// coordinators also hold "grant" events, which replay ignores.
 	Event   string `json:"event"`
 	LeaseID string `json:"lease_id,omitempty"`
 	// Shard is the shard's index; Lo/Hi its population range.
@@ -71,7 +69,6 @@ type LeaseEvent struct {
 }
 
 const (
-	leaseEventGrant    = "grant"
 	leaseEventComplete = "complete"
 	leaseEventExpire   = "expire"
 	leaseEventFail     = "fail"
@@ -97,11 +94,11 @@ func (s leaseState) String() string {
 }
 
 // leaseShard is one shard of a distributed campaign; guarded by the
-// manager mutex except the immutable idx/lo/hi/key.
+// manager mutex except the immutable lj/idx/lo/hi.
 type leaseShard struct {
+	lj     *leaseJob
 	idx    int
 	lo, hi int
-	key    uint64 // consistent-hash routing key
 
 	state   leaseState
 	leaseID string
@@ -230,10 +227,7 @@ func (m *Manager) runDistributed(ctx context.Context, j *job, c *compiled) (*Res
 		lj.grant.systems = j.spec.Population.Systems
 	}
 	for i, r := range ranges {
-		lj.shards = append(lj.shards, &leaseShard{
-			idx: i, lo: r.Lo, hi: r.Hi,
-			key: fnv64(j.id, strconv.Itoa(r.Lo), strconv.Itoa(r.Hi)),
-		})
+		lj.shards = append(lj.shards, &leaseShard{lj: lj, idx: i, lo: r.Lo, hi: r.Hi})
 	}
 
 	m.mu.Lock()
@@ -346,13 +340,10 @@ func applyShardProgressLocked(j *job, recs []campaign.Record) {
 	}
 }
 
-// ClaimLease registers workerID as a live peer and grants it a pending
-// shard: preferably one the consistent-hash ring routes to it (warm
-// eval cache), otherwise the oldest pending shard (work stealing).
-// A nil grant with nil error means no work is available.
+// ClaimLease registers workerID as a live peer and grants it the first
+// pending shard in (job submission order, shard index) order. A nil
+// grant with nil error means no work is available.
 func (m *Manager) ClaimLease(workerID string) (*ShardGrant, error) {
-	m.gate.RLock()
-	defer m.gate.RUnlock()
 	now := time.Now()
 	m.mu.Lock()
 	if m.closing {
@@ -360,27 +351,13 @@ func (m *Manager) ClaimLease(workerID string) (*ShardGrant, error) {
 		return nil, ErrClosed
 	}
 	m.leaseWorkers[workerID] = now
-	ljs := make([]*leaseJob, 0, len(m.leaseJobs))
-	for _, lj := range m.leaseJobs {
-		ljs = append(ljs, lj)
-	}
-	sort.Slice(ljs, func(a, b int) bool { return ljs[a].j.seq < ljs[b].j.seq })
-	ring := buildRing(workerIDs(m.leaseWorkers))
 	var pick *leaseShard
-	var pickLJ *leaseJob
-	affinity := false
 scan:
-	for _, lj := range ljs {
+	for _, lj := range m.leaseJobsLocked() {
 		for _, sh := range lj.shards {
-			if sh.state != leasePending {
-				continue
-			}
-			if ring.owner(sh.key) == workerID {
-				pick, pickLJ, affinity = sh, lj, true
+			if sh.state == leasePending {
+				pick = sh
 				break scan
-			}
-			if pick == nil {
-				pick, pickLJ = sh, lj
 			}
 		}
 	}
@@ -394,19 +371,21 @@ scan:
 	pick.leaseID = newLeaseID()
 	pick.expiry = now.Add(m.opts.LeaseTTL)
 	m.leaseIndex[pick.leaseID] = pick
-	m.leaseOwner[pick.leaseID] = pickLJ
-	g := pickLJ.grantFor(pick, m.opts.LeaseTTL)
-	rec := StoreRecord{Type: recordLease, ID: pickLJ.j.id, Time: now, Lease: &LeaseEvent{
-		Event: leaseEventGrant, LeaseID: pick.leaseID,
-		Shard: pick.idx, Lo: pick.lo, Hi: pick.hi,
-		Worker: workerID, Attempt: pick.attempt,
-	}}
+	g := pick.lj.grantFor(pick, m.opts.LeaseTTL)
 	m.mu.Unlock()
-	// Best-effort audit record: a grant that never persists costs
-	// nothing — expiry re-queues the shard either way.
-	m.appendStatus(rec)
-	m.opts.Metrics.observeLeaseGranted(affinity)
+	m.opts.Metrics.observeLeaseGranted()
 	return g, nil
+}
+
+// leaseJobsLocked lists the running distributed jobs in submission
+// order.
+func (m *Manager) leaseJobsLocked() []*leaseJob {
+	ljs := make([]*leaseJob, 0, len(m.leaseJobs))
+	for _, lj := range m.leaseJobs {
+		ljs = append(ljs, lj)
+	}
+	sort.Slice(ljs, func(a, b int) bool { return ljs[a].j.seq < ljs[b].j.seq })
+	return ljs
 }
 
 // grantFor slices the job's payload template for one shard.
@@ -470,7 +449,7 @@ func (m *Manager) CompleteLease(leaseID, workerID string, records []campaign.Rec
 		m.mu.Unlock()
 		return ErrLeaseStale
 	}
-	lj := m.leaseOwner[leaseID]
+	lj := sh.lj
 	m.leaseWorkers[workerID] = now
 	if workerErr != "" {
 		// Worker-reported failure: back to pending for another worker
@@ -530,7 +509,6 @@ func (m *Manager) CompleteLease(leaseID, workerID string, records []campaign.Rec
 	sh.state = leaseDone
 	m.retireLeaseLocked(leaseID, ErrLeaseStale)
 	delete(m.leaseIndex, leaseID)
-	delete(m.leaseOwner, leaseID)
 	sh.worker, sh.leaseID = "", ""
 	byShard := m.shardResults[jobID]
 	if byShard == nil {
@@ -559,13 +537,8 @@ func (m *Manager) CompleteLease(leaseID, workerID string, records []campaign.Rec
 func (m *Manager) Leases() LeaseList {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ljs := make([]*leaseJob, 0, len(m.leaseJobs))
-	for _, lj := range m.leaseJobs {
-		ljs = append(ljs, lj)
-	}
-	sort.Slice(ljs, func(a, b int) bool { return ljs[a].j.seq < ljs[b].j.seq })
 	list := LeaseList{Leases: []Lease{}, Workers: []LeaseWorkerInfo{}}
-	for _, lj := range ljs {
+	for _, lj := range m.leaseJobsLocked() {
 		for _, sh := range lj.shards {
 			l := Lease{
 				ID: sh.leaseID, JobID: lj.j.id,
@@ -614,7 +587,6 @@ func (m *Manager) releaseShardLocked(sh *leaseShard, reason error) {
 	if sh.leaseID != "" {
 		m.retireLeaseLocked(sh.leaseID, reason)
 		delete(m.leaseIndex, sh.leaseID)
-		delete(m.leaseOwner, sh.leaseID)
 	}
 	sh.state = leasePending
 	sh.worker, sh.leaseID = "", ""
@@ -650,8 +622,7 @@ func (m *Manager) leaseJanitor() {
 }
 
 // expireLeases re-queues every granted shard whose lease outlived its
-// TTL and forgets workers silent for several TTLs (so affinity routing
-// stops preferring the departed).
+// TTL and forgets workers silent for several TTLs.
 func (m *Manager) expireLeases(now time.Time) {
 	m.gate.RLock()
 	defer m.gate.RUnlock()
@@ -686,9 +657,9 @@ func (m *Manager) expireLeases(now time.Time) {
 
 // replayLeaseLocked applies one lease record during store replay. Only
 // well-formed "complete" events for known jobs count, and the first
-// complete per (job, shard) is sticky — duplicate grants, late
-// completes and out-of-order expires can never resurrect or overwrite
-// a completed shard.
+// complete per (job, shard) is sticky — late completes, out-of-order
+// expires and the grant events older stores hold can never resurrect
+// or overwrite a completed shard.
 func (m *Manager) replayLeaseLocked(rec StoreRecord) {
 	ev := rec.Lease
 	if rec.ID == "" || ev == nil || ev.Event != leaseEventComplete {

@@ -48,14 +48,15 @@ func FuzzLeaseStoreReplay(f *testing.F) {
 	}
 	submit := fuzzSeedLine(f, StoreRecord{Type: recordSubmit, ID: "j-1", Time: now, Spec: spec})
 
-	// A clean history: submit, grant, complete.
+	// A clean history as older coordinators wrote it (they stored a
+	// "grant" line per claim): submit, grant, complete.
 	f.Add(append(append(append([]byte{}, submit...),
-		fuzzSeedLine(f, lease("j-1", LeaseEvent{Event: leaseEventGrant, LeaseID: "l-1", Shard: 0, Lo: 0, Hi: 1, Worker: "w", Attempt: 1}))...),
+		fuzzSeedLine(f, lease("j-1", LeaseEvent{Event: "grant", LeaseID: "l-1", Shard: 0, Lo: 0, Hi: 1, Worker: "w", Attempt: 1}))...),
 		fuzzSeedLine(f, complete("j-1", 0, 0, 1, 1, "sys"))...))
 	// Duplicate grants and out-of-order expiry around a complete.
 	f.Add(append(append(append(append(append([]byte{}, submit...),
-		fuzzSeedLine(f, lease("j-1", LeaseEvent{Event: leaseEventGrant, LeaseID: "l-1", Shard: 0, Lo: 0, Hi: 1, Worker: "a"}))...),
-		fuzzSeedLine(f, lease("j-1", LeaseEvent{Event: leaseEventGrant, LeaseID: "l-2", Shard: 0, Lo: 0, Hi: 1, Worker: "b"}))...),
+		fuzzSeedLine(f, lease("j-1", LeaseEvent{Event: "grant", LeaseID: "l-1", Shard: 0, Lo: 0, Hi: 1, Worker: "a"}))...),
+		fuzzSeedLine(f, lease("j-1", LeaseEvent{Event: "grant", LeaseID: "l-2", Shard: 0, Lo: 0, Hi: 1, Worker: "b"}))...),
 		fuzzSeedLine(f, complete("j-1", 0, 0, 1, 1, "sys"))...),
 		fuzzSeedLine(f, lease("j-1", LeaseEvent{Event: leaseEventExpire, LeaseID: "l-1", Shard: 0, Lo: 0, Hi: 1, Worker: "a"}))...))
 	// Conflicting duplicate completes plus malformed geometry.

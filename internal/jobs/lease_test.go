@@ -1,11 +1,14 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -146,7 +149,7 @@ func TestDistributedUploadedSystems(t *testing.T) {
 }
 
 // submitDistributed submits a small distributed campaign and waits for
-// it to start publishing leases.
+// it to publish its shard leases.
 func submitDistributed(t *testing.T, m *Manager, systems int) Job {
 	t.Helper()
 	counts := make([]int, systems)
@@ -166,7 +169,13 @@ func submitDistributed(t *testing.T, m *Manager, systems int) Job {
 	waitStatus(t, m, job.ID, StatusRunning)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(m.Leases().Leases) == systems {
+		published := 0
+		for _, l := range m.Leases().Leases {
+			if l.JobID == job.ID {
+				published++
+			}
+		}
+		if published == systems {
 			return job
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -177,9 +186,16 @@ func submitDistributed(t *testing.T, m *Manager, systems int) Job {
 
 // TestLeaseExpiryRequeue: a claimed shard whose worker goes silent is
 // re-queued by the janitor after the TTL; the dead lease answers 409
-// and a re-grant carries the next attempt number.
+// and a re-grant carries the next attempt number. The store keeps the
+// fault and the result — one "expire" and one "complete" — and no
+// grants.
 func TestLeaseExpiryRequeue(t *testing.T) {
-	m := newTestManager(t, nil, ManagerOptions{Workers: 1, LeaseSystems: 1, LeaseTTL: 50 * time.Millisecond})
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	store, err := NewFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, store, ManagerOptions{Workers: 1, LeaseSystems: 1, LeaseTTL: 50 * time.Millisecond})
 	submitDistributed(t, m, 1)
 
 	g, err := m.ClaimLease("doomed")
@@ -224,6 +240,43 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 		t.Fatalf("completing the re-granted lease: %v", err)
 	}
 	waitStatus(t, m, submittedJobID(t, m), StatusDone)
+
+	// The expire record is appended after the shard re-queues, so give
+	// the janitor's append a moment to land.
+	var events map[string]int
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		events = storeLeaseEvents(t, path)
+		if events["expire"] > 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if want := map[string]int{"expire": 1, "complete": 1}; !maps.Equal(events, want) {
+		t.Errorf("store lease events %v, want %v", events, want)
+	}
+}
+
+// storeLeaseEvents counts the lease records of a JSONL store by event.
+func storeLeaseEvents(t *testing.T, path string) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := map[string]int{}
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec StoreRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("store line %q: %v", line, err)
+		}
+		if rec.Type == recordLease {
+			events[rec.Lease.Event]++
+		}
+	}
+	return events
 }
 
 // submittedJobID returns the single job the manager holds.
@@ -391,8 +444,9 @@ func TestLeaseReplayNeverResurrects(t *testing.T) {
 	}
 	seed := []StoreRecord{
 		{Type: recordSubmit, ID: "j-test", Time: now, Spec: spec},
-		// Audit noise that must be ignored outright.
-		{Type: recordLease, ID: "j-test", Time: now, Lease: &LeaseEvent{Event: leaseEventGrant, Shard: 0, Lo: 0, Hi: 1, Worker: "w"}},
+		// Grant records (written by older coordinators) and expiry
+		// records must be ignored outright.
+		{Type: recordLease, ID: "j-test", Time: now, Lease: &LeaseEvent{Event: "grant", Shard: 0, Lo: 0, Hi: 1, Worker: "w"}},
 		{Type: recordLease, ID: "j-test", Time: now, Lease: &LeaseEvent{Event: leaseEventExpire, Shard: 0, Lo: 0, Hi: 1, Worker: "w"}},
 		rec(0, 0, 1, "first", 1),
 		// A duplicate complete must not displace the first.
@@ -438,65 +492,38 @@ func TestLeaseReplayNeverResurrects(t *testing.T) {
 	}
 }
 
-// TestRingDeterminism: the consistent-hash ring is independent of
-// insertion order, total (every key owned), and stable for a given
-// fleet.
-func TestRingDeterminism(t *testing.T) {
-	a := buildRing([]string{"w1", "w2", "w3"})
-	b := buildRing([]string{"w3", "w1", "w2"})
-	keys := make([]uint64, 0, 200)
-	for i := 0; i < 200; i++ {
-		keys = append(keys, fnv64("job", "shard", string(rune('a'+i%26)), string(rune('0'+i%10))))
-	}
-	counts := map[string]int{}
-	for _, k := range keys {
-		oa, ob := a.owner(k), b.owner(k)
-		if oa != ob {
-			t.Fatalf("owner(%d) depends on insertion order: %q vs %q", k, oa, ob)
-		}
-		if oa == "" {
-			t.Fatalf("owner(%d) empty for a populated ring", k)
-		}
-		counts[oa]++
-	}
-	if len(counts) != 3 {
-		t.Errorf("distribution %v, want all three workers used", counts)
-	}
-	solo := buildRing([]string{"only"})
-	if got := solo.owner(12345); got != "only" {
-		t.Errorf("single-worker ring routed to %q", got)
-	}
-	var empty hashRing
-	if got := empty.owner(1); got != "" {
-		t.Errorf("empty ring routed to %q", got)
-	}
-}
-
-// TestClaimLeaseDrain: claims hand out each shard exactly once, then
-// answer no-work; the lease list tracks the registered workers.
+// TestClaimLeaseDrain: claims are FIFO — the first pending shard in
+// (job submission order, shard index) order goes to whichever worker
+// asks, so a later job's shards wait behind an earlier job's — and
+// each shard is handed out exactly once before claims answer no-work;
+// the lease list tracks the registered workers.
 func TestClaimLeaseDrain(t *testing.T) {
-	m := newTestManager(t, nil, ManagerOptions{Workers: 1, LeaseSystems: 1, LeaseTTL: 10 * time.Second})
-	job := submitDistributed(t, m, 3)
+	m := newTestManager(t, nil, ManagerOptions{Workers: 2, LeaseSystems: 1, LeaseTTL: 10 * time.Second})
+	first := submitDistributed(t, m, 3)
+	second := submitDistributed(t, m, 2)
 
-	seen := map[int]bool{}
+	type slot struct {
+		job   string
+		shard int
+	}
+	want := []slot{{first.ID, 0}, {first.ID, 1}, {first.ID, 2}, {second.ID, 0}, {second.ID, 1}}
 	grants := []*ShardGrant{}
-	for _, w := range []string{"w1", "w2", "w1"} {
+	for i, w := range []string{"w2", "w1", "w3", "w1", "w2"} {
 		g, err := m.ClaimLease(w)
 		if err != nil || g == nil {
 			t.Fatalf("claim for %s: %v, %v", w, g, err)
 		}
-		if seen[g.Shard] {
-			t.Fatalf("shard %d granted twice", g.Shard)
+		if got := (slot{g.JobID, g.Shard}); got != want[i] {
+			t.Fatalf("claim %d by %s granted %+v, want %+v", i, w, got, want[i])
 		}
-		seen[g.Shard] = true
 		grants = append(grants, g)
 	}
 	if g, err := m.ClaimLease("w2"); err != nil || g != nil {
 		t.Fatalf("claim on a drained table: %v, %v, want no work", g, err)
 	}
 	ll := m.Leases()
-	if len(ll.Workers) != 2 {
-		t.Errorf("%d workers registered, want 2", len(ll.Workers))
+	if len(ll.Workers) != 3 {
+		t.Errorf("%d workers registered, want 3", len(ll.Workers))
 	}
 	granted := 0
 	for _, l := range ll.Leases {
@@ -504,8 +531,8 @@ func TestClaimLeaseDrain(t *testing.T) {
 			granted++
 		}
 	}
-	if granted != 3 {
-		t.Errorf("%d granted leases listed, want 3", granted)
+	if granted != len(want) {
+		t.Errorf("%d granted leases listed, want %d", granted, len(want))
 	}
 	for _, g := range grants {
 		recs, err := runShardGrant(context.Background(), g, 1)
@@ -516,7 +543,8 @@ func TestClaimLeaseDrain(t *testing.T) {
 			t.Fatalf("completing %s: %v", g.LeaseID, err)
 		}
 	}
-	waitStatus(t, m, job.ID, StatusDone)
+	waitStatus(t, m, first.ID, StatusDone)
+	waitStatus(t, m, second.ID, StatusDone)
 }
 
 // grantWorker finds the worker holding a lease in a snapshot.

@@ -249,12 +249,11 @@ type Manager struct {
 
 	// Distributed-campaign lease state (lease.go), all guarded by mu:
 	// running distributed jobs by job ID, granted leases by lease ID
-	// (plus the job owning each), recently seen worker peers, the
+	// (each shard points at its job), recently seen worker peers, the
 	// bounded why-is-this-lease-dead memory, and completed shard
 	// results retained until their job goes terminal.
 	leaseJobs     map[string]*leaseJob
 	leaseIndex    map[string]*leaseShard
-	leaseOwner    map[string]*leaseJob
 	leaseWorkers  map[string]time.Time
 	leaseRetired  map[string]error
 	leaseRetiredQ []string
@@ -283,7 +282,6 @@ func NewManager(store Store, opts ManagerOptions) (*Manager, error) {
 		evicted:      map[string]struct{}{},
 		leaseJobs:    map[string]*leaseJob{},
 		leaseIndex:   map[string]*leaseShard{},
-		leaseOwner:   map[string]*leaseJob{},
 		leaseWorkers: map[string]time.Time{},
 		leaseRetired: map[string]error{},
 		shardResults: map[string]map[int]shardResult{},

@@ -31,7 +31,7 @@ type Metrics struct {
 	compactTime  *obs.Histogram
 	traceDropped *obs.Counter
 
-	leaseGranted   map[bool]*obs.Counter // keyed by affinity routing
+	leaseGranted   *obs.Counter
 	leaseCompleted *obs.Counter
 	leaseExpired   *obs.Counter
 	leaseFailed    *obs.Counter
@@ -62,12 +62,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		"Store compaction (snapshot rewrite) duration.", obs.IOBuckets)
 	x.traceDropped = r.Counter("flexray_job_trace_dropped_total",
 		"Optimiser trace events evicted from per-job rings (ring exhaustion; raise TraceCap if it grows).")
-	x.leaseGranted = map[bool]*obs.Counter{
-		true: r.Counter("flexray_lease_granted_total",
-			"Distributed shard leases granted, by routing decision.", "route", "affinity"),
-		false: r.Counter("flexray_lease_granted_total",
-			"Distributed shard leases granted, by routing decision.", "route", "steal"),
-	}
+	x.leaseGranted = r.Counter("flexray_lease_granted_total",
+		"Distributed shard leases granted.")
 	x.leaseCompleted = r.Counter("flexray_lease_completed_total",
 		"Shard leases completed with durably recorded results.")
 	x.leaseExpired = r.Counter("flexray_lease_expired_total",
@@ -207,9 +203,9 @@ func (x *Metrics) observeTraceDropped() {
 	}
 }
 
-func (x *Metrics) observeLeaseGranted(affinity bool) {
+func (x *Metrics) observeLeaseGranted() {
 	if x != nil {
-		x.leaseGranted[affinity].Inc()
+		x.leaseGranted.Inc()
 	}
 }
 

@@ -20,9 +20,10 @@ package jobs
 //	    — a distributed-campaign lease event for job j (see lease.go).
 //	      Only "complete" events matter to replay: they carry a
 //	      shard's records, so finished shards survive a coordinator
-//	      restart. "grant", "expire" and "fail" events are an audit
-//	      trail and are ignored on replay — a lease that was granted
-//	      but never completed simply re-queues with its job.
+//	      restart. "expire" and "fail" events record faults and are
+//	      ignored on replay, as are the "grant" events older stores
+//	      hold — a lease that never completed simply re-queues with
+//	      its job.
 //
 // Replay invariants (see Manager.replay):
 //
@@ -36,7 +37,7 @@ package jobs
 //   - An evict record removes the job (if present) and leaves a
 //     tombstone, so eviction survives restarts.
 //   - The first lease "complete" per (job, shard) is sticky: later
-//     completes, duplicate grants or out-of-order expiry records
+//     completes, old grant records or out-of-order expiry records
 //     never overwrite or resurrect a completed shard. Malformed
 //     lease payloads (negative shard, inverted range, record count
 //     not matching the range) are skipped, not fatal.

@@ -32,7 +32,7 @@ import (
 // WorkerOptions tune a lease worker.
 type WorkerOptions struct {
 	// ID identifies this worker to the coordinator (lease ownership,
-	// affinity routing, metrics). Empty selects "<hostname>-<pid>".
+	// the lease table's worker list). Empty selects "<hostname>-<pid>".
 	ID string
 	// BaseURL is the coordinator, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -362,23 +362,16 @@ func (w *Worker) post(ctx context.Context, path string, body any) (*http.Respons
 // server's message attached.
 func leaseRespError(resp *http.Response) error {
 	// The coordinator speaks the structured envelope
-	// {"error": {"code", "message"}}; older peers sent a bare
-	// {"error": "msg"} string. Accept both (mixed-version fleets
-	// upgrade one process at a time), falling back to the raw body.
+	// {"error": {"code", "message"}}; anything else (a proxy's error
+	// page, say) falls back to the raw body.
 	var body struct {
-		Error json.RawMessage `json:"error"`
+		Error struct {
+			Message string `json:"message"`
+		} `json:"error"`
 	}
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	_ = json.Unmarshal(data, &body)
-	var msg string
-	var structured struct {
-		Message string `json:"message"`
-	}
-	if json.Unmarshal(body.Error, &structured) == nil && structured.Message != "" {
-		msg = structured.Message
-	} else {
-		_ = json.Unmarshal(body.Error, &msg)
-	}
+	msg := body.Error.Message
 	if msg == "" {
 		msg = strings.TrimSpace(string(data))
 	}
