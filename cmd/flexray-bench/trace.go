@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -174,6 +175,7 @@ type traceRow struct {
 	total time.Duration
 	self  time.Duration
 	pct   float64 // self as a share of the trace wall time
+	conv  string  // convergence summary of the span's events
 	err   string  // status message when the span failed
 }
 
@@ -231,7 +233,7 @@ func renderTrace(w io.Writer, traceID string, spans []obs.SpanData, top int) {
 		if self < 0 {
 			self = 0
 		}
-		row := traceRow{label: prefix + sd.Name, total: sd.Duration, self: self}
+		row := traceRow{label: prefix + sd.Name, total: sd.Duration, self: self, conv: convergence(sd)}
 		if wall > 0 {
 			row.pct = 100 * float64(self) / float64(wall)
 		}
@@ -267,6 +269,9 @@ func renderTrace(w io.Writer, traceID string, spans []obs.SpanData, top int) {
 		pad := strings.Repeat(" ", width-len([]rune(r.label)))
 		fmt.Fprintf(w, "%s%s  %10s total  %10s self  %5.1f%%", r.label, pad,
 			fmtDur(r.total), fmtDur(r.self), r.pct)
+		if r.conv != "" {
+			fmt.Fprintf(w, "  %s", r.conv)
+		}
 		if r.err != "" {
 			fmt.Fprintf(w, "  ERROR: %s", r.err)
 		}
@@ -310,6 +315,30 @@ func renderTrace(w io.Writer, traceID string, spans []obs.SpanData, top int) {
 		}
 		fmt.Fprintf(w, "%-24s %6d %12s %6.1f%%\n", a.name, a.count, fmtDur(a.self), pct)
 	}
+}
+
+// convergence summarises a span's events for its tree row: the count
+// and, when the last event carries cost and evaluations (the
+// optimisers' "best" events on opt.<ALG> spans, whose last one is the
+// run's result), where the run ended up — plus the events the
+// per-span bound dropped. Spans without events render nothing.
+func convergence(sd obs.SpanData) string {
+	if len(sd.Events) == 0 && sd.DroppedEvents == 0 {
+		return ""
+	}
+	s := fmt.Sprintf("%d events", len(sd.Events))
+	if n := len(sd.Events); n > 0 {
+		last := sd.Events[n-1].Attrs
+		cost, okCost := obs.AttrValue(last, "cost").(float64)
+		evals, okEvals := obs.AttrValue(last, "evaluations").(int64)
+		if okCost && okEvals {
+			s += fmt.Sprintf(", best %s @ %d evals", strconv.FormatFloat(cost, 'f', -1, 64), evals)
+		}
+	}
+	if sd.DroppedEvents > 0 {
+		s += fmt.Sprintf(" (+%d dropped)", sd.DroppedEvents)
+	}
+	return s
 }
 
 // fmtDur trims a duration to a readable precision for the tables.

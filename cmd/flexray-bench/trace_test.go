@@ -87,6 +87,64 @@ func TestTraceRenderFromFile(t *testing.T) {
 	}
 }
 
+// TestTraceRenderConvergence: optimiser spans with convergence events
+// get a summary on their tree row — event count, the last event's
+// cost and evaluation count, and the events the per-span bound
+// dropped; spans without events get none.
+func TestTraceRenderConvergence(t *testing.T) {
+	tid, err := obs.ParseTraceID(fixtureTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(b byte) obs.SpanID { return obs.SpanID{b, 9, 9, 9, 9, 9, 9, 9} }
+	at := func(ms int) time.Time { return time.Unix(100, 0).Add(time.Duration(ms) * time.Millisecond) }
+	best := func(ms int, evals int64, cost float64) obs.SpanEvent {
+		return obs.SpanEvent{Name: "best", Time: at(ms), Attrs: []obs.Attr{
+			obs.IntAttr("evaluations", evals), obs.FloatAttr("cost", cost)}}
+	}
+	spans := []obs.SpanData{
+		{TraceID: tid, SpanID: id(1), Name: "campaign.system", Start: at(0), Duration: 9 * time.Millisecond},
+		{TraceID: tid, SpanID: id(2), Parent: id(1), Name: "opt.OBC-CF", Start: at(0), Duration: 4 * time.Millisecond,
+			Events: []obs.SpanEvent{best(1, 1, 1184.5), best(2, 40, -3), best(3, 150, -1538672)}},
+		{TraceID: tid, SpanID: id(3), Parent: id(1), Name: "opt.SA", Start: at(4), Duration: 5 * time.Millisecond,
+			Events: []obs.SpanEvent{best(5, 1, 21567)}, DroppedEvents: 2},
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, sd := range spans {
+		if err := enc.Encode(sd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := runTrace([]string{"-in", path, "-top", "0"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("runTrace = %d: %s", code, stderr.String())
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		for _, name := range []string{"campaign.system", "opt.OBC-CF", "opt.SA"} {
+			if strings.Contains(line, name+" ") {
+				rows[name] = line
+			}
+		}
+	}
+	for name, want := range map[string]string{
+		"opt.OBC-CF": "  3 events, best -1538672 @ 150 evals",
+		"opt.SA":     "  1 events, best 21567 @ 1 evals (+2 dropped)",
+	} {
+		if !strings.HasSuffix(rows[name], want) {
+			t.Errorf("%s row %q does not end in %q", name, rows[name], want)
+		}
+	}
+	if strings.Contains(rows["campaign.system"], "events") {
+		t.Errorf("event-less span row carries a convergence summary: %q", rows["campaign.system"])
+	}
+}
+
 // TestTraceFetchFromServer exercises the -server path against a stub
 // serving the /v1/traces/{id} JSONL shape, including the selected-ID
 // filter.

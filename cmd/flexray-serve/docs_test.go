@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -32,10 +33,12 @@ func TestFlagDocsDrift(t *testing.T) {
 	}
 }
 
-// TestMetricsDocsDrift extends the drift guard to the metric names:
-// every family a freshly built server registers must appear (in
-// backticks) in the OPERATIONS.md metrics reference. Instrumenting a
-// new subsystem without documenting the series fails CI.
+// TestMetricsDocsDrift extends the drift guard to the metric names,
+// in both directions: every family a freshly built server registers
+// must appear (in backticks) in the OPERATIONS.md metrics reference,
+// and every row of that reference must name a registered family.
+// Instrumenting a new subsystem without documenting the series fails
+// CI; so does retiring a series and leaving its row behind.
 func TestMetricsDocsDrift(t *testing.T) {
 	// Tracing on: the flexray_trace_* span-store series only register
 	// on a trace-enabled server, and they must be documented too.
@@ -56,9 +59,24 @@ func TestMetricsDocsDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(data)
+	registered := map[string]bool{}
 	for _, name := range s.reg.Names() {
+		registered[name] = true
 		if !strings.Contains(text, "`"+name+"`") {
 			t.Errorf("OPERATIONS.md omits registered metric `%s`", name)
 		}
 	}
+	rows := metricRow.FindAllStringSubmatch(text, -1)
+	if len(rows) == 0 {
+		t.Fatal("OPERATIONS.md has no metrics reference rows")
+	}
+	for _, row := range rows {
+		if !registered[row[1]] {
+			t.Errorf("OPERATIONS.md documents `%s`, which the server does not register", row[1])
+		}
+	}
 }
+
+// metricRow matches a metrics reference table row and captures the
+// series name.
+var metricRow = regexp.MustCompile("(?m)^\\| `((?:flexray|go|process)_[a-z0-9_]+)`")

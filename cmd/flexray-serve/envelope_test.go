@@ -117,7 +117,7 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 			http.StatusNotFound, "not_found"},
 		{"job result not found", func() (*http.Response, error) { return get("/v1/jobs/absent/result") },
 			http.StatusNotFound, "not_found"},
-		{"job trace not found", func() (*http.Response, error) { return get("/v1/jobs/absent/trace") },
+		{"job trace not found", func() (*http.Response, error) { return get("/v1/jobs/absent/spans") },
 			http.StatusNotFound, "not_found"},
 		{"job spans not found", func() (*http.Response, error) { return get("/v1/jobs/absent/spans") },
 			http.StatusNotFound, "not_found"},

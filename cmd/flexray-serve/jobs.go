@@ -100,39 +100,6 @@ func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// traceResponse is the payload of GET /v1/jobs/{id}/trace.
-type traceResponse struct {
-	JobID  string           `json:"job_id"`
-	Kind   jobs.Kind        `json:"kind"`
-	Status jobs.Status      `json:"status"`
-	Events []obs.TraceEvent `json:"events"`
-	// Total counts every event the optimiser emitted; Dropped is how
-	// many the bounded ring evicted (Total - len(Events)).
-	Total   uint64 `json:"total_events"`
-	Dropped uint64 `json:"dropped_events"`
-}
-
-// handleJobTrace serves the optimiser convergence trace captured for
-// an optimize or campaign job: the most recent ring of explored
-// candidates with per-event cost, incumbent best, temperature and
-// accept rate. Sweep jobs (no optimiser) and jobs replayed from a
-// store (traces are in-memory only) answer with an empty event list.
-func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	snap, job, err := s.jobs.Trace(r.PathValue("id"))
-	if err != nil {
-		jobMissing(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, traceResponse{
-		JobID:   job.ID,
-		Kind:    job.Kind,
-		Status:  job.Status,
-		Events:  snap.Events,
-		Total:   snap.Total,
-		Dropped: snap.Total - uint64(len(snap.Events)),
-	})
-}
-
 // handleJobEvents streams a job's progress as Server-Sent Events: one
 // "update" event per state change (snapshots, so slow consumers may
 // skip intermediates but never observe regressions) and a final "done"

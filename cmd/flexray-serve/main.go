@@ -34,8 +34,9 @@
 //	GET    /v1/jobs/{id}        poll one job (status + progress)
 //	GET    /v1/jobs/{id}/result fetch the payload of a finished job
 //	GET    /v1/jobs/{id}/events live progress via Server-Sent Events
-//	GET    /v1/jobs/{id}/trace  optimiser convergence trace of the job
 //	GET    /v1/jobs/{id}/spans  span summary + live span tree of the job
+//	                            (optimiser convergence: "best" events on
+//	                            the opt.<ALG> spans)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //
 // Distributed campaigns (submit with "kind": "campaign",
@@ -491,7 +492,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.route("GET /v1/jobs", s.handleJobList)
 	s.route("GET /v1/jobs/{id}", s.handleJobGet)
 	s.route("GET /v1/jobs/{id}/result", s.handleJobResult)
-	s.route("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	s.route("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	// The event stream is long-lived by design: no request timeout.
 	s.route("GET /v1/jobs/{id}/events", s.handleJobEvents)

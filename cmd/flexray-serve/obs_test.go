@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/obs"
 )
 
 // TestMetricsEndpoint is the acceptance pin for GET /metrics: after
@@ -72,45 +75,118 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestJobTraceEndpoint: a finished campaign job serves a bounded,
-// non-empty optimiser trace with per-system convergence events; an
-// unknown ID answers 404 like the other job endpoints.
+// TestJobTraceEndpoint: a finished campaign job on a fully sampled
+// server carries its optimiser convergence curves in
+// GET /v1/jobs/{id}/spans — "best" events on every opt.<ALG> span,
+// none on phase spans — and unknown jobs answer 404 like the other job
+// endpoints; the retired per-job trace route answers 404.
 func TestJobTraceEndpoint(t *testing.T) {
-	ts := testServer(t)
+	ts := tracedServer(t)
 	job := submitJob(t, ts, campaignSpec([]int{2}, 2, 7))
 	pollJob(t, ts, job.ID, jobs.StatusDone)
 
-	resp, body := get(t, ts, "/v1/jobs/"+job.ID+"/trace")
+	resp, body := get(t, ts, "/v1/jobs/"+job.ID+"/spans")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace: %d: %s", resp.StatusCode, body)
+		t.Fatalf("job spans: %d: %s", resp.StatusCode, body)
 	}
-	var tr traceResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
+	var js jobSpansResponse
+	if err := json.Unmarshal(body, &js); err != nil {
 		t.Fatal(err)
 	}
-	if tr.JobID != job.ID || tr.Kind != jobs.KindCampaign || tr.Status != jobs.StatusDone {
-		t.Fatalf("trace header %+v, want the finished campaign job", tr)
+	if js.DroppedSpans != 0 {
+		t.Errorf("small job trace reports %d dropped spans", js.DroppedSpans)
 	}
-	if len(tr.Events) == 0 {
-		t.Fatal("finished campaign job has no trace events")
-	}
-	if len(tr.Events) > jobs.DefaultTraceCap {
-		t.Fatalf("trace retained %d events, cap %d", len(tr.Events), jobs.DefaultTraceCap)
-	}
-	if tr.Dropped != tr.Total-uint64(len(tr.Events)) {
-		t.Errorf("dropped %d, want total %d - retained %d", tr.Dropped, tr.Total, len(tr.Events))
-	}
-	for _, ev := range tr.Events {
-		if ev.Algorithm == "" || ev.System == "" {
-			t.Fatalf("campaign trace event missing algorithm/system: %+v", ev)
+	opts := 0
+	for _, sd := range js.Spans {
+		if !strings.HasPrefix(sd.Name, "opt.") {
+			if len(sd.Events) != 0 {
+				t.Errorf("%s span carries %d events; only opt.* spans should", sd.Name, len(sd.Events))
+			}
+			continue
 		}
-		if ev.BestCost > ev.Cost+1e-9 {
-			t.Fatalf("incumbent best %v above the event's own cost %v", ev.BestCost, ev.Cost)
-		}
+		opts++
+		checkConvergence(t, sd)
+	}
+	if opts != 4 { // 2 systems x {BBC, OBC-CF}
+		t.Errorf("job trace holds %d opt.* spans, want 4", opts)
 	}
 
-	if resp, _ := get(t, ts, "/v1/jobs/j-nope/trace"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job trace: %d, want 404", resp.StatusCode)
+	for _, path := range []string{"/v1/jobs/j-nope/spans", "/v1/jobs/" + job.ID + "/trace"} {
+		if resp, _ := get(t, ts, path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// checkConvergence pins the convergence events of one opt.<ALG> span:
+// "best" events at strictly increasing evaluation counts with strictly
+// falling costs, the last of which is the run's result cost.
+func checkConvergence(t *testing.T, sd obs.SpanData) {
+	t.Helper()
+	if len(sd.Events) == 0 {
+		t.Errorf("%s span has no convergence events", sd.Name)
+		return
+	}
+	prevEvals, prevCost := int64(0), math.Inf(1)
+	for i, ev := range sd.Events {
+		evals, _ := obs.AttrValue(ev.Attrs, "evaluations").(int64)
+		cost, ok := obs.AttrValue(ev.Attrs, "cost").(float64)
+		if ev.Name != "best" || !ok || evals <= prevEvals || cost >= prevCost {
+			t.Errorf("%s event %d = %s evaluations=%d cost=%v after evaluations=%d cost=%v",
+				sd.Name, i, ev.Name, evals, cost, prevEvals, prevCost)
+		}
+		prevEvals, prevCost = evals, cost
+	}
+	if want := obs.AttrValue(sd.Attrs, "cost"); prevCost != want {
+		t.Errorf("%s last event cost %v, span cost %v", sd.Name, prevCost, want)
+	}
+	if total, _ := obs.AttrValue(sd.Attrs, "evaluations").(int64); prevEvals > total {
+		t.Errorf("%s last event at evaluation %d of %d", sd.Name, prevEvals, total)
+	}
+}
+
+// TestJobSpansDroppedCount: a job trace past the span store's
+// per-trace bound reports the dropped count in GET /v1/jobs/{id}/spans
+// — the number GET /v1/traces/{id} sends as X-Trace-Dropped-Spans — so
+// a truncated convergence view is visible.
+func TestJobSpansDroppedCount(t *testing.T) {
+	ts := mustServer(t, serverConfig{
+		Workers:       1,
+		MaxConcurrent: 1,
+		Timeout:       time.Minute,
+		TraceSample:   1,
+		TraceSpans:    64,
+	})
+	job := submitJob(t, ts, campaignSpec([]int{2}, 1, 7))
+	job = pollJob(t, ts, job.ID, jobs.StatusDone)
+	id, err := obs.ParseTraceID(job.TraceID)
+	if err != nil {
+		t.Fatalf("job trace ID %q: %v", job.TraceID, err)
+	}
+	// Overfill the job's trace: the store keeps 512 spans per trace.
+	tracer := ts.Config.Handler.(*server).tracer
+	parent := obs.SpanContext{TraceID: id, SpanID: obs.SpanID{1}, Sampled: true}
+	for i := 0; i < 600; i++ {
+		_, sp := tracer.StartRoot(context.Background(), "filler", parent)
+		sp.End()
+	}
+
+	resp, body := get(t, ts, "/v1/jobs/"+job.ID+"/spans")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job spans: %d: %s", resp.StatusCode, body)
+	}
+	var js jobSpansResponse
+	if err := json.Unmarshal(body, &js); err != nil {
+		t.Fatal(err)
+	}
+	tresp, _ := get(t, ts, "/v1/traces/"+job.TraceID)
+	header := tresp.Header.Get("X-Trace-Dropped-Spans")
+	if js.DroppedSpans == 0 || header != strconv.Itoa(js.DroppedSpans) {
+		t.Errorf("dropped_spans %d, X-Trace-Dropped-Spans %q: want equal and positive",
+			js.DroppedSpans, header)
+	}
+	if len(js.Spans)+js.DroppedSpans < 600 {
+		t.Errorf("%d spans + %d dropped, want at least the 600 fillers", len(js.Spans), js.DroppedSpans)
 	}
 }
 

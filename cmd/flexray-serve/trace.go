@@ -167,13 +167,16 @@ func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // jobSpansResponse is the payload of GET /v1/jobs/{id}/spans: the
 // persisted per-job summary (survives restarts alongside the job) plus
 // the live spans of the job's trace when the span store still holds
-// them.
+// them. DroppedSpans counts spans the per-trace bound turned away (the
+// X-Trace-Dropped-Spans header of GET /v1/traces/{id}), so a truncated
+// tree — and with it possibly missing convergence events — is visible.
 type jobSpansResponse struct {
-	JobID   string             `json:"job_id"`
-	Status  jobs.Status        `json:"status"`
-	TraceID string             `json:"trace_id,omitempty"`
-	Summary []jobs.SpanSummary `json:"summary,omitempty"`
-	Spans   []obs.SpanData     `json:"spans,omitempty"`
+	JobID        string             `json:"job_id"`
+	Status       jobs.Status        `json:"status"`
+	TraceID      string             `json:"trace_id,omitempty"`
+	Summary      []jobs.SpanSummary `json:"summary,omitempty"`
+	Spans        []obs.SpanData     `json:"spans,omitempty"`
+	DroppedSpans int                `json:"dropped_spans,omitempty"`
 }
 
 func (s *server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
@@ -185,8 +188,8 @@ func (s *server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
 	resp := jobSpansResponse{JobID: job.ID, Status: job.Status, TraceID: job.TraceID, Summary: job.Spans}
 	if s.spans != nil && job.TraceID != "" {
 		if id, err := obs.ParseTraceID(job.TraceID); err == nil {
-			if spans, _, ok := s.spans.Trace(id); ok {
-				resp.Spans = spans
+			if spans, dropped, ok := s.spans.Trace(id); ok {
+				resp.Spans, resp.DroppedSpans = spans, dropped
 			}
 		}
 	}

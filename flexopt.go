@@ -412,8 +412,8 @@ func PerfCompare(base, cur *PerfReport, opts PerfCompareOptions) *PerfComparison
 // versions.
 func ReadPerfReport(path string) (*PerfReport, error) { return perfreg.ReadReport(path) }
 
-// Observability: the dependency-free metrics layer behind
-// flexray-serve's GET /metrics and the optimiser trace capture.
+// Observability: the dependency-free metrics and span-tracing layer
+// behind flexray-serve's GET /metrics and GET /v1/traces/{id}.
 type (
 	// MetricsRegistry holds named instrument families (counters,
 	// gauges, histograms, scrape-time funcs) and writes them in the
@@ -425,18 +425,14 @@ type (
 	MetricGauge = obs.Gauge
 	// MetricHistogram is a fixed-bucket latency/size distribution.
 	MetricHistogram = obs.Histogram
-	// OptTraceEvent is one explored candidate of an optimiser run:
-	// iteration, cost, incumbent best, SA temperature and accept rate.
-	// (TraceEvent names the simulator's bus-level trace entry.)
-	OptTraceEvent = obs.TraceEvent
-	// OptTraceFunc receives trace events; set Options.Trace to hook an
-	// optimiser run.
-	OptTraceFunc = obs.TraceFunc
-	// OptTraceRing is a bounded, concurrency-safe ring of the most
-	// recent trace events, with a lifetime total for drop accounting.
-	OptTraceRing = obs.TraceRing
-	// OptTraceSnapshot is a point-in-time copy of a ring's contents.
-	OptTraceSnapshot = obs.TraceSnapshot
+	// Tracer records span trees into its span store; pass one to
+	// JobManagerOptions.Tracer to trace jobs down to the optimiser
+	// runs, whose "opt.<ALG>" spans carry the convergence curve as
+	// "best" events.
+	Tracer = obs.Tracer
+	// TracerOptions configures a Tracer: span store, head-sampling
+	// ratio, slow-span threshold and optimiser span detail.
+	TracerOptions = obs.TracerOptions
 	// JobMetrics bridges one JobManager's telemetry into a registry;
 	// see NewJobMetrics and JobManagerOptions.Metrics.
 	JobMetrics = jobs.Metrics
@@ -449,9 +445,17 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // heap, GC) to a registry.
 func RegisterGoRuntimeMetrics(r *MetricsRegistry) { obs.RegisterGoRuntime(r) }
 
-// NewOptTraceRing returns a trace ring retaining the most recent
-// capacity events; its Record method satisfies OptTraceFunc.
-func NewOptTraceRing(capacity int) *OptTraceRing { return obs.NewTraceRing(capacity) }
+// NewTracer returns a span tracer; a nil TracerOptions.Store selects a
+// store with default bounds (read it back with Tracer.Store).
+func NewTracer(o TracerOptions) *Tracer { return obs.NewTracer(o) }
+
+// ParseTraceID parses the 32-hex-digit trace ID a job reports
+// (Job.TraceID) into the key of its span store entry.
+func ParseTraceID(id string) (obs.TraceID, error) { return obs.ParseTraceID(id) }
+
+// SpanAttr returns the value of the span or span-event attribute named
+// key (string, int64, float64 or bool), or nil when there is none.
+func SpanAttr(attrs []obs.Attr, key string) any { return obs.AttrValue(attrs, key) }
 
 // NewJobMetrics registers the job-manager and store instrument
 // families on r; pass the result to exactly one manager via

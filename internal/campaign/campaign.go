@@ -261,7 +261,6 @@ func evaluateSystem(ctx context.Context, idx int, sp synth.Params, opts core.Opt
 func optimiseSystem(ctx context.Context, rec *Record, sys *model.System, opts core.Options, copts Options) {
 	engine := NewEngine(ctx, copts.Engine)
 	runOpts := engine.Hook(opts)
-	runOpts.Trace = stampSystem(runOpts.Trace, sys.Name)
 	ctx, ssp := obs.StartSpan(ctx, "campaign.system")
 	ssp.SetString("system", sys.Name)
 	runOpts.Span = ssp

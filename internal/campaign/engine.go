@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/flexray"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -254,20 +253,6 @@ func NewEngine(ctx context.Context, opts EngineOptions) *Engine {
 func (e *Engine) Hook(opts core.Options) core.Options {
 	opts.Eval = e
 	return opts
-}
-
-// stampSystem wraps an optimiser trace hook so every event carries the
-// system name — one campaign trace ring then tells the per-system
-// convergence curves apart. A nil hook stays nil (the optimisers skip
-// event construction entirely).
-func stampSystem(tr obs.TraceFunc, system string) obs.TraceFunc {
-	if tr == nil {
-		return nil
-	}
-	return func(ev obs.TraceEvent) {
-		ev.System = system
-		tr(ev)
-	}
 }
 
 // Stats snapshots the engine counters.

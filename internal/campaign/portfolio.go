@@ -164,7 +164,6 @@ func Portfolio(ctx context.Context, sys *model.System, opts core.Options, eng En
 	start := time.Now()
 	engine := NewEngine(ctx, eng)
 	runOpts := engine.Hook(opts)
-	runOpts.Trace = stampSystem(runOpts.Trace, sys.Name)
 	// The per-system span groups the concurrent per-algorithm child
 	// spans; engine cache counters land on it after the race.
 	ctx, ssp := obs.StartSpan(ctx, "campaign.system")

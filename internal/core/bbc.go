@@ -77,7 +77,6 @@ func BBC(sys *model.System, opts Options) (*Result, error) {
 	}
 	ress, costs, n := e.evalBatch(cands) // lines 8-9
 	for i := 0; i < n; i++ {
-		e.traceEvent(costs[i], 0, 0, e.improved(costs[i]))
 		if costs[i] < bestCost { // line 10
 			best, bestRes, bestCost = cands[i], ress[i], costs[i]
 		}

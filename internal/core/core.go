@@ -94,25 +94,18 @@ type Options struct {
 	// hook; see EvalHook.
 	Eval EvalHook
 
-	// Trace, when non-nil, receives one obs.TraceEvent per explored
-	// candidate — the convergence curve of the run (SA additionally
-	// reports temperature and acceptance statistics). The hook runs
-	// inline on the optimiser goroutine and must be safe for
-	// concurrent use when the options are shared across concurrently
-	// running optimisers (campaign portfolios are). A nil hook costs
-	// a single branch per candidate and never allocates, keeping the
-	// pinned session-evaluation allocation count intact.
-	Trace obs.TraceFunc
-
-	// Span, when non-nil, is the parent span the optimiser records
-	// itself under: the campaign layer sets it to the per-algorithm
-	// span, and — when the tracer asks for GranPhase detail
-	// (Span.Phases()) — the optimisers add child spans for their
+	// Span, when non-nil, is the span the optimiser records itself
+	// under: the campaign layer sets it to the per-algorithm
+	// "opt.<ALG>" span. The run's convergence curve lands on it as
+	// one "best" event per candidate that lowers the running best
+	// cost (attributes evaluations, cost, elapsed_us, and for SA
+	// temperature). When the tracer asks for GranPhase detail
+	// (Span.Phases()) the optimisers also add child spans for their
 	// internal phases (OBC seed sweep and exploration, curve-fit
-	// support/refine, the SA anneal loop, the BBC sweep). Phase spans
-	// wrap whole loops, never single candidates, so the per-candidate
-	// hot path stays allocation-free; a nil Span costs one nil check
-	// per run.
+	// support/refine, the SA anneal loop, the BBC sweep); phase spans
+	// wrap whole loops and never carry events. A nil Span costs one
+	// nil check per candidate and never allocates, keeping the
+	// pinned session-evaluation allocation count intact.
 	Span *obs.Span
 
 	// SAIterations bounds the simulated annealing run.
@@ -209,8 +202,7 @@ const infeasibleCost = 1e15
 // path owns one evaluation Session, created lazily, so every candidate
 // of one optimiser invocation reuses the same analyzer state and
 // schedule-table memo. It also carries the run identity (algorithm,
-// start time) and the trace state: a monotone event counter plus the
-// running best cost stamped onto every emitted event.
+// start time) and the convergence state behind the span events.
 type evaluator struct {
 	sys   *model.System
 	opts  Options
@@ -219,9 +211,11 @@ type evaluator struct {
 	evals int
 	sess  *Session
 
-	// Trace state; only touched when opts.Trace is installed.
-	iter int
+	// Convergence state, only touched when opts.Span is set: the
+	// running best cost, and the SA temperature the next candidate is
+	// evaluated at (zero for the sweeps and SA's starting point).
 	best float64
+	temp float64
 }
 
 // newEvaluator starts an optimisation run for one algorithm.
@@ -229,38 +223,37 @@ func newEvaluator(sys *model.System, opts Options, alg string) *evaluator {
 	return &evaluator{sys: sys, opts: opts, alg: alg, start: time.Now(), best: math.Inf(1)}
 }
 
-// traceEvent reports one explored candidate to the installed trace
-// hook. Without a hook the call is a single branch; with one, the
-// evaluator maintains the running best cost so every event carries the
-// convergence envelope. temp/acceptRate/accepted are the SA annealing
-// state; deterministic sweeps pass temp 0 and accepted = "improved the
-// incumbent".
-func (e *evaluator) traceEvent(cost, temp, acceptRate float64, accepted bool) {
-	if e.opts.Trace == nil {
+// observe records a "best" event on the run's span when the nth
+// evaluation's cost lowers the running best — the improvement-only
+// envelope of the convergence curve, whose last point is the result
+// cost. Callers check opts.Span for nil first, so an untraced run
+// builds no attributes.
+func (e *evaluator) observe(nth int, cost float64) {
+	if cost >= e.best {
 		return
 	}
-	if cost < e.best {
-		e.best = cost
+	e.best = cost
+	attrs := make([]obs.Attr, 0, 4)
+	attrs = append(attrs,
+		obs.IntAttr("evaluations", int64(nth)),
+		obs.FloatAttr("cost", cost),
+		obs.IntAttr("elapsed_us", time.Since(e.start).Microseconds()))
+	if e.temp > 0 {
+		attrs = append(attrs, obs.FloatAttr("temperature", e.temp))
 	}
-	e.opts.Trace(obs.TraceEvent{
-		Algorithm:   e.alg,
-		Iteration:   e.iter,
-		Evaluations: e.evals,
-		Cost:        cost,
-		BestCost:    e.best,
-		Temperature: temp,
-		AcceptRate:  acceptRate,
-		Accepted:    accepted,
-		ElapsedUs:   time.Since(e.start).Microseconds(),
-	})
-	e.iter++
+	e.opts.Span.AddEvent("best", attrs...)
 }
 
-// improved reports whether cost beats every candidate traced so far —
-// the accepted flag of non-SA trace events. Meaningless (but harmless)
-// without a trace hook, as the running best is only maintained there.
-func (e *evaluator) improved(cost float64) bool {
-	return cost < e.best
+// observeBatch observes the costs of the batch that just brought the
+// evaluation count to e.evals, in candidate order.
+func (e *evaluator) observeBatch(costs []float64) {
+	if e.opts.Span == nil {
+		return
+	}
+	first := e.evals - len(costs)
+	for i, c := range costs {
+		e.observe(first+i+1, c)
+	}
 }
 
 // session returns the evaluator's built-in evaluation session.
@@ -271,12 +264,17 @@ func (e *evaluator) session() *Session {
 	return e.sess
 }
 
-func (e *evaluator) eval(cfg *flexray.Config) (*analysis.Result, float64) {
+func (e *evaluator) eval(cfg *flexray.Config) (res *analysis.Result, cost float64) {
 	e.evals++
 	if e.opts.Eval != nil {
-		return e.opts.Eval.Eval(e.sys, cfg, e.opts.Sched)
+		res, cost = e.opts.Eval.Eval(e.sys, cfg, e.opts.Sched)
+	} else {
+		res, cost = e.session().Eval(cfg)
 	}
-	return e.session().Eval(cfg)
+	if e.opts.Span != nil {
+		e.observe(e.evals, cost)
+	}
+	return res, cost
 }
 
 // evalBatch evaluates a slice of independent candidates and returns the
@@ -294,13 +292,7 @@ func (e *evaluator) evalBatch(cfgs []*flexray.Config) ([]*analysis.Result, []flo
 			}
 		}
 	}
-	cfgs = cfgs[:n]
-	e.evals += n
-	if e.opts.Eval != nil {
-		ress, costs := e.opts.Eval.EvalBatch(e.sys, cfgs, e.opts.Sched)
-		return ress, costs, n
-	}
-	ress, costs := e.session().EvalBatch(cfgs)
+	ress, costs := e.evalBatchAll(cfgs[:n])
 	return ress, costs, n
 }
 
@@ -308,12 +300,15 @@ func (e *evaluator) evalBatch(cfgs []*flexray.Config) ([]*analysis.Result, []flo
 // budget — the batched form of back-to-back e.eval calls on a fixed
 // slice, for call sites whose serial loop did not consult the budget
 // between evaluations (the curve fit's initial support set).
-func (e *evaluator) evalBatchAll(cfgs []*flexray.Config) ([]*analysis.Result, []float64) {
+func (e *evaluator) evalBatchAll(cfgs []*flexray.Config) (ress []*analysis.Result, costs []float64) {
 	e.evals += len(cfgs)
 	if e.opts.Eval != nil {
-		return e.opts.Eval.EvalBatch(e.sys, cfgs, e.opts.Sched)
+		ress, costs = e.opts.Eval.EvalBatch(e.sys, cfgs, e.opts.Sched)
+	} else {
+		ress, costs = e.session().EvalBatch(cfgs)
 	}
-	return e.session().EvalBatch(cfgs)
+	e.observeBatch(costs)
+	return ress, costs
 }
 
 // exhausted reports whether the evaluation budget has run out.

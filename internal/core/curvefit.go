@@ -29,7 +29,6 @@ func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.
 			return nil, nil, infeasibleCost * 2
 		}
 		res, cost := e.eval(cand)
-		e.traceEvent(cost, 0, 0, e.improved(cost))
 		return cand, res, cost
 	}
 
@@ -165,15 +164,15 @@ func (cf *curveFit) addPoint(nMS int) *evalPoint {
 		return cf.pts[nMS]
 	}
 	res, cost := cf.e.eval(cand)
-	cf.e.traceEvent(cost, 0, 0, cf.e.improved(cost))
 	return cf.storePoint(nMS, cand, res, cost)
 }
 
 // addPoints evaluates a set of sizes through one batched evaluation.
 // Sizes already in the support set, duplicates, and structurally
 // infeasible cycles are filtered exactly as serial addPoint calls would
-// have, and the trace events fire in slice order after the batch — so
-// budget accounting and the stored support set match the serial loop.
+// have, and the convergence events are observed in slice order — so
+// budget accounting, the stored support set and the events match the
+// serial loop.
 func (cf *curveFit) addPoints(sizes []int) {
 	var nms []int
 	var cands []*flexray.Config
@@ -198,7 +197,6 @@ func (cf *curveFit) addPoints(sizes []int) {
 	}
 	ress, costs := cf.e.evalBatchAll(cands)
 	for i, nMS := range nms {
-		cf.e.traceEvent(costs[i], 0, 0, cf.e.improved(costs[i]))
 		cf.storePoint(nMS, cands[i], ress[i], costs[i])
 	}
 }

@@ -185,7 +185,6 @@ func exhaustiveDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysi
 	)
 	ress, costs, n := e.evalBatch(cands)
 	for i := 0; i < n; i++ {
-		e.traceEvent(costs[i], 0, 0, e.improved(costs[i]))
 		if costs[i] < bestCost {
 			best, bestRes, bestCost = cands[i], ress[i], costs[i]
 		}

@@ -66,7 +66,6 @@ func SA(sys *model.System, opts Options) (*Result, error) {
 		// iteration.
 		cooling = math.Pow(1e-3, 1/float64(opts.SAIterations))
 	}
-	e.traceEvent(curCost, temp, 1, true) // the starting point
 
 	// The walk is inherently candidate-at-a-time: each mutation starts
 	// from the current state, which the accept/reject decision of the
@@ -93,6 +92,7 @@ func SA(sys *model.System, opts Options) (*Result, error) {
 			temp *= cooling
 			continue
 		}
+		e.temp = temp // stamped on the candidate's convergence event
 		res, cost := e.eval(cand)
 		delta := cost - curCost
 		accepted := delta < 0 || rng.Float64() < math.Exp(-delta/math.Max(temp, 1e-9))
@@ -103,7 +103,6 @@ func SA(sys *model.System, opts Options) (*Result, error) {
 				best, bestRes, bestCost = cand, res, cost
 			}
 		}
-		e.traceEvent(cost, temp, float64(accepts)/float64(i+1), accepted)
 		temp *= cooling
 	}
 	if phase != nil {

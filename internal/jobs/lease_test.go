@@ -166,22 +166,30 @@ func submitDistributed(t *testing.T, m *Manager, systems int) Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, m, job.ID, StatusRunning)
+	waitPublished(t, m, job.ID, systems)
+	return job
+}
+
+// waitPublished waits until a running distributed job has published
+// its shard leases: the job turns running before its run registers
+// the shards, so a claim right after waitStatus can find none.
+func waitPublished(t *testing.T, m *Manager, id string, shards int) {
+	t.Helper()
+	waitStatus(t, m, id, StatusRunning)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		published := 0
 		for _, l := range m.Leases().Leases {
-			if l.JobID == job.ID {
+			if l.JobID == id {
 				published++
 			}
 		}
-		if published == systems {
-			return job
+		if published == shards {
+			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("job %s never published %d shard leases", job.ID, systems)
-	return Job{}
+	t.Fatalf("job %s never published %d shard leases", id, shards)
 }
 
 // TestLeaseExpiryRequeue: a claimed shard whose worker goes silent is
@@ -376,7 +384,7 @@ func TestDistributedRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, m1, job.ID, StatusRunning)
+	waitPublished(t, m1, job.ID, 3)
 	// Complete exactly one shard durably, then crash-stop the
 	// coordinator (Close checkpoints the running job back to queued).
 	g, err := m1.ClaimLease("w1")

@@ -52,13 +52,6 @@ type ManagerOptions struct {
 	// serves exactly one manager. Nil disables instrumentation at
 	// zero cost.
 	Metrics *Metrics
-	// TraceCap bounds the per-job optimiser trace ring (the
-	// convergence curve behind /v1/jobs/{id}/trace): the last
-	// TraceCap events per optimize/campaign job are retained in
-	// memory. 0 selects DefaultTraceCap; negative disables capture.
-	// Traces are not persisted: jobs replayed from the store report
-	// an empty trace.
-	TraceCap int
 	// Tracer, when non-nil, spans the job lifecycle: a queued-wait
 	// span, the run itself (whose context the campaign and optimiser
 	// layers extend with their own child spans), the terminal store
@@ -76,10 +69,6 @@ type ManagerOptions struct {
 	LeaseSystems int
 }
 
-// DefaultTraceCap is the per-job optimiser trace bound used when
-// ManagerOptions.TraceCap is zero.
-const DefaultTraceCap = 2048
-
 func (o ManagerOptions) withDefaults() ManagerOptions {
 	if o.Workers <= 0 {
 		o.Workers = 2
@@ -92,9 +81,6 @@ func (o ManagerOptions) withDefaults() ManagerOptions {
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
-	}
-	if o.TraceCap == 0 {
-		o.TraceCap = DefaultTraceCap
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
@@ -159,10 +145,6 @@ type job struct {
 	// RetentionPolicy.MaxResultBytes while the job is retained.
 	resultBytes int64
 	subs        map[*subscriber]struct{}
-	// trace is the bounded optimiser event ring, installed when the
-	// job starts running (optimize/campaign kinds with capture on).
-	// In-memory only; replayed jobs have none.
-	trace *obs.TraceRing
 	// traceID/spans link the job to its span trace and keep the
 	// persisted lifecycle summaries (tracing-enabled managers only).
 	traceID string
@@ -612,30 +594,6 @@ func (m *Manager) Result(id string) (*Result, Job, error) {
 		return nil, snap, ErrNoResult
 	}
 	return j.result, snap, nil
-}
-
-// Trace returns the optimiser trace captured for a job (the bounded
-// convergence-curve ring) together with the job snapshot. The snapshot
-// reports how many events were recorded in total, so callers can tell
-// how many early events the bound evicted. Traces live in memory only:
-// jobs replayed from the store after a restart, sweep jobs (which run
-// no optimiser) and managers with TraceCap < 0 all report an empty
-// snapshot — never an error.
-func (m *Manager) Trace(id string) (obs.TraceSnapshot, Job, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	if j == nil {
-		err := m.missingLocked(id)
-		m.mu.Unlock()
-		return obs.TraceSnapshot{}, Job{}, err
-	}
-	snap := j.snapshot()
-	ring := j.trace
-	m.mu.Unlock()
-	if ring == nil {
-		return obs.TraceSnapshot{Events: []obs.TraceEvent{}}, snap, nil
-	}
-	return ring.Snapshot(), snap, nil
 }
 
 // Cancel cancels a job: a queued one terminates immediately, a running

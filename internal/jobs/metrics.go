@@ -26,10 +26,9 @@ type Metrics struct {
 	startDelay *obs.Histogram
 	runTime    *obs.Histogram
 
-	appendTime   *obs.Histogram
-	appendErrs   *obs.Counter
-	compactTime  *obs.Histogram
-	traceDropped *obs.Counter
+	appendTime  *obs.Histogram
+	appendErrs  *obs.Counter
+	compactTime *obs.Histogram
 
 	leaseGranted   *obs.Counter
 	leaseCompleted *obs.Counter
@@ -60,8 +59,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		"Store appends that failed (the in-memory state stays authoritative).")
 	x.compactTime = r.Histogram("flexray_store_compact_seconds",
 		"Store compaction (snapshot rewrite) duration.", obs.IOBuckets)
-	x.traceDropped = r.Counter("flexray_job_trace_dropped_total",
-		"Optimiser trace events evicted from per-job rings (ring exhaustion; raise TraceCap if it grows).")
 	x.leaseGranted = r.Counter("flexray_lease_granted_total",
 		"Distributed shard leases granted.")
 	x.leaseCompleted = r.Counter("flexray_lease_completed_total",
@@ -192,14 +189,6 @@ func (x *Metrics) observeAppend(d time.Duration, err error) {
 func (x *Metrics) observeCompact(d time.Duration) {
 	if x != nil {
 		x.compactTime.Observe(d.Seconds())
-	}
-}
-
-// observeTraceDropped counts one evicted trace-ring event; its method
-// value is the TraceRing.OnDrop hook.
-func (x *Metrics) observeTraceDropped() {
-	if x != nil {
-		x.traceDropped.Inc()
 	}
 }
 

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -59,81 +60,90 @@ func TestManagerMetrics(t *testing.T) {
 	}
 }
 
-// TestJobTrace pins the trace capture contract: an optimize job
-// records a bounded, non-empty convergence trace; a sweep job (no
-// optimiser) reports an empty one; unknown IDs fail as Get does.
+// tracedManager returns a manager whose tracer samples every job into
+// the returned span store.
+func tracedManager(t *testing.T) (*Manager, *obs.SpanStore) {
+	t.Helper()
+	store := obs.NewSpanStore(obs.SpanStoreOptions{})
+	tracer := obs.NewTracer(obs.TracerOptions{Store: store, SampleRatio: 1})
+	return newTestManager(t, nil, ManagerOptions{Workers: 1, Tracer: tracer}), store
+}
+
+// jobSpans returns the spans of a finished job's trace.
+func jobSpans(t *testing.T, m *Manager, store *obs.SpanStore, id string) []obs.SpanData {
+	t.Helper()
+	job := waitStatus(t, m, id, StatusDone)
+	tid, err := obs.ParseTraceID(job.TraceID)
+	if err != nil {
+		t.Fatalf("job trace ID %q: %v", job.TraceID, err)
+	}
+	spans, _, ok := store.Trace(tid)
+	if !ok {
+		t.Fatalf("job trace %s not in the span store", job.TraceID)
+	}
+	return spans
+}
+
+// TestJobTrace pins the convergence capture contract: every optimiser
+// run of a traced optimize job records "best" events on its opt.<ALG>
+// span, with falling costs ending at the run's result cost.
 func TestJobTrace(t *testing.T) {
-	const ringCap = 32
-	m := newTestManager(t, nil, ManagerOptions{Workers: 1, TraceCap: ringCap})
-	raw := sysJSON(t, 2, 3)
+	m, store := tracedManager(t)
 	job, err := m.Submit(Spec{
-		Kind: KindOptimize, System: raw,
+		Kind: KindOptimize, System: sysJSON(t, 2, 3),
 		Algorithms: []string{"bbc", "sa"}, Tuning: quickTuning(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, m, job.ID, StatusDone)
-
-	snap, got, err := m.Trace(job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != job.ID || got.Status != StatusDone {
-		t.Fatalf("trace snapshot job = %+v", got)
-	}
-	if len(snap.Events) == 0 {
-		t.Fatal("finished optimize job has no trace events")
-	}
-	if len(snap.Events) > ringCap {
-		t.Fatalf("ring retained %d events, cap %d", len(snap.Events), ringCap)
-	}
-	if snap.Total < uint64(len(snap.Events)) {
-		t.Fatalf("total %d < retained %d", snap.Total, len(snap.Events))
-	}
 	algos := map[string]bool{}
-	for _, ev := range snap.Events {
-		algos[ev.Algorithm] = true
-		// BestCost is the running minimum over traced candidates, so
-		// it can never exceed the event's own cost.
-		if ev.BestCost > ev.Cost+1e-9 {
-			t.Fatalf("event best %v above its own cost %v", ev.BestCost, ev.Cost)
+	for _, sd := range jobSpans(t, m, store, job.ID) {
+		if !strings.HasPrefix(sd.Name, "opt.") {
+			continue
+		}
+		algos[sd.Name] = true
+		if len(sd.Events) == 0 || sd.DroppedEvents != 0 {
+			t.Fatalf("%s: %d events, %d dropped", sd.Name, len(sd.Events), sd.DroppedEvents)
+		}
+		prev := math.Inf(1)
+		for _, ev := range sd.Events {
+			cost := obs.AttrValue(ev.Attrs, "cost").(float64)
+			if ev.Name != "best" || cost >= prev {
+				t.Fatalf("%s event %s cost %v after %v", sd.Name, ev.Name, cost, prev)
+			}
+			prev = cost
+		}
+		if want := obs.AttrValue(sd.Attrs, "cost"); prev != want {
+			t.Errorf("%s last event cost %v, result cost %v", sd.Name, prev, want)
 		}
 	}
-	if !algos["SA"] {
-		t.Errorf("no SA events in trace (got %v)", algos)
-	}
-
-	if _, _, err := m.Trace("j-missing"); err != ErrNotFound {
-		t.Fatalf("missing job trace error = %v, want ErrNotFound", err)
+	if !algos["opt.BBC"] || !algos["opt.SA"] {
+		t.Errorf("opt spans %v, want opt.BBC and opt.SA", algos)
 	}
 }
 
-// TestTraceDisabled: TraceCap < 0 switches capture off entirely.
+// TestTraceDisabled: a manager without a Tracer captures nothing — the
+// job reports no trace ID.
 func TestTraceDisabled(t *testing.T) {
-	m := newTestManager(t, nil, ManagerOptions{Workers: 1, TraceCap: -1})
-	raw := sysJSON(t, 2, 3)
+	m := newTestManager(t, nil, ManagerOptions{Workers: 1})
 	job, err := m.Submit(Spec{
-		Kind: KindOptimize, System: raw,
+		Kind: KindOptimize, System: sysJSON(t, 2, 3),
 		Algorithms: []string{"bbc"}, Tuning: quickTuning(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, m, job.ID, StatusDone)
-	snap, _, err := m.Trace(job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Events) != 0 || snap.Total != 0 {
-		t.Fatalf("capture disabled but trace has %d events (total %d)", len(snap.Events), snap.Total)
+	if got := waitStatus(t, m, job.ID, StatusDone); got.TraceID != "" {
+		t.Fatalf("untraced manager stamped trace ID %q", got.TraceID)
 	}
 }
 
-// TestCampaignTraceSystems: campaign traces stamp the system name so
-// one ring distinguishes per-system convergence curves.
+// TestCampaignTraceSystems: a campaign trace tells the per-system
+// convergence curves apart through the span tree — every opt.<ALG>
+// span with events hangs under the campaign.system span naming its
+// system.
 func TestCampaignTraceSystems(t *testing.T) {
-	m := newTestManager(t, nil, ManagerOptions{Workers: 1})
+	m, store := tracedManager(t)
 	pop := &Population{NodeCounts: []int{2}, AppsPerCount: 2, Seed: 1, DeadlineFactor: 2.0}
 	job, err := m.Submit(Spec{
 		Kind: KindCampaign, Population: pop,
@@ -142,22 +152,25 @@ func TestCampaignTraceSystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, m, job.ID, StatusDone)
-	snap, _, err := m.Trace(job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Events) == 0 {
-		t.Fatal("campaign job has no trace events")
+	spans := jobSpans(t, m, store, job.ID)
+	systemOf := map[obs.SpanID]string{}
+	for _, sd := range spans {
+		if sd.Name == "campaign.system" {
+			systemOf[sd.SpanID], _ = obs.AttrValue(sd.Attrs, "system").(string)
+		}
 	}
 	systems := map[string]bool{}
-	for _, ev := range snap.Events {
-		if ev.System == "" {
-			t.Fatal("campaign trace event without a system name")
+	for _, sd := range spans {
+		if sd.Name != "opt.BBC" {
+			continue
 		}
-		systems[ev.System] = true
+		name := systemOf[sd.Parent]
+		if name == "" || len(sd.Events) == 0 {
+			t.Fatalf("opt.BBC span with %d events under system %q", len(sd.Events), name)
+		}
+		systems[name] = true
 	}
-	if len(systems) < 2 {
-		t.Fatalf("expected events from 2 systems, got %v", systems)
+	if len(systems) != 2 {
+		t.Fatalf("expected convergence from 2 systems, got %v", systems)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/flexray"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -24,21 +23,6 @@ func (m *Manager) run(ctx context.Context, j *job) (*Result, error) {
 	c, err := j.spec.compile()
 	if err != nil {
 		return nil, err
-	}
-	// Optimiser jobs capture their convergence curve into a bounded
-	// per-job ring (sweeps run no optimiser). A re-run after a crash
-	// replaces any stale ring; the hook must be installed before the
-	// dispatch below because campaigns fan the options out to
-	// concurrent per-system engines.
-	if cap := m.opts.TraceCap; cap > 0 && (j.spec.Kind == KindOptimize || j.spec.Kind == KindCampaign) {
-		ring := obs.NewTraceRing(cap)
-		if x := m.opts.Metrics; x != nil {
-			ring.OnDrop(x.observeTraceDropped)
-		}
-		m.mu.Lock()
-		j.trace = ring
-		m.mu.Unlock()
-		c.opts.Trace = ring.Record
 	}
 	switch j.spec.Kind {
 	case KindOptimize:

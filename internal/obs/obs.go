@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the repository: a
 // dependency-free metrics registry (atomic counters, gauges,
 // fixed-bucket histograms, labelled families and scrape-time callback
-// metrics) with Prometheus text-format exposition, plus the bounded
-// optimiser trace capture behind flexray-serve's /v1/jobs/{id}/trace.
+// metrics) with Prometheus text-format exposition, plus span tracing
+// (span.go) whose bounded span events carry the optimisers'
+// convergence curves.
 //
 // The instruments are deliberately minimal: lock-free atomic updates
 // on the hot paths (a counter increment is one atomic add, a histogram

@@ -12,17 +12,27 @@ import (
 // the OTLP/JSON span mapping (traceId, spanId, parentSpanId,
 // startTimeUnixNano, endTimeUnixNano, attributes with typed value
 // wrappers, status.code) so exported traces load into standard
-// tooling; 64-bit integers are strings, as OTLP/JSON requires.
+// tooling; 64-bit integers are strings, as OTLP/JSON requires. Span
+// events map to events[] (timeUnixNano, name, attributes) and the
+// events past the per-span bound to droppedEventsCount.
 
 type otlpSpan struct {
-	TraceID   string     `json:"traceId"`
-	SpanID    string     `json:"spanId"`
-	ParentID  string     `json:"parentSpanId,omitempty"`
-	Name      string     `json:"name"`
-	StartNano string     `json:"startTimeUnixNano"`
-	EndNano   string     `json:"endTimeUnixNano"`
-	Attrs     []otlpAttr `json:"attributes,omitempty"`
-	Status    otlpStatus `json:"status"`
+	TraceID       string      `json:"traceId"`
+	SpanID        string      `json:"spanId"`
+	ParentID      string      `json:"parentSpanId,omitempty"`
+	Name          string      `json:"name"`
+	StartNano     string      `json:"startTimeUnixNano"`
+	EndNano       string      `json:"endTimeUnixNano"`
+	Attrs         []otlpAttr  `json:"attributes,omitempty"`
+	Events        []otlpEvent `json:"events,omitempty"`
+	DroppedEvents int         `json:"droppedEventsCount,omitempty"`
+	Status        otlpStatus  `json:"status"`
+}
+
+type otlpEvent struct {
+	TimeNano string     `json:"timeUnixNano"`
+	Name     string     `json:"name"`
+	Attrs    []otlpAttr `json:"attributes,omitempty"`
 }
 
 type otlpAttr struct {
@@ -45,17 +55,31 @@ type otlpStatus struct {
 // MarshalJSON renders the span in the OTLP/JSON field layout.
 func (sd SpanData) MarshalJSON() ([]byte, error) {
 	o := otlpSpan{
-		TraceID:   sd.TraceID.String(),
-		SpanID:    sd.SpanID.String(),
-		Name:      sd.Name,
-		StartNano: strconv.FormatInt(sd.Start.UnixNano(), 10),
-		EndNano:   strconv.FormatInt(sd.Start.Add(sd.Duration).UnixNano(), 10),
-		Status:    otlpStatus{Code: int(sd.Status), Message: sd.StatusMsg},
+		TraceID:       sd.TraceID.String(),
+		SpanID:        sd.SpanID.String(),
+		Name:          sd.Name,
+		StartNano:     strconv.FormatInt(sd.Start.UnixNano(), 10),
+		EndNano:       strconv.FormatInt(sd.Start.Add(sd.Duration).UnixNano(), 10),
+		Attrs:         encodeAttrs(sd.Attrs),
+		DroppedEvents: sd.DroppedEvents,
+		Status:        otlpStatus{Code: int(sd.Status), Message: sd.StatusMsg},
 	}
 	if !sd.Parent.IsZero() {
 		o.ParentID = sd.Parent.String()
 	}
-	for _, a := range sd.Attrs {
+	for _, ev := range sd.Events {
+		o.Events = append(o.Events, otlpEvent{
+			TimeNano: strconv.FormatInt(ev.Time.UnixNano(), 10),
+			Name:     ev.Name,
+			Attrs:    encodeAttrs(ev.Attrs),
+		})
+	}
+	return json.Marshal(o)
+}
+
+func encodeAttrs(attrs []Attr) []otlpAttr {
+	var out []otlpAttr
+	for _, a := range attrs {
 		oa := otlpAttr{Key: a.Key}
 		switch a.kind {
 		case attrInt:
@@ -71,9 +95,9 @@ func (sd SpanData) MarshalJSON() ([]byte, error) {
 			s := a.s
 			oa.Value.Str = &s
 		}
-		o.Attrs = append(o.Attrs, oa)
+		out = append(out, oa)
 	}
-	return json.Marshal(o)
+	return out
 }
 
 // UnmarshalJSON decodes the OTLP/JSON layout produced by MarshalJSON
@@ -106,36 +130,56 @@ func (sd *SpanData) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("obs: span endTimeUnixNano: %w", err)
 	}
 	*sd = SpanData{
-		TraceID:   tid,
-		SpanID:    sid,
-		Parent:    pid,
-		Name:      o.Name,
-		Start:     time.Unix(0, startNS),
-		Duration:  time.Duration(endNS - startNS),
-		Status:    uint8(o.Status.Code),
-		StatusMsg: o.Status.Message,
+		TraceID:       tid,
+		SpanID:        sid,
+		Parent:        pid,
+		Name:          o.Name,
+		Start:         time.Unix(0, startNS),
+		Duration:      time.Duration(endNS - startNS),
+		DroppedEvents: o.DroppedEvents,
+		Status:        uint8(o.Status.Code),
+		StatusMsg:     o.Status.Message,
 	}
-	for _, oa := range o.Attrs {
+	if sd.Attrs, err = decodeAttrs(o.Attrs); err != nil {
+		return err
+	}
+	for _, oe := range o.Events {
+		ns, err := strconv.ParseInt(oe.TimeNano, 10, 64)
+		if err != nil {
+			return fmt.Errorf("obs: span event %q timeUnixNano: %w", oe.Name, err)
+		}
+		attrs, err := decodeAttrs(oe.Attrs)
+		if err != nil {
+			return err
+		}
+		sd.Events = append(sd.Events, SpanEvent{Name: oe.Name, Time: time.Unix(0, ns), Attrs: attrs})
+	}
+	return nil
+}
+
+func decodeAttrs(oas []otlpAttr) ([]Attr, error) {
+	var out []Attr
+	for _, oa := range oas {
 		switch {
 		case oa.Value.Int != nil:
 			i, err := strconv.ParseInt(*oa.Value.Int, 10, 64)
 			if err != nil {
-				return fmt.Errorf("obs: span attribute %q: %w", oa.Key, err)
+				return nil, fmt.Errorf("obs: span attribute %q: %w", oa.Key, err)
 			}
-			sd.Attrs = append(sd.Attrs, IntAttr(oa.Key, i))
+			out = append(out, IntAttr(oa.Key, i))
 		case oa.Value.Double != nil:
-			sd.Attrs = append(sd.Attrs, FloatAttr(oa.Key, *oa.Value.Double))
+			out = append(out, FloatAttr(oa.Key, *oa.Value.Double))
 		case oa.Value.Bool != nil:
-			sd.Attrs = append(sd.Attrs, BoolAttr(oa.Key, *oa.Value.Bool))
+			out = append(out, BoolAttr(oa.Key, *oa.Value.Bool))
 		default:
 			var s string
 			if oa.Value.Str != nil {
 				s = *oa.Value.Str
 			}
-			sd.Attrs = append(sd.Attrs, StringAttr(oa.Key, s))
+			out = append(out, StringAttr(oa.Key, s))
 		}
 	}
-	return nil
+	return out, nil
 }
 
 func decodeSpanID(dst *SpanID, v string) error {

@@ -233,6 +233,7 @@ func TestNilTracerAndSpanSafety(t *testing.T) {
 	span.SetInt("k", 1)
 	span.SetFloat("k", 1)
 	span.SetBool("k", true)
+	span.AddEvent("e", IntAttr("k", 1))
 	span.SetStart(time.Now())
 	span.OK()
 	span.Fail(errors.New("x"))
@@ -279,18 +280,21 @@ func TestSpanStorePerTraceCap(t *testing.T) {
 func TestSpanStoreEviction(t *testing.T) {
 	// Per-shard budget is MaxSpans/16 floored at MaxSpansPerTrace, so
 	// every shard holds at most 4 spans here: filling one shard with
-	// single-span traces must evict the oldest traces, not grow.
+	// single-span traces must evict the oldest traces, not grow. Trace
+	// IDs are random, so the test records 65 traces: by pigeonhole at
+	// least one of the 16 shards receives 5 whatever the IDs are.
+	const traces = 65
 	store := NewSpanStore(SpanStoreOptions{MaxSpans: 64, MaxSpansPerTrace: 4})
 	tr, _ := testTracer(1, TracerOptions{Store: store})
 	var ids []TraceID
-	for i := 0; i < 50; i++ {
+	for i := 0; i < traces; i++ {
 		_, sp := tr.StartRoot(context.Background(), "s", SpanContext{})
 		sp.End()
 		ids = append(ids, sp.Context().TraceID)
 	}
 	st := store.Stats()
-	if st.Recorded != 50 {
-		t.Errorf("Recorded = %d, want 50", st.Recorded)
+	if st.Recorded != traces {
+		t.Errorf("Recorded = %d, want %d", st.Recorded, traces)
 	}
 	if st.Evicted == 0 {
 		t.Error("no traces evicted despite overflow")
@@ -359,6 +363,92 @@ func TestSpanOTLPRoundTrip(t *testing.T) {
 					back.Attrs[i].Key, back.Attrs[i].Value(), sd.Attrs[i].Key, sd.Attrs[i].Value())
 			}
 		}
+	}
+}
+
+// TestSpanEventsCapped: a span keeps its first maxSpanEvents events in
+// order and only counts the overflow.
+func TestSpanEventsCapped(t *testing.T) {
+	tr, store := testTracer(1, TracerOptions{})
+	_, span := tr.StartRoot(context.Background(), "opt.SA", SpanContext{})
+	const extra = 7
+	for i := 0; i < maxSpanEvents+extra; i++ {
+		span.AddEvent("best", IntAttr("evaluations", int64(i)))
+	}
+	span.End()
+	spans, _, _ := store.Trace(span.Context().TraceID)
+	if len(spans) != 1 {
+		t.Fatalf("recorded %d spans, want 1", len(spans))
+	}
+	sd := spans[0]
+	if len(sd.Events) != maxSpanEvents || sd.DroppedEvents != extra {
+		t.Fatalf("kept %d events, dropped %d; want %d and %d",
+			len(sd.Events), sd.DroppedEvents, maxSpanEvents, extra)
+	}
+	for i, ev := range sd.Events {
+		if ev.Name != "best" || ev.Attrs[0].Value() != int64(i) || ev.Time.IsZero() {
+			t.Fatalf("event %d = %+v, want best #%d with a timestamp", i, ev, i)
+		}
+	}
+}
+
+// TestSpanEventsOTLPRoundTrip: events and the dropped-event count
+// travel under the OTLP field names and decode back unchanged.
+func TestSpanEventsOTLPRoundTrip(t *testing.T) {
+	at := time.Unix(1700000000, 123456789)
+	sd := SpanData{
+		TraceID: TraceID{1}, SpanID: SpanID{2}, Name: "opt.SA", Start: at, Duration: time.Second,
+		Events: []SpanEvent{
+			{Name: "best", Time: at.Add(time.Millisecond), Attrs: []Attr{
+				IntAttr("evaluations", 1), FloatAttr("cost", 21567), IntAttr("elapsed_us", 1000)}},
+			{Name: "best", Time: at.Add(2 * time.Millisecond), Attrs: []Attr{
+				IntAttr("evaluations", 9), FloatAttr("cost", -3.5), FloatAttr("temperature", 97.25)}},
+		},
+		DroppedEvents: 3,
+	}
+	raw, err := json.Marshal(sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct {
+		Events []struct {
+			TimeUnixNano string           `json:"timeUnixNano"`
+			Name         string           `json:"name"`
+			Attributes   []map[string]any `json:"attributes"`
+		} `json:"events"`
+		DroppedEventsCount int `json:"droppedEventsCount"`
+	}
+	if err := json.Unmarshal(raw, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire.Events) != 2 || wire.DroppedEventsCount != 3 ||
+		wire.Events[0].TimeUnixNano != "1700000000124456789" || len(wire.Events[1].Attributes) != 3 {
+		t.Fatalf("OTLP event fields wrong: %s", raw)
+	}
+	var back SpanData
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.DroppedEvents != sd.DroppedEvents || len(back.Events) != len(sd.Events) {
+		t.Fatalf("round trip: %d events, %d dropped; want %d, %d",
+			len(back.Events), back.DroppedEvents, len(sd.Events), sd.DroppedEvents)
+	}
+	for i, ev := range sd.Events {
+		got := back.Events[i]
+		if got.Name != ev.Name || !got.Time.Equal(ev.Time) || len(got.Attrs) != len(ev.Attrs) {
+			t.Fatalf("event %d: got %+v, want %+v", i, got, ev)
+		}
+		for j, a := range ev.Attrs {
+			if got.Attrs[j].Key != a.Key || got.Attrs[j].Value() != a.Value() {
+				t.Errorf("event %d attr %d: got %s=%v, want %s=%v", i, j,
+					got.Attrs[j].Key, got.Attrs[j].Value(), a.Key, a.Value())
+			}
+		}
+	}
+	// A span without events carries neither field.
+	plain, _ := json.Marshal(SpanData{TraceID: TraceID{1}, SpanID: SpanID{2}, Name: "x", Start: at})
+	if strings.Contains(string(plain), "events") || strings.Contains(string(plain), "droppedEventsCount") {
+		t.Errorf("event-less span carries event fields: %s", plain)
 	}
 }
 
