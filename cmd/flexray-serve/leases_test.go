@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,8 +36,9 @@ func distributedSpec() map[string]any {
 
 // TestLeaseEndpointGuards: the /v1/leases endpoints answer the same
 // guard statuses as the jobs endpoints — 405 on wrong methods, 415 on
-// wrong content types, 400 on malformed bodies, 404 on unknown leases,
-// 413 on oversized payloads.
+// wrong content types, 400 on malformed bodies and on records for
+// other systems than the leased ones, 404 on unknown leases, 413 on
+// oversized payloads.
 func TestLeaseEndpointGuards(t *testing.T) {
 	ts := mustServer(t, serverConfig{
 		Workers:       1,
@@ -46,6 +48,13 @@ func TestLeaseEndpointGuards(t *testing.T) {
 		LeaseTTL:      time.Minute,
 		LeaseSystems:  1,
 	})
+	// A live lease, completed with one record of the right size for
+	// the wrong system (another seed).
+	job := submitJob(t, ts, distributedSpec())
+	pollJob(t, ts, job.ID, jobs.StatusRunning)
+	g := waitClaim(t, ts, "w")
+	wrongSystem := fmt.Sprintf(`{"worker":"w","records":[{"index":0,"nodes":%d,"seed":%d}]}`,
+		g.Specs[0].Nodes, g.Specs[0].Seed+1)
 	cases := []struct {
 		name        string
 		method      string
@@ -65,6 +74,8 @@ func TestLeaseEndpointGuards(t *testing.T) {
 		{"complete unknown lease", http.MethodPost, "/v1/leases/l-missing/complete", "application/json", `{"worker":"w"}`, http.StatusNotFound},
 		{"complete oversized body", http.MethodPost, "/v1/leases/l-missing/complete", "application/json",
 			`{"worker":"w","error":"` + strings.Repeat("x", 2048) + `"}`, http.StatusRequestEntityTooLarge},
+		{"complete records for another system", http.MethodPost, "/v1/leases/" + g.LeaseID + "/complete", "application/json",
+			wrongSystem, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

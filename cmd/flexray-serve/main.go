@@ -23,7 +23,6 @@
 //	POST /v1/simulate  {"system": {...}, "config": {...}, "repetitions": 2}
 //	GET  /livez        liveness probe (the process serves HTTP)
 //	GET  /readyz       readiness probe (503 while draining or shedding)
-//	GET  /healthz      combined probe + build info + operational snapshot
 //	GET  /metrics      Prometheus text exposition (see OPERATIONS.md)
 //	GET  /debug/pprof/ (only with -pprof; off by default)
 //
@@ -39,14 +38,15 @@
 //	                            the opt.<ALG> spans)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //
-// Distributed campaigns (submit with "kind": "campaign",
-// "distribute": true; see OPERATIONS.md "Scale-out"): the job is split
-// into shard leases that worker peers pull, execute and report back.
-// Any flexray-serve started with -peer pointing at this server joins
-// as a worker; lease TTL and shard size are coordinator-side knobs
-// (-lease-ttl, -lease-systems). Results are bit-identical to a
-// single-process run — a dead worker's lease expires and its shard is
-// re-queued deterministically.
+// Every campaign job runs as shards of -lease-systems systems, each
+// stored durably as it finishes. "distribute": true picks who runs them
+// (see OPERATIONS.md "Scale-out"): the shards become leases that worker
+// peers pull, execute and report back instead of running in this
+// process. Any flexray-serve started with -peer pointing at this server
+// joins as a worker; the lease TTL is a coordinator-side knob
+// (-lease-ttl). Results are bit-identical to a single-process run — a
+// dead worker's lease expires and its shard is re-queued
+// deterministically.
 //
 //	POST /v1/leases/claim           worker pulls a shard lease (204 = no work)
 //	POST /v1/leases/{id}/renew      heartbeat a held lease
@@ -178,7 +178,7 @@ func registerFlags(fs *flag.FlagSet) *serveOptions {
 	fs.IntVar(&o.traceSpans, "trace-spans", 65536, "spans retained in memory across all traces (oldest traces evicted first)")
 	fs.StringVar(&o.traceDetail, "trace-detail", "run", "span granularity: run (one span per optimiser) or phase (optimiser-internal phases too)")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 30*time.Second, "distributed shard lease TTL; a worker silent this long forfeits its shard")
-	fs.IntVar(&o.leaseSystems, "lease-systems", 4, "systems per distributed shard lease (campaign jobs may override per spec)")
+	fs.IntVar(&o.leaseSystems, "lease-systems", 4, "systems per campaign shard, the unit of durable progress and, with distribute, of a lease (campaign jobs may override per spec)")
 	fs.StringVar(&o.peer, "peer", "", "coordinator base URL; set to join it as a lease worker peer")
 	fs.StringVar(&o.peerID, "peer-id", "", "worker identity reported to the coordinator (default hostname-pid)")
 	fs.DurationVar(&o.peerPoll, "peer-poll", 250*time.Millisecond, "idle wait between lease claim attempts in -peer mode")
@@ -377,9 +377,9 @@ type serverConfig struct {
 	// JobCompactInterval triggers periodic store compaction
 	// (-compact-interval); graceful shutdown always compacts.
 	JobCompactInterval time.Duration
-	// LeaseTTL/LeaseSystems tune distributed campaign sharding
-	// (-lease-ttl, -lease-systems); zero values take the manager
-	// defaults.
+	// LeaseTTL/LeaseSystems tune the lease TTL of distributed
+	// campaigns and the shard size of every campaign (-lease-ttl,
+	// -lease-systems); zero values take the manager defaults.
 	LeaseTTL     time.Duration
 	LeaseSystems int
 	// ValidateJobs turns on the -validate-jobs lint gate: uploaded
@@ -413,8 +413,8 @@ type server struct {
 	// lintMetrics counts /v1/lint reports and -validate-jobs gate
 	// activity.
 	lintMetrics *lint.Metrics
-	// engine counts the synchronous endpoints' evaluations; healthz
-	// adds the job manager's totals on top.
+	// engine counts the synchronous endpoints' evaluations; the
+	// flexray_engine_* series add the job manager's totals on top.
 	engine campaign.EngineCounters
 	// reg holds every metric the server exposes at GET /metrics; the
 	// middleware in route() and the jobs manager feed it.
@@ -478,7 +478,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	s.jobs = mgr
 	s.bindEngineMetrics()
-	s.route("GET /healthz", s.handleHealth)
 	s.route("GET /livez", s.handleLivez)
 	s.route("GET /readyz", s.handleReadyz)
 	s.route("GET /metrics", s.reg.ServeHTTP)
@@ -602,36 +601,6 @@ func computeError(w http.ResponseWriter, err error) {
 		return
 	}
 	httpErrorCode(w, http.StatusGatewayTimeout, codeTimeout, "computation exceeded the request budget")
-}
-
-// handleHealth is the combined probe: the /livez payload plus the
-// /readyz verdict in one response, for operators and single-probe
-// deployments. Orchestrated deployments should point their liveness
-// and readiness probes at the split endpoints instead — restarting a
-// pod because its queue is momentarily full is exactly the mistake the
-// split exists to prevent.
-func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	stats := s.jobs.Stats()
-	engine := stats.Engine
-	engine.Add(s.engine.Total())
-	ready, detail := s.readiness()
-	status, code := "ok", http.StatusOK
-	if !ready {
-		status, code = "degraded", http.StatusServiceUnavailable
-	}
-	// Probe answers must never be served stale by an intermediary
-	// cache: a probe that hits a cache defeats its purpose.
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, code, map[string]any{
-		"status":    status,
-		"ready":     detail,
-		"uptime_s":  int64(time.Since(s.started).Seconds()),
-		"workers":   effectiveWorkers(s.cfg.Workers),
-		"gomaxproc": runtime.GOMAXPROCS(0),
-		"build":     s.build,
-		"engine":    engine,
-		"jobs":      stats,
-	})
 }
 
 type optimizeRequest struct {

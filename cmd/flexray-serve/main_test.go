@@ -312,37 +312,31 @@ func TestRequestGuards(t *testing.T) {
 	}
 }
 
-// TestHealthz: the liveness probe answers without limits applied and
-// exposes the engine cache counters and job-subsystem state.
+// TestHealthz: the combined /healthz probe is gone; what it reported
+// lives on /metrics — build identity, uptime, engine counters and the
+// job subsystem's state.
 func TestHealthz(t *testing.T) {
 	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	if resp, _ := get(t, ts, "/healthz"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /healthz: %d, want 404", resp.StatusCode)
 	}
-	defer resp.Body.Close()
+	resp, body := get(t, ts, "/metrics")
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz: %d", resp.StatusCode)
+		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
-	var payload struct {
-		Status string           `json:"status"`
-		Engine *json.RawMessage `json:"engine"`
-		Jobs   *json.RawMessage `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
-	if payload.Status != "ok" {
-		t.Errorf("status %q, want ok", payload.Status)
-	}
-	if payload.Engine == nil || payload.Jobs == nil {
-		t.Errorf("healthz payload missing engine/jobs sections: engine=%v jobs=%v",
-			payload.Engine != nil, payload.Jobs != nil)
+	for _, want := range []string{
+		"flexray_build_info{", "process_uptime_seconds ",
+		"flexray_engine_evaluations_total ", "flexray_jobs_state{",
+		"flexray_jobs_result_bytes ", "flexray_store_size_bytes ",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("scrape lacks %q", want)
+		}
 	}
 }
 
-// TestHealthzStoreStats: with a -store file, /healthz reports the
-// store's on-disk size and, after a compaction, its timestamp and
+// TestHealthzStoreStats: with a -store file, /metrics reports the
+// store's on-disk size, the retained result bytes and the compaction
 // count — the signals operators alert on for unbounded growth.
 func TestHealthzStoreStats(t *testing.T) {
 	store, err := jobs.NewFileStore(filepath.Join(t.TempDir(), "jobs.jsonl"))
@@ -365,38 +359,20 @@ func TestHealthzStoreStats(t *testing.T) {
 	job := submitJob(t, ts, campaignSpec([]int{2}, 1, 3))
 	pollJob(t, ts, job.ID, jobs.StatusDone)
 
-	health := func() jobs.ManagerStats {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var payload struct {
-			Jobs jobs.ManagerStats `json:"jobs"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-			t.Fatal(err)
-		}
-		return payload.Jobs
+	if v := scrapeMetric(t, ts.URL, "flexray_store_size_bytes", ""); v <= 0 {
+		t.Errorf("flexray_store_size_bytes %v, want > 0 with a file store", v)
 	}
-	st := health()
-	if st.Store.SizeBytes <= 0 {
-		t.Errorf("healthz store size %d, want > 0 with a file store", st.Store.SizeBytes)
+	if v := scrapeMetric(t, ts.URL, "flexray_jobs_result_bytes", ""); v <= 0 {
+		t.Errorf("flexray_jobs_result_bytes %v, want > 0 after a finished job", v)
 	}
-	if st.Store.Compactions != 0 || !st.Store.LastCompaction.IsZero() {
-		t.Errorf("compaction stats before any compaction: %+v", st.Store)
+	if v := scrapeMetric(t, ts.URL, "flexray_store_compactions_total", ""); v != 0 {
+		t.Errorf("flexray_store_compactions_total %v before any compaction, want 0", v)
 	}
-	if st.ResultBytes <= 0 {
-		t.Errorf("healthz result_bytes %d, want > 0 after a finished job", st.ResultBytes)
-	}
-
 	if err := s.jobs.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	st = health()
-	if st.Store.Compactions != 1 || st.Store.LastCompaction.IsZero() {
-		t.Errorf("compaction stats after Compact: %+v", st.Store)
+	if v := scrapeMetric(t, ts.URL, "flexray_store_compactions_total", ""); v != 1 {
+		t.Errorf("flexray_store_compactions_total %v after Compact, want 1", v)
 	}
 }
 

@@ -149,7 +149,7 @@ func levelFor(path string, code int) slog.Level {
 		return slog.LevelError
 	case code >= 400:
 		return slog.LevelWarn
-	case path == "/metrics" || path == "/healthz" || path == "/livez" || path == "/readyz":
+	case path == "/metrics" || path == "/livez" || path == "/readyz":
 		return slog.LevelDebug
 	}
 	return slog.LevelInfo
@@ -195,14 +195,11 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// buildInfo is the build identity block served in /healthz and printed
-// by -version; populated from the binary's embedded build metadata.
+// buildInfo is the build identity exposed as flexray_build_info and
+// printed by -version; populated from the binary's embedded build
+// metadata.
 type buildInfo struct {
-	Version  string `json:"version"`
-	Go       string `json:"go"`
-	Revision string `json:"revision"`
-	Time     string `json:"time,omitempty"`
-	Modified bool   `json:"modified,omitempty"`
+	Version, Go, Revision string
 }
 
 // readBuildInfo extracts the module version and VCS stamp the Go
@@ -219,13 +216,8 @@ func readBuildInfo() buildInfo {
 		b.Version = v
 	}
 	for _, kv := range bi.Settings {
-		switch kv.Key {
-		case "vcs.revision":
+		if kv.Key == "vcs.revision" {
 			b.Revision = kv.Value
-		case "vcs.time":
-			b.Time = kv.Value
-		case "vcs.modified":
-			b.Modified = kv.Value == "true"
 		}
 	}
 	return b

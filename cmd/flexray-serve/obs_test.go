@@ -23,8 +23,8 @@ import (
 // manager, store and Go runtime — in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	if resp, _ := get(t, ts, "/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
+	if resp, _ := get(t, ts, "/livez"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("livez: %d", resp.StatusCode)
 	}
 	job := submitJob(t, ts, campaignSpec([]int{2}, 2, 7))
 	pollJob(t, ts, job.ID, jobs.StatusDone)
@@ -44,7 +44,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		// HTTP middleware: the submit POST got a 202, the health probe
 		// a 200, and latency histograms exist per route.
 		`flexray_http_requests_total{route="/v1/jobs",method="POST",code="202"} 1`,
-		`flexray_http_requests_total{route="/healthz",method="GET",code="200"} 1`,
+		`flexray_http_requests_total{route="/livez",method="GET",code="200"} 1`,
 		`flexray_http_request_duration_seconds_count{route="/v1/jobs/{id}"}`,
 		// The scrape observes itself in flight.
 		"flexray_http_requests_in_flight 1",
@@ -232,30 +232,32 @@ func TestPanicRestoresInFlight(t *testing.T) {
 		t.Errorf("panic request counted %v times as 500, want 1", got)
 	}
 	// The server survived the panic.
-	if resp, _ := get(t, ts, "/healthz"); resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz after panic: %d", resp.StatusCode)
+	if resp, _ := get(t, ts, "/livez"); resp.StatusCode != http.StatusOK {
+		t.Errorf("livez after panic: %d", resp.StatusCode)
 	}
 }
 
-// TestHealthzBuildInfo: the probe carries the build identity block and
-// forbids intermediary caching.
+// TestHealthzBuildInfo: the build identity the retired /healthz
+// carried is the flexray_build_info series, every label filled.
 func TestHealthzBuildInfo(t *testing.T) {
 	ts := testServer(t)
-	resp, body := get(t, ts, "/healthz")
+	resp, body := get(t, ts, "/metrics")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
+		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
-	if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
-		t.Errorf("healthz Cache-Control %q, want no-store", cc)
+	var line string
+	for _, l := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(l, "flexray_build_info{") {
+			line = l
+		}
 	}
-	var payload struct {
-		Build buildInfo `json:"build"`
+	for _, label := range []string{"version", "go", "revision"} {
+		if !strings.Contains(line, label+`="`) || strings.Contains(line, label+`=""`) {
+			t.Errorf("flexray_build_info lacks a %s label: %q", label, line)
+		}
 	}
-	if err := json.Unmarshal(body, &payload); err != nil {
-		t.Fatal(err)
-	}
-	if payload.Build.Go == "" || payload.Build.Version == "" || payload.Build.Revision == "" {
-		t.Errorf("healthz build block incomplete: %+v", payload.Build)
+	if !strings.HasSuffix(line, "} 1") {
+		t.Errorf("flexray_build_info sample %q, want value 1", line)
 	}
 }
 
@@ -263,7 +265,7 @@ func TestHealthzBuildInfo(t *testing.T) {
 // echoed back unchanged; without one the server mints its own.
 func TestRequestIDPropagation(t *testing.T) {
 	ts := testServer(t)
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/livez", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

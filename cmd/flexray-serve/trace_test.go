@@ -208,7 +208,7 @@ func TestEndToEndTrace(t *testing.T) {
 // sampled trace and the response advertises its ID.
 func TestTraceFreshRoot(t *testing.T) {
 	ts := tracedServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/livez")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestTraceFreshRoot(t *testing.T) {
 		t.Fatalf("X-Trace-Id %q, want 32 hex digits", id)
 	}
 	spans := fetchTrace(t, ts, id)
-	if len(spans) != 1 || spans[0].Name != "http GET /healthz" || !spans[0].Parent.IsZero() {
+	if len(spans) != 1 || spans[0].Name != "http GET /livez" || !spans[0].Parent.IsZero() {
 		t.Fatalf("fresh trace = %+v, want one parentless http span", spans)
 	}
 }
@@ -228,7 +228,7 @@ func TestTraceFreshRoot(t *testing.T) {
 // carry no span machinery.
 func TestTraceDisabled(t *testing.T) {
 	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/livez")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +241,11 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// TestProbes covers the split health endpoints: /livez always OK,
-// /readyz and /healthz flip to 503 while the server sheds load.
+// TestProbes covers the health endpoints: /livez always OK, /readyz
+// flips to 503 while the server sheds load.
 func TestProbes(t *testing.T) {
 	ts := testServer(t)
-	for _, path := range []string{"/livez", "/readyz", "/healthz"} {
+	for _, path := range []string{"/livez", "/readyz"} {
 		resp, body := get(t, ts, path)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s: %d: %s", path, resp.StatusCode, body)
@@ -285,9 +285,6 @@ func TestProbes(t *testing.T) {
 	}
 	if resp, _ := get(t, ts2, "/livez"); resp.StatusCode != http.StatusOK {
 		t.Errorf("livez during shed: %d, want 200", resp.StatusCode)
-	}
-	if resp, _ := get(t, ts2, "/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("healthz during shed: %d, want 503 (combined probe)", resp.StatusCode)
 	}
 }
 

@@ -177,12 +177,15 @@ type Spec struct {
 	// specs are stored verbatim, even a manager restart. Empty when
 	// the submitter was not traced.
 	TraceParent string `json:"trace_parent,omitempty"`
-	// Distribute runs a campaign as durable shard leases pulled by
-	// worker peers over /v1/leases instead of in-process (campaign
-	// only). Results are bit-identical to a local run; see lease.go.
+	// Distribute picks who runs a campaign's shards (campaign only):
+	// worker peers pulling them as leases over /v1/leases instead of
+	// the job's own goroutine. Every campaign runs on the same shard
+	// table with durable per-shard results, so the records are
+	// bit-identical either way; see lease.go.
 	Distribute bool `json:"distribute,omitempty"`
 	// ShardSystems overrides the manager's systems-per-shard split for
-	// a distributed campaign; <= 0 keeps the manager default.
+	// this campaign, local or distributed; <= 0 keeps the manager
+	// default.
 	ShardSystems int `json:"shard_systems,omitempty"`
 }
 
@@ -411,7 +414,8 @@ var (
 	// job finished, failed, was cancelled or evicted; there is nothing
 	// left to report against (HTTP 410).
 	ErrLeaseGone = errors.New("jobs: lease retired with its job")
-	// ErrLeasePayload marks a shard completion whose record count does
-	// not match the leased range (a client error, HTTP 400).
+	// ErrLeasePayload marks a shard completion whose records do not
+	// match the leased systems — wrong count, or a record describing
+	// another system (a client error, HTTP 400).
 	ErrLeasePayload = errors.New("jobs: shard result does not match the lease")
 )

@@ -1,24 +1,25 @@
 package jobs
 
-// Distributed campaign execution: coordinator side.
+// Campaign execution: every campaign runs on one shard table, and
+// distributed campaigns hand its shards out as leases.
 //
-// A campaign submitted with Distribute set is not executed by the
-// manager's own worker goroutine. Instead the population is split into
-// contiguous shards (campaign.ShardRanges) and each shard becomes a
-// work lease: worker peers pull shards with ClaimLease, heartbeat them
-// with RenewLease and return records with CompleteLease. The job's
-// worker goroutine merely waits for the last shard, then merges the
-// per-shard records deterministically (campaign.MergeShardRecords) —
-// so the result is bit-identical to a serial run for any fleet size.
+// A campaign's population is split into contiguous shards
+// (campaign.ShardRanges, ShardSystems or LeaseSystems systems each).
+// Every finished shard goes through completeShard: it is appended (and
+// fsynced) as a "complete" lease record, so it survives a crash or a
+// shutdown and a restarted job re-runs only the missing shards. The
+// per-shard records are merged deterministically
+// (campaign.MergeShardRecords), so the result is bit-identical to a
+// serial run for any shard size or fleet size.
 //
-// Durability rides on the existing JSONL store: every shard completion
-// is appended (and fsynced) as a "lease" record before the worker is
-// acknowledged, so finished shards survive a coordinator crash and a
-// restarted job re-runs only what is missing. Expire and fail events
-// are appended best-effort as evidence of a fault; replay ignores
-// them. Grants are not stored: GET /v1/leases and the grant counter
-// already show them, and a grant that never completes re-queues with
-// its job anyway.
+// Distribute picks only who runs the pending shards: the job goroutine,
+// as one campaign call, or worker peers that pull them with
+// ClaimLease, heartbeat them with RenewLease and return records with
+// CompleteLease. A lease is the ownership token of that remote
+// transport, for a worker that can die apart from the coordinator;
+// local campaigns take none. Expire and fail events are appended
+// best-effort as evidence of a fault and ignored by replay; grants are
+// not stored (GET /v1/leases and the grant counter show them).
 //
 // Worker death is survived by lease expiry: a janitor re-queues any
 // granted shard whose lease outlived its TTL without a renewal, and
@@ -41,13 +42,15 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
 // LeaseEvent is the payload of a "lease" store record: one event of a
-// distributed shard's lifecycle. Only "complete" events carry records
-// and matter to replay; "expire" and "fail" record faults.
+// campaign shard's lifecycle. Only "complete" events carry records
+// and matter to replay; "expire" and "fail" record lease faults. A
+// shard completed locally carries no lease ID, worker or attempt.
 type LeaseEvent struct {
 	// Event is "complete", "expire" or "fail"; stores written by older
 	// coordinators also hold "grant" events, which replay ignores.
@@ -93,8 +96,9 @@ func (s leaseState) String() string {
 	return "pending"
 }
 
-// leaseShard is one shard of a distributed campaign; guarded by the
-// manager mutex except the immutable lj/idx/lo/hi.
+// leaseShard is one shard of a campaign; guarded by the manager mutex
+// except the immutable lj/idx/lo/hi. The lease fields stay zero for a
+// local campaign.
 type leaseShard struct {
 	lj     *leaseJob
 	idx    int
@@ -107,26 +111,20 @@ type leaseShard struct {
 	expiry  time.Time
 }
 
-// grantTemplate is the immutable per-job payload every grant of the
-// job's shards slices from.
-type grantTemplate struct {
-	algorithms  []string
-	saWarm      bool
-	tuning      *Tuning
-	specs       []synth.Params
-	systems     []json.RawMessage
-	traceparent string
-}
-
-// leaseJob tracks one running distributed campaign; guarded by the
-// manager mutex except the immutable j/grant/shards slice and the
-// done channel (closed exactly once, under the mutex).
+// leaseJob tracks one running campaign's shard table; guarded by the
+// manager mutex except the immutable j/c/traceparent/shards slice and
+// the done channel (closed exactly once, under the mutex). Only
+// distributed campaigns register theirs in Manager.leaseJobs.
 type leaseJob struct {
-	j         *job
-	grant     grantTemplate
-	shards    []*leaseShard
-	remaining int
-	done      chan struct{}
+	j *job
+	// c is the compiled campaign: the local run and every grant slice
+	// its population, and CompleteLease checks records against it.
+	c *compiled
+	// traceparent continues the job trace on the worker peers.
+	traceparent string
+	shards      []*leaseShard
+	remaining   int
+	done        chan struct{}
 }
 
 // shardResult is a completed shard's records, kept until the job goes
@@ -197,80 +195,60 @@ func newLeaseID() string {
 	return "l-" + hex.EncodeToString(b[:])
 }
 
-// runDistributed executes a Distribute campaign by publishing its
-// shards as leases and waiting for the worker fleet to drain them.
-// Shards completed by an earlier incarnation of the job (replayed
-// lease records) are adopted, not re-run.
-func (m *Manager) runDistributed(ctx context.Context, j *job, c *compiled) (*Result, error) {
+// runCampaign executes a campaign over its shard table. Shards an
+// earlier run of the job completed durably (replayed lease records)
+// are adopted, not re-run; the pending ones run in this goroutine or,
+// with Distribute, as leases drained by the worker fleet. Either way
+// each finished shard goes through completeShard, and the result is
+// the deterministic merge of the per-shard records.
+func (m *Manager) runCampaign(ctx context.Context, j *job, c *compiled) (*Result, error) {
 	total := len(c.specs) + len(c.systems)
-	m.updateProgress(j, func(p *Progress) { p.Total = total })
 	size := j.spec.ShardSystems
 	if size <= 0 {
 		size = m.opts.LeaseSystems
 	}
-	ranges := campaign.ShardRanges(total, size)
-	lj := &leaseJob{
-		j: j,
-		grant: grantTemplate{
-			algorithms:  c.algorithms,
-			saWarm:      j.spec.SAWarmFromOBC,
-			tuning:      j.spec.Tuning,
-			specs:       c.specs,
-			traceparent: obs.SpanFromContext(ctx).Traceparent(),
-		},
-		done: make(chan struct{}),
-	}
-	if len(c.systems) > 0 {
-		// Ship the uploaded systems as their original raw JSON, so the
-		// worker parses exactly what the submitter sent.
-		lj.grant.specs = nil
-		lj.grant.systems = j.spec.Population.Systems
-	}
-	for i, r := range ranges {
+	lj := &leaseJob{j: j, c: c, done: make(chan struct{})}
+	for i, r := range campaign.ShardRanges(total, size) {
 		lj.shards = append(lj.shards, &leaseShard{lj: lj, idx: i, lo: r.Lo, hi: r.Hi})
 	}
 
 	m.mu.Lock()
+	j.progress.Total = total
+	replayed := m.shardResults[j.id]
+	if replayed == nil {
+		replayed = map[int]shardResult{}
+		m.shardResults[j.id] = replayed
+	}
 	// Adopt shards a previous run of this job completed durably. A
 	// replayed result only counts when its geometry matches the
 	// current split (a changed ShardSystems invalidates it).
-	replayed := m.shardResults[j.id]
 	for _, sh := range lj.shards {
-		sr, ok := replayed[sh.idx]
-		if !ok {
+		if sr, ok := replayed[sh.idx]; ok && sr.lo == sh.lo && sr.hi == sh.hi && len(sr.records) == sh.hi-sh.lo {
+			sh.state = leaseDone
+			for _, rec := range sr.records {
+				m.engine.Add(rec.Engine)
+			}
+			applyShardProgressLocked(j, sr.records)
 			continue
 		}
-		if sr.lo != sh.lo || sr.hi != sh.hi || len(sr.records) != sh.hi-sh.lo {
-			delete(replayed, sh.idx)
-			continue
-		}
-		sh.state = leaseDone
-		for _, rec := range sr.records {
-			m.engine.Add(rec.Engine)
-		}
-		applyShardProgressLocked(j, sr.records)
+		delete(replayed, sh.idx)
+		lj.remaining++
 	}
 	for idx := range replayed {
 		if idx < 0 || idx >= len(lj.shards) {
 			delete(replayed, idx)
 		}
 	}
-	if m.shardResults[j.id] == nil {
-		m.shardResults[j.id] = map[int]shardResult{}
-	}
-	for _, sh := range lj.shards {
-		if sh.state != leaseDone {
-			lj.remaining++
-		}
-	}
-	waiting := lj.remaining > 0
-	if waiting {
+	distribute := j.spec.Distribute && lj.remaining > 0
+	if distribute {
+		lj.traceparent = obs.SpanFromContext(ctx).Traceparent()
 		m.leaseJobs[j.id] = lj
 	}
 	m.publishLocked(j, "update")
 	m.mu.Unlock()
 
-	if waiting {
+	switch {
+	case distribute:
 		select {
 		case <-lj.done:
 		case <-ctx.Done():
@@ -288,44 +266,86 @@ func (m *Manager) runDistributed(ctx context.Context, j *job, c *compiled) (*Res
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+	case lj.remaining > 0:
+		if err := m.runShardsLocal(ctx, lj); err != nil {
+			return nil, err
+		}
 	}
 
 	m.mu.Lock()
-	results := m.shardResults[j.id]
+	defer m.mu.Unlock()
 	shardRecs := make([][]campaign.Record, 0, len(lj.shards))
 	for _, sh := range lj.shards {
-		sr, ok := results[sh.idx]
+		sr, ok := replayed[sh.idx]
 		if !ok {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("jobs: distributed campaign lost shard %d", sh.idx)
+			return nil, fmt.Errorf("jobs: campaign lost shard %d", sh.idx)
 		}
 		shardRecs = append(shardRecs, sr.records)
 	}
-	m.mu.Unlock()
 	merged := campaign.MergeShardRecords(shardRecs)
-	// The live Best above follows shard completion order; settle the
-	// whole progress block deterministically from the merged stream,
-	// exactly as a serial run would have accumulated it.
-	m.updateProgress(j, func(p *Progress) {
-		p.Total, p.Completed = total, total
-		p.Schedulable, p.Best, p.BestCost = 0, "", 0
-		p.Engine = campaign.EngineStats{}
-		for _, rec := range merged {
-			if rec.Schedulable {
-				p.Schedulable++
-			}
-			if rec.Best != "" && (p.Best == "" || rec.BestCost < p.BestCost) {
-				p.Best = rec.Name
-				p.BestCost = rec.BestCost
-			}
-			p.Engine.Add(rec.Engine)
-		}
-	})
+	// The live Best follows shard completion order; settle the whole
+	// progress block deterministically from the merged stream, exactly
+	// as a serial run would have accumulated it.
+	j.progress = Progress{Total: total}
+	applyShardProgressLocked(j, merged)
+	m.publishLocked(j, "update")
 	return &Result{Records: merged}, nil
 }
 
+// runShardsLocal runs lj's pending shards in the job goroutine as one
+// campaign call over their concatenated population, with the options
+// a worker peer uses. Records arrive in index order, so shards
+// complete in order: each is handed to completeShard with its last
+// record.
+func (m *Manager) runShardsLocal(ctx context.Context, lj *leaseJob) error {
+	c := lj.c
+	var (
+		todo    []*leaseShard
+		specs   []synth.Params
+		systems []*model.System
+	)
+	for _, sh := range lj.shards {
+		if sh.state == leaseDone {
+			continue
+		}
+		todo = append(todo, sh)
+		if len(c.systems) > 0 {
+			systems = append(systems, c.systems[sh.lo:sh.hi]...)
+		} else {
+			specs = append(specs, c.specs[sh.lo:sh.hi]...)
+		}
+	}
+	copts := campaign.Options{
+		Workers:       m.evalWorkers(lj.j),
+		Algorithms:    c.algorithms,
+		SAWarmFromOBC: lj.j.spec.SAWarmFromOBC,
+	}
+	var recs []campaign.Record
+	emit := func(rec campaign.Record) error {
+		// A record finished after cancellation may be cut short; it
+		// must never become durable.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		recs = append(recs, rec)
+		sh := todo[0]
+		if len(recs) < sh.hi-sh.lo {
+			return nil
+		}
+		m.gate.RLock()
+		err := m.completeShard(sh, recs, LeaseEvent{}, nil)
+		m.gate.RUnlock()
+		todo, recs = todo[1:], recs[:0]
+		return err
+	}
+	if len(systems) > 0 {
+		return campaign.RunSystems(ctx, systems, c.opts, copts, emit)
+	}
+	return campaign.Run(ctx, specs, c.opts, copts, emit)
+}
+
 // applyShardProgressLocked folds one completed shard's records into
-// the job's live progress, mirroring the serial campaign's emit hook.
+// the job's live progress.
 func applyShardProgressLocked(j *job, recs []campaign.Record) {
 	for _, rec := range recs {
 		j.progress.Completed++
@@ -388,23 +408,49 @@ func (m *Manager) leaseJobsLocked() []*leaseJob {
 	return ljs
 }
 
-// grantFor slices the job's payload template for one shard.
+// grantFor slices the job's population for one shard.
 func (lj *leaseJob) grantFor(sh *leaseShard, ttl time.Duration) *ShardGrant {
+	spec := &lj.j.spec
 	g := &ShardGrant{
 		LeaseID: sh.leaseID, JobID: lj.j.id,
 		Shard: sh.idx, Lo: sh.lo, Hi: sh.hi, Attempt: sh.attempt,
 		TTLMs:         ttl.Milliseconds(),
-		TraceParent:   lj.grant.traceparent,
-		Algorithms:    lj.grant.algorithms,
-		SAWarmFromOBC: lj.grant.saWarm,
-		Tuning:        lj.grant.tuning,
+		TraceParent:   lj.traceparent,
+		Algorithms:    lj.c.algorithms,
+		SAWarmFromOBC: spec.SAWarmFromOBC,
+		Tuning:        spec.Tuning,
 	}
-	if len(lj.grant.systems) > 0 {
-		g.Systems = lj.grant.systems[sh.lo:sh.hi]
+	if len(lj.c.systems) > 0 {
+		// Ship the uploaded systems as their original raw JSON, so the
+		// worker parses exactly what the submitter sent.
+		g.Systems = spec.Population.Systems[sh.lo:sh.hi]
 	} else {
-		g.Specs = lj.grant.specs[sh.lo:sh.hi]
+		g.Specs = lj.c.specs[sh.lo:sh.hi]
 	}
 	return g
+}
+
+// checkRecords rejects a worker's shard records unless there is one
+// per leased system and each describes the system at its position:
+// the same node count and seed for a synthesised population, the same
+// name and node count for an uploaded one.
+func (lj *leaseJob) checkRecords(sh *leaseShard, records []campaign.Record) error {
+	if len(records) != sh.hi-sh.lo {
+		return fmt.Errorf("%w: %d records for %d systems", ErrLeasePayload, len(records), sh.hi-sh.lo)
+	}
+	for i, rec := range records {
+		if len(lj.c.systems) > 0 {
+			sys := lj.c.systems[sh.lo+i]
+			if rec.Name != sys.Name || rec.Nodes != sys.Platform.NumNodes {
+				return fmt.Errorf("%w: record %d is %q with %d nodes, want %q with %d",
+					ErrLeasePayload, i, rec.Name, rec.Nodes, sys.Name, sys.Platform.NumNodes)
+			}
+		} else if sp := lj.c.specs[sh.lo+i]; rec.Nodes != sp.Nodes || rec.Seed != sp.Seed {
+			return fmt.Errorf("%w: record %d has %d nodes and seed %d, want %d and %d",
+				ErrLeasePayload, i, rec.Nodes, rec.Seed, sp.Nodes, sp.Seed)
+		}
+	}
+	return nil
 }
 
 // RenewLease extends a held lease's expiry and returns the new
@@ -430,10 +476,9 @@ func (m *Manager) RenewLease(leaseID, workerID string) (time.Time, error) {
 }
 
 // CompleteLease finishes a shard: a failure report re-queues it for
-// another attempt; a success is appended durably (like Submit, the
-// fsync happens outside the manager lock under the shared gate) before
-// the worker is acknowledged, then folded into the job. Completing the
-// last shard wakes the waiting job.
+// another attempt; records that match the leased systems go through
+// completeShard, so they are durable before the worker is
+// acknowledged. Completing the last shard wakes the waiting job.
 func (m *Manager) CompleteLease(leaseID, workerID string, records []campaign.Record, workerErr string) error {
 	m.gate.RLock()
 	defer m.gate.RUnlock()
@@ -466,27 +511,55 @@ func (m *Manager) CompleteLease(leaseID, workerID string, records []campaign.Rec
 		m.opts.Logf("jobs: shard %d of %s failed on %s (re-queued): %s", sh.idx, lj.j.id, workerID, workerErr)
 		return nil
 	}
-	if len(records) != sh.hi-sh.lo {
+	if err := lj.checkRecords(sh, records); err != nil {
 		m.mu.Unlock()
-		return fmt.Errorf("%w: %d records for %d systems", ErrLeasePayload, len(records), sh.hi-sh.lo)
+		return err
 	}
-	// Rebase the shard-local indices onto the global population so the
-	// merged stream is indistinguishable from a serial run's.
+	ev := LeaseEvent{LeaseID: leaseID, Worker: workerID, Attempt: sh.attempt}
+	m.mu.Unlock()
+
+	err := m.completeShard(sh, records, ev, func() error {
+		// Revalidate: the lease may have expired during the fsync. The
+		// durable record is harmless then — replay keeps the first
+		// complete per shard, and a re-granted attempt recomputes the
+		// same deterministic records anyway.
+		if m.leaseIndex[leaseID] != sh || sh.state != leaseGranted || sh.worker != workerID {
+			if err := m.leaseErrLocked(leaseID); !errors.Is(err, ErrLeaseNotFound) {
+				return err
+			}
+			return ErrLeaseStale
+		}
+		m.retireLeaseLocked(leaseID, ErrLeaseStale)
+		delete(m.leaseIndex, leaseID)
+		sh.worker, sh.leaseID = "", ""
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	m.opts.Metrics.observeLeaseCompleted()
+	return nil
+}
+
+// completeShard folds one finished shard into its campaign; shards run
+// locally and shards reported by a lease worker both come through
+// here. It rebases the records onto global population indices and
+// appends them durably as a "complete" lease record (ev carries the
+// lease identity, if any). Then, under the manager lock and once
+// commit (when non-nil) accepts, it keeps them for the merge, counts
+// their engine work, advances progress and wakes the job on its last
+// shard. The caller holds m.gate for reading, so the append and the
+// state change are one step to a concurrent compaction.
+func (m *Manager) completeShard(sh *leaseShard, records []campaign.Record, ev LeaseEvent, commit func() error) error {
+	lj := sh.lj
 	rebased := make([]campaign.Record, len(records))
 	for i, rec := range records {
 		rec.Index = sh.lo + i
 		rebased[i] = rec
 	}
-	ev := &LeaseEvent{
-		Event: leaseEventComplete, LeaseID: leaseID,
-		Shard: sh.idx, Lo: sh.lo, Hi: sh.hi,
-		Worker: workerID, Attempt: sh.attempt, Records: rebased,
-	}
-	jobID := lj.j.id
-	m.mu.Unlock()
-
+	ev.Event, ev.Shard, ev.Lo, ev.Hi, ev.Records = leaseEventComplete, sh.idx, sh.lo, sh.hi, rebased
 	appendStart := time.Now()
-	err := m.store.Append(StoreRecord{Type: recordLease, ID: jobID, Time: now, Lease: ev})
+	err := m.store.Append(StoreRecord{Type: recordLease, ID: lj.j.id, Time: appendStart, Lease: &ev})
 	m.opts.Metrics.observeAppend(time.Since(appendStart), err)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrStore, err)
@@ -494,30 +567,14 @@ func (m *Manager) CompleteLease(leaseID, workerID string, records []campaign.Rec
 	m.dirty.Add(1)
 
 	m.mu.Lock()
-	// Revalidate: the lease may have expired during the fsync. The
-	// durable record is harmless then — replay keeps the first
-	// complete per shard, and a re-granted attempt recomputes the
-	// same deterministic records anyway.
-	if cur := m.leaseIndex[leaseID]; cur == nil || cur != sh || sh.state != leaseGranted || sh.worker != workerID {
-		err := m.leaseErrLocked(leaseID)
-		m.mu.Unlock()
-		if errors.Is(err, ErrLeaseNotFound) {
-			err = ErrLeaseStale
+	defer m.mu.Unlock()
+	if commit != nil {
+		if err := commit(); err != nil {
+			return err
 		}
-		return err
 	}
 	sh.state = leaseDone
-	m.retireLeaseLocked(leaseID, ErrLeaseStale)
-	delete(m.leaseIndex, leaseID)
-	sh.worker, sh.leaseID = "", ""
-	byShard := m.shardResults[jobID]
-	if byShard == nil {
-		byShard = map[int]shardResult{}
-		m.shardResults[jobID] = byShard
-	}
-	if _, done := byShard[sh.idx]; !done {
-		byShard[sh.idx] = shardResult{lo: sh.lo, hi: sh.hi, records: rebased}
-	}
+	m.shardResults[lj.j.id][sh.idx] = shardResult{lo: sh.lo, hi: sh.hi, records: rebased}
 	for _, rec := range rebased {
 		m.engine.Add(rec.Engine)
 	}
@@ -527,8 +584,6 @@ func (m *Manager) CompleteLease(leaseID, workerID string, records []campaign.Rec
 	if lj.remaining == 0 {
 		close(lj.done)
 	}
-	m.mu.Unlock()
-	m.opts.Metrics.observeLeaseCompleted()
 	return nil
 }
 
@@ -687,7 +742,7 @@ func (m *Manager) replayLeaseLocked(rec StoreRecord) {
 }
 
 // leaseSnapshotLocked serialises the completed shards of one
-// non-terminal job as lease complete records, so compaction preserves
+// non-terminal campaign as lease complete records, so compaction preserves
 // them; terminal jobs carry their result in the status record instead.
 func (m *Manager) leaseSnapshotLocked(j *job, now time.Time) []StoreRecord {
 	byShard := m.shardResults[j.id]

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 )
 
 // startLeaseFleet serves m's lease endpoints on a loopback listener and
@@ -328,33 +329,59 @@ func TestLeaseFailureRequeue(t *testing.T) {
 }
 
 // TestCompleteLeasePayloadMismatch: a record count that does not match
-// the shard range is rejected with ErrLeasePayload and the lease stays
-// held.
+// the shard range, or a record describing another system than the one
+// leased at its position (node count and seed of a synthesised
+// system, name and node count of an uploaded one), is rejected with
+// ErrLeasePayload and the lease stays held.
 func TestCompleteLeasePayloadMismatch(t *testing.T) {
-	m := newTestManager(t, nil, ManagerOptions{Workers: 1, LeaseSystems: 1, LeaseTTL: 10 * time.Second})
-	job := submitDistributed(t, m, 1)
-
-	g, err := m.ClaimLease("w")
-	if err != nil || g == nil {
-		t.Fatalf("claim: %v, %v", g, err)
-	}
-	bogus := []campaign.Record{{Index: 0}, {Index: 1}}
-	if err := m.CompleteLease(g.LeaseID, "w", bogus, ""); !errors.Is(err, ErrLeasePayload) {
-		t.Fatalf("oversized payload: %v, want ErrLeasePayload", err)
-	}
-	if err := m.CompleteLease(g.LeaseID, "thief", nil, "not mine"); !errors.Is(err, ErrLeaseStale) {
-		t.Fatalf("foreign worker completing: %v, want ErrLeaseStale", err)
-	}
-	recs, err := runShardGrant(context.Background(), g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CompleteLease(g.LeaseID, "w", recs, ""); err != nil {
-		t.Fatalf("valid completion after rejects: %v", err)
-	}
-	waitStatus(t, m, job.ID, StatusDone)
-	if err := m.CompleteLease(g.LeaseID, "w", recs, ""); !errors.Is(err, ErrLeaseStale) {
-		t.Fatalf("double complete: %v, want ErrLeaseStale", err)
+	for _, pop := range []*Population{
+		{NodeCounts: []int{2}, AppsPerCount: 1, Seed: 7, DeadlineFactor: 2.0},
+		{Systems: []json.RawMessage{sysJSON(t, 2, 5)}},
+	} {
+		m := newTestManager(t, nil, ManagerOptions{Workers: 1, LeaseSystems: 1, LeaseTTL: 10 * time.Second})
+		job, err := m.Submit(Spec{
+			Kind: KindCampaign, Population: pop,
+			Algorithms: []string{"bbc"}, Tuning: quickTuning(), Distribute: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitPublished(t, m, job.ID, 1)
+		g, err := m.ClaimLease("w")
+		if err != nil || g == nil {
+			t.Fatalf("claim: %v, %v", g, err)
+		}
+		recs, err := runShardGrant(context.Background(), g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := recs[0]
+		if len(pop.Systems) > 0 {
+			other.Name += "-other"
+		} else {
+			other.Seed++
+		}
+		resized := recs[0]
+		resized.Nodes++
+		for name, bogus := range map[string][]campaign.Record{
+			"oversized":      {recs[0], recs[0]},
+			"another system": {other},
+			"another size":   {resized},
+		} {
+			if err := m.CompleteLease(g.LeaseID, "w", bogus, ""); !errors.Is(err, ErrLeasePayload) {
+				t.Fatalf("%s payload: %v, want ErrLeasePayload", name, err)
+			}
+		}
+		if err := m.CompleteLease(g.LeaseID, "thief", nil, "not mine"); !errors.Is(err, ErrLeaseStale) {
+			t.Fatalf("foreign worker completing: %v, want ErrLeaseStale", err)
+		}
+		if err := m.CompleteLease(g.LeaseID, "w", recs, ""); err != nil {
+			t.Fatalf("valid completion after rejects: %v", err)
+		}
+		waitStatus(t, m, job.ID, StatusDone)
+		if err := m.CompleteLease(g.LeaseID, "w", recs, ""); !errors.Is(err, ErrLeaseStale) {
+			t.Fatalf("double complete: %v, want ErrLeaseStale", err)
+		}
 	}
 }
 
@@ -563,4 +590,72 @@ func grantWorker(ll LeaseList, leaseID string) string {
 		}
 	}
 	return ""
+}
+
+// TestCampaignAdoptsReplayedShard: a local campaign resumed from the
+// store adopts the shards an earlier run completed instead of
+// recomputing them. The planted shard 0 carries a deliberately altered
+// cost, so adoption shows in the result; shards 1 and 2 are computed
+// and must equal a direct campaign.Run, each stored as it finishes.
+func TestCampaignAdoptsReplayedShard(t *testing.T) {
+	spec := Spec{
+		Kind:         KindCampaign,
+		Population:   &Population{NodeCounts: []int{2, 2, 3}, AppsPerCount: 1, Seed: 5, DeadlineFactor: 2.0},
+		Algorithms:   []string{"bbc"},
+		Tuning:       quickTuning(),
+		ShardSystems: 1,
+	}
+	specs := campaign.PopulationSpecs(spec.Population.NodeCounts, 1, spec.Population.Seed, spec.Population.DeadlineFactor)
+	var want []campaign.Record
+	err := campaign.Run(context.Background(), specs, quickTuning().Apply(core.DefaultOptions()),
+		campaign.Options{Workers: 1, Algorithms: spec.Algorithms},
+		func(r campaign.Record) error { want = append(want, r); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := want[0]
+	planted.BestCost -= 1000
+
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	s, err := NewFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for _, rec := range []StoreRecord{
+		{Type: recordSubmit, ID: "j-local", Time: now, Spec: &spec},
+		{Type: recordLease, ID: "j-local", Time: now, Lease: &LeaseEvent{
+			Event: leaseEventComplete, Shard: 0, Lo: 0, Hi: 1, Records: []campaign.Record{planted},
+		}},
+	} {
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, s2, ManagerOptions{Workers: 1})
+	waitStatus(t, m, "j-local", StatusDone)
+	res, _, err := m.Result("j-local")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 3 {
+		t.Fatalf("%d records, want 3", len(res.Records))
+	}
+	if got, w := canonicalRecords(t, res.Records[:1]), canonicalRecords(t, []campaign.Record{planted}); string(got) != string(w) {
+		t.Errorf("record 0 was recomputed, not adopted:\n got %s\nwant %s", got, w)
+	}
+	if got, w := canonicalRecords(t, res.Records[1:]), canonicalRecords(t, want[1:]); string(got) != string(w) {
+		t.Errorf("records 1-2 differ from a direct run:\n got %s\nwant %s", got, w)
+	}
+	if events := storeLeaseEvents(t, path); events["complete"] != 3 || len(events) != 1 {
+		t.Errorf("store lease events %v, want the planted complete plus one per computed shard", events)
+	}
 }

@@ -63,9 +63,10 @@ type ManagerOptions struct {
 	// campaign survives without a renewal before its shard re-queues;
 	// <= 0 selects 30s. See lease.go.
 	LeaseTTL time.Duration
-	// LeaseSystems is the default systems-per-shard split of a
-	// distributed campaign (a spec's ShardSystems overrides it);
-	// <= 0 selects 4.
+	// LeaseSystems is the default systems-per-shard split of every
+	// campaign, local or distributed (a spec's ShardSystems overrides
+	// it): each shard is one durable unit of progress and restart,
+	// and one lease when the campaign is distributed. <= 0 selects 4.
 	LeaseSystems int
 }
 
@@ -229,11 +230,11 @@ type Manager struct {
 	compactions int64
 	lastCompact time.Time
 
-	// Distributed-campaign lease state (lease.go), all guarded by mu:
+	// Campaign shard and lease state (lease.go), all guarded by mu:
 	// running distributed jobs by job ID, granted leases by lease ID
 	// (each shard points at its job), recently seen worker peers, the
-	// bounded why-is-this-lease-dead memory, and completed shard
-	// results retained until their job goes terminal.
+	// bounded why-is-this-lease-dead memory, and the completed shard
+	// results of every campaign, retained until its job goes terminal.
 	leaseJobs     map[string]*leaseJob
 	leaseIndex    map[string]*leaseShard
 	leaseWorkers  map[string]time.Time
@@ -1056,7 +1057,7 @@ func (m *Manager) snapshotLocked() []StoreRecord {
 				Type: recordStatus, ID: j.id, Time: j.startedAt, Status: StatusRunning,
 			})
 		}
-		// Completed shards of a live distributed job persist through
+		// Completed shards of a live campaign persist through
 		// compaction, so a restart re-runs only the missing ones.
 		recs = append(recs, m.leaseSnapshotLocked(j, time.Now())...)
 	}

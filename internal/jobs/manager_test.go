@@ -8,12 +8,14 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -120,42 +122,76 @@ func TestOptimizeJob(t *testing.T) {
 }
 
 // TestCampaignJobParity: a synthesised campaign job reproduces a
-// direct campaign.Run over the same population.
+// direct campaign.Run over the same population, as one shard or one
+// shard per system, and a local campaign never touches the lease
+// table: nothing is listed while it runs and no lease counter moves.
 func TestCampaignJobParity(t *testing.T) {
-	m := newTestManager(t, nil, ManagerOptions{Workers: 1, EvalWorkers: 2})
 	pop := &Population{NodeCounts: []int{2}, AppsPerCount: 2, Seed: 7, DeadlineFactor: 2.0}
-	job, err := m.Submit(Spec{
-		Kind: KindCampaign, Population: pop,
-		Algorithms: []string{"bbc", "obc-cf"}, Tuning: quickTuning(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitStatus(t, m, job.ID, StatusDone)
-	res, _, err := m.Result(job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 2 {
-		t.Fatalf("%d records, want 2", len(res.Records))
-	}
-	if done.Progress.Total != 2 || done.Progress.Completed != 2 {
-		t.Errorf("progress %+v, want 2/2", done.Progress)
-	}
-
 	specs := campaign.PopulationSpecs(pop.NodeCounts, pop.AppsPerCount, pop.Seed, pop.DeadlineFactor)
 	var want []campaign.Record
-	err = campaign.Run(context.Background(), specs, quickTuning().Apply(core.DefaultOptions()),
+	err := campaign.Run(context.Background(), specs, quickTuning().Apply(core.DefaultOptions()),
 		campaign.Options{Workers: 1, Algorithms: []string{"bbc", "obc-cf"}},
 		func(r campaign.Record) error { want = append(want, r); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range res.Records {
-		if rec.Index != i || rec.Name != want[i].Name || rec.BestCost != want[i].BestCost || rec.Best != want[i].Best {
-			t.Errorf("record %d: job (%s %s %v), direct (%s %s %v)",
-				i, rec.Name, rec.Best, rec.BestCost, want[i].Name, want[i].Best, want[i].BestCost)
-		}
+	for _, shardSystems := range []int{0, 1} {
+		t.Run(fmt.Sprintf("shard_systems=%d", shardSystems), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			m := newTestManager(t, nil, ManagerOptions{Workers: 1, EvalWorkers: 2, Metrics: NewMetrics(reg)})
+			job, err := m.Submit(Spec{
+				Kind: KindCampaign, Population: pop, ShardSystems: shardSystems,
+				Algorithms: []string{"bbc", "obc-cf"}, Tuning: quickTuning(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// waitStatus, checking the lease table on every poll.
+			deadline := time.Now().Add(2 * time.Minute)
+			for {
+				if ls := m.Leases().Leases; len(ls) != 0 {
+					t.Fatalf("local campaign listed leases %+v", ls)
+				}
+				j, err := m.Get(job.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if j.Status.Terminal() || time.Now().After(deadline) {
+					break
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			done := waitStatus(t, m, job.ID, StatusDone)
+			res, _, err := m.Result(job.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Records) != 2 {
+				t.Fatalf("%d records, want 2", len(res.Records))
+			}
+			if done.Progress.Total != 2 || done.Progress.Completed != 2 {
+				t.Errorf("progress %+v, want 2/2", done.Progress)
+			}
+			for i, rec := range res.Records {
+				if rec.Index != i || rec.Name != want[i].Name || rec.BestCost != want[i].BestCost || rec.Best != want[i].Best {
+					t.Errorf("record %d: job (%s %s %v), direct (%s %s %v)",
+						i, rec.Name, rec.Best, rec.BestCost, want[i].Name, want[i].Best, want[i].BestCost)
+				}
+			}
+			var sb strings.Builder
+			if err := reg.WriteText(&sb); err != nil {
+				t.Fatal(err)
+			}
+			for _, zero := range []string{
+				"flexray_lease_granted_total 0\n", "flexray_lease_completed_total 0\n",
+				"flexray_lease_expired_total 0\n", "flexray_lease_failed_total 0\n",
+				"flexray_lease_pending 0\n", "flexray_lease_active 0\n",
+			} {
+				if !strings.Contains(sb.String(), zero) {
+					t.Errorf("scrape lacks %q: a local campaign moved the lease series", strings.TrimSpace(zero))
+				}
+			}
+		})
 	}
 }
 

@@ -28,9 +28,6 @@ func (m *Manager) run(ctx context.Context, j *job) (*Result, error) {
 	case KindOptimize:
 		return m.runOptimize(ctx, j, c)
 	case KindCampaign:
-		if j.spec.Distribute {
-			return m.runDistributed(ctx, j, c)
-		}
 		return m.runCampaign(ctx, j, c)
 	case KindSweep:
 		return m.runSweep(ctx, j, c)
@@ -80,43 +77,6 @@ func (m *Manager) runOptimize(ctx context.Context, j *job, c *compiled) (*Result
 		Runs:        pf.Runs,
 		Engine:      pf.Engine,
 	}}, nil
-}
-
-func (m *Manager) runCampaign(ctx context.Context, j *job, c *compiled) (*Result, error) {
-	total := len(c.specs) + len(c.systems)
-	m.updateProgress(j, func(p *Progress) { p.Total = total })
-	copts := campaign.Options{
-		Workers:       m.evalWorkers(j),
-		Algorithms:    c.algorithms,
-		SAWarmFromOBC: j.spec.SAWarmFromOBC,
-	}
-	records := make([]campaign.Record, 0, total)
-	emit := func(rec campaign.Record) error {
-		records = append(records, rec)
-		m.engine.Add(rec.Engine)
-		m.updateProgress(j, func(p *Progress) {
-			p.Completed++
-			if rec.Schedulable {
-				p.Schedulable++
-			}
-			if rec.Best != "" && (p.Best == "" || rec.BestCost < p.BestCost) {
-				p.Best = rec.Name
-				p.BestCost = rec.BestCost
-			}
-			p.Engine.Add(rec.Engine)
-		})
-		return nil
-	}
-	var err error
-	if len(c.systems) > 0 {
-		err = campaign.RunSystems(ctx, c.systems, c.opts, copts, emit)
-	} else {
-		err = campaign.Run(ctx, c.specs, c.opts, copts, emit)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Records: records}, nil
 }
 
 func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, error) {

@@ -17,10 +17,10 @@ package jobs
 //	    — the retention policy dropped a terminal job; its result is
 //	      gone for good and the ID answers 410 Gone, not 404.
 //	{"type":"lease","id":j,"time":t,"lease":{"event":e,...}}
-//	    — a distributed-campaign lease event for job j (see lease.go).
+//	    — a shard or lease event of campaign job j (see lease.go).
 //	      Only "complete" events matter to replay: they carry a
-//	      shard's records, so finished shards survive a coordinator
-//	      restart. "expire" and "fail" events record faults and are
+//	      finished shard's records, local or distributed, so finished
+//	      shards survive a restart. "expire" and "fail" events record faults and are
 //	      ignored on replay, as are the "grant" events older stores
 //	      hold — a lease that never completed simply re-queues with
 //	      its job.
@@ -45,7 +45,7 @@ package jobs
 // Compaction rewrites the log to a snapshot of live state: one submit
 // record per live job (in submission order), a status record where the
 // job has progressed beyond queued, one lease "complete" record per
-// finished shard of a non-terminal distributed job, and one evict
+// finished shard of a non-terminal campaign job, and one evict
 // record per retained tombstone. Replaying the snapshot reconstructs
 // exactly the live
 // state, so the records appended after it — the tail — apply cleanly
@@ -70,8 +70,8 @@ import (
 // grammar at the top of this file. Submit records carry the full spec;
 // status records carry a lifecycle transition (terminal ones also the
 // final progress and, for done, the result); evict records carry only
-// the ID of the dropped job; lease records carry one distributed-shard
-// lease event.
+// the ID of the dropped job; lease records carry one campaign shard
+// or lease event.
 type StoreRecord struct {
 	Type string    `json:"type"` // "submit" | "status" | "evict" | "lease"
 	ID   string    `json:"id"`
@@ -94,8 +94,8 @@ type StoreRecord struct {
 	// span store does not.
 	TraceID string        `json:"trace_id,omitempty"`
 	Spans   []SpanSummary `json:"spans,omitempty"`
-	// Lease is the payload of a "lease" record: one distributed-shard
-	// lease event of the job (see lease.go).
+	// Lease is the payload of a "lease" record: one shard or lease
+	// event of the campaign job (see lease.go).
 	Lease *LeaseEvent `json:"lease,omitempty"`
 }
 
