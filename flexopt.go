@@ -10,7 +10,6 @@ import (
 	"repro/internal/cruise"
 	"repro/internal/flexray"
 	"repro/internal/jobs"
-	"repro/internal/lint"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/perfreg"
@@ -365,8 +364,7 @@ func NewJobFileStore(path string) (JobStore, error) { return jobs.NewFileStore(p
 type (
 	// PerfScenario is one macro-benchmark of the suite.
 	PerfScenario = perfreg.Scenario
-	// PerfMeasureConfig tunes sampling; see PerfFullConfig and
-	// PerfQuickConfig.
+	// PerfMeasureConfig tunes sampling; see PerfQuickConfig.
 	PerfMeasureConfig = perfreg.MeasureConfig
 	// PerfReport is one schema-versioned BENCH_<seq>.json: per-
 	// scenario ns/op, allocs/op, B/op and throughput plus an
@@ -388,10 +386,8 @@ type (
 // job pipeline, figure regeneration and the durable job store.
 func PerfSuite() []*PerfScenario { return perfreg.Suite() }
 
-// PerfFullConfig returns the baseline-quality sampling configuration;
-// PerfQuickConfig the reduced CI one (noisier timings, identical
-// allocation counts).
-func PerfFullConfig() PerfMeasureConfig  { return perfreg.FullConfig() }
+// PerfQuickConfig returns the reduced CI sampling configuration
+// (noisier timings, allocation counts identical to a full run).
 func PerfQuickConfig() PerfMeasureConfig { return perfreg.QuickConfig() }
 
 // PerfRun measures a scenario suite with calibrated repetition and
@@ -441,10 +437,6 @@ type (
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// RegisterGoRuntimeMetrics adds the go_* runtime families (goroutines,
-// heap, GC) to a registry.
-func RegisterGoRuntimeMetrics(r *MetricsRegistry) { obs.RegisterGoRuntime(r) }
-
 // NewTracer returns a span tracer; a nil TracerOptions.Store selects a
 // store with default bounds (read it back with Tracer.Store).
 func NewTracer(o TracerOptions) *Tracer { return obs.NewTracer(o) }
@@ -461,47 +453,3 @@ func SpanAttr(attrs []obs.Attr, key string) any { return obs.AttrValue(attrs, ke
 // families on r; pass the result to exactly one manager via
 // JobManagerOptions.Metrics.
 func NewJobMetrics(r *MetricsRegistry) *JobMetrics { return jobs.NewMetrics(r) }
-
-// Linting: the declarative policy engine behind flexray-lint,
-// POST /v1/lint and flexray-serve's -validate-jobs submission gate.
-// A lint run extracts a fact model from a system (and optionally a
-// configuration), evaluates every rule of the selected policy packs,
-// and reports each as pass/fail/skip with an explanation — no rule is
-// ever silently dropped.
-type (
-	// LintReport is the machine-readable result of one lint run
-	// (schema "flexray-lint/v1"): the findings, their summary and the
-	// worst failing severity.
-	LintReport = lint.Report
-	// LintFinding is one rule evaluation: rule ID, pack, severity,
-	// pass/fail/skip status, subject and explanation.
-	LintFinding = lint.Finding
-	// LintOptions selects analysis parameters, schedule-fact
-	// extraction and warning thresholds for a lint run.
-	LintOptions = lint.Options
-	// LintSeverity ranks findings: info < warning < error.
-	LintSeverity = lint.Severity
-	// LintThresholds are the headroom warning knobs (node/bus
-	// utilisation, slack, jitter, slot fill, DYN cycle spill).
-	LintThresholds = lint.Thresholds
-	// LintMetrics bridges lint-run telemetry into a metrics registry;
-	// see NewLintMetrics.
-	LintMetrics = lint.Metrics
-)
-
-// Lint evaluates sys (and cfg, which may be nil) against the named
-// policy packs — all of them when none are given.
-func Lint(sys *System, cfg *Config, opts LintOptions, packs ...string) (*LintReport, error) {
-	return lint.Run(sys, cfg, opts, packs...)
-}
-
-// DefaultLintOptions returns the defaults flexray-lint itself runs
-// with: schedule facts on, documented warning thresholds.
-func DefaultLintOptions() LintOptions { return lint.DefaultOptions() }
-
-// LintPacks lists the registered policy packs in evaluation order.
-func LintPacks() []string { return lint.Packs() }
-
-// NewLintMetrics registers the flexray_lint_* instrument families on
-// r.
-func NewLintMetrics(r *MetricsRegistry) *LintMetrics { return lint.NewMetrics(r) }

@@ -311,17 +311,6 @@ func (a *Analyzer) envSignature(cfg *flexray.Config, buf []int64) []int64 {
 	return buf
 }
 
-// EnvSignature appends the signature of the configuration-dependent DYN
-// interference state — the minislot length and the FrameID assignment —
-// to buf and returns it. Configurations with equal signatures share the
-// analyzer's interference arena across Resets without a rebuild; batch
-// planners (core.Session.EvalBatch) group candidates by it so a batch
-// that interleaves minislot-length and FrameID moves pays each arena
-// rebuild once instead of once per alternation.
-func (a *Analyzer) EnvSignature(cfg *flexray.Config, buf []int64) []int64 {
-	return a.envSignature(cfg, buf)
-}
-
 // topoOrder returns the cached topological order of graph g.
 func (a *Analyzer) topoOrder(g int) ([]model.ActID, error) {
 	if a.topoDone == nil {

@@ -4,14 +4,14 @@
 //   - Engine, a worker-pool evaluation service that plugs into the
 //     optimisers through core.EvalHook: independent candidate
 //     configurations (the BBC/OBC-EE sweep grids) are evaluated
-//     concurrently, results are memoised in a sharded, bounded LRU
-//     cache keyed on the configuration fingerprint, and a context
-//     cancels in-flight work. Each worker owns a pinned evaluation
-//     session (core.Session), so the reusable-analyzer and
-//     schedule-table reuse of the serial path carries over to every
-//     worker. Because evaluations are pure, any worker count produces
-//     bit-identical optimiser results — workers=1 reproduces the
-//     serial behaviour exactly;
+//     concurrently, every evaluation goes through a sharded, bounded
+//     LRU cache keyed on the configuration fingerprint, and a context
+//     cancels in-flight work. An engine serves one system, and each
+//     worker owns one evaluation session (core.Session) for it, so the
+//     reusable-analyzer and schedule-table reuse of the serial path
+//     carries over to every worker. Because evaluations are pure, any
+//     worker count produces bit-identical optimiser results —
+//     workers=1 reproduces the serial behaviour exactly;
 //   - Portfolio, which races BBC, OBC-CF, OBC-EE and SA concurrently
 //     on one system over a shared engine (the cheap heuristics warm
 //     the cache for the expensive ones) and reports the best result
@@ -41,8 +41,8 @@ import (
 // optimiser ever prefers an aborted candidate.
 const infeasibleCost = 1e15
 
-// DefaultCacheSize bounds the evaluation cache of an engine when
-// EngineOptions.CacheSize is zero.
+// DefaultCacheSize bounds the evaluation cache of every engine, in
+// entries.
 const DefaultCacheSize = 4096
 
 // maxCacheShards caps the sharding of the evaluation cache; beyond 64
@@ -54,11 +54,6 @@ const maxCacheShards = 64
 // into per-shard LRUs too tiny to keep a working set.
 const minShardCapacity = 8
 
-// workerSessionCap bounds the pinned sessions one worker keeps; engines
-// usually serve a single system, so this only guards pathological
-// multi-system reuse of one engine.
-const workerSessionCap = 8
-
 // EngineOptions tune one evaluation engine.
 type EngineOptions struct {
 	// Workers is the number of goroutines evaluating candidate
@@ -67,9 +62,6 @@ type EngineOptions struct {
 	// count produces identical optimiser results — only the
 	// wall-clock changes.
 	Workers int `json:"workers"`
-	// CacheSize bounds the evaluation cache in entries; 0 selects
-	// DefaultCacheSize, negative values disable caching.
-	CacheSize int `json:"cache_size,omitempty"`
 }
 
 // EngineStats report what an engine actually did. Cache hits include
@@ -139,33 +131,25 @@ type cacheShard struct {
 	capacity int
 }
 
-// sessionKey identifies one pinned evaluation session: sessions are
-// per-system and per-scheduler-options.
-type sessionKey struct {
+// engineWorker is the state pinned to one worker slot: one evaluation
+// session and the (system, scheduler options) pair it was built for.
+// Every engine serves a single pair — Portfolio, a campaign's
+// per-system step, the Fig. 7 sweep — so the session is built on first
+// use and only replaced if the engine is ever asked for another pair.
+// Only one goroutine holds a worker at a time, so no locking is needed
+// inside.
+type engineWorker struct {
 	sys  *model.System
 	opts sched.Options
+	sess *core.Session
 }
 
-// engineWorker is the state pinned to one worker slot: its evaluation
-// sessions, keyed by system. Only one goroutine holds a worker at a
-// time, so no locking is needed inside.
-type engineWorker struct {
-	sessions map[sessionKey]*core.Session
-}
-
-// session returns the worker's pinned session for (sys, opts),
-// creating it on first use.
+// session returns the worker's session for (sys, opts).
 func (w *engineWorker) session(sys *model.System, opts sched.Options) *core.Session {
-	key := sessionKey{sys: sys, opts: opts}
-	if s, ok := w.sessions[key]; ok {
-		return s
+	if w.sess == nil || w.sys != sys || w.opts != opts {
+		w.sys, w.opts, w.sess = sys, opts, core.NewSession(sys, opts)
 	}
-	if len(w.sessions) >= workerSessionCap {
-		clear(w.sessions)
-	}
-	s := core.NewSession(sys, opts)
-	w.sessions[key] = s
-	return s
+	return w.sess
 }
 
 // Engine is a concurrent, caching evaluation service for candidate bus
@@ -179,7 +163,6 @@ type Engine struct {
 
 	shards    []cacheShard
 	shardMask uint64
-	caching   bool
 
 	evals  atomic.Int64
 	hits   atomic.Int64
@@ -199,10 +182,11 @@ func clampWorkers(w int) int {
 	return w
 }
 
-// NewEngine builds an engine. The context cancels in-flight and future
-// evaluations: after cancellation every evaluation returns an
-// infeasible cost immediately, so running optimisers drain fast and
-// their results must be discarded by the caller.
+// NewEngine builds an engine with a DefaultCacheSize evaluation cache.
+// The context cancels in-flight and future evaluations: after
+// cancellation every evaluation returns an infeasible cost immediately,
+// so running optimisers drain fast and their results must be discarded
+// by the caller.
 func NewEngine(ctx context.Context, opts EngineOptions) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
@@ -211,39 +195,37 @@ func NewEngine(ctx context.Context, opts EngineOptions) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	w = clampWorkers(w)
-	capacity := opts.CacheSize
-	if capacity == 0 {
-		capacity = DefaultCacheSize
-	}
+	return newEngine(ctx, clampWorkers(w), DefaultCacheSize)
+}
+
+// newEngine builds an engine with w worker slots and an evaluation
+// cache of the given capacity.
+func newEngine(ctx context.Context, w, capacity int) *Engine {
 	e := &Engine{
 		ctx:     ctx,
 		workers: make(chan *engineWorker, w),
-		caching: capacity > 0,
 	}
 	for i := 0; i < w; i++ {
-		e.workers <- &engineWorker{sessions: map[sessionKey]*core.Session{}}
+		e.workers <- &engineWorker{}
 	}
-	if e.caching {
-		// Power-of-two shard count scaled to the worker pool, so the
-		// per-shard mutexes stay uncontended at high worker counts —
-		// but never sharded so finely that a shard holds fewer than
-		// minShardCapacity entries, which would evict hot entries a
-		// single LRU of the same total capacity would retain.
-		n := 1
-		for n < w && n < maxCacheShards {
-			n <<= 1
-		}
-		for n > 1 && capacity/n < minShardCapacity {
-			n >>= 1
-		}
-		perShard := (capacity + n - 1) / n
-		e.shards = make([]cacheShard, n)
-		e.shardMask = uint64(n - 1)
-		for i := range e.shards {
-			e.shards[i].entries = map[cacheKey]*list.Element{}
-			e.shards[i].capacity = perShard
-		}
+	// Power-of-two shard count scaled to the worker pool, so the
+	// per-shard mutexes stay uncontended at high worker counts — but
+	// never sharded so finely that a shard holds fewer than
+	// minShardCapacity entries, which would evict hot entries a single
+	// LRU of the same total capacity would retain.
+	n := 1
+	for n < w && n < maxCacheShards {
+		n <<= 1
+	}
+	for n > 1 && capacity/n < minShardCapacity {
+		n >>= 1
+	}
+	perShard := (capacity + n - 1) / n
+	e.shards = make([]cacheShard, n)
+	e.shardMask = uint64(n - 1)
+	for i := range e.shards {
+		e.shards[i].entries = map[cacheKey]*list.Element{}
+		e.shards[i].capacity = perShard
 	}
 	return e
 }
@@ -265,7 +247,7 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // CacheShards reports how many lock domains the evaluation cache is
-// split into (0 when caching is disabled).
+// split into.
 func (e *Engine) CacheShards() int { return len(e.shards) }
 
 // Cancelled reports whether the engine's context has been cancelled
@@ -282,9 +264,6 @@ func (e *Engine) shard(key *cacheKey) *cacheShard {
 // then one schedule build plus holistic analysis on a pinned worker
 // session.
 func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options) (*analysis.Result, float64) {
-	if !e.caching {
-		return e.run(sys, cfg, opts)
-	}
 	key := cacheKey{sys: sys, fp: cfg.Fingerprint(), opts: opts}
 	sh := e.shard(&key)
 	sh.mu.Lock()
@@ -314,44 +293,13 @@ func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 }
 
 // EvalBatch evaluates independent candidates across the worker pool and
-// returns positionally aligned results. Without caching the batch is
-// split into contiguous chunks, one per worker slot, and each chunk
-// goes through the pinned session's batch path (core.Session.EvalBatch)
-// so the signature-grouped evaluation order amortises analyzer rebinds
-// across the whole chunk; with caching every candidate takes the
-// per-candidate cache protocol (lookup, in-flight coalescing, insert).
+// returns positionally aligned results. Every candidate takes the
+// per-candidate cache protocol of Eval (lookup, in-flight coalescing,
+// insert), one goroutine each when the engine has more than one worker.
 func (e *Engine) EvalBatch(sys *model.System, cfgs []*flexray.Config, opts sched.Options) ([]*analysis.Result, []float64) {
 	ress := make([]*analysis.Result, len(cfgs))
 	costs := make([]float64, len(cfgs))
-	if len(cfgs) == 0 {
-		return ress, costs
-	}
-	if !e.caching {
-		n := cap(e.workers)
-		if n > len(cfgs) {
-			n = len(cfgs)
-		}
-		if n <= 1 {
-			e.runBatch(sys, cfgs, opts, ress, costs)
-			return ress, costs
-		}
-		chunk := (len(cfgs) + n - 1) / n
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(cfgs); lo += chunk {
-			hi := lo + chunk
-			if hi > len(cfgs) {
-				hi = len(cfgs)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				e.runBatch(sys, cfgs[lo:hi], opts, ress[lo:hi], costs[lo:hi])
-			}(lo, hi)
-		}
-		wg.Wait()
-		return ress, costs
-	}
-	if cap(e.workers) == 1 || len(cfgs) == 1 {
+	if cap(e.workers) == 1 || len(cfgs) <= 1 {
 		// A single worker slot serialises the batch anyway; skip the
 		// goroutine fan-out.
 		for i, cfg := range cfgs {
@@ -369,35 +317,6 @@ func (e *Engine) EvalBatch(sys *model.System, cfgs []*flexray.Config, opts sched
 	}
 	wg.Wait()
 	return ress, costs
-}
-
-// runBatch evaluates one contiguous chunk of a batch on a single pinned
-// worker session, holding the worker slot for the whole chunk. Results
-// are written positionally into ress/costs (aligned with cfgs);
-// cancellation marks the remaining candidates infeasible, mirroring the
-// per-candidate path.
-func (e *Engine) runBatch(sys *model.System, cfgs []*flexray.Config, opts sched.Options, ress []*analysis.Result, costs []float64) {
-	markCancelled := func() {
-		for i := range cfgs {
-			ress[i], costs[i] = nil, infeasibleCost
-		}
-	}
-	var wk *engineWorker
-	select {
-	case wk = <-e.workers:
-		defer func() { e.workers <- wk }()
-	case <-e.ctx.Done():
-		markCancelled()
-		return
-	}
-	if e.ctx.Err() != nil {
-		markCancelled()
-		return
-	}
-	e.evals.Add(int64(len(cfgs)))
-	rs, cs := wk.session(sys, opts).EvalBatch(cfgs)
-	copy(ress, rs)
-	copy(costs, cs)
 }
 
 // run performs the real work on a pinned worker session.

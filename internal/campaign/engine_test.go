@@ -111,7 +111,7 @@ func TestEngineCacheBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(context.Background(), EngineOptions{Workers: 1, CacheSize: 4})
+	eng := newEngine(context.Background(), 1, 4)
 	if got := eng.CacheShards(); got != 1 {
 		t.Fatalf("1-worker engine uses %d shards, want 1", got)
 	}
@@ -138,7 +138,8 @@ func TestEngineCacheBound(t *testing.T) {
 }
 
 // TestEngineCancellation: a cancelled engine answers immediately with
-// an infeasible cost and never builds a schedule.
+// an infeasible cost and never builds a schedule — for single
+// evaluations and for every candidate of a batch fanned across workers.
 func TestEngineCancellation(t *testing.T) {
 	sys := testSystem(t, 2, 3)
 	opts := quickOpts()
@@ -148,7 +149,7 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := NewEngine(ctx, EngineOptions{Workers: 1, CacheSize: -1})
+	eng := NewEngine(ctx, EngineOptions{Workers: 1})
 	res, cost := eng.Eval(sys, bbc.Config, opts.Sched)
 	if res != nil || cost != infeasibleCost {
 		t.Errorf("cancelled eval = (%v, %v), want (nil, infeasible)", res, cost)
@@ -158,6 +159,26 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	if !eng.Cancelled() {
 		t.Error("Cancelled() = false after cancel")
+	}
+
+	// Four workers: the batch takes the per-candidate goroutine fan-out.
+	eng = NewEngine(ctx, EngineOptions{Workers: 4})
+	cfgs := make([]*flexray.Config, 8)
+	for i := range cfgs {
+		cfgs[i] = bbc.Config.Clone()
+		cfgs[i].NumMinislots += i
+	}
+	ress, costs := eng.EvalBatch(sys, cfgs, opts.Sched)
+	if len(ress) != len(cfgs) || len(costs) != len(cfgs) {
+		t.Fatalf("cancelled batch returned %d results, %d costs, want %d", len(ress), len(costs), len(cfgs))
+	}
+	for i := range cfgs {
+		if ress[i] != nil || costs[i] != infeasibleCost {
+			t.Errorf("cancelled batch pos %d = (%v, %v), want (nil, infeasible)", i, ress[i], costs[i])
+		}
+	}
+	if st := eng.Stats(); st.Evaluations != 0 {
+		t.Errorf("cancelled engine still evaluated a batch: %+v", st)
 	}
 }
 

@@ -299,13 +299,20 @@ func (e *evaluator) evalBatch(cfgs []*flexray.Config) ([]*analysis.Result, []flo
 // evalBatchAll evaluates every candidate regardless of the remaining
 // budget — the batched form of back-to-back e.eval calls on a fixed
 // slice, for call sites whose serial loop did not consult the budget
-// between evaluations (the curve fit's initial support set).
+// between evaluations (the curve fit's initial support set). With no
+// hook installed the batch is a plain loop through the evaluator's
+// session, in slice order.
 func (e *evaluator) evalBatchAll(cfgs []*flexray.Config) (ress []*analysis.Result, costs []float64) {
 	e.evals += len(cfgs)
 	if e.opts.Eval != nil {
 		ress, costs = e.opts.Eval.EvalBatch(e.sys, cfgs, e.opts.Sched)
 	} else {
-		ress, costs = e.session().EvalBatch(cfgs)
+		ress = make([]*analysis.Result, len(cfgs))
+		costs = make([]float64, len(cfgs))
+		sess := e.session()
+		for i, cfg := range cfgs {
+			ress[i], costs[i] = sess.Eval(cfg)
+		}
 	}
 	e.observeBatch(costs)
 	return ress, costs

@@ -71,9 +71,7 @@ func SA(sys *model.System, opts Options) (*Result, error) {
 	// from the current state, which the accept/reject decision of the
 	// previous evaluation just determined — so unlike the BBC/OBC sweep
 	// grids there is no independent slice to hand to the batched
-	// evaluation path. The session parity tests still replay SA's
-	// candidate stream through Session.EvalBatch to pin the batch path
-	// against it.
+	// evaluation path.
 	// Phase granularity wraps the whole anneal loop in one span — the
 	// per-iteration path stays untouched.
 	var phase *obs.Span

@@ -58,10 +58,6 @@ type Session struct {
 	an   *analysis.Analyzer
 
 	tables map[tableKey]tableEntry
-	// batch holds the pooled scratch of EvalBatch's signature-grouping
-	// planner, so steady-state batches only allocate their result
-	// slices.
-	batch batchScratch
 	// last short-circuits the memo for back-to-back candidates with
 	// identical slot geometry (FrameID-only moves): the comparison
 	// works on copied values, so no map key — and no allocation — is
@@ -118,93 +114,6 @@ func (s *Session) Eval(cfg *flexray.Config) (*analysis.Result, float64) {
 	s.an.Reset(cfg, table)
 	res := s.an.Run()
 	return res, res.Cost
-}
-
-// EvalBatch evaluates a slice of independent candidate configurations
-// through the session and returns results and costs positionally
-// aligned with cfgs. It is the batched form of calling Eval on each
-// candidate front to back — same analyzer, same table memo, same
-// results bit for bit — but the session chooses the evaluation order:
-// candidates are grouped by the analyzer's interference signature
-// (minislot length plus FrameID assignment), groups in first-seen
-// order, original order within a group. A batch that interleaves
-// FrameID moves with minislot-length moves then pays each arena rebuild
-// once per group instead of once per alternation. The reordering is
-// invisible in the results because every evaluation is a pure function
-// of (system, config, table, options).
-func (s *Session) EvalBatch(cfgs []*flexray.Config) ([]*analysis.Result, []float64) {
-	ress := make([]*analysis.Result, len(cfgs))
-	costs := make([]float64, len(cfgs))
-	if len(cfgs) <= 2 {
-		// Grouping cannot save a rebuild below three candidates.
-		for i, cfg := range cfgs {
-			ress[i], costs[i] = s.Eval(cfg)
-		}
-		return ress, costs
-	}
-	for _, i := range s.batchOrder(cfgs) {
-		ress[i], costs[i] = s.Eval(cfgs[i])
-	}
-	return ress, costs
-}
-
-// batchScratch pools the buffers of batchOrder across EvalBatch calls.
-type batchScratch struct {
-	sig    []int64
-	key    []byte
-	groups map[string]int32
-	gid    []int32
-	count  []int32
-	order  []int
-}
-
-// batchOrder computes the grouped evaluation order of a batch: a
-// permutation of [0, len(cfgs)) sorted stably by interference-signature
-// group, groups numbered in order of first appearance.
-func (s *Session) batchOrder(cfgs []*flexray.Config) []int {
-	b := &s.batch
-	if b.groups == nil {
-		b.groups = make(map[string]int32)
-	} else {
-		clear(b.groups)
-	}
-	b.gid = b.gid[:0]
-	for _, cfg := range cfgs {
-		b.sig = s.an.EnvSignature(cfg, b.sig[:0])
-		b.key = b.key[:0]
-		for _, v := range b.sig {
-			b.key = binary.LittleEndian.AppendUint64(b.key, uint64(v))
-		}
-		g, ok := b.groups[string(b.key)]
-		if !ok {
-			g = int32(len(b.groups))
-			b.groups[string(b.key)] = g
-		}
-		b.gid = append(b.gid, g)
-	}
-	// Stable counting sort by group id.
-	if cap(b.count) < len(b.groups) {
-		b.count = make([]int32, len(b.groups))
-	}
-	b.count = b.count[:len(b.groups)]
-	clear(b.count)
-	for _, g := range b.gid {
-		b.count[g]++
-	}
-	var start int32
-	for g, c := range b.count {
-		b.count[g] = start
-		start += c
-	}
-	if cap(b.order) < len(cfgs) {
-		b.order = make([]int, len(cfgs))
-	}
-	b.order = b.order[:len(cfgs)]
-	for i, g := range b.gid {
-		b.order[b.count[g]] = i
-		b.count[g]++
-	}
-	return b.order
 }
 
 // table returns the schedule table for cfg, memoised by geometry when

@@ -110,10 +110,10 @@ func TestSessionMatchesFreshAnalyzer(t *testing.T) {
 // TestSessionBatchMatchesFreshAnalyzer extends the determinism contract
 // to batched evaluation, separately for each algorithm's candidate
 // stream: the stream is captured, shuffled, chopped into random-sized
-// batches and replayed through Session.EvalBatch. Every result must
+// batches and replayed through the evaluator's batch path with no hook
+// installed (one session, looped in slice order). Every result must
 // equal the fresh-analyzer result bit for bit, in its original slice
-// position — even though the session reorders evaluation inside a batch
-// by interference signature.
+// position.
 func TestSessionBatchMatchesFreshAnalyzer(t *testing.T) {
 	sys := genSystem(t, 3, 11)
 	opts := sessionQuickOpts()
@@ -132,14 +132,14 @@ func TestSessionBatchMatchesFreshAnalyzer(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			rng.Shuffle(len(cfgs), func(i, j int) { cfgs[i], cfgs[j] = cfgs[j], cfgs[i] })
 
-			sess := NewSession(sys, opts.Sched)
+			ev := newEvaluator(sys, opts, alg.name)
 			for lo := 0; lo < len(cfgs); {
 				hi := lo + 1 + rng.Intn(9)
 				if hi > len(cfgs) {
 					hi = len(cfgs)
 				}
 				batch := cfgs[lo:hi]
-				ress, costs := sess.EvalBatch(batch)
+				ress, costs := ev.evalBatchAll(batch)
 				if len(ress) != len(batch) || len(costs) != len(batch) {
 					t.Fatalf("batch [%d:%d]: got %d results, %d costs", lo, hi, len(ress), len(costs))
 				}
@@ -158,8 +158,8 @@ func TestSessionBatchMatchesFreshAnalyzer(t *testing.T) {
 	}
 }
 
-// TestSessionBatchDuplicates pins the batch planner against repeated
-// candidates: duplicates land in the same signature group and must each
+// TestSessionBatchDuplicates pins the batch path against repeated
+// candidates: duplicates share the session's table memo and must each
 // produce the full, independent result.
 func TestSessionBatchDuplicates(t *testing.T) {
 	sys := genSystem(t, 2, 5)
@@ -174,8 +174,7 @@ func TestSessionBatchDuplicates(t *testing.T) {
 		cfg.NumMinislots += i % 3
 		cfgs = append(cfgs, cfg)
 	}
-	sess := NewSession(sys, opts.Sched)
-	ress, costs := sess.EvalBatch(cfgs)
+	ress, costs := newEvaluator(sys, opts, "BBC").evalBatchAll(cfgs)
 	for i, cfg := range cfgs {
 		fres, fcost := freshEval(sys, cfg, opts.Sched)
 		if costs[i] != fcost || !reflect.DeepEqual(ress[i], fres) {
