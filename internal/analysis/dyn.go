@@ -169,7 +169,11 @@ func (ar *dynArena) groupBounds(e *flatEnv, g int) (int, int) {
 }
 
 // pickSorter sorts picks by descending extra, exactly like the
-// sort.Slice call it replaces.
+// sort.Slice call it replaces. Its tie order among equal extras is
+// pdqsort's, which is not stable above 12 elements; the pinned costs
+// depend on that order, which is why pickCycle re-sorts the whole
+// candidate list after each run instead of re-positioning the one
+// candidate that changed.
 type pickSorter struct{ s []pick }
 
 func (p *pickSorter) Len() int           { return len(p.s) }
@@ -314,11 +318,16 @@ func (a *Analyzer) fillCycles(env *flatEnv, t units.Duration) (filled int64, lef
 	return hpFill + lfFill, leftover
 }
 
-// greedyFill fills cycles one at a time. For each cycle it picks, from
-// each FrameID group in descending-extra order, the largest-extra item
-// with remaining budget until the need is met, then greedily swaps the
-// last pick for the smallest item that still meets the need (saving
-// large extras for later cycles). Budgets are consumed in place.
+// greedyFill fills cycles in runs. Each cycle's picks (pickCycle) take,
+// from each FrameID group in descending-extra order, the largest-extra
+// item with remaining budget until the need is met, then swap the last
+// pick for the smallest item that still meets the need (saving large
+// extras for later cycles). Those picks cannot change until one of
+// their budgets reaches zero — a group's candidate is its first item
+// with budget left, the swap target the first item from the group's end
+// that still meets the need — so the run of k identical cycles, k the
+// smallest pick budget, is filled in one step. The result equals
+// filling one cycle at a time. Budgets are consumed in place.
 func (ar *dynArena) greedyFill(env *flatEnv) int64 {
 	var filled int64
 	for {
@@ -326,10 +335,14 @@ func (ar *dynArena) greedyFill(env *flatEnv) int64 {
 		if total < env.need {
 			return filled
 		}
-		for _, p := range picks {
-			ar.budget[p.ii]--
+		k := ar.budget[picks[0].ii]
+		for _, p := range picks[1:] {
+			k = min(k, ar.budget[p.ii])
 		}
-		filled++
+		for _, p := range picks {
+			ar.budget[p.ii] -= k
+		}
+		filled += k
 	}
 }
 

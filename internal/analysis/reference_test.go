@@ -19,6 +19,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/flexray"
+	"repro/internal/flexray/flexraytest"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/schedule"
@@ -395,6 +396,10 @@ type refPick struct {
 	extra  int
 }
 
+// refGreedyFill is the per-cycle greedy fill: one pickCycle and one
+// budget decrement per filled cycle. The flat analyzer fills whole runs
+// of identical cycles at once; TestRunLengthFillMatchesPerCycle pins it
+// to this loop.
 func refGreedyFill(env *refEnv, budgets [][]int64) int64 {
 	var filled int64
 	for {
@@ -533,41 +538,6 @@ func refExactFill(env *refEnv, budgets [][]int64, nodeCap int) (int64, bool) {
 	return best, exact
 }
 
-// perturbConfig applies 1-3 random moves to a clone of base: dynamic
-// segment resizes, minislot-length changes, FrameID swaps, FrameID
-// drops (exercising the unassigned-interferer path) and arbitration
-// policy flips — the full invalidation surface of the flat analyzer.
-func perturbConfig(rng *rand.Rand, base *flexray.Config, dyn []model.ActID) *flexray.Config {
-	cfg := base.Clone()
-	for n := 1 + rng.Intn(3); n > 0; n-- {
-		switch rng.Intn(5) {
-		case 0:
-			cfg.NumMinislots += rng.Intn(41) - 10
-			if cfg.NumMinislots < 1 {
-				cfg.NumMinislots = 1
-			}
-		case 1:
-			cfg.MinislotLen = base.MinislotLen * units.Duration(1+rng.Intn(3))
-		case 2:
-			if len(dyn) >= 2 {
-				i, j := dyn[rng.Intn(len(dyn))], dyn[rng.Intn(len(dyn))]
-				cfg.FrameID[i], cfg.FrameID[j] = cfg.FrameID[j], cfg.FrameID[i]
-			}
-		case 3:
-			if len(dyn) > 1 {
-				delete(cfg.FrameID, dyn[rng.Intn(len(dyn))])
-			}
-		case 4:
-			if cfg.Policy == flexray.LatestTxPerNode {
-				cfg.Policy = 0
-			} else {
-				cfg.Policy = flexray.LatestTxPerNode
-			}
-		}
-	}
-	return cfg
-}
-
 // TestFlatAnalyzerMatchesReference is the differential quick-check of
 // the flat analyzer: randomly synthesised systems, randomly perturbed
 // configurations, one long-lived flat Analyzer (so Reset invalidation
@@ -608,7 +578,7 @@ func TestFlatAnalyzerMatchesReference(t *testing.T) {
 
 		checked := 0
 		for trial := 0; trial < 60; trial++ {
-			cfg := perturbConfig(rng, base, dyn)
+			cfg := flexraytest.Perturb(rng, base, dyn)
 			table, err := sched.BuildTable(sys, cfg, schedOpts)
 			if err != nil {
 				continue
@@ -640,6 +610,46 @@ func TestFlatAnalyzerMatchesReference(t *testing.T) {
 		}
 		if checked < 20 {
 			t.Fatalf("system (%d nodes, seed %d): only %d of 60 perturbed configs produced a table", tc.nodes, tc.seed, checked)
+		}
+	}
+}
+
+// TestRunLengthFillMatchesPerCycle pins the run-length greedy fill to
+// the per-cycle reference over random environments: up to 24 groups
+// (so the candidate sort runs pdqsort's unstable path above 12
+// elements), 1-4 items per group, extras 1-8, budgets 0-1000 and needs
+// 1-20. The filled count, the leftover extras and every final budget
+// must be identical.
+func TestRunLengthFillMatchesPerCycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 100; trial++ {
+		need := 1 + rng.Intn(20)
+		nGroups := 1 + rng.Intn(24)
+		env := &refEnv{need: need}
+		extras := make([][]int, nGroups)
+		budgets := make([][]int64, nGroups)
+		for g := range extras {
+			for i := 1 + rng.Intn(4); i > 0; i-- {
+				extras[g] = append(extras[g], 1+rng.Intn(8))
+			}
+			sort.Sort(sort.Reverse(sort.IntSlice(extras[g])))
+			var items []refLfItem
+			for i, e := range extras[g] {
+				items = append(items, refLfItem{fid: g + 1, id: model.ActID(g*10 + i), extra: e})
+				budgets[g] = append(budgets[g], int64(rng.Intn(1001)))
+			}
+			env.lfGroups = append(env.lfGroups, items)
+		}
+		filled, leftover, final := analysis.GreedyFillForTest(need, extras, budgets)
+		refBudgets := make([][]int64, nGroups)
+		for g := range budgets {
+			refBudgets[g] = append([]int64(nil), budgets[g]...)
+		}
+		refFilled := refGreedyFill(env, refBudgets)
+		refLeftover := refLeftoverExtras(env, refBudgets)
+		if filled != refFilled || leftover != refLeftover || !reflect.DeepEqual(final, refBudgets) {
+			t.Fatalf("trial %d (need %d, extras %v, budgets %v): run-length (%d, %d, %v), per-cycle (%d, %d, %v)",
+				trial, need, extras, budgets, filled, leftover, final, refFilled, refLeftover, refBudgets)
 		}
 	}
 }

@@ -395,14 +395,25 @@ func (t *Table) buildAvailability(node model.NodeID) *Availability {
 // 0 <= x <= horizon.
 func (av *Availability) busyBefore(x units.Time) units.Duration {
 	i := sort.Search(len(av.busy), func(i int) bool { return av.busy[i].End >= x })
-	var b units.Duration
-	if i > 0 {
-		b = av.busyPrefix[i-1]
-	}
+	b := av.busyPrefixBefore(i)
 	if i < len(av.busy) && av.busy[i].Start < x {
 		b += units.Duration(x - av.busy[i].Start)
 	}
 	return b
+}
+
+// busyUpTo returns the busy time inside [0, x), treating the schedule
+// as periodic with the horizon (horizon > 0); negative instants fold
+// like positive ones.
+func (av *Availability) busyUpTo(x units.Time) units.Duration {
+	h := int64(av.horizon)
+	full := int64(x) / h
+	rem := int64(x) % h
+	if rem < 0 {
+		full--
+		rem += h
+	}
+	return units.Duration(full)*av.totalBusy + av.busyBefore(units.Time(rem))
 }
 
 // FreeIn returns the processor time not reserved by SCS tasks inside
@@ -415,27 +426,19 @@ func (av *Availability) FreeIn(a, b units.Time) units.Duration {
 	if av.horizon <= 0 || len(av.busy) == 0 {
 		return units.Duration(b - a)
 	}
-	h := int64(av.horizon)
-	total := units.Duration(b - a)
-	busyAt := func(x units.Time) units.Duration {
-		full := int64(x) / h
-		rem := int64(x) % h
-		if rem < 0 { // negative instants fold like positive ones
-			full--
-			rem += h
-		}
-		return units.Duration(full)*av.totalBusy + av.busyBefore(units.Time(rem))
-	}
-	busy := busyAt(b) - busyAt(a)
-	return total - busy
+	return units.Duration(b-a) - (av.busyUpTo(b) - av.busyUpTo(a))
 }
 
 // Advance returns the earliest instant e >= from such that the free
 // time in [from, e) is at least demand; this is the completion instant
-// of an FPS workload of `demand` units released at `from`. It returns
-// saturation (Time(Infinite)) if the node never accumulates the
+// of an FPS workload of `demand` units released at `from`. It inverts
+// the supply function in one step: the target is the free time before
+// from plus demand; whole periods of free time are split off with a
+// floor division, and one binary search over the free time before each
+// busy interval finds the gap in which the remainder runs out. It
+// returns saturation (Time(Infinite)) if the node never accumulates the
 // demand, which happens only when the static schedule leaves no slack
-// at all.
+// at all, or when the completion instant lies beyond Infinite.
 func (av *Availability) Advance(from units.Time, demand units.Duration) units.Time {
 	if demand <= 0 {
 		return from
@@ -443,47 +446,42 @@ func (av *Availability) Advance(from units.Time, demand units.Duration) units.Ti
 	if av.horizon <= 0 || len(av.busy) == 0 {
 		return from.Add(demand)
 	}
-	freePerPeriod := av.horizon - av.totalBusy
+	freePerPeriod := int64(av.horizon - av.totalBusy)
 	if freePerPeriod <= 0 {
 		return units.Time(units.Infinite)
 	}
-	// Skip whole periods first, then walk the folded pattern.
-	t := from
-	if k := int64(demand) / int64(freePerPeriod); k > 1 {
-		skip := units.Duration((k - 1) * int64(av.horizon))
-		demand -= units.Duration(k-1) * freePerPeriod
-		t = t.Add(skip)
+	// Free time never outruns wall time, so a saturated target
+	// saturates the result below.
+	target := units.SatAdd(units.Duration(from)-av.busyUpTo(from), demand)
+	// Split target into q whole periods of free time plus a remainder
+	// in (0, freePerPeriod], so a demand that runs out exactly at the
+	// end of a period's last gap completes there, not a period later.
+	n := int64(target) - 1
+	q := n / freePerPeriod
+	if n%freePerPeriod < 0 {
+		q-- // floor, not truncation, for instants before zero
 	}
-	for demand > 0 {
-		h := int64(av.horizon)
-		rem := int64(t) % h
-		if rem < 0 {
-			rem += h
-		}
-		phase := units.Time(rem)
-		// Find the busy interval at or after phase.
-		i := sort.Search(len(av.busy), func(i int) bool { return av.busy[i].End > phase })
-		var gapEnd units.Time
-		if i >= len(av.busy) {
-			gapEnd = units.Time(av.horizon)
-		} else if av.busy[i].Start > phase {
-			gapEnd = av.busy[i].Start
-		} else {
-			// Inside a busy interval: jump to its end.
-			t = t.Add(units.Duration(av.busy[i].End - phase))
-			continue
-		}
-		free := units.Duration(gapEnd - phase)
-		if free >= demand {
-			return t.Add(demand)
-		}
-		demand -= free
-		t = t.Add(free)
-		if i < len(av.busy) {
-			t = t.Add(av.busy[i].Len())
-		}
+	rem := units.Duration(int64(target) - q*freePerPeriod)
+	// The remainder runs out in the gap before the first busy
+	// interval whose preceding free time reaches it (or in the gap
+	// after the last one); the busy time before that gap shifts it.
+	i := sort.Search(len(av.busy), func(i int) bool {
+		return units.Duration(av.busy[i].Start)-av.busyPrefixBefore(i) >= rem
+	})
+	h := int64(av.horizon)
+	if q > int64(units.Infinite)/h {
+		return units.Time(units.Infinite)
 	}
-	return t
+	return units.Time(q * h).Add(rem + av.busyPrefixBefore(i))
+}
+
+// busyPrefixBefore returns the busy time of one period before busy
+// interval i (i may be len(busy): the whole period's busy time).
+func (av *Availability) busyPrefixBefore(i int) units.Duration {
+	if i == 0 {
+		return 0
+	}
+	return av.busyPrefix[i-1]
 }
 
 // BusyBoundaries returns candidate critical-instant offsets within one

@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -283,6 +285,152 @@ func TestAdvanceFreeInInverseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// advanceWalk is the gap-by-gap Advance the one-step inverse replaced,
+// kept as the reference it must equal: skip whole periods, then walk
+// the folded pattern one gap per loop.
+func advanceWalk(av *Availability, from units.Time, demand units.Duration) units.Time {
+	if demand <= 0 {
+		return from
+	}
+	if av.horizon <= 0 || len(av.busy) == 0 {
+		return from.Add(demand)
+	}
+	freePerPeriod := av.horizon - av.totalBusy
+	if freePerPeriod <= 0 {
+		return units.Time(units.Infinite)
+	}
+	t := from
+	if k := int64(demand) / int64(freePerPeriod); k > 1 {
+		skip := units.Duration((k - 1) * int64(av.horizon))
+		demand -= units.Duration(k-1) * freePerPeriod
+		t = t.Add(skip)
+	}
+	for demand > 0 {
+		h := int64(av.horizon)
+		rem := int64(t) % h
+		if rem < 0 {
+			rem += h
+		}
+		phase := units.Time(rem)
+		i := sort.Search(len(av.busy), func(i int) bool { return av.busy[i].End > phase })
+		var gapEnd units.Time
+		if i >= len(av.busy) {
+			gapEnd = units.Time(av.horizon)
+		} else if av.busy[i].Start > phase {
+			gapEnd = av.busy[i].Start
+		} else {
+			t = t.Add(units.Duration(av.busy[i].End - phase))
+			continue
+		}
+		free := units.Duration(gapEnd - phase)
+		if free >= demand {
+			return t.Add(demand)
+		}
+		demand -= free
+		t = t.Add(free)
+		if i < len(av.busy) {
+			t = t.Add(av.busy[i].Len())
+		}
+	}
+	return t
+}
+
+// randomAvailability places up to six random reservations on node 0 of
+// a table with a random horizon; reservations may start before zero or
+// run past the horizon, so the folded pattern wraps.
+func randomAvailability(rng *rand.Rand) *Availability {
+	h := units.Duration(2 + rng.Intn(400))
+	tb := New(cfg2(), h)
+	for n := rng.Intn(7); n > 0; n-- {
+		start := units.Time(rng.Int63n(int64(2*h))) - units.Time(h/2)
+		// Overlapping reservations are rejected; the rest stand.
+		_ = tb.PlaceTask(model.ActID(n), 0, 0, start, units.Duration(1+rng.Int63n(int64(h)/2+1)))
+	}
+	return tb.Availability(0)
+}
+
+// TestAdvanceMatchesWalk pins the one-step inverse against the
+// gap-by-gap walk over random folded busy patterns, from instants that
+// are negative, inside busy intervals or on their edges, and demands
+// that end exactly on a gap edge or span many periods.
+func TestAdvanceMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 3000; trial++ {
+		av := randomAvailability(rng)
+		h := int64(av.horizon)
+		var edges []units.Time
+		for _, iv := range av.busy {
+			edges = append(edges, iv.Start, iv.End, iv.Start+1, iv.End-1)
+		}
+		for q := 0; q < 20; q++ {
+			from := units.Time(rng.Int63n(4*h) - 2*h)
+			if len(edges) > 0 && rng.Intn(2) == 0 {
+				from = edges[rng.Intn(len(edges))] + units.Time(h*(rng.Int63n(5)-2))
+			}
+			var demand units.Duration
+			switch rng.Intn(4) {
+			case 0:
+				demand = units.Duration(rng.Int63n(2*h + 1))
+			case 1: // many periods
+				demand = units.Duration(rng.Int63n(1_000_000 * h))
+			case 2, 3: // ends exactly on a gap edge
+				if len(edges) == 0 {
+					continue
+				}
+				edge := edges[rng.Intn(len(edges))] + units.Time(h*rng.Int63n(4))
+				if edge <= from {
+					edge += units.Time(4 * h)
+				}
+				demand = av.FreeIn(from, edge)
+			}
+			if got, want := av.Advance(from, demand), advanceWalk(av, from, demand); got != want {
+				t.Fatalf("trial %d: busy %v over %d: Advance(%d, %d) = %d, walk %d",
+					trial, av.busy, h, from, demand, got, want)
+			}
+		}
+	}
+}
+
+// TestAdvanceNearInfiniteDemand: the inverse saturates where the walk
+// saturates and stays exact just below Infinite, without overflowing.
+func TestAdvanceNearInfiniteDemand(t *testing.T) {
+	tb := New(cfg2(), 1000)
+	if err := tb.PlaceTask(0, 0, 0, 100, 100); err != nil {
+		t.Fatal(err)
+	}
+	av := tb.Availability(0) // 900 free per period
+	for _, c := range []struct {
+		from   units.Time
+		demand units.Duration
+	}{
+		{0, units.Infinite},
+		{0, units.Infinite - 1},
+		{150, units.Infinite - 1000},
+		{-5000, units.Infinite - 1},
+		{0, units.Duration((int64(units.Infinite)/1000 - 2) * 900)},
+		{999, units.Duration((int64(units.Infinite)/1000 - 3) * 900)},
+	} {
+		got, want := av.Advance(c.from, c.demand), advanceWalk(av, c.from, c.demand)
+		if got != want {
+			t.Errorf("Advance(%d, %d) = %d, walk %d", c.from, c.demand, got, want)
+		}
+		if got < 0 || units.Duration(got) > units.Infinite {
+			t.Errorf("Advance(%d, %d) = %d overflowed", c.from, c.demand, got)
+		}
+	}
+	// One free unit per period: the walk's period skip overflows
+	// int64 here, and the inverse must saturate instead.
+	tb = New(cfg2(), 1000)
+	if err := tb.PlaceTask(0, 0, 0, 0, 999); err != nil {
+		t.Fatal(err)
+	}
+	for _, demand := range []units.Duration{units.Infinite / 2, (1<<64)/1000 + 1, units.Infinite / 999} {
+		if got := tb.Availability(0).Advance(0, demand); got != units.Time(units.Infinite) {
+			t.Errorf("Advance(0, %d) with 1 free unit per period = %d, want saturation", demand, got)
+		}
 	}
 }
 

@@ -88,8 +88,17 @@ func TestTraceInvariants(t *testing.T) {
 	opts.Trace = true
 	opts.TraceCap = 100000
 	_, cfg, res, _ := pipeline(t, 3, 88, opts)
+	checkTrace(t, cfg, res.Trace)
+}
+
+// checkTrace asserts the bus-level invariants of a dynamic-segment
+// trace: no empty or overlapping events, every event inside the
+// dynamic segment of its cycle, and unused slots exactly one minislot
+// long.
+func checkTrace(t *testing.T, cfg *flexray.Config, trace []TraceEvent) {
+	t.Helper()
 	var prevEnd units.Time
-	for i, e := range res.Trace {
+	for i, e := range trace {
 		if e.End <= e.Start {
 			t.Fatalf("trace %d: empty interval [%v,%v)", i, e.Start, e.End)
 		}
