@@ -148,14 +148,17 @@ func checkConvergence(t *testing.T, sd obs.SpanData) {
 // TestJobSpansDroppedCount: a job trace past the span store's
 // per-trace bound reports the dropped count in GET /v1/jobs/{id}/spans
 // — the number GET /v1/traces/{id} sends as X-Trace-Dropped-Spans — so
-// a truncated convergence view is visible.
+// a truncated convergence view is visible. The store keeps its default
+// size: with a shard budget no larger than one full trace, the span of
+// the first GET evicts the job's trace whenever its random trace ID
+// lands in the same shard (TestSpanStoreFullTraceEvictedByNeighbour),
+// and the second GET answers 404.
 func TestJobSpansDroppedCount(t *testing.T) {
 	ts := mustServer(t, serverConfig{
 		Workers:       1,
 		MaxConcurrent: 1,
 		Timeout:       time.Minute,
 		TraceSample:   1,
-		TraceSpans:    64,
 	})
 	job := submitJob(t, ts, campaignSpec([]int{2}, 1, 7))
 	job = pollJob(t, ts, job.ID, jobs.StatusDone)

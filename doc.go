@@ -55,14 +55,13 @@
 // depend on change (DYN interference environments survive any change
 // that keeps the FrameID assignment and minislot length; availability
 // functions are memoised on the schedule table itself), and whose
-// fixpoint scratch buffers are pooled across runs. With first-fit
-// placement the schedule table depends only on the slot geometry, so
-// sessions additionally memoise tables by geometry and FrameID-only
-// moves (the simulated-annealing neighbourhood) skip table
-// construction entirely. Sessions are bit-identical to the
-// from-scratch pipeline — BuildSchedule plus a single-use analyzer —
-// which the test-suite pins by replaying shuffled candidate streams of
-// all four algorithms through one session.
+// fixpoint scratch buffers are pooled across runs. A session also
+// compiles the list scheduler once and rebuilds one schedule table in
+// place for every candidate, so a table build does not allocate.
+// Sessions are bit-identical to the from-scratch pipeline —
+// BuildSchedule plus a single-use analyzer — which the test-suite pins
+// by replaying shuffled candidate streams of all four algorithms
+// through one session.
 //
 // # Validation
 //

@@ -151,12 +151,12 @@ func BuildSchedule(sys *System, cfg *Config, opts SchedOptions) (*ScheduleTable,
 }
 
 // EvalSession is a reusable evaluation pipeline for one system: a
-// resettable holistic analyzer plus a geometry-keyed schedule-table
-// memo. Evaluating candidate configurations through one session is
-// bit-identical to BuildSchedule but avoids rebuilding the
-// system-dependent analysis state — and, for candidates sharing a slot
-// geometry, the schedule table — on every call. Sessions are what the
-// optimisers and the campaign engine workers use internally; create
+// resettable holistic analyzer plus a compiled list scheduler that
+// rebuilds one schedule table in place. Evaluating candidate
+// configurations through one session is bit-identical to BuildSchedule
+// but avoids rebuilding the system-dependent analysis and scheduling
+// state, and allocating a new table, on every call. Sessions are what
+// the optimisers and the campaign engine workers use internally; create
 // one directly when driving many analyses of the same system yourself.
 // Cache invalidation works from value snapshots, so mutating a Config
 // between Eval calls (tweak-and-re-evaluate loops) is fine; a session

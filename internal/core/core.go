@@ -201,7 +201,7 @@ const infeasibleCost = 1e15
 // for candidate configurations and counts the evaluations. The built-in
 // path owns one evaluation Session, created lazily, so every candidate
 // of one optimiser invocation reuses the same analyzer state and
-// schedule-table memo. It also carries the run identity (algorithm,
+// schedule table. It also carries the run identity (algorithm,
 // start time) and the convergence state behind the span events.
 type evaluator struct {
 	sys   *model.System

@@ -9,6 +9,7 @@ import (
 	"repro/internal/flexray"
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/schedule"
 )
 
 // recordingHook is a pure EvalHook that evaluates every candidate with
@@ -159,7 +160,7 @@ func TestSessionBatchMatchesFreshAnalyzer(t *testing.T) {
 }
 
 // TestSessionBatchDuplicates pins the batch path against repeated
-// candidates: duplicates share the session's table memo and must each
+// candidates: duplicates rebuild the session's table and must each
 // produce the full, independent result.
 func TestSessionBatchDuplicates(t *testing.T) {
 	sys := genSystem(t, 2, 5)
@@ -183,27 +184,70 @@ func TestSessionBatchDuplicates(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesFreshWithPlacement covers the non-memoised branch:
-// with holistic placement (PlacementCandidates > 1) the session must
-// rebuild the table per candidate and still match the fresh pipeline.
+// TestSessionMatchesFreshWithPlacement sweeps the minislot count, which
+// changes the dynamic segment and so the table, through one session
+// with first-fit and with holistic placement (PlacementCandidates > 1,
+// which clones the table for its trials). The first-fit sweep revisits
+// every value, so rebuilt tables meet geometries seen before. Every
+// evaluation must match the fresh pipeline.
 func TestSessionMatchesFreshWithPlacement(t *testing.T) {
 	sys := genSystem(t, 2, 5)
-	opts := sessionQuickOpts()
-	opts.Sched.PlacementCandidates = 3
+	for _, tc := range []struct{ placement, evals, deltas int }{{1, 160, 64}, {3, 8, 8}} {
+		opts := sessionQuickOpts()
+		opts.Sched.PlacementCandidates = tc.placement
+		bbc, err := BBC(sys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := NewSession(sys, opts.Sched)
+		for i := 0; i < tc.evals; i++ {
+			cfg := bbc.Config.Clone()
+			cfg.NumMinislots += i % tc.deltas
+			sres, scost := sess.Eval(cfg)
+			fres, fcost := freshEval(sys, cfg, opts.Sched)
+			if scost != fcost || !reflect.DeepEqual(sres, fres) {
+				t.Fatalf("PlacementCandidates %d, eval %d: session (%v) differs from fresh (%v)",
+					tc.placement, i, scost, fcost)
+			}
+		}
+	}
+}
 
+// TestSessionTableMemoBound sweeps more distinct slot geometries than
+// the old 512-entry table memo held through one session. The session
+// keeps a single schedule table, rebuilt in place for every candidate,
+// so its table state stays bounded however many geometries it meets;
+// evaluations past that point must still match the fresh pipeline.
+func TestSessionTableMemoBound(t *testing.T) {
+	const geometries = 512
+	sys := genSystem(t, 2, 5)
+	opts := sessionQuickOpts()
 	bbc, err := BBC(sys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess := NewSession(sys, opts.Sched)
-	for delta := 0; delta < 8; delta++ {
+	var first *schedule.Table
+	for i := 0; i < geometries+64; i++ {
 		cfg := bbc.Config.Clone()
-		cfg.NumMinislots += delta
+		cfg.NumMinislots += i % (geometries + 16)
 		sres, scost := sess.Eval(cfg)
-		fres, fcost := freshEval(sys, cfg, opts.Sched)
-		if scost != fcost || !reflect.DeepEqual(sres, fres) {
-			t.Fatalf("delta %d: session (%v) differs from fresh (%v)", delta, scost, fcost)
+		if table, err := sess.plan.BuildTable(cfg, sess.opts); err == nil {
+			if first == nil {
+				first = table
+			} else if table != first {
+				t.Fatalf("iteration %d: session allocated a second schedule table", i)
+			}
 		}
+		if i >= geometries {
+			fres, fcost := freshEval(sys, cfg, opts.Sched)
+			if scost != fcost || !reflect.DeepEqual(sres, fres) {
+				t.Fatalf("iteration %d: session (%v) differs from fresh (%v)", i, scost, fcost)
+			}
+		}
+	}
+	if first == nil {
+		t.Fatal("no geometry in the sweep produced a schedule table")
 	}
 }
 
@@ -238,33 +282,6 @@ func TestAlgorithmsSessionParity(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sessionRes.Analysis, freshRes.Analysis) {
 			t.Errorf("%s: session analysis differs from fresh", alg.name)
-		}
-	}
-}
-
-// TestSessionTableMemoBound: the geometry memo never grows past its
-// cap, and eviction never changes results.
-func TestSessionTableMemoBound(t *testing.T) {
-	sys := genSystem(t, 2, 5)
-	opts := sessionQuickOpts()
-	bbc, err := BBC(sys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(sys, opts.Sched)
-	for i := 0; i < sessionTableCap+64; i++ {
-		cfg := bbc.Config.Clone()
-		cfg.NumMinislots += i % (sessionTableCap + 16)
-		sres, scost := sess.Eval(cfg)
-		if len(sess.tables) > sessionTableCap {
-			t.Fatalf("table memo grew to %d entries, cap %d", len(sess.tables), sessionTableCap)
-		}
-		if i >= sessionTableCap {
-			// Spot-check around the eviction point.
-			fres, fcost := freshEval(sys, cfg, opts.Sched)
-			if scost != fcost || !reflect.DeepEqual(sres, fres) {
-				t.Fatalf("iteration %d after eviction: session diverged", i)
-			}
 		}
 	}
 }

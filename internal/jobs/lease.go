@@ -253,15 +253,9 @@ func (m *Manager) runCampaign(ctx context.Context, j *job, c *compiled) (*Result
 		case <-lj.done:
 		case <-ctx.Done():
 		}
+		// The job is leaving (done, cancelled or shutting down).
 		m.mu.Lock()
-		delete(m.leaseJobs, j.id)
-		for _, sh := range lj.shards {
-			if sh.state == leaseGranted {
-				// The job is leaving (done, cancelled or shutting
-				// down); outstanding leases answer 410 from now on.
-				m.releaseShardLocked(sh, ErrLeaseGone)
-			}
-		}
+		m.dropLeaseJobLocked(lj)
 		m.mu.Unlock()
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -632,6 +626,18 @@ func (m *Manager) retireLeaseLocked(leaseID string, reason error) {
 	if len(m.leaseRetiredQ) > maxRetiredLeases {
 		delete(m.leaseRetired, m.leaseRetiredQ[0])
 		m.leaseRetiredQ = m.leaseRetiredQ[1:]
+	}
+}
+
+// dropLeaseJobLocked unpublishes a distributed job's shard table: none
+// of its shards is granted again, and its outstanding leases answer
+// ErrLeaseGone (410) from now on.
+func (m *Manager) dropLeaseJobLocked(lj *leaseJob) {
+	delete(m.leaseJobs, lj.j.id)
+	for _, sh := range lj.shards {
+		if sh.state == leaseGranted {
+			m.releaseShardLocked(sh, ErrLeaseGone)
+		}
 	}
 }
 

@@ -328,6 +328,32 @@ func TestLeaseFailureRequeue(t *testing.T) {
 	waitStatus(t, m, job.ID, StatusDone)
 }
 
+// TestCancelRetiresLeasesAtOnce: cancelling a distributed job retires
+// its outstanding leases before Cancel returns, so a worker's next
+// report or renewal answers ErrLeaseGone and no shard of the job is
+// granted again — however late the job's run notices the cancellation.
+func TestCancelRetiresLeasesAtOnce(t *testing.T) {
+	m := newTestManager(t, nil, ManagerOptions{Workers: 1, LeaseSystems: 1, LeaseTTL: 10 * time.Second})
+	job := submitDistributed(t, m, 2)
+	g, err := m.ClaimLease("w1")
+	if err != nil || g == nil {
+		t.Fatalf("claim: %v, %v", g, err)
+	}
+	if _, err := m.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CompleteLease(g.LeaseID, "w1", nil, "reporting into a cancelled job"); !errors.Is(err, ErrLeaseGone) {
+		t.Errorf("failure report after Cancel: %v, want ErrLeaseGone", err)
+	}
+	if _, err := m.RenewLease(g.LeaseID, "w1"); !errors.Is(err, ErrLeaseGone) {
+		t.Errorf("renewal after Cancel: %v, want ErrLeaseGone", err)
+	}
+	if g2, err := m.ClaimLease("w2"); g2 != nil || err != nil {
+		t.Errorf("claim after Cancel: %+v, %v, want nothing to claim", g2, err)
+	}
+	waitStatus(t, m, job.ID, StatusCancelled)
+}
+
 // TestCompleteLeasePayloadMismatch: a record count that does not match
 // the shard range, or a record describing another system than the one
 // leased at its position (node count and seed of a synthesised

@@ -646,6 +646,12 @@ func (m *Manager) cancelJob(id string) (snap Job, evict bool, err error) {
 		if j.cancel != nil {
 			j.cancel()
 		}
+		// Retire the job's leases now, not when its run wakes up: a
+		// worker report that arrives first would otherwise count as a
+		// shard failure and re-queue a shard of a cancelled job.
+		if lj := m.leaseJobs[id]; lj != nil {
+			m.dropLeaseJobLocked(lj)
+		}
 		// Write-ahead cancellation intent: if the process dies during
 		// the cooperative drain, replay must not resurrect the job.
 		// Appended while still holding the manager lock — cancels are

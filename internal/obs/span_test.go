@@ -313,6 +313,27 @@ func TestSpanStoreEviction(t *testing.T) {
 	}
 }
 
+// TestSpanStoreFullTraceEvictedByNeighbour: when the shard budget is
+// the per-trace bound (MaxSpans/16 below it), a trace at that bound
+// fills its shard, and one span of any other trace in the same shard
+// evicts it; with room for both, it stays.
+func TestSpanStoreFullTraceEvictedByNeighbour(t *testing.T) {
+	full, neighbour := TraceID{1}, TraceID{1 + spanShards} // one shard
+	for _, tc := range []struct {
+		maxSpans int
+		kept     bool
+	}{{64, false}, {16 * 1024, true}} {
+		store := NewSpanStore(SpanStoreOptions{MaxSpans: tc.maxSpans, MaxSpansPerTrace: 512})
+		for i := 0; i < 600; i++ {
+			store.add(SpanData{TraceID: full})
+		}
+		store.add(SpanData{TraceID: neighbour})
+		if _, _, ok := store.Trace(full); ok != tc.kept {
+			t.Errorf("MaxSpans %d: full trace kept = %v, want %v", tc.maxSpans, ok, tc.kept)
+		}
+	}
+}
+
 func TestSpanOTLPRoundTrip(t *testing.T) {
 	tr, store := testTracer(1, TracerOptions{})
 	_, root := tr.StartRoot(context.Background(), "root", SpanContext{})

@@ -44,8 +44,9 @@ func TestSessionAllocsPinned(t *testing.T) {
 	// count really is a pure function of the code path.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
-	// Two full passes reach steady state: the table memo is warm and
-	// the analyzer pools are filled (after the flush above).
+	// Two full passes reach steady state: the plan's table has grown
+	// to its working size and the analyzer pools are filled (after the
+	// flush above).
 	for i := 0; i < 2*len(cfgs); i++ {
 		if res, _ := sess.Eval(cfgs[i%len(cfgs)]); res == nil {
 			t.Fatalf("warmup: config %d infeasible", i%len(cfgs))

@@ -42,11 +42,11 @@ const SessionConfigCount = 31
 
 // SessionAllocsPerMix is the exact number of heap allocations one
 // steady-state evaluation session performs over one full
-// SessionConfigs mix (≈16 per candidate evaluation). Allocation
+// SessionConfigs mix (15 per candidate evaluation). Allocation
 // counts on this path are deterministic — the README quotes this
 // number and TestSessionAllocsPinned enforces it, so the claim cannot
 // drift from the code.
-const SessionAllocsPerMix = 497
+const SessionAllocsPerMix = 465
 
 // SessionConfigs builds the candidate stream of the evaluation
 // scenarios: a DYN-length sweep at fixed geometry interleaved with
@@ -137,7 +137,7 @@ func Suite() []*Scenario {
 		},
 		{
 			Name:        "eval/session",
-			Description: "one candidate evaluation through a long-lived session (reusable analyzer + table memo)",
+			Description: "one candidate evaluation through a long-lived session (reusable analyzer + plan table rebuilt in place)",
 			Unit:        "eval",
 			Serial:      true,
 			AllocWarmup: 2 * SessionConfigCount,
@@ -314,7 +314,7 @@ const sessionGeometries = 16
 
 // buildTableSetup measures the schedule-table layer alone: one
 // Plan.BuildTable per op over the mix's distinct slot geometries — the
-// tables a session builds on its memo misses.
+// build every session evaluation runs, resetting the plan's one table.
 func buildTableSetup() (func() error, func(), error) {
 	sys, err := SessionSystem()
 	if err != nil {

@@ -177,8 +177,8 @@ func refPlaceTask(cfg *flexray.Config, table *schedule.Table, trialAn *analysis.
 
 // tableDiff describes the first difference between a Plan build and a
 // reference build, or returns "" when they agree on the error text, the
-// entries, every node's busy intervals and every activity's entry
-// indices.
+// entries, every node's busy intervals, every activity's entry indices
+// and every node's supply function.
 func tableDiff(sys *model.System, got *schedule.Table, gerr error, want *schedule.Table, werr error) string {
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 		return fmt.Sprintf("error %v, reference %v", gerr, werr)
@@ -204,6 +204,38 @@ func tableDiff(sys *model.System, got *schedule.Table, gerr error, want *schedul
 		}
 		if g, w := got.MsgEntryIndices(id), want.MsgEntryIndices(id); !reflect.DeepEqual(g, w) {
 			return fmt.Sprintf("MsgEntryIndices(%d) = %v, want %v", id, g, w)
+		}
+	}
+	for n := model.NodeID(0); int(n) < sys.Platform.NumNodes; n++ {
+		if d := availDiff(got.Availability(n), want.Availability(n)); d != "" {
+			return fmt.Sprintf("Availability(%d): %s", n, d)
+		}
+	}
+	return ""
+}
+
+// availDiff compares two supply functions by their period, busy total
+// and critical-instant offsets, and by FreeIn and Advance sampled from
+// every offset, a third of a period later and one period later.
+func availDiff(got, want *schedule.Availability) string {
+	if got.Horizon() != want.Horizon() || got.TotalBusy() != want.TotalBusy() {
+		return fmt.Sprintf("horizon %v, busy %v; want %v, %v",
+			got.Horizon(), got.TotalBusy(), want.Horizon(), want.TotalBusy())
+	}
+	if g, w := got.BusyBoundaries(), want.BusyBoundaries(); !reflect.DeepEqual(g, w) {
+		return fmt.Sprintf("BusyBoundaries %v, want %v", g, w)
+	}
+	h := want.Horizon()
+	for _, b := range want.BusyBoundaries() {
+		for _, from := range []units.Time{b, b.Add(h / 3), b.Add(h)} {
+			if g, w := got.FreeIn(from, from.Add(h/2)), want.FreeIn(from, from.Add(h/2)); g != w {
+				return fmt.Sprintf("FreeIn(%v, +%v) = %v, want %v", from, h/2, g, w)
+			}
+			for _, d := range []units.Duration{1, h / 7, h} {
+				if g, w := got.Advance(from, d), want.Advance(from, d); g != w {
+					return fmt.Sprintf("Advance(%v, %v) = %v, want %v", from, d, g, w)
+				}
+			}
 		}
 	}
 	return ""
@@ -243,9 +275,12 @@ func randomGeometry(rng *rand.Rand, base *flexray.Config, nodes int) *flexray.Co
 // list scheduler: the cruise case study and synthesised systems, each
 // with one Plan reused for every build, over shuffled random slot
 // geometries (feasible and ST-infeasible ones interleaved, so a build
-// that fails mid-way precedes a successful one and the scratch reset is
-// part of the test surface), with first-fit and holistic placement.
-// Every table must equal the reference build exactly.
+// that fails mid-way precedes a successful one and the scratch and
+// table reset are part of the test surface), with first-fit and
+// holistic placement. Every table must equal the reference build
+// exactly. tableDiff queries every node's availability after each
+// build, so the next build on the Plan must mark those supply functions
+// stale and rebuild them.
 func TestPlanMatchesReference(t *testing.T) {
 	copts := core.DefaultOptions()
 	copts.DYNGridCap = 8

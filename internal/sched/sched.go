@@ -61,9 +61,10 @@ func Build(sys *model.System, cfg *flexray.Config, opts Options) (*schedule.Tabl
 
 // BuildTable runs the table-construction part of the global scheduling
 // algorithm without the final holistic analysis, through a single-use
-// Plan. Callers that build many tables for one system (core.Session,
-// and through it the campaign engine workers) keep a Plan instead;
-// Build is BuildTable plus one fresh analysis.
+// Plan, so the caller owns the returned table. Callers that build many
+// tables for one system (core.Session, and through it the campaign
+// engine workers) keep a Plan instead; Build is BuildTable plus one
+// fresh analysis.
 func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule.Table, error) {
 	return NewPlan(sys).BuildTable(cfg, opts)
 }
@@ -82,8 +83,9 @@ type planNode struct {
 
 // Plan is the compiled form of the list scheduler for one system. Its
 // node arrays are immutable after NewPlan; the asap, pend and ready
-// scratch is reset by every BuildTable, so one Plan serves any number
-// of builds. A Plan is not safe for concurrent use.
+// scratch and the schedule table are reset by every BuildTable, so one
+// Plan serves any number of builds without allocating. A Plan is not
+// safe for concurrent use.
 type Plan struct {
 	sys     *model.System
 	horizon units.Duration
@@ -104,6 +106,9 @@ type Plan struct {
 	asap  []units.Time
 	pend  []int32
 	ready []int32 // binary min-heap under before
+
+	// table is the schedule table every build resets and fills.
+	table *schedule.Table
 }
 
 // NewPlan compiles the list scheduler for one system.
@@ -179,20 +184,21 @@ func NewPlan(sys *model.System) *Plan {
 }
 
 // BuildTable runs the list-scheduling loop of Fig. 2 for one bus
-// configuration and returns the finished static schedule table.
-//
-// With PlacementCandidates <= 1 (plain first-fit) the resulting table
-// depends only on the slot geometry — static slot length, count,
-// owners, and the dynamic segment length — never on the FrameID
-// assignment, which is what makes schedule-table reuse across FrameID
-// moves sound.
+// configuration and returns the finished static schedule table. The
+// Plan owns the table and rebuilds it in place: it stays valid only
+// until the next BuildTable on the same Plan.
 func (p *Plan) BuildTable(cfg *flexray.Config, opts Options) (*schedule.Table, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
 	app := &p.sys.App
-	table := schedule.New(cfg, p.horizon)
-	table.Reserve(p.tasks, p.msgs)
+	if p.table == nil {
+		p.table = schedule.New(cfg, p.horizon)
+		p.table.Reserve(p.tasks, p.msgs)
+	} else {
+		p.table.Reset(cfg)
+	}
+	table := p.table
 
 	for i := range p.nodes {
 		p.asap[i] = p.nodes[i].release

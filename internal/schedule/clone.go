@@ -7,7 +7,9 @@ import (
 
 // Clone deep-copies the table. The global scheduling algorithm clones
 // tables to evaluate alternative placements of an SCS task against the
-// holistic analysis before committing one (Fig. 2 line 11).
+// holistic analysis before committing one (Fig. 2 line 11). The clone
+// shares no buffer with the original, so a Reset of either leaves the
+// other intact.
 func (t *Table) Clone() *Table {
 	return &Table{
 		Cfg:      t.Cfg,
@@ -18,9 +20,7 @@ func (t *Table) Clone() *Table {
 		taskAt:   cloneEach(t.taskAt),
 		msgAt:    cloneEach(t.msgAt),
 		slotUsed: maps.Clone(t.slotUsed),
-		// The per-node slot lists derive from the shared Cfg and are
-		// never modified, so the clone shares them.
-		slots: slices.Clone(t.slots),
+		slots:    cloneEach(t.slots),
 		// The availability memo is intentionally NOT shared: the
 		// clone exists to be mutated, and clone-side invalidation
 		// must never poison (or race with) the original's memo.

@@ -10,6 +10,7 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -72,13 +73,13 @@ type Table struct {
 	msgAt    [][]int                    // indices into Msgs
 	slotUsed map[slotKey]units.Duration // packed payload per slot instance
 
-	// slots[n] lists the static slots node n owns, ascending; it is
-	// derived from Cfg on the node's first message placement (nil: not
-	// yet derived).
+	// slots[n] lists the static slots node n owns, ascending, derived
+	// from Cfg by Reset.
 	slots [][]int
 
-	// avail memoises the per-node supply functions; PlaceTask
-	// invalidates the touched node. The memo makes Availability — and
+	// avail memoises the per-node supply functions; Reset and
+	// PlaceTask mark them stale, and a stale one is rebuilt into its
+	// own buffers on the next query. The memo makes Availability — and
 	// with it a Table — unsafe for concurrent use; the evaluation
 	// sessions pin each table to one goroutine.
 	avail []*Availability
@@ -87,7 +88,43 @@ type Table struct {
 // New returns an empty table for the given bus configuration and
 // horizon.
 func New(cfg *flexray.Config, horizon units.Duration) *Table {
-	return &Table{Cfg: cfg, Horizon: horizon}
+	t := &Table{Horizon: horizon}
+	t.Reset(cfg)
+	return t
+}
+
+// Reset empties the table and rebinds it to cfg, keeping the backing
+// arrays of every list and index, so a builder that reuses one table
+// places its entries without allocating. Supply functions handed out
+// before Reset describe the new, empty table after it.
+func (t *Table) Reset(cfg *flexray.Config) {
+	t.Cfg = cfg
+	t.Tasks = t.Tasks[:0]
+	t.Msgs = t.Msgs[:0]
+	truncateEach(t.nodeBusy)
+	truncateEach(t.taskAt)
+	truncateEach(t.msgAt)
+	clear(t.slotUsed)
+	truncateEach(t.slots)
+	for i, o := range cfg.StaticSlotOwner {
+		if o >= 0 { // an invalid owner owns nothing
+			t.slots = grow(t.slots, int(o))
+			t.slots[o] = append(t.slots[o], i+1)
+		}
+	}
+	for _, av := range t.avail {
+		if av != nil {
+			av.stale = true
+		}
+	}
+}
+
+// truncateEach empties every list of a dense index, keeping the lists'
+// backing arrays.
+func truncateEach[T any](s [][]T) {
+	for i := range s {
+		s[i] = s[i][:0]
+	}
 }
 
 // Reserve makes room for the given numbers of further task and message
@@ -129,13 +166,18 @@ func (t *Table) PlaceTask(act model.ActID, instance int, node model.NodeID, star
 		return fmt.Errorf("schedule: task %d overlaps busy interval [%v,%v) on node %d",
 			act, busy[i].Start, busy[i].End, node)
 	}
+	// Insert by hand: slices.Insert allocates once per call when
+	// inlined under PGO, even with spare capacity.
+	busy = append(busy, Interval{})
+	copy(busy[i+1:], busy[i:])
+	busy[i] = iv
 	t.nodeBusy = grow(t.nodeBusy, int(node))
-	t.nodeBusy[node] = slices.Insert(busy, i, iv)
+	t.nodeBusy[node] = busy
 	t.Tasks = append(t.Tasks, TaskEntry{act, instance, node, iv.Start, iv.End})
 	t.taskAt = grow(t.taskAt, int(act))
 	t.taskAt[act] = append(t.taskAt[act], len(t.Tasks)-1)
-	if int(node) < len(t.avail) {
-		t.avail[node] = nil // the node's supply function changed
+	if av := at(t.avail, int(node)); av != nil {
+		av.stale = true // the node's supply function changed
 	}
 	return nil
 }
@@ -191,7 +233,7 @@ func (t *Table) Gaps(node model.NodeID, earliest units.Time, c units.Duration, m
 // has room left for packing. It returns the resulting entry.
 func (t *Table) PlaceMessage(app *model.Application, m model.ActID, instance int, ready units.Time) (MsgEntry, error) {
 	a := app.Act(m)
-	slots := t.slotsOf(a.Node)
+	slots := at(t.slots, int(a.Node))
 	if len(slots) == 0 {
 		return MsgEntry{}, fmt.Errorf("schedule: node %d of ST message %q owns no static slot", a.Node, a.Name)
 	}
@@ -238,22 +280,6 @@ func (t *Table) PlaceMessage(app *model.Application, m model.ActID, instance int
 		}
 	}
 	return MsgEntry{}, fmt.Errorf("schedule: no slot instance for ST message %q after %v", a.Name, ready)
-}
-
-// slotsOf returns the static slots node n owns, as Cfg.SlotsOfNode
-// does, computed once per node and table.
-func (t *Table) slotsOf(n model.NodeID) []int {
-	t.slots = grow(t.slots, int(n))
-	if t.slots[n] == nil {
-		s := []int{} // non-nil: computed, possibly empty
-		for i, o := range t.Cfg.StaticSlotOwner {
-			if o == n {
-				s = append(s, i+1)
-			}
-		}
-		t.slots[n] = s
-	}
-	return t.slots[n]
 }
 
 // TaskEntries returns the table entries of one SCS task (all
@@ -305,16 +331,17 @@ func (t *Table) SlotContent(cycle int64, slot int) []MsgEntry {
 	return out
 }
 
-// foldedBusy returns the node's busy intervals folded into [0,
-// Horizon): intervals that cross the horizon are split and wrapped.
-// The static schedule is periodic with the hyper-period, so FPS
+// foldedBusy writes the node's busy intervals folded into [0,
+// Horizon) into dst, reusing its backing array: intervals that cross the
+// horizon are split and wrapped, then sorted and merged in place. The
+// static schedule is periodic with the hyper-period, so FPS
 // availability queries see this folded, repeating pattern.
-func (t *Table) foldedBusy(node model.NodeID) []Interval {
+func (t *Table) foldedBusy(node model.NodeID, dst []Interval) []Interval {
+	dst = dst[:0]
 	if t.Horizon <= 0 {
-		return slices.Clone(t.Busy(node))
+		return append(dst, t.Busy(node)...)
 	}
 	h := int64(t.Horizon)
-	var folded []Interval
 	for _, iv := range t.Busy(node) {
 		s, e := int64(iv.Start), int64(iv.End)
 		for s < e {
@@ -323,14 +350,15 @@ func (t *Table) foldedBusy(node model.NodeID) []Interval {
 			if fs+span > h {
 				span = h - fs
 			}
-			folded = append(folded, Interval{units.Time(fs), units.Time(fs + span)})
+			dst = append(dst, Interval{units.Time(fs), units.Time(fs + span)})
 			s += span
 		}
 	}
-	sort.Slice(folded, func(i, j int) bool { return folded[i].Start < folded[j].Start })
-	// Merge: wrapping can create adjacency or overlap.
-	var merged []Interval
-	for _, iv := range folded {
+	slices.SortFunc(dst, func(a, b Interval) int { return cmp.Compare(a.Start, b.Start) })
+	// Merge: wrapping can create adjacency or overlap. The merged
+	// prefix never outruns the read position.
+	merged := dst[:0]
+	for _, iv := range dst {
 		if n := len(merged); n > 0 && iv.Start <= merged[n-1].End {
 			if iv.End > merged[n-1].End {
 				merged[n-1].End = iv.End
@@ -356,38 +384,49 @@ type Availability struct {
 	// once: the response-time analysis queries them for every FPS task
 	// on every fixpoint iteration.
 	boundaries []units.Time
+	// stale marks a supply function whose node the table has changed
+	// since it was built (Reset, PlaceTask); the next query rebuilds it
+	// in place.
+	stale bool
 }
 
 // Availability returns the supply function for one node, memoised on
-// the table (PlaceTask invalidates the touched node). The memo makes
-// this method unsafe for concurrent use.
+// the table (Reset and PlaceTask mark it stale, and a stale one is
+// rebuilt in place). The returned pointer stays the node's for the
+// table's lifetime. The memo makes this method unsafe for concurrent
+// use.
 func (t *Table) Availability(node model.NodeID) *Availability {
-	if av := at(t.avail, int(node)); av != nil {
+	if node < 0 {
+		return t.buildAvailability(node, &Availability{})
+	}
+	t.avail = grow(t.avail, int(node))
+	av := t.avail[node]
+	if av == nil {
+		av = &Availability{}
+		t.avail[node] = av
+	} else if !av.stale {
 		return av
 	}
-	av := t.buildAvailability(node)
-	if node >= 0 {
-		t.avail = grow(t.avail, int(node))
-		t.avail[node] = av
-	}
-	return av
+	return t.buildAvailability(node, av)
 }
 
-// buildAvailability computes the supply function of one node.
-func (t *Table) buildAvailability(node model.NodeID) *Availability {
-	av := &Availability{horizon: t.Horizon, busy: t.foldedBusy(node)}
+// buildAvailability computes the supply function of one node into av,
+// reusing av's buffers.
+func (t *Table) buildAvailability(node model.NodeID, av *Availability) *Availability {
+	av.horizon = t.Horizon
+	av.busy = t.foldedBusy(node, av.busy)
 	var acc units.Duration
-	av.busyPrefix = make([]units.Duration, len(av.busy))
-	for i, iv := range av.busy {
+	av.busyPrefix = av.busyPrefix[:0]
+	for _, iv := range av.busy {
 		acc += iv.Len()
-		av.busyPrefix[i] = acc
+		av.busyPrefix = append(av.busyPrefix, acc)
 	}
 	av.totalBusy = acc
-	av.boundaries = make([]units.Time, 0, len(av.busy)+1)
-	av.boundaries = append(av.boundaries, 0)
+	av.boundaries = append(av.boundaries[:0], 0)
 	for _, iv := range av.busy {
 		av.boundaries = append(av.boundaries, iv.Start)
 	}
+	av.stale = false
 	return av
 }
 

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -501,4 +502,95 @@ func TestBusyBoundaries(t *testing.T) {
 	if b[0] != 0 || b[1] != units.Time(100*us) || b[2] != units.Time(500*us) {
 		t.Errorf("BusyBoundaries = %v", b)
 	}
+}
+
+// TestResetMatchesNew: a table reset to another configuration and
+// refilled equals a new table filled the same way — entries, busy
+// intervals, entry indexes, slot packing and supply functions. Supply
+// functions queried before the Reset must not survive it (node 0 is
+// queried again before the refill places anything on it), nor a later
+// PlaceTask on their node. A clone taken before the Reset keeps its
+// contents and its slot lists.
+func TestResetMatchesNew(t *testing.T) {
+	sys := msgSystem(t, 3, 40*us)
+	msgs := sys.App.Messages(int(model.ST))
+	fill := func(tb *Table, node model.NodeID, shift units.Time) {
+		t.Helper()
+		if err := tb.PlaceTask(0, 0, node, shift, 100*us); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.PlaceTask(1, 0, node, shift.Add(300*us), 50*us); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			if _, err := tb.PlaceMessage(&sys.App, m, 0, shift); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	same := func(what string, got, want *Table) {
+		t.Helper()
+		if !slices.Equal(got.Tasks, want.Tasks) || !slices.Equal(got.Msgs, want.Msgs) {
+			t.Fatalf("%s: entries differ\n got %+v %+v\nwant %+v %+v", what, got.Tasks, got.Msgs, want.Tasks, want.Msgs)
+		}
+		for n := model.NodeID(0); n < 2; n++ {
+			if !slices.Equal(got.Busy(n), want.Busy(n)) {
+				t.Fatalf("%s: Busy(%d) = %v, want %v", what, n, got.Busy(n), want.Busy(n))
+			}
+			if g, w := got.Availability(n), want.Availability(n); !sameAvailability(g, w) {
+				t.Fatalf("%s: Availability(%d) = %+v, want %+v", what, n, g, w)
+			}
+		}
+		for a := range sys.App.Acts {
+			id := model.ActID(a)
+			if !slices.Equal(got.TaskEntryIndices(id), want.TaskEntryIndices(id)) ||
+				!slices.Equal(got.MsgEntryIndices(id), want.MsgEntryIndices(id)) {
+				t.Fatalf("%s: entry indexes of activity %d differ", what, id)
+			}
+		}
+		for slot := 1; slot <= 2; slot++ {
+			if g, w := got.SlotContent(0, slot), want.SlotContent(0, slot); !slices.Equal(g, w) {
+				t.Fatalf("%s: SlotContent(0, %d) = %v, want %v", what, slot, g, w)
+			}
+		}
+	}
+
+	tb := New(cfg2(), units.Duration(1*ms))
+	fill(tb, 0, 0)
+	tb.Availability(0)
+	tb.Availability(1)
+	cl := tb.Clone()
+
+	swapped := cfg2()
+	swapped.StaticSlotOwner = []model.NodeID{1, 0}
+	tb.Reset(swapped)
+	same("reset", tb, New(swapped, units.Duration(1*ms)))
+
+	fill(tb, 1, units.Time(200*us))
+	want := New(swapped, units.Duration(1*ms))
+	fill(want, 1, units.Time(200*us))
+	same("refill", tb, want)
+	for _, x := range []*Table{tb, want} {
+		if err := x.PlaceTask(2, 0, 1, units.Time(600*us), 100*us); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("placement after query", tb, want)
+
+	orig := New(cfg2(), units.Duration(1*ms))
+	fill(orig, 0, 0)
+	same("clone", cl, orig)
+	for _, x := range []*Table{cl, orig} {
+		if _, err := x.PlaceMessage(&sys.App, msgs[0], 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("placement on the clone", cl, orig)
+}
+
+// sameAvailability compares two supply functions field by field.
+func sameAvailability(a, b *Availability) bool {
+	return a.horizon == b.horizon && a.totalBusy == b.totalBusy &&
+		slices.Equal(a.busy, b.busy) && slices.Equal(a.busyPrefix, b.busyPrefix) &&
+		slices.Equal(a.boundaries, b.boundaries)
 }

@@ -32,7 +32,7 @@ var fuzzPortfolio = []func(*model.System, core.Options) (*core.Result, error){
 func FuzzSimulationNeverExceedsAnalysis(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64) {
 		sys, cfg, ana, res := fuzzInput(t, nodes, seed, algo, perturb)
-		checkTrace(t, cfg, res.Trace)
+		checkTrace(t, sys, cfg, res.Trace)
 		if !ana.Converged {
 			return // the jitter fixpoint stopped early: no bounds to hold
 		}

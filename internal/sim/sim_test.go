@@ -87,17 +87,27 @@ func TestTraceInvariants(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Trace = true
 	opts.TraceCap = 100000
-	_, cfg, res, _ := pipeline(t, 3, 88, opts)
-	checkTrace(t, cfg, res.Trace)
+	sys, cfg, res, _ := pipeline(t, 3, 88, opts)
+	checkTrace(t, sys, cfg, res.Trace)
 }
 
 // checkTrace asserts the bus-level invariants of a dynamic-segment
-// trace: no empty or overlapping events, every event inside the
-// dynamic segment of its cycle, and unused slots exactly one minislot
-// long.
-func checkTrace(t *testing.T, cfg *flexray.Config, trace []TraceEvent) {
+// trace, the ones the FocusST specification of FlexRay (Spichkova)
+// states for the dynamic segment:
+//   - no empty or overlapping events, every event inside the dynamic
+//     segment of its cycle, and unused slots exactly one minislot long;
+//   - every event starts on the minislot grid of its cycle's dynamic
+//     segment and lasts a whole number of minislots;
+//   - FrameIDs strictly increase within a cycle, so each dynamic slot
+//     carries at most one frame per cycle;
+//   - a frame carries one message of its FrameID, lasts exactly
+//     SizeInMinislots(C) minislots, and satisfies the latest-transmit
+//     rule (cfg.FitsAt) at its starting minislot.
+func checkTrace(t *testing.T, sys *model.System, cfg *flexray.Config, trace []TraceEvent) {
 	t.Helper()
 	var prevEnd units.Time
+	prevCycle, prevFid := int64(-1), 0
+	ml := units.Time(cfg.MinislotLen)
 	for i, e := range trace {
 		if e.End <= e.Start {
 			t.Fatalf("trace %d: empty interval [%v,%v)", i, e.Start, e.End)
@@ -113,8 +123,33 @@ func checkTrace(t *testing.T, cfg *flexray.Config, trace []TraceEvent) {
 			t.Fatalf("trace %d: event [%v,%v) outside DYN segment [%v,%v)",
 				i, e.Start, e.End, dynStart, dynEnd)
 		}
-		if e.Kind == TraceMinislot && e.End-e.Start != units.Time(cfg.MinislotLen) {
+		if e.Kind == TraceMinislot && e.End-e.Start != ml {
 			t.Fatalf("trace %d: minislot of length %v", i, e.End-e.Start)
+		}
+		off, dur := e.Start-dynStart, e.End-e.Start
+		if off%ml != 0 || dur%ml != 0 {
+			t.Fatalf("trace %d: event [%v,%v) off the %v minislot grid of the DYN segment at %v",
+				i, e.Start, e.End, cfg.MinislotLen, dynStart)
+		}
+		if e.Cycle == prevCycle && e.Slot <= prevFid {
+			t.Fatalf("trace %d: FrameID %d follows FrameID %d in cycle %d", i, e.Slot, prevFid, e.Cycle)
+		}
+		prevCycle, prevFid = e.Cycle, e.Slot
+		if e.Kind != TraceDYN {
+			continue
+		}
+		if len(e.Acts) != 1 {
+			t.Fatalf("trace %d: frame carries %d messages", i, len(e.Acts))
+		}
+		m := e.Acts[0]
+		if fid := cfg.FrameID[m]; fid != e.Slot {
+			t.Fatalf("trace %d: message %d with FrameID %d sent in dynamic slot %d", i, m, fid, e.Slot)
+		}
+		if size := cfg.SizeInMinislots(sys.App.Act(m).C); int(dur/ml) != size {
+			t.Fatalf("trace %d: frame of message %d lasts %d minislots, want %d", i, m, dur/ml, size)
+		}
+		if start := int(off/ml) + 1; !cfg.FitsAt(&sys.App, m, start) {
+			t.Fatalf("trace %d: frame of message %d starts at minislot %d, past its latest transmit", i, m, start)
 		}
 	}
 }
