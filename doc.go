@@ -55,9 +55,13 @@
 // depend on change (DYN interference environments survive any change
 // that keeps the FrameID assignment and minislot length; availability
 // functions are memoised on the schedule table itself), and whose
-// fixpoint scratch buffers are pooled across runs. A session also
-// compiles the list scheduler once and rebuilds one schedule table in
-// place for every candidate, so a table build does not allocate.
+// fixpoint scratch buffers are pooled across runs. Inside one analysis
+// run, each response window (FPS busy window, DYN Eq. (3) fixpoint) is
+// reused across jitter-propagation passes until the jitter of one of
+// its interferers changes; nothing of it survives the run. A session
+// also compiles the list scheduler once and rebuilds one schedule
+// table in place for every candidate, so a table build does not
+// allocate.
 // Sessions are bit-identical to the from-scratch pipeline —
 // BuildSchedule plus a single-use analyzer — which the test-suite pins
 // by replaying shuffled candidate streams of all four algorithms

@@ -8,6 +8,7 @@
 package analysis
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/flexray"
@@ -81,6 +82,13 @@ type Result struct {
 // it returns — and the fixpoint walks contiguous memory instead of
 // chasing pointers through maps.
 //
+// Within one Run, each event-triggered activity's jitter-free response
+// window (the FPS busy window, the DYN Eq. (3) fixpoint) is cached and
+// recomputed only when the jitter of one of its interferers has changed
+// since the window was computed: change stamps on the jitters and on
+// the windows decide. The stamps are cleared at the start of every Run,
+// so no window outlives the Run (or the Reset) that computed it.
+//
 // An Analyzer is not safe for concurrent use; give each goroutine its
 // own.
 type Analyzer struct {
@@ -121,6 +129,22 @@ type Analyzer struct {
 	r   []units.Duration
 	j   []units.Duration
 	has []bool
+
+	// win caches the jitter-free response window of each ET activity:
+	// the FPS busy window, or SatAdd(w, C) of a DYN message (winSat
+	// marks a DYN window saturated at the divergence cap, whose
+	// response is the cap whatever the jitter). jStamp[id] is the step
+	// at which Run last changed j[id]; winStamp[id] the step at which
+	// win[id] was computed (0: not in this Run). A window is valid
+	// while no interferer's jStamp is newer than its winStamp. The
+	// arrays are carved from slabs NewReusable allocates anyway (r/j/win
+	// share one, the stamps share hpStart's, winSat shares has'), so
+	// the cache adds no allocation.
+	win      []units.Duration
+	winSat   []bool
+	jStamp   []int32
+	winStamp []int32
+	step     int32
 
 	// --- config-derived flat DYN state ---
 
@@ -187,8 +211,9 @@ func NewReusable(sys *model.System, opts Options) *Analyzer {
 	// FPS priority runs: group per node, sort each run by descending
 	// priority (ties by id), concatenate, and record per task the
 	// subrange of strictly higher-priority predecessors in its run.
-	a.hpStart = make([]int32, n)
-	a.hpEnd = make([]int32, n)
+	i32 := make([]int32, 4*n)
+	a.hpStart, a.hpEnd = i32[:n:n], i32[n:2*n:2*n]
+	a.jStamp, a.winStamp = i32[2*n:3*n:3*n], i32[3*n:]
 	byNode := make([][]model.ActID, sys.Platform.NumNodes)
 	for _, id := range app.Tasks(int(model.FPS)) {
 		nd := app.Act(id).Node
@@ -216,9 +241,10 @@ func NewReusable(sys *model.System, opts Options) *Analyzer {
 		a.fpsOrder = append(a.fpsOrder, ids...)
 	}
 
-	a.r = make([]units.Duration, n)
-	a.j = make([]units.Duration, n)
-	a.has = make([]bool, n)
+	dur := make([]units.Duration, 3*n)
+	a.r, a.j, a.win = dur[:n:n], dur[n:2*n:2*n], dur[2*n:]
+	flags := make([]bool, 2*n)
+	a.has, a.winSat = flags[:n:n], flags[n:]
 
 	a.dynMsgs = app.Messages(int(model.DYN))
 	a.dynIdx = make([]int32, n)
@@ -246,7 +272,12 @@ func NewReusable(sys *model.System, opts Options) *Analyzer {
 //     reuse it untouched;
 //   - availability functions live on the table itself (schedule.Table
 //     memoises them per node and invalidates on mutation), so they
-//     follow the table through any rebinding.
+//     follow the table through any rebinding;
+//   - the per-activity response windows never survive: Run clears
+//     their change stamps before the fixpoint starts, so a window
+//     computed under one (configuration, table) pair — or under an
+//     earlier state of a table the global scheduler is still filling —
+//     is never reused.
 //
 // Invalidation compares value snapshots, not pointer identity, so
 // mutating a configuration in place and Resetting it again is safe;
@@ -337,24 +368,25 @@ func (a *Analyzer) HigherPriorityFPS(t model.ActID) []model.ActID {
 	return a.fpsOrder[a.hpStart[t]:a.hpEnd[t]]
 }
 
-// cap returns the divergence bound for an activity.
-func (a *Analyzer) cap(id model.ActID) units.Duration {
-	return a.capD[id]
-}
-
 // Run performs the holistic analysis: response times of TT activities
 // come from the schedule table; ET activities are analysed iteratively
 // with jitter propagation along the precedence edges until a fixpoint
 // (Section 5: "the interference from the SCS activities" is part of
 // both the FPS and the DYN analysis). The iteration state lives in the
 // analyzer's dense r/j arrays; the Result maps are materialised once at
-// the end.
+// the end. An activity's response window is recomputed only when an
+// interferer's jitter changed since the window was last computed; its
+// own jitter enters only in the final sum, so the cached window gives
+// the same response a recomputation would.
 func (a *Analyzer) Run() *Result {
 	app := &a.sys.App
 	res := &Result{Converged: true}
 	clear(a.r)
 	clear(a.j)
 	clear(a.has)
+	clear(a.jStamp)
+	clear(a.winStamp)
+	a.step = 0
 
 	// Static part: schedule-table derived responses.
 	for i := range app.Acts {
@@ -395,6 +427,9 @@ func (a *Analyzer) Run() *Result {
 				} else {
 					r = a.dynResponse(act, j)
 				}
+				if a.j[id] != j {
+					a.jStamp[id] = a.nextStep()
+				}
 				if a.j[id] != j || a.r[id] != r {
 					a.j[id] = j
 					a.r[id] = r
@@ -414,6 +449,34 @@ func (a *Analyzer) Run() *Result {
 
 	a.finish(res)
 	return res
+}
+
+// nextStep advances the change-stamp clock of the window cache. Should
+// it ever reach the int32 limit, every stamp is cleared instead, which
+// only forces the windows to be recomputed.
+func (a *Analyzer) nextStep() int32 {
+	if a.step == math.MaxInt32 {
+		clear(a.jStamp)
+		clear(a.winStamp)
+		a.step = 0
+	}
+	a.step++
+	return a.step
+}
+
+// windowValid reports whether id's cached window was computed in this
+// Run after the last jitter change of every activity in interferers.
+func (a *Analyzer) windowValid(id model.ActID, interferers []model.ActID) bool {
+	at := a.winStamp[id]
+	if at == 0 {
+		return false
+	}
+	for _, h := range interferers {
+		if a.jStamp[h] > at {
+			return false
+		}
+	}
+	return true
 }
 
 // releaseJitter computes the release jitter of an ET activity: the

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -542,5 +543,30 @@ func TestResetMatchesFresh(t *testing.T) {
 			t.Fatalf("step %d: cost/schedulable = %v/%v, want %v/%v",
 				i, got.Cost, got.Schedulable, want.Cost, want.Schedulable)
 		}
+	}
+}
+
+// TestStepWrapInvalidatesWindows pins the int32 stamp clock's wrap: the
+// step after math.MaxInt32 clears every stamp, so every cached window
+// reads as stale and is recomputed rather than trusted.
+func TestStepWrapInvalidatesWindows(t *testing.T) {
+	sys, cfg := fig4System(t)
+	a := newAnalyzer(t, sys, cfg)
+	a.Run()
+	m2 := actID(t, sys, "m2")
+	if !a.dynWindowValid(m2) {
+		t.Fatal("window of m2 not valid after Run")
+	}
+	a.step = math.MaxInt32
+	if got := a.nextStep(); got != 1 {
+		t.Fatalf("step after the wrap = %d, want 1", got)
+	}
+	for id, at := range a.winStamp {
+		if at != 0 || a.jStamp[id] != 0 {
+			t.Fatalf("activity %d keeps stamps %d/%d across the wrap", id, at, a.jStamp[id])
+		}
+	}
+	if a.dynWindowValid(m2) {
+		t.Error("window of m2 still valid after the wrap")
 	}
 }

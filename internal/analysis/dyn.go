@@ -19,20 +19,75 @@ import (
 // in which transmission is impossible (higher-priority local messages
 // occupying the slot, or lower-FrameID interference pushing the
 // minislot counter past the latest transmission start); w'm is the
-// delay inside the final cycle until transmission starts.
+// delay inside the final cycle until transmission starts. The window
+// wm depends on the jitters of hp(m) and lf(m) but not on Jm, so it is
+// cached for the Run until one of theirs changes.
 func (a *Analyzer) dynResponse(act *model.Activity, jitter units.Duration) units.Duration {
+	id := act.ID
+	if !a.dynWindowValid(id) {
+		d := a.dynWindow(act)
+		a.win[id] = units.SatAdd(d.w, act.C)
+		a.winSat[id] = d.sat
+		a.winStamp[id] = a.nextStep()
+	}
+	if a.winSat[id] {
+		return a.capD[id]
+	}
+	return units.SatAdd(jitter, a.win[id])
+}
+
+// dynWindowValid is windowValid over the interferers of a DYN message:
+// its hp(m) ids and its lf(m) items. A window computed without an
+// environment (the message is never transmitted) has none.
+func (a *Analyzer) dynWindowValid(id model.ActID) bool {
+	env := &a.ar.envs[a.dynIdx[id]]
+	if !env.built {
+		return a.winStamp[id] != 0
+	}
+	if !a.windowValid(id, a.ar.hp[env.hpLo:env.hpHi]) {
+		return false
+	}
+	at := a.winStamp[id]
+	for _, it := range a.ar.lf[env.lfLo:env.lfHi] {
+		if a.jStamp[it.id] > at {
+			return false
+		}
+	}
+	return true
+}
+
+// dynTerms are the jitter-free Eq. (3) terms of one DYN message, taken
+// from the last iterate of the fixpoint: w = sigma + filled·cycle +
+// wPrime.
+type dynTerms struct {
+	sigma, cycle, wPrime, w units.Duration
+	filled                  int64
+	// sat reports a message that is never transmitted (no FrameID, no
+	// dynamic segment, or a frame that never fits) or whose window
+	// passed the divergence cap: its response is the cap itself, with
+	// neither jitter nor C added.
+	sat bool
+	// capped reports that the fixpoint stopped at its iteration cap;
+	// the response is then built from the last iterate.
+	capped bool
+}
+
+// dynWindow runs the Eq. (3) fixpoint of one DYN message with the
+// current jitters of its interferers. It is the one copy of the loop:
+// Run caches its result, ExplainDYN reports its terms.
+func (a *Analyzer) dynWindow(act *model.Activity) dynTerms {
 	di := a.dynIdx[act.ID]
 	fid := a.fids[di]
 	if fid < 0 || a.cfg.NumMinislots <= 0 {
 		// No FrameID or no dynamic segment: the message can never
 		// be transmitted under this configuration.
-		return a.capD[act.ID]
+		return dynTerms{sat: true}
 	}
 	need := a.fillNeed(act, fid, int(di))
 	if need <= 0 {
 		// Even an empty dynamic segment blocks the frame (it can
 		// never fit): permanently filled.
-		return a.capD[act.ID]
+		return dynTerms{sat: true}
 	}
 
 	env := &a.ar.envs[di]
@@ -51,25 +106,27 @@ func (a *Analyzer) dynResponse(act *model.Activity, jitter units.Duration) units
 	// σm: the message misses its earliest possible slot start in the
 	// arrival cycle and waits for the cycle to end. The earliest slot
 	// start is STbus + (fid-1) empty minislots into the cycle.
-	sigma := cycle - stBus - units.Duration(fid-1)*msLen
+	d := dynTerms{sigma: cycle - stBus - units.Duration(fid-1)*msLen, cycle: cycle}
 
 	// Fixpoint of Eq. (3): t is the window over which interfering
 	// instances are counted.
 	t := units.Duration(0)
-	var w units.Duration
 	for iter := 0; iter < 10000; iter++ {
 		filled, leftover := a.fillCycles(env, t)
-		wPrime := stBus + units.Duration(fid-1+leftover)*msLen
-		w = units.SatAdd(sigma, units.SatAdd(units.Duration(filled)*cycle, wPrime))
-		if w > bound {
-			return bound
+		d.filled = filled
+		d.wPrime = stBus + units.Duration(fid-1+leftover)*msLen
+		d.w = units.SatAdd(d.sigma, units.SatAdd(units.Duration(filled)*cycle, d.wPrime))
+		if d.w > bound {
+			d.sat = true
+			return d
 		}
-		if w <= t {
-			break
+		if d.w <= t {
+			return d
 		}
-		t = w
+		t = d.w
 	}
-	return units.SatAdd(jitter, units.SatAdd(w, act.C))
+	d.capped = true
+	return d
 }
 
 // fillNeed returns the number of *extra* minislots (beyond the one

@@ -35,11 +35,13 @@ type DYNDelay struct {
 	// Comm is Cm, the transmission time.
 	Comm units.Duration
 	// Response is the total: Jitter+Sigma+BusCycles*CycleLen+WPrime+Comm,
-	// capped at the divergence bound for unschedulable messages.
+	// or the divergence bound itself (without jitter or Comm) for a
+	// message whose window saturated — exactly the response Run
+	// reports.
 	Response units.Duration
-	// Saturated reports that the fixpoint hit the divergence cap and
-	// the breakdown describes the last iterate, not a converged
-	// worst case.
+	// Saturated reports that the fixpoint hit the divergence cap (or
+	// its iteration cap) and the breakdown describes the last iterate,
+	// not a converged worst case.
 	Saturated bool
 }
 
@@ -55,63 +57,33 @@ func (d DYNDelay) String() string {
 
 // ExplainDYN recomputes the response time of one DYN message with the
 // converged jitters of a finished analysis and returns the Eq. (3)
-// breakdown. The second return value is false if the activity is not a
-// DYN message or has no FrameID.
+// breakdown; its Response is the one Run reported. The second return
+// value is false if the activity is not a DYN message or has no
+// FrameID.
 func (a *Analyzer) ExplainDYN(m model.ActID, res *Result) (DYNDelay, bool) {
 	act := a.sys.App.Act(m)
 	if !act.IsMessage() || act.Class != model.DYN {
 		return DYNDelay{}, false
 	}
-	di := a.dynIdx[m]
-	fid := a.fids[di]
-	if fid < 0 || a.cfg.NumMinislots <= 0 {
+	if a.fids[a.dynIdx[m]] < 0 || a.cfg.NumMinislots <= 0 {
 		return DYNDelay{}, false
-	}
-	need := a.fillNeed(act, fid, int(di))
-	if need <= 0 {
-		return DYNDelay{
-			Msg: m, Jitter: res.J[m], Comm: act.C,
-			Response: a.cap(m), Saturated: true,
-		}, true
 	}
 	// The interference instance counts read jitters from the dense
 	// iteration state; seed it from the supplied Result so the
 	// breakdown reflects exactly the analysis it explains.
 	a.loadJitters(res)
-	env := &a.ar.envs[di]
-	if !env.built {
-		a.buildEnv(int(di), act, fid)
-	}
-	env.need = need
-	cycle := a.cfg.Cycle()
-	msLen := a.cfg.MinislotLen
-	sigma := cycle - a.cfg.STBus() - units.Duration(fid-1)*msLen
-	bound := a.cap(m)
-
+	w := a.dynWindow(act)
 	d := DYNDelay{
 		Msg: m, Jitter: res.J[m],
-		Sigma: sigma, CycleLen: cycle, Comm: act.C,
+		Sigma: w.sigma, BusCycles: w.filled, CycleLen: w.cycle,
+		WPrime: w.wPrime, Comm: act.C,
+		Saturated: w.sat || w.capped,
 	}
-	t := units.Duration(0)
-	for iter := 0; iter < 10000; iter++ {
-		filled, leftover := a.fillCycles(env, t)
-		wPrime := a.cfg.STBus() + units.Duration(fid-1+leftover)*msLen
-		w := units.SatAdd(sigma, units.SatAdd(units.Duration(filled)*cycle, wPrime))
-		d.BusCycles = filled
-		d.WPrime = wPrime
-		if w > bound {
-			d.Saturated = true
-			d.Response = units.SatAdd(d.Jitter, units.SatAdd(bound, act.C))
-			return d, true
-		}
-		if w <= t {
-			d.Response = units.SatAdd(d.Jitter, units.SatAdd(w, act.C))
-			return d, true
-		}
-		t = w
+	if w.sat {
+		d.Response = a.capD[m]
+	} else {
+		d.Response = units.SatAdd(d.Jitter, units.SatAdd(w.w, act.C))
 	}
-	d.Saturated = true
-	d.Response = units.SatAdd(d.Jitter, units.SatAdd(bound, act.C))
 	return d, true
 }
 

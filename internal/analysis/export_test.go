@@ -1,6 +1,9 @@
 package analysis
 
-import "repro/internal/model"
+import (
+	"repro/internal/model"
+	"repro/internal/units"
+)
 
 // GreedyFillForTest fills one environment built from per-group extras
 // (each group sorted by extra descending, as buildEnv orders them) and
@@ -24,4 +27,69 @@ func GreedyFillForTest(need int, extras [][]int, budgets [][]int64) (int64, int,
 		start += len(budgets[g])
 	}
 	return filled, leftover, out
+}
+
+// RunFullRecomputeForTest is Run without the window cache: the jitter
+// fixpoint recomputes every FPS busy window and every DYN Eq. (3)
+// window on every pass. TestRunMatchesFullRecompute pins Run to it.
+func (a *Analyzer) RunFullRecomputeForTest() *Result {
+	app := &a.sys.App
+	res := &Result{Converged: true}
+	clear(a.r)
+	clear(a.j)
+	clear(a.has)
+	for i := range app.Acts {
+		act := &app.Acts[i]
+		if !act.IsTT() {
+			continue
+		}
+		a.r[act.ID] = a.tableResponse(act)
+		a.has[act.ID] = true
+	}
+	maxIter := a.opts.MaxOuterIter
+	if maxIter <= 0 {
+		maxIter = 64
+	}
+	for iter := 0; ; iter++ {
+		changed := false
+		for g := range app.Graphs {
+			order, err := a.topoOrder(g)
+			if err != nil {
+				a.emit(res)
+				res.Schedulable = false
+				res.Cost = 1e18
+				return res
+			}
+			for _, id := range order {
+				act := app.Act(id)
+				if act.IsTT() {
+					continue
+				}
+				j := a.releaseJitter(act)
+				var r units.Duration
+				if act.IsTask() {
+					r = units.SatAdd(j, a.fpsWindow(act))
+				} else if d := a.dynWindow(act); d.sat {
+					r = a.capD[id]
+				} else {
+					r = units.SatAdd(j, units.SatAdd(d.w, act.C))
+				}
+				if a.j[id] != j || a.r[id] != r {
+					a.j[id] = j
+					a.r[id] = r
+					a.has[id] = true
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+		if iter >= maxIter {
+			res.Converged = false
+			break
+		}
+	}
+	a.finish(res)
+	return res
 }

@@ -11,8 +11,22 @@ import (
 // schedule (Section 2), so the busy window advances through the
 // availability function of the node rather than through wall-clock
 // time; interference comes from higher-priority FPS tasks on the same
-// node, each with its own inherited jitter (ref [13]).
+// node, each with its own inherited jitter (ref [13]). The busy window
+// depends on their jitters but not on the task's own, so it is cached
+// for the Run until one of theirs changes.
 func (a *Analyzer) fpsResponse(act *model.Activity, jitter units.Duration) units.Duration {
+	id := act.ID
+	if !a.windowValid(id, a.fpsOrder[a.hpStart[id]:a.hpEnd[id]]) {
+		a.win[id] = a.fpsWindow(act)
+		a.winStamp[id] = a.nextStep()
+	}
+	return units.SatAdd(jitter, a.win[id])
+}
+
+// fpsWindow computes the longest busy window of an FPS task without its
+// own release jitter, reading the current jitters of its
+// higher-priority interferers.
+func (a *Analyzer) fpsWindow(act *model.Activity) units.Duration {
 	av := a.availability(act.Node)
 	hp := a.fpsOrder[a.hpStart[act.ID]:a.hpEnd[act.ID]]
 	bound := a.capD[act.ID]
@@ -30,7 +44,7 @@ func (a *Analyzer) fpsResponse(act *model.Activity, jitter units.Duration) units
 			break
 		}
 	}
-	return units.SatAdd(jitter, worst)
+	return worst
 }
 
 // busyWindow iterates the classic response-time recurrence

@@ -543,8 +543,8 @@ func refExactFill(env *refEnv, budgets [][]int64, nodeCap int) (int64, bool) {
 // configurations, one long-lived flat Analyzer (so Reset invalidation
 // is part of the test surface) against the retained reference
 // implementation. Every Result must match bit for bit, and the
-// Eq. (2)-(3) breakdown of every converged DYN message must reproduce
-// the analysed response exactly.
+// Eq. (2)-(3) breakdown of every DYN message, saturated or not, must
+// reproduce the analysed response exactly.
 func TestFlatAnalyzerMatchesReference(t *testing.T) {
 	copts := core.DefaultOptions()
 	copts.DYNGridCap = 8
@@ -601,7 +601,7 @@ func TestFlatAnalyzerMatchesReference(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if !d.Saturated && d.Response != got.R[m] {
+				if d.Response != got.R[m] {
 					t.Fatalf("system (%d nodes, seed %d) trial %d: ExplainDYN(%d) response %v != analysed %v",
 						tc.nodes, tc.seed, trial, m, d.Response, got.R[m])
 				}
