@@ -3,6 +3,7 @@ package analysis
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/flexray"
@@ -315,6 +316,89 @@ func TestExactFillHandComputed(t *testing.T) {
 	}
 	// Combining B with one A (3+2=5) wastes budget; exact should
 	// still find 2.
+}
+
+// TestGreedyFillBreaksTiesByFrameID pins the candidate order of
+// greedyFill on ties: equal extras are taken in FrameID (group) order.
+func TestGreedyFillBreaksTiesByFrameID(t *testing.T) {
+	// FrameIDs 1 and 2 tie at extra 2; FrameID 2 also has an item of
+	// extra 1. Need 3: FrameID 1's candidate is taken first and whole,
+	// so FrameID 2's pick comes last and is swapped for its extra-1
+	// item (2+1 = 3). One cycle fills; FrameID 2's extra-2 item is left
+	// for the final cycle. Taken the other way round, FrameID 1's pick
+	// would come last with nothing to swap to, and FrameID 2's extra-2
+	// item would be consumed instead.
+	ar, env := testArena(3, [][]lfItem{
+		{{fid: 1, id: 1, extra: 2}},
+		{{fid: 2, id: 2, extra: 2}, {fid: 2, id: 3, extra: 1}},
+	}, [][]int64{{1}, {1, 1}})
+	if got := ar.greedyFill(env); got != 1 {
+		t.Errorf("filled = %d, want 1", got)
+	}
+	if got := ar.leftoverExtras(env); got != 2 {
+		t.Errorf("leftover = %d, want 2", got)
+	}
+	if want := []int64{0, 1, 0}; !slices.Equal(ar.budget, want) {
+		t.Errorf("budgets = %v, want %v", ar.budget, want)
+	}
+
+	// 16 groups whose candidates all start tied at extra 3, with need
+	// 5. Once candidates run out, later items of extra 1-2 join the
+	// list, and more than 12 mixed candidates are ordered by FrameID on
+	// ties; an unstable sort reorders them (the standard library's
+	// pdqsort fills 29 cycles here, leaving budgets {0 2} for FrameID 1
+	// and {0 2 3} for FrameID 14).
+	ar, env = tieArena()
+	if got := ar.greedyFill(env); got != 30 {
+		t.Errorf("16 ties: filled = %d, want 30", got)
+	}
+	if got := ar.leftoverExtras(env); got != 3 {
+		t.Errorf("16 ties: leftover = %d, want 3", got)
+	}
+	// Final budgets per FrameID group: {0 3} for FrameID 1, {0 1} for
+	// FrameID 4, {0 0 3} for FrameID 14, nothing left elsewhere.
+	want := slices.Concat(
+		[]int64{0, 3}, []int64{0}, []int64{0, 0}, []int64{0, 1},
+		[]int64{0, 0}, []int64{0, 0}, []int64{0}, []int64{0},
+		[]int64{0}, []int64{0, 0}, []int64{0}, []int64{0},
+		[]int64{0}, []int64{0, 0, 3}, []int64{0}, []int64{0, 0},
+	)
+	if !slices.Equal(ar.budget, want) {
+		t.Errorf("16 ties: budgets = %v, want %v", ar.budget, want)
+	}
+}
+
+// tieArena builds the 16 FrameID groups of TestGreedyFillBreaksTiesByFrameID.
+func tieArena() (*dynArena, *flatEnv) {
+	extras := [][]int{
+		{3, 1}, {3}, {3, 2}, {3, 1}, {3, 3}, {3, 3}, {3}, {3},
+		{3}, {3, 2}, {3}, {3}, {3}, {3, 2, 1}, {3}, {3, 1},
+	}
+	budgets := [][]int64{
+		{1, 4}, {3}, {4, 3}, {4, 2}, {2, 4}, {1, 2}, {1}, {3},
+		{4}, {2, 4}, {4}, {1}, {4}, {3, 4, 3}, {1}, {4, 1},
+	}
+	groups := make([][]lfItem, len(extras))
+	for g, row := range extras {
+		for i, e := range row {
+			groups[g] = append(groups[g], lfItem{fid: g + 1, id: model.ActID(10*g + i), extra: e})
+		}
+	}
+	return testArena(5, groups, budgets)
+}
+
+// TestGreedyFillAllocatesNothing: on a warm arena the candidate list
+// reuses its slab, so greedyFill does not allocate.
+func TestGreedyFillAllocatesNothing(t *testing.T) {
+	ar, env := tieArena()
+	full := slices.Clone(ar.budget)
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(ar.budget, full)
+		ar.greedyFill(env)
+	})
+	if allocs != 0 {
+		t.Errorf("greedyFill allocates %v times per call, want 0", allocs)
+	}
 }
 
 func TestLeftoverExtrasStaysBelowNeed(t *testing.T) {

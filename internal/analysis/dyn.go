@@ -186,20 +186,15 @@ type dynArena struct {
 	lf     []lfItem
 	budget []int64
 	grp    []int32
-	// cands and picks are scratch buffers reused by pickCycle (one
-	// slot per group); exactBud is the budget copy of exactFill. All
-	// of these exist so the Eq. (3) fixpoint iterates without
-	// allocating.
+	// cands is greedyFill's candidate list (one slot per group,
+	// ordered by extra descending, then FrameID ascending); exactBud
+	// is the budget copy of exactFill. Both exist so the Eq. (3)
+	// fixpoint iterates without allocating.
 	cands    []pick
-	picks    []pick
 	exactBud []int64
-	// sorter wraps cands for sort.Sort: a pooled sort.Interface
-	// avoids the per-call closure and reflect.Swapper allocations of
-	// sort.Slice while producing the identical permutation (both run
-	// the same pdqsort).
-	sorter pickSorter
-	// lfSorter likewise wraps the freshly appended lf run for the
-	// construction-time sort.
+	// lfSorter wraps the freshly appended lf run for the
+	// construction-time sort: a pooled sort.Interface avoids the
+	// per-call closure and reflect.Swapper allocations of sort.Slice.
 	lfSorter lfItemSorter
 }
 
@@ -224,18 +219,6 @@ func (ar *dynArena) groupBounds(e *flatEnv, g int) (int, int) {
 	}
 	return start, int(ar.grp[int(e.grpLo)+g])
 }
-
-// pickSorter sorts picks by descending extra, exactly like the
-// sort.Slice call it replaces. Its tie order among equal extras is
-// pdqsort's, which is not stable above 12 elements; the pinned costs
-// depend on that order, which is why pickCycle re-sorts the whole
-// candidate list after each run instead of re-positioning the one
-// candidate that changed.
-type pickSorter struct{ s []pick }
-
-func (p *pickSorter) Len() int           { return len(p.s) }
-func (p *pickSorter) Less(i, j int) bool { return p.s[i].extra > p.s[j].extra }
-func (p *pickSorter) Swap(i, j int)      { p.s[i], p.s[j] = p.s[j], p.s[i] }
 
 type lfItem struct {
 	fid   int // FrameID of the interfering message
@@ -375,32 +358,104 @@ func (a *Analyzer) fillCycles(env *flatEnv, t units.Duration) (filled int64, lef
 	return hpFill + lfFill, leftover
 }
 
-// greedyFill fills cycles in runs. Each cycle's picks (pickCycle) take,
-// from each FrameID group in descending-extra order, the largest-extra
-// item with remaining budget until the need is met, then swap the last
-// pick for the smallest item that still meets the need (saving large
-// extras for later cycles). Those picks cannot change until one of
-// their budgets reaches zero — a group's candidate is its first item
-// with budget left, the swap target the first item from the group's end
-// that still meets the need — so the run of k identical cycles, k the
-// smallest pick budget, is filled in one step. The result equals
-// filling one cycle at a time. Budgets are consumed in place.
+// greedyFill fills cycles in runs from one candidate list per call. A
+// group's candidate is its first item with budget left (its largest
+// extra; groups are sorted by extra descending). The list holds one
+// candidate per group, ordered by extra descending and then by group
+// ordinal, i.e. FrameID, ascending — the order in which the dynamic
+// segment serves equal claims. Each cycle takes the list's prefix until
+// the need is met, then swaps the last pick for the smallest later item
+// of its group that still meets the need (saving large extras for later
+// cycles). Those picks cannot change until one of their budgets reaches
+// zero, so the run of k identical cycles, k the smallest pick budget,
+// is filled in one step; a candidate it exhausts then moves to its
+// group's next budgeted item, shifted right to its place, or leaves the
+// list. The result equals filling one cycle at a time. Budgets are
+// consumed in place.
 func (ar *dynArena) greedyFill(env *flatEnv) int64 {
+	// Build the list by insertion: groups arrive in ordinal order, so
+	// a new candidate only passes strictly smaller extras.
+	cands := ar.cands[:0]
+	for g := 0; g < ar.groups(env); g++ {
+		start, end := ar.groupBounds(env, g)
+		if i := ar.firstBudgeted(start, end); i < end {
+			c := pick{g, i, ar.lf[i].extra}
+			cands = append(cands, c)
+			p := len(cands) - 1
+			for ; p > 0 && cands[p-1].extra < c.extra; p-- {
+				cands[p] = cands[p-1]
+			}
+			cands[p] = c
+		}
+	}
+	ar.cands = cands
+
 	var filled int64
 	for {
-		picks, total := ar.pickCycle(env)
+		n, total := 0, 0
+		for n < len(cands) && total < env.need {
+			total += cands[n].extra
+			n++
+		}
 		if total < env.need {
 			return filled
 		}
-		k := ar.budget[picks[0].ii]
-		for _, p := range picks[1:] {
-			k = min(k, ar.budget[p.ii])
+		// Swap target of the last pick: the smallest same-group item
+		// after it that still meets the need, or the pick itself.
+		last := cands[n-1]
+		base := total - last.extra
+		swap := last.ii
+		_, gEnd := ar.groupBounds(env, last.gi)
+		for i := gEnd - 1; i > last.ii; i-- {
+			if ar.budget[i] > 0 && base+ar.lf[i].extra >= env.need {
+				swap = i
+				break
+			}
 		}
-		for _, p := range picks {
-			ar.budget[p.ii] -= k
+		k := ar.budget[swap]
+		for _, c := range cands[:n-1] {
+			k = min(k, ar.budget[c.ii])
+		}
+		ar.budget[swap] -= k
+		for _, c := range cands[:n-1] {
+			ar.budget[c.ii] -= k
 		}
 		filled += k
+		// Re-position exhausted candidates from the back, so the part
+		// of the list after each one is already in order. A
+		// swapped-away last candidate kept its budget.
+		for p := n - 1; p >= 0; p-- {
+			c := &cands[p]
+			if ar.budget[c.ii] > 0 {
+				continue
+			}
+			_, gEnd := ar.groupBounds(env, c.gi)
+			next := ar.firstBudgeted(c.ii+1, gEnd)
+			if next == gEnd {
+				cands = append(cands[:p], cands[p+1:]...)
+				continue
+			}
+			moved := pick{c.gi, next, ar.lf[next].extra}
+			q := p
+			for ; q+1 < len(cands); q++ {
+				o := cands[q+1]
+				if o.extra < moved.extra || (o.extra == moved.extra && o.gi > moved.gi) {
+					break
+				}
+				cands[q] = o
+			}
+			cands[q] = moved
+		}
 	}
+}
+
+// firstBudgeted returns the first lf index in [i, end) with budget
+// left, or end.
+func (ar *dynArena) firstBudgeted(i, end int) int {
+	for i < end && ar.budget[i] <= 0 {
+		i++
+	}
+	return i
 }
 
 // pick references one lf item: gi is its group ordinal within the env,
@@ -408,56 +463,6 @@ func (ar *dynArena) greedyFill(env *flatEnv) int64 {
 type pick struct {
 	gi, ii int
 	extra  int
-}
-
-// pickCycle selects at most one budgeted item per FrameID group,
-// preferring large extras, stopping once the need is reached; it then
-// minimises the final pick. It returns the picks and their total.
-func (ar *dynArena) pickCycle(env *flatEnv) ([]pick, int) {
-	// Candidate per group: the largest-extra item with budget left
-	// (groups are sorted by extra descending).
-	cands := ar.cands[:0]
-	start := int(env.lfLo)
-	for g := 0; g < int(env.grpHi-env.grpLo); g++ {
-		end := int(ar.grp[int(env.grpLo)+g])
-		for i := start; i < end; i++ {
-			if ar.budget[i] > 0 {
-				cands = append(cands, pick{g, i, ar.lf[i].extra})
-				break
-			}
-		}
-		start = end
-	}
-	ar.cands = cands
-	ar.sorter.s = cands
-	sort.Sort(&ar.sorter)
-
-	picks := ar.picks[:0]
-	total := 0
-	for _, c := range cands {
-		if total >= env.need {
-			break
-		}
-		picks = append(picks, c)
-		total += c.extra
-	}
-	ar.picks = picks
-	if total < env.need {
-		return nil, total
-	}
-	// Swap the last pick for the smallest same-group item that still
-	// meets the need, to preserve large extras.
-	last := &picks[len(picks)-1]
-	base := total - last.extra
-	_, gEnd := ar.groupBounds(env, last.gi)
-	for i := gEnd - 1; i > last.ii; i-- {
-		if ar.budget[i] > 0 && base+ar.lf[i].extra >= env.need {
-			total = base + ar.lf[i].extra
-			last.ii, last.extra = i, ar.lf[i].extra
-			break
-		}
-	}
-	return picks, total
 }
 
 // leftoverExtras maximises the extra minislots placed in the final

@@ -396,7 +396,7 @@ type refPick struct {
 	extra  int
 }
 
-// refGreedyFill is the per-cycle greedy fill: one pickCycle and one
+// refGreedyFill is the per-cycle greedy fill: one refPickCycle and one
 // budget decrement per filled cycle. The flat analyzer fills whole runs
 // of identical cycles at once; TestRunLengthFillMatchesPerCycle pins it
 // to this loop.
@@ -424,7 +424,9 @@ func refPickCycle(env *refEnv, budgets [][]int64) ([]refPick, int) {
 			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].extra > cands[j].extra })
+	// Candidates arrive in group (FrameID) order; the stable sort
+	// breaks extra ties by it.
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].extra > cands[j].extra })
 	var picks []refPick
 	total := 0
 	for _, c := range cands {
@@ -615,41 +617,53 @@ func TestFlatAnalyzerMatchesReference(t *testing.T) {
 }
 
 // TestRunLengthFillMatchesPerCycle pins the run-length greedy fill to
-// the per-cycle reference over random environments: up to 24 groups
-// (so the candidate sort runs pdqsort's unstable path above 12
-// elements), 1-4 items per group, extras 1-8, budgets 0-1000 and needs
-// 1-20. The filled count, the leftover extras and every final budget
+// the per-cycle reference over random environments from two
+// distributions. The wide one has up to 24 groups, 1-4 items per group,
+// extras 1-8, budgets 0-1000 and needs 1-20. The tie-heavy one has up
+// to 40 groups, extras 1-3, budgets 0-50 and needs 1-12, so many
+// candidates tie and run out, and the fill re-positions or removes them
+// often. The filled count, the leftover extras and every final budget
 // must be identical.
 func TestRunLengthFillMatchesPerCycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 100; trial++ {
-		need := 1 + rng.Intn(20)
-		nGroups := 1 + rng.Intn(24)
-		env := &refEnv{need: need}
-		extras := make([][]int, nGroups)
-		budgets := make([][]int64, nGroups)
-		for g := range extras {
-			for i := 1 + rng.Intn(4); i > 0; i-- {
-				extras[g] = append(extras[g], 1+rng.Intn(8))
+	for _, d := range []struct {
+		name                string
+		trials              int
+		groups, extra, need int
+		budget              int
+	}{
+		{"wide", 100, 24, 8, 20, 1000},
+		{"tie-heavy", 1000, 40, 3, 12, 50},
+	} {
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < d.trials; trial++ {
+			need := 1 + rng.Intn(d.need)
+			nGroups := 1 + rng.Intn(d.groups)
+			env := &refEnv{need: need}
+			extras := make([][]int, nGroups)
+			budgets := make([][]int64, nGroups)
+			for g := range extras {
+				for i := 1 + rng.Intn(4); i > 0; i-- {
+					extras[g] = append(extras[g], 1+rng.Intn(d.extra))
+				}
+				sort.Sort(sort.Reverse(sort.IntSlice(extras[g])))
+				var items []refLfItem
+				for i, e := range extras[g] {
+					items = append(items, refLfItem{fid: g + 1, id: model.ActID(g*10 + i), extra: e})
+					budgets[g] = append(budgets[g], int64(rng.Intn(d.budget+1)))
+				}
+				env.lfGroups = append(env.lfGroups, items)
 			}
-			sort.Sort(sort.Reverse(sort.IntSlice(extras[g])))
-			var items []refLfItem
-			for i, e := range extras[g] {
-				items = append(items, refLfItem{fid: g + 1, id: model.ActID(g*10 + i), extra: e})
-				budgets[g] = append(budgets[g], int64(rng.Intn(1001)))
+			filled, leftover, final := analysis.GreedyFillForTest(need, extras, budgets)
+			refBudgets := make([][]int64, nGroups)
+			for g := range budgets {
+				refBudgets[g] = append([]int64(nil), budgets[g]...)
 			}
-			env.lfGroups = append(env.lfGroups, items)
-		}
-		filled, leftover, final := analysis.GreedyFillForTest(need, extras, budgets)
-		refBudgets := make([][]int64, nGroups)
-		for g := range budgets {
-			refBudgets[g] = append([]int64(nil), budgets[g]...)
-		}
-		refFilled := refGreedyFill(env, refBudgets)
-		refLeftover := refLeftoverExtras(env, refBudgets)
-		if filled != refFilled || leftover != refLeftover || !reflect.DeepEqual(final, refBudgets) {
-			t.Fatalf("trial %d (need %d, extras %v, budgets %v): run-length (%d, %d, %v), per-cycle (%d, %d, %v)",
-				trial, need, extras, budgets, filled, leftover, final, refFilled, refLeftover, refBudgets)
+			refFilled := refGreedyFill(env, refBudgets)
+			refLeftover := refLeftoverExtras(env, refBudgets)
+			if filled != refFilled || leftover != refLeftover || !reflect.DeepEqual(final, refBudgets) {
+				t.Fatalf("%s trial %d (need %d, extras %v, budgets %v): run-length (%d, %d, %v), per-cycle (%d, %d, %v)",
+					d.name, trial, need, extras, budgets, filled, leftover, final, refFilled, refLeftover, refBudgets)
+			}
 		}
 	}
 }
