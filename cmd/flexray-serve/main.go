@@ -750,7 +750,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request, req *con
 	)
 	if err := s.compute(r.Context(), func() {
 		var table *schedule.Table
-		table, _, sErr = sched.Build(sys, cfg, sched.DefaultOptions())
+		table, sErr = sched.BuildTable(sys, cfg, sched.DefaultOptions())
 		if sErr != nil {
 			sErr = fmt.Errorf("schedule construction failed: %w", sErr)
 			return

@@ -60,10 +60,13 @@ func main() {
 		fail(fmt.Errorf("invalid configuration: %w", err))
 	}
 
-	table, ana, err := sched.Build(sys, cfg, sched.DefaultOptions())
+	schedOpts := sched.DefaultOptions()
+	table, err := sched.BuildTable(sys, cfg, schedOpts)
 	if err != nil {
 		fail(err)
 	}
+	analyzer := analysis.New(sys, cfg, table, schedOpts.Analysis)
+	ana := analyzer.Run()
 	opts := sim.DefaultOptions()
 	opts.Repetitions = *reps
 	opts.Trace = *trace
@@ -109,9 +112,7 @@ func main() {
 
 	if *explain {
 		fmt.Println("\nDYN message delay decomposition (Rm = Jm + σm + BusCycles·gdCycle + w'm + Cm):")
-		analyzer := analysis.New(sys, cfg, table, sched.DefaultOptions().Analysis)
-		res := analyzer.Run()
-		for _, d := range analyzer.ExplainAll(res) {
+		for _, d := range analyzer.ExplainAll() {
 			fmt.Printf("  %-14s FrameID %-3d %s\n",
 				sys.App.Act(d.Msg).Name, cfg.FrameID[d.Msg], d)
 		}

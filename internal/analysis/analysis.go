@@ -361,11 +361,29 @@ func (a *Analyzer) availability(n model.NodeID) *schedule.Availability {
 	return a.table.Availability(n)
 }
 
-// HigherPriorityFPS returns the FPS tasks on the same node with higher
-// priority than t (ties broken by id). For anything that is not an FPS
-// task the list is empty.
-func (a *Analyzer) HigherPriorityFPS(t model.ActID) []model.ActID {
-	return a.fpsOrder[a.hpStart[t]:a.hpEnd[t]]
+// Interferers returns the activities whose jitter enters id's response
+// window under the bound configuration: for an FPS task its
+// higher-priority same-node tasks (ties broken by id), for a DYN message
+// with a FrameID its hp(m) followed by its lf(m) items. Anything else
+// has none. The ids come from the slabs windowValid and dynWindowValid
+// check; a DYN environment Run has not needed yet is built here.
+func (a *Analyzer) Interferers(id model.ActID) []model.ActID {
+	di := a.dynIdx[id]
+	if di < 0 {
+		return slices.Clone(a.fpsOrder[a.hpStart[id]:a.hpEnd[id]])
+	}
+	if a.fids[di] < 0 {
+		return nil
+	}
+	env := &a.ar.envs[di]
+	if !env.built {
+		env = a.buildEnv(int(di), a.sys.App.Act(id), a.fids[di])
+	}
+	out := slices.Clone(a.ar.hp[env.hpLo:env.hpHi])
+	for _, it := range a.ar.lf[env.lfLo:env.lfHi] {
+		out = append(out, it.id)
+	}
+	return out
 }
 
 // Run performs the holistic analysis: response times of TT activities

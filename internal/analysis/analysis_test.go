@@ -419,25 +419,25 @@ func TestLeftoverExtrasStaysBelowNeed(t *testing.T) {
 	}
 }
 
-func TestHigherPriorityFPSOrdering(t *testing.T) {
+// TestInterferersFPSOrdering pins the FPS interferers: the
+// higher-priority tasks of the same node, highest first.
+func TestInterferersFPSOrdering(t *testing.T) {
 	b := model.NewBuilder("prio", 2)
 	g := b.Graph("g", 10*ms, 10*ms)
 	lo := b.PrioTask(g, "lo", 0, 100*us, 1)
 	mid := b.PrioTask(g, "mid", 0, 100*us, 5)
 	hi := b.PrioTask(g, "hi", 0, 100*us, 9)
 	other := b.PrioTask(g, "other", 1, 100*us, 9)
-	_ = other
 	sys := b.MustBuild()
 	cfg := &flexray.Config{MinislotLen: us, FrameID: map[model.ActID]int{}}
 	a := newAnalyzer(t, sys, cfg)
-	if got := a.HigherPriorityFPS(hi); len(got) != 0 {
-		t.Errorf("hp(hi) = %v, want empty", got)
-	}
-	if got := a.HigherPriorityFPS(mid); len(got) != 1 || got[0] != hi {
-		t.Errorf("hp(mid) = %v, want [hi]", got)
-	}
-	if got := a.HigherPriorityFPS(lo); len(got) != 2 {
-		t.Errorf("hp(lo) = %v, want [hi mid]", got)
+	for _, tc := range []struct {
+		id   model.ActID
+		want []model.ActID
+	}{{hi, nil}, {mid, []model.ActID{hi}}, {lo, []model.ActID{hi, mid}}, {other, nil}} {
+		if got := a.Interferers(tc.id); !slices.Equal(got, tc.want) {
+			t.Errorf("Interferers(%s) = %v, want %v", sys.App.Act(tc.id).Name, got, tc.want)
+		}
 	}
 }
 

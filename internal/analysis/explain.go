@@ -24,8 +24,8 @@ type DYNDelay struct {
 	// Sigma is σm: the delay in the arrival cycle when the message
 	// just misses its slot.
 	Sigma units.Duration
-	// BusCycles is BusCyclesm: full cycles filled by hp(m), lf(m)
-	// and ms(m) interference.
+	// BusCycles is BusCyclesm: full cycles filled by interference,
+	// one per hp(m) instance plus the cycles lf(m) extras fill.
 	BusCycles int64
 	// CycleLen is gdCycle.
 	CycleLen units.Duration
@@ -55,12 +55,13 @@ func (d DYNDelay) String() string {
 		d.Response, d.Jitter, d.Sigma, d.BusCycles, d.CycleLen, d.WPrime, d.Comm, sat)
 }
 
-// ExplainDYN recomputes the response time of one DYN message with the
-// converged jitters of a finished analysis and returns the Eq. (3)
-// breakdown; its Response is the one Run reported. The second return
-// value is false if the activity is not a DYN message or has no
+// ExplainDYN returns the Eq. (3) breakdown of one DYN message under
+// the analyzer's last Run: it recomputes the message's window with the
+// jitters that Run converged to, so its Response is the one Run
+// reported. Call it after Run and before the next Reset. The second
+// return value is false if the activity is not a DYN message or has no
 // FrameID.
-func (a *Analyzer) ExplainDYN(m model.ActID, res *Result) (DYNDelay, bool) {
+func (a *Analyzer) ExplainDYN(m model.ActID) (DYNDelay, bool) {
 	act := a.sys.App.Act(m)
 	if !act.IsMessage() || act.Class != model.DYN {
 		return DYNDelay{}, false
@@ -68,13 +69,9 @@ func (a *Analyzer) ExplainDYN(m model.ActID, res *Result) (DYNDelay, bool) {
 	if a.fids[a.dynIdx[m]] < 0 || a.cfg.NumMinislots <= 0 {
 		return DYNDelay{}, false
 	}
-	// The interference instance counts read jitters from the dense
-	// iteration state; seed it from the supplied Result so the
-	// breakdown reflects exactly the analysis it explains.
-	a.loadJitters(res)
 	w := a.dynWindow(act)
 	d := DYNDelay{
-		Msg: m, Jitter: res.J[m],
+		Msg: m, Jitter: a.j[m],
 		Sigma: w.sigma, BusCycles: w.filled, CycleLen: w.cycle,
 		WPrime: w.wPrime, Comm: act.C,
 		Saturated: w.sat || w.capped,
@@ -87,21 +84,9 @@ func (a *Analyzer) ExplainDYN(m model.ActID, res *Result) (DYNDelay, bool) {
 	return d, true
 }
 
-// loadJitters seeds the dense jitter array from a finished Result, so
-// the explanation machinery counts interference instances with the same
-// jitters the analysis converged to.
-func (a *Analyzer) loadJitters(res *Result) {
-	clear(a.j)
-	for id, j := range res.J {
-		if int(id) < len(a.j) {
-			a.j[id] = j
-		}
-	}
-}
-
-// ExplainAll returns breakdowns for every DYN message, in FrameID
-// order.
-func (a *Analyzer) ExplainAll(res *Result) []DYNDelay {
+// ExplainAll returns the breakdowns of every DYN message under the last
+// Run, in FrameID order.
+func (a *Analyzer) ExplainAll() []DYNDelay {
 	msgs := append([]model.ActID(nil), a.dynMsgs...)
 	for i := 1; i < len(msgs); i++ {
 		for j := i; j > 0; j-- {
@@ -114,7 +99,7 @@ func (a *Analyzer) ExplainAll(res *Result) []DYNDelay {
 	}
 	var out []DYNDelay
 	for _, m := range msgs {
-		if d, ok := a.ExplainDYN(m, res); ok {
+		if d, ok := a.ExplainDYN(m); ok {
 			out = append(out, d)
 		}
 	}

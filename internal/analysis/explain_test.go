@@ -51,7 +51,7 @@ func TestExplainDYNConsistentWithRun(t *testing.T) {
 		a := newAnalyzer(t, sys, cfg)
 		res := a.Run()
 		for _, m := range sys.App.Messages(int(model.DYN)) {
-			d, ok := a.ExplainDYN(m, res)
+			d, ok := a.ExplainDYN(m)
 			if !ok {
 				t.Fatalf("%s: ExplainDYN(%d) not applicable", sys.Name, m)
 			}
@@ -83,9 +83,9 @@ func TestExplainDYNConsistentWithRun(t *testing.T) {
 func TestExplainDYNFig4Components(t *testing.T) {
 	sys, cfg := fig4System(t)
 	a := newAnalyzer(t, sys, cfg)
-	res := a.Run()
+	a.Run()
 	m1 := actID(t, sys, "m1")
-	d, ok := a.ExplainDYN(m1, res)
+	d, ok := a.ExplainDYN(m1)
 	if !ok {
 		t.Fatal("no breakdown for m1")
 	}
@@ -105,8 +105,8 @@ func TestExplainDYNFig4Components(t *testing.T) {
 func TestExplainAllOrdersByFrameID(t *testing.T) {
 	sys, cfg := fig4System(t)
 	a := newAnalyzer(t, sys, cfg)
-	res := a.Run()
-	all := a.ExplainAll(res)
+	a.Run()
+	all := a.ExplainAll()
 	if len(all) != 3 {
 		t.Fatalf("breakdowns = %d, want 3", len(all))
 	}
@@ -120,14 +120,14 @@ func TestExplainAllOrdersByFrameID(t *testing.T) {
 func TestExplainDYNRejectsNonDYN(t *testing.T) {
 	sys, cfg := fig4System(t)
 	a := newAnalyzer(t, sys, cfg)
-	res := a.Run()
-	if _, ok := a.ExplainDYN(actID(t, sys, "t1"), res); ok {
+	a.Run()
+	if _, ok := a.ExplainDYN(actID(t, sys, "t1")); ok {
 		t.Error("task accepted")
 	}
 	delete(cfg.FrameID, actID(t, sys, "m3"))
 	a2 := newAnalyzer(t, sys, cfg)
-	res2 := a2.Run()
-	if _, ok := a2.ExplainDYN(actID(t, sys, "m3"), res2); ok {
+	a2.Run()
+	if _, ok := a2.ExplainDYN(actID(t, sys, "m3")); ok {
 		t.Error("FrameID-less message accepted")
 	}
 }

@@ -13,6 +13,7 @@ package analysis_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -42,6 +43,11 @@ type refAnalyzer struct {
 
 // refAnalyze runs the retained reference analysis once.
 func refAnalyze(sys *model.System, cfg *flexray.Config, table *schedule.Table, opts analysis.Options) *analysis.Result {
+	return newRefAnalyzer(sys, cfg, table, opts).run()
+}
+
+// newRefAnalyzer binds the reference analysis to one input.
+func newRefAnalyzer(sys *model.System, cfg *flexray.Config, table *schedule.Table, opts analysis.Options) *refAnalyzer {
 	a := &refAnalyzer{
 		sys: sys, cfg: cfg, table: table, opts: opts,
 		fpsByNode: map[model.NodeID][]model.ActID{},
@@ -65,7 +71,37 @@ func refAnalyze(sys *model.System, cfg *flexray.Config, table *schedule.Table, o
 		}
 	}
 	a.dynMsgs = sys.App.Messages(int(model.DYN))
-	return a.run()
+	return a
+}
+
+// interferers lists the reference's interferers of id: an FPS task's
+// higher-priority run, or a DYN message's hp(m) followed by its lf(m)
+// items, as the fixpoint reads them.
+func (a *refAnalyzer) interferers(id model.ActID) []model.ActID {
+	act := a.sys.App.Act(id)
+	var out []model.ActID
+	switch {
+	case act.IsTask() && act.Policy == model.FPS:
+		for _, h := range a.fpsByNode[act.Node] {
+			if h == id {
+				break
+			}
+			out = append(out, h)
+		}
+	case act.IsMessage() && act.Class == model.DYN:
+		fid, ok := a.cfg.FrameID[id]
+		if !ok {
+			return nil
+		}
+		env := a.dynEnv(act, fid)
+		out = append(out, env.hp...)
+		for _, g := range env.lfGroups {
+			for _, it := range g {
+				out = append(out, it.id)
+			}
+		}
+	}
+	return out
 }
 
 func (a *refAnalyzer) cap(id model.ActID) units.Duration {
@@ -546,7 +582,9 @@ func refExactFill(env *refEnv, budgets [][]int64, nodeCap int) (int64, bool) {
 // is part of the test surface) against the retained reference
 // implementation. Every Result must match bit for bit, and the
 // Eq. (2)-(3) breakdown of every DYN message, saturated or not, must
-// reproduce the analysed response exactly.
+// reproduce the analysed response exactly. Interferers must list, for
+// every FPS task and DYN message, the ids the reference fixpoint reads
+// the jitters of, in the reference's order.
 func TestFlatAnalyzerMatchesReference(t *testing.T) {
 	copts := core.DefaultOptions()
 	copts.DYNGridCap = 8
@@ -599,13 +637,20 @@ func TestFlatAnalyzerMatchesReference(t *testing.T) {
 					tc.nodes, tc.seed, trial, exact, got, want, cfg)
 			}
 			for _, m := range dyn {
-				d, ok := an.ExplainDYN(m, got)
+				d, ok := an.ExplainDYN(m)
 				if !ok {
 					continue
 				}
 				if d.Response != got.R[m] {
 					t.Fatalf("system (%d nodes, seed %d) trial %d: ExplainDYN(%d) response %v != analysed %v",
 						tc.nodes, tc.seed, trial, m, d.Response, got.R[m])
+				}
+			}
+			ref := newRefAnalyzer(sys, cfg, table, aopts)
+			for _, id := range append(sys.App.Tasks(int(model.FPS)), dyn...) {
+				if got, want := an.Interferers(id), ref.interferers(id); !slices.Equal(got, want) {
+					t.Fatalf("system (%d nodes, seed %d) trial %d: Interferers(%d) = %v, reference %v",
+						tc.nodes, tc.seed, trial, id, got, want)
 				}
 			}
 			checked++

@@ -81,7 +81,7 @@ func Fig1Trace() (string, []sim.TraceEvent, error) {
 	if err := cfg.Validate(flexray.DefaultParams(), sys); err != nil {
 		return "", nil, err
 	}
-	table, _, err := sched.Build(sys, cfg, sched.DefaultOptions())
+	table, err := sched.BuildTable(sys, cfg, sched.DefaultOptions())
 	if err != nil {
 		return "", nil, err
 	}

@@ -172,7 +172,7 @@ func Fig7(p Fig7Params) (*Fig7Series, error) {
 			// The engine folds build failures into an infeasible
 			// marker; rebuild the one failing point serially to
 			// recover the underlying error for the caller.
-			if _, _, err := sched.Build(sys, cands[i], opts); err != nil {
+			if _, err := sched.BuildTable(sys, cands[i], opts); err != nil {
 				return nil, fmt.Errorf("fig7 at %d minislots: %w", cands[i].NumMinislots, err)
 			}
 			return nil, fmt.Errorf("fig7 at %d minislots: schedule construction failed",

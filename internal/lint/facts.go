@@ -137,21 +137,17 @@ type FrameIDFact struct {
 	SamePriority bool `json:"same_priority"`
 }
 
-// DYNInterference is the per-DYN-message interference fact: the
-// Eq. (2)-(3) environment plus, when analysis facts exist, the
-// response-time decomposition.
+// DYNInterference is the per-DYN-message fact: the frame's FrameID and
+// size, whether it fits the dynamic segment, and, when analysis facts
+// exist, the Eq. (2)-(3) breakdown of the response the analysis
+// reported. Who delays the message is the analyzer's to say
+// (Analyzer.Interferers); the fact does not restate it.
 type DYNInterference struct {
 	Msg     model.ActID `json:"msg"`
 	Name    string      `json:"name"`
 	FrameID int         `json:"frame_id"`
 	// SizeMinislots is the DYN slot size the frame stretches to.
 	SizeMinislots int `json:"size_minislots"`
-	// SameNode is ms(m): same-node DYN messages competing for the
-	// node's transmission opportunities.
-	SameNode []model.ActID `json:"same_node,omitempty"`
-	// LowerFID is hp(m): other-node messages whose slots precede m's
-	// in every cycle.
-	LowerFID []model.ActID `json:"lower_fid,omitempty"`
 	// Reachable: the frame fits the dynamic segment at its FrameID.
 	Reachable bool `json:"reachable"`
 	// Delay is the Eq. (3) worst-case breakdown; nil without
@@ -252,9 +248,8 @@ func sizeInMinislots(cfg *flexray.Config, c units.Duration) int {
 	return cfg.SizeInMinislots(c)
 }
 
-// extractFrameFacts builds the FrameID collision facts and the static
-// part of the DYN interference sets (the parts derivable without a
-// schedule).
+// extractFrameFacts builds the FrameID collision facts and the parts of
+// the DYN facts derivable without a schedule.
 func (f *Facts) extractFrameFacts() {
 	app := &f.Sys.App
 	cfg := f.Cfg
@@ -294,8 +289,8 @@ func (f *Facts) extractFrameFacts() {
 		f.Frames = append(f.Frames, fact)
 	}
 
-	// Interference sets, ordered by (FrameID, id) so reports are
-	// stable and read in slot order.
+	// DYN facts, ordered by (FrameID, id) so reports are stable and
+	// read in slot order.
 	dyn := append([]model.ActID(nil), app.Messages(int(model.DYN))...)
 	sort.Slice(dyn, func(i, j int) bool {
 		fi, fj := cfg.FrameID[dyn[i]], cfg.FrameID[dyn[j]]
@@ -308,12 +303,10 @@ func (f *Facts) extractFrameFacts() {
 		a := app.Act(m)
 		fid := cfg.FrameID[m]
 		size := sizeInMinislots(cfg, a.C)
-		fact := DYNInterference{
+		f.DYN = append(f.DYN, DYNInterference{
 			Msg: m, Name: a.Name, FrameID: fid, SizeMinislots: size,
 			Reachable: fid >= 1 && cfg.NumMinislots > 0 && fid+size-1 <= cfg.NumMinislots,
-		}
-		fact.SameNode, fact.LowerFID = analysis.InterferenceSets(f.Sys, cfg, m)
-		f.DYN = append(f.DYN, fact)
+		})
 	}
 }
 
@@ -322,7 +315,7 @@ func (f *Facts) extractFrameFacts() {
 // construction failure (or a panic out of hostile-but-validated input)
 // is recorded as BuildErr.
 func (f *Facts) buildScheduleFacts(opts Options) {
-	table, res, err := buildRecover(f.Sys, f.Cfg, opts.Sched)
+	table, an, res, err := buildRecover(f.Sys, f.Cfg, opts.Sched)
 	if err != nil {
 		f.BuildErr = err
 		return
@@ -331,25 +324,29 @@ func (f *Facts) buildScheduleFacts(opts Options) {
 	f.extractSlotFacts()
 	f.extractSlackFacts()
 
-	// Eq. (3) breakdowns for the DYN facts, via a fresh analyzer
-	// bound to the finished table.
-	an := analysis.New(f.Sys, f.Cfg, table, opts.Sched.Analysis)
+	// Eq. (3) breakdowns for the DYN facts, from the analyzer whose
+	// Run produced res.
 	for i := range f.DYN {
-		if d, ok := an.ExplainDYN(f.DYN[i].Msg, res); ok {
-			delay := d
-			f.DYN[i].Delay = &delay
+		if d, ok := an.ExplainDYN(f.DYN[i].Msg); ok {
+			f.DYN[i].Delay = &d
 		}
 	}
 }
 
-func buildRecover(sys *model.System, cfg *flexray.Config, opts sched.Options) (t *schedule.Table, r *analysis.Result, err error) {
+// buildRecover builds the schedule table and runs the analysis once on
+// it, returning the analyzer so its Run can be explained.
+func buildRecover(sys *model.System, cfg *flexray.Config, opts sched.Options) (t *schedule.Table, an *analysis.Analyzer, r *analysis.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			t, r = nil, nil
+			t, an, r = nil, nil, nil
 			err = fmt.Errorf("schedule construction panicked: %v", rec)
 		}
 	}()
-	return sched.Build(sys, cfg, opts)
+	if t, err = sched.BuildTable(sys, cfg, opts); err != nil {
+		return nil, nil, nil, err
+	}
+	an = analysis.New(sys, cfg, t, opts.Analysis)
+	return t, an, an.Run(), nil
 }
 
 // extractSlotFacts folds the schedule table's ST placements into

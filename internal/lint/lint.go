@@ -10,8 +10,9 @@
 // policy designs:
 //
 //   - Extract builds a Facts value: per-slot occupancy, per-node and
-//     bus utilisation, ST/DYN interference sets, deadline slack and
-//     jitter headroom, frame-ID collisions. Extraction is
+//     bus utilisation, DYN frame facts with their Eq. (3) delay
+//     breakdowns, deadline slack and jitter headroom, frame-ID
+//     collisions. Extraction is
 //     configuration-optional — a bare system yields system-level facts
 //     and the configuration/schedule rules report status "skip".
 //   - Evaluate runs the selected policy packs over the facts. No

@@ -1,14 +1,19 @@
 package lint
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/cruise"
 	"repro/internal/flexray"
+	"repro/internal/flexray/flexraytest"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
 // loadSystem reads a testdata system fixture.
@@ -241,5 +246,51 @@ func TestMetrics(t *testing.T) {
 	}
 	if v := m.rejected.Value(); v != 1 {
 		t.Errorf("rejected = %v, want 1", v)
+	}
+}
+
+// TestDYNDelayExplainsReportedResponse requires every DYN delay fact to
+// break down the response the report's analysis produced, on cruise
+// and on a synthesised system, each under its BBC configuration and a
+// few perturbations of it (saturated and FrameID-less messages
+// included).
+func TestDYNDelayExplainsReportedResponse(t *testing.T) {
+	syn, err := synth.Generate(synth.DefaultParams(3, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copts := core.DefaultOptions()
+	copts.DYNGridCap = 8
+	for _, sys := range []*model.System{cruise.MustSystem(), syn} {
+		bbc, err := core.BBC(sys, copts)
+		if err != nil {
+			t.Fatalf("%s: BBC: %v", sys.Name, err)
+		}
+		dyn := sys.App.Messages(int(model.DYN))
+		rng := rand.New(rand.NewSource(7))
+		explained := 0
+		for trial := 0; trial < 8; trial++ {
+			cfg := bbc.Config
+			if trial > 0 {
+				cfg = flexraytest.Perturb(rng, bbc.Config, dyn)
+			}
+			f := Extract(sys, cfg, DefaultOptions())
+			if f.Res == nil {
+				continue
+			}
+			for _, d := range f.DYN {
+				if d.Delay == nil {
+					continue
+				}
+				explained++
+				if d.Delay.Response != f.Res.R[d.Msg] {
+					t.Errorf("%s trial %d: %s delay response %v, analysed %v",
+						sys.Name, trial, d.Name, d.Delay.Response, f.Res.R[d.Msg])
+				}
+			}
+		}
+		if explained == 0 {
+			t.Errorf("%s: no DYN delay fact was extracted", sys.Name)
+		}
 	}
 }

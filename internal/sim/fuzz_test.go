@@ -31,12 +31,12 @@ var fuzzPortfolio = []func(*model.System, core.Options) (*core.Result, error){
 // explores further.
 func FuzzSimulationNeverExceedsAnalysis(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64) {
-		sys, cfg, ana, res := fuzzInput(t, nodes, seed, algo, perturb)
+		sys, cfg, an, ana, res := fuzzInput(t, nodes, seed, algo, perturb)
 		checkTrace(t, sys, cfg, res.Trace)
 		if !ana.Converged {
 			return // the jitter fixpoint stopped early: no bounds to hold
 		}
-		unbounded := unboundedActs(sys, cfg, ana)
+		unbounded := unboundedActs(sys, an, ana)
 		for _, id := range aboveAnalysis(ana, res) {
 			if !unbounded[id] {
 				t.Errorf("%s simulated %v above analysed bound %v (config %v)",
@@ -63,12 +63,12 @@ func TestSelfBacklogEscapesTheAnalysis(t *testing.T) {
 		algo    uint8
 		perturb int64
 	}{{14, -73, 0, -74}, {94, -116, 10, 0}} {
-		sys, cfg, ana, res := fuzzInput(t, in.nodes, in.seed, in.algo, in.perturb)
+		sys, _, an, ana, res := fuzzInput(t, in.nodes, in.seed, in.algo, in.perturb)
 		above := aboveAnalysis(ana, res)
 		if len(above) == 0 {
 			t.Errorf("%+v: no simulated response above the analysis any more", in)
 		}
-		unbounded := unboundedActs(sys, cfg, ana)
+		unbounded := unboundedActs(sys, an, ana)
 		for _, id := range above {
 			if !unbounded[id] {
 				t.Errorf("%+v: %s simulated %v above analysed bound %v", in,
@@ -78,9 +78,10 @@ func TestSelfBacklogEscapesTheAnalysis(t *testing.T) {
 	}
 }
 
-// fuzzInput builds, configures, schedules and simulates one fuzz input,
-// skipping inputs that yield no system, configuration or table.
-func fuzzInput(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64) (*model.System, *flexray.Config, *analysis.Result, *Result) {
+// fuzzInput builds, configures, schedules, analyses and simulates one
+// fuzz input, skipping inputs that yield no system, configuration or
+// table. It returns the analyzer with the Result of its one Run.
+func fuzzInput(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64) (*model.System, *flexray.Config, *analysis.Analyzer, *analysis.Result, *Result) {
 	t.Helper()
 	p := synth.DefaultParams(2+int(nodes%4), seed)
 	p.DeadlineFactor = 2.0
@@ -100,10 +101,13 @@ func fuzzInput(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64)
 	if perturb != 0 {
 		cfg = flexraytest.Perturb(rand.New(rand.NewSource(perturb)), cfg, sys.App.Messages(int(model.DYN)))
 	}
-	table, ana, err := sched.Build(sys, cfg, sched.DefaultOptions())
+	schedOpts := sched.DefaultOptions()
+	table, err := sched.BuildTable(sys, cfg, schedOpts)
 	if err != nil {
 		t.Skipf("no schedule table: %v", err)
 	}
+	an := analysis.New(sys, cfg, table, schedOpts.Analysis)
+	ana := an.Run()
 	opts := DefaultOptions()
 	opts.Trace = true
 	opts.TraceCap = 1 << 20
@@ -115,7 +119,7 @@ func fuzzInput(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, cfg, ana, res
+	return sys, cfg, an, ana, res
 }
 
 // aboveAnalysis returns the activities whose simulated response
@@ -139,9 +143,9 @@ func aboveAnalysis(ana *analysis.Result, res *Result) []model.ActID {
 // analysis does not count. (A response at the divergence cap, which
 // only says the busy window diverged, lies beyond the period too.)
 // Every response computed from such a value inherits the defect: graph
-// successors through their jitter, and the lower-priority FPS tasks of
-// the node and the higher-FrameID DYN messages through interference.
-func unboundedActs(sys *model.System, cfg *flexray.Config, ana *analysis.Result) map[model.ActID]bool {
+// successors through their jitter, and every activity whose window
+// reads its jitter as interference (Analyzer.Interferers).
+func unboundedActs(sys *model.System, an *analysis.Analyzer, ana *analysis.Result) map[model.ActID]bool {
 	app := &sys.App
 	out := map[model.ActID]bool{}
 	for i := range app.Acts {
@@ -150,17 +154,7 @@ func unboundedActs(sys *model.System, cfg *flexray.Config, ana *analysis.Result)
 			out[a.ID] = true
 		}
 	}
-	// interferes reports whether x enters the analysis of y as
-	// interference; an unassigned DYN message reads as FrameID 0.
-	interferes := func(x, y *model.Activity) bool {
-		switch {
-		case x.IsTask() && y.IsTask():
-			return x.Policy == model.FPS && y.Policy == model.FPS && x.Node == y.Node && x.Priority >= y.Priority
-		case x.IsMessage() && y.IsMessage():
-			return x.Class == model.DYN && y.Class == model.DYN && cfg.FrameID[x.ID] <= cfg.FrameID[y.ID]
-		}
-		return false
-	}
+	inOut := func(id model.ActID) bool { return out[id] }
 	for changed := true; changed; {
 		changed = false
 		for i := range app.Acts {
@@ -168,12 +162,9 @@ func unboundedActs(sys *model.System, cfg *flexray.Config, ana *analysis.Result)
 			if out[y.ID] || !y.IsET() {
 				continue
 			}
-			for x := range out {
-				if slices.Contains(y.Preds, x) || interferes(app.Act(x), y) {
-					out[y.ID] = true
-					changed = true
-					break
-				}
+			if slices.ContainsFunc(y.Preds, inOut) || slices.ContainsFunc(an.Interferers(y.ID), inOut) {
+				out[y.ID] = true
+				changed = true
 			}
 		}
 	}
