@@ -280,3 +280,43 @@ func TestValidateJobsGateOff(t *testing.T) {
 		t.Fatalf("ungated submission: %d: %s", resp.StatusCode, body)
 	}
 }
+
+// TestZeroMinislotConfig: a dynamic segment of three zero-length
+// minislots is a protocol violation, not a crash. /v1/analyze and
+// /v1/simulate answer 422 invalid_config, /v1/lint reports the CFG
+// failure, and the server keeps serving.
+func TestZeroMinislotConfig(t *testing.T) {
+	ts := testServer(t)
+	body := map[string]any{
+		"system": json.RawMessage(lintFixture(t, "valid_sys.json")),
+		"config": json.RawMessage(`{"static_slot_us": 50, "num_static_slots": 2, "slot_owners": [0, 1],
+			"minislot_us": 0, "num_minislots": 3, "frame_ids": {"m1": 1, "m2": 2}}`),
+	}
+	for _, path := range []string{"/v1/analyze", "/v1/simulate"} {
+		resp, raw := post(t, ts, path, body)
+		var env decodedEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("%s: %d %s", path, resp.StatusCode, raw)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Code != "invalid_config" {
+			t.Fatalf("%s: %d %q, want 422 invalid_config: %s", path, resp.StatusCode, env.Error.Code, raw)
+		}
+		if !strings.Contains(env.Error.Message, "non-positive gdMinislot") {
+			t.Errorf("%s: message %q does not name the minislot length", path, env.Error.Message)
+		}
+	}
+	resp, raw := post(t, ts, "/v1/lint", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("lint: %d: %s", resp.StatusCode, raw)
+	}
+	var rep lint.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.FailingRules(lint.SeverityError); len(got) != 1 || got[0] != "CFG002" {
+		t.Fatalf("failing rules %v, want [CFG002]", got)
+	}
+	if resp, raw := get(t, ts, "/livez"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("livez after the hostile configs: %d %s", resp.StatusCode, raw)
+	}
+}

@@ -86,7 +86,7 @@ func SA(sys *model.System, opts Options) (*Result, error) {
 			temp *= cooling
 			continue
 		}
-		if cand.Cycle() >= flexray.MaxCycle || cand.Validate(opts.Params, sys) != nil {
+		if cand.Validate(opts.Params, sys) != nil {
 			temp *= cooling
 			continue
 		}

@@ -9,7 +9,6 @@
 package flexray
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -259,101 +258,6 @@ func (c *Config) Clone() *Config {
 		cl.FrameID[k] = v
 	}
 	return &cl
-}
-
-// Validate checks the configuration against the protocol limits and
-// against the application: every ST-sending node owns a slot, every DYN
-// message has a FrameID that is reachable within the dynamic segment,
-// and FrameID sharing never crosses nodes.
-func (c *Config) Validate(p Params, sys *model.System) error {
-	var errs []error
-	add := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf(format, args...))
-	}
-
-	if c.NumStaticSlots < 0 || c.NumStaticSlots > MaxStaticSlots {
-		add("gdNumberOfStaticSlots %d outside [0,%d]", c.NumStaticSlots, MaxStaticSlots)
-	}
-	if c.NumStaticSlots > 0 && c.StaticSlotLen <= 0 {
-		add("non-positive gdStaticSlot %v", c.StaticSlotLen)
-	}
-	if c.StaticSlotLen > p.MaxStaticSlotLen() {
-		add("gdStaticSlot %v exceeds %d macroticks", c.StaticSlotLen, MaxStaticSlotMacroticks)
-	}
-	if c.NumMinislots < 0 || c.NumMinislots > MaxMinislots {
-		add("gNumberOfMinislots %d outside [0,%d]", c.NumMinislots, MaxMinislots)
-	}
-	if c.NumMinislots > 0 && c.MinislotLen <= 0 {
-		add("non-positive gdMinislot %v", c.MinislotLen)
-	}
-	if cy := c.Cycle(); cy >= MaxCycle {
-		add("gdCycle %v not below the 16 ms protocol limit", cy)
-	}
-	if len(c.StaticSlotOwner) != c.NumStaticSlots {
-		add("StaticSlotOwner has %d entries for %d slots", len(c.StaticSlotOwner), c.NumStaticSlots)
-	}
-	for i, o := range c.StaticSlotOwner {
-		if int(o) >= sys.Platform.NumNodes || int(o) < -1 {
-			add("static slot %d: bad owner %d", i+1, o)
-		}
-	}
-
-	// Every node sending ST messages needs at least one static slot.
-	owned := map[model.NodeID]bool{}
-	for _, o := range c.StaticSlotOwner {
-		if o >= 0 {
-			owned[o] = true
-		}
-	}
-	for _, n := range sys.App.STSenderNodes() {
-		if !owned[n] {
-			add("node %s sends ST messages but owns no static slot", sys.Platform.NodeName(n))
-		}
-	}
-
-	// Largest ST frame must fit a static slot.
-	maxST := sys.App.MaxC(func(a *model.Activity) bool {
-		return a.IsMessage() && a.Class == model.ST
-	})
-	if maxST > c.StaticSlotLen && c.NumStaticSlots > 0 {
-		add("largest ST message (%v) exceeds gdStaticSlot (%v)", maxST, c.StaticSlotLen)
-	}
-
-	// FrameID assignment: total, positive, node-consistent,
-	// transmittable.
-	fidNode := map[int]model.NodeID{}
-	for _, m := range sys.App.Messages(int(model.DYN)) {
-		fid, ok := c.FrameID[m]
-		a := sys.App.Act(m)
-		if !ok {
-			add("DYN message %q has no FrameID", a.Name)
-			continue
-		}
-		if fid < 1 {
-			add("DYN message %q: FrameID %d < 1", a.Name, fid)
-			continue
-		}
-		if prev, ok := fidNode[fid]; ok && prev != a.Node {
-			add("FrameID %d shared across nodes %s and %s",
-				fid, sys.Platform.NodeName(prev), sys.Platform.NodeName(a.Node))
-		}
-		fidNode[fid] = a.Node
-		if c.NumMinislots > 0 {
-			s := c.SizeInMinislots(a.C)
-			if fid+s-1 > c.NumMinislots {
-				add("DYN message %q (FrameID %d, %d minislots) can never fit the %d-minislot segment",
-					a.Name, fid, s, c.NumMinislots)
-			}
-		}
-	}
-	for m := range c.FrameID {
-		a := sys.App.Act(m)
-		if !a.IsMessage() || a.Class != model.DYN {
-			add("FrameID assigned to non-DYN activity %q", a.Name)
-		}
-	}
-
-	return errors.Join(errs...)
 }
 
 // String summarises the configuration for logs and reports.

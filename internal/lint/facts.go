@@ -124,32 +124,27 @@ type SlotOccupancy struct {
 	Msgs    []model.ActID  `json:"msgs"`
 }
 
-// FrameIDFact groups the DYN messages sharing one FrameID — the
-// frame-ID collision fact. Sharing within a node multiplexes by
-// priority and is legal; sharing across nodes is a protocol violation.
+// FrameIDFact groups the DYN messages sharing one FrameID. Sharing
+// within a node multiplexes by priority; sharing across nodes is a
+// protocol violation the flexray checker reports.
 type FrameIDFact struct {
-	FrameID   int            `json:"frame_id"`
-	Msgs      []model.ActID  `json:"msgs"`
-	Nodes     []model.NodeID `json:"nodes"`
-	CrossNode bool           `json:"cross_node"`
+	FrameID int            `json:"frame_id"`
+	Msgs    []model.ActID  `json:"msgs"`
+	Nodes   []model.NodeID `json:"nodes"`
 	// SamePriority reports two sharers on one node with equal
 	// priority: the multiplexing order is then undefined.
 	SamePriority bool `json:"same_priority"`
 }
 
-// DYNInterference is the per-DYN-message fact: the frame's FrameID and
-// size, whether it fits the dynamic segment, and, when analysis facts
-// exist, the Eq. (2)-(3) breakdown of the response the analysis
-// reported. Who delays the message is the analyzer's to say
-// (Analyzer.Interferers); the fact does not restate it.
+// DYNInterference is the per-DYN-message fact: the frame's FrameID
+// and, when analysis facts exist, the Eq. (2)-(3) breakdown of the
+// response the analysis reported. Who delays the message is the
+// analyzer's to say (Analyzer.Interferers); the fact does not restate
+// it.
 type DYNInterference struct {
 	Msg     model.ActID `json:"msg"`
 	Name    string      `json:"name"`
 	FrameID int         `json:"frame_id"`
-	// SizeMinislots is the DYN slot size the frame stretches to.
-	SizeMinislots int `json:"size_minislots"`
-	// Reachable: the frame fits the dynamic segment at its FrameID.
-	Reachable bool `json:"reachable"`
 	// Delay is the Eq. (3) worst-case breakdown; nil without
 	// analysis facts.
 	Delay *analysis.DYNDelay `json:"delay,omitempty"`
@@ -178,10 +173,11 @@ type Facts struct {
 	Sys *model.System
 	Cfg *flexray.Config // nil when linting a bare system
 
-	// SysErr/CfgErr cache the structural validations; the structure
-	// rules explain them item by item.
-	SysErr error
-	CfgErr error
+	// SysErr caches the structural validation SYS001 explains line by
+	// line; Problems are the configuration's protocol violations
+	// (flexray.Config.Check), which the CFG rules report by kind.
+	SysErr   error
+	Problems []flexray.Problem
 
 	// ScheduleAttempted reports that schedule construction ran (or
 	// was tried); ScheduleSkip carries the reason when it did not.
@@ -221,7 +217,7 @@ func Extract(sys *model.System, cfg *flexray.Config, opts Options) *Facts {
 		f.ScheduleSkip = "no bus configuration supplied"
 		return f
 	}
-	f.CfgErr = cfg.Validate(opts.Params, sys)
+	f.Problems = cfg.Check(opts.Params, sys)
 	f.extractFrameFacts()
 
 	switch {
@@ -229,7 +225,7 @@ func Extract(sys *model.System, cfg *flexray.Config, opts Options) *Facts {
 		f.ScheduleSkip = "schedule facts disabled for this run"
 	case f.SysErr != nil:
 		f.ScheduleSkip = "system failed structural validation (see SYS001)"
-	case f.CfgErr != nil:
+	case len(f.Problems) > 0:
 		f.ScheduleSkip = "configuration failed protocol validation (see CFG rules)"
 	default:
 		f.ScheduleAttempted = true
@@ -238,17 +234,7 @@ func Extract(sys *model.System, cfg *flexray.Config, opts Options) *Facts {
 	return f
 }
 
-// sizeInMinislots is Config.SizeInMinislots hardened against a
-// non-positive minislot length (hostile input reaches Extract before
-// any validation gate).
-func sizeInMinislots(cfg *flexray.Config, c units.Duration) int {
-	if cfg.MinislotLen <= 0 {
-		return 0
-	}
-	return cfg.SizeInMinislots(c)
-}
-
-// extractFrameFacts builds the FrameID collision facts and the parts of
+// extractFrameFacts builds the FrameID sharing facts and the parts of
 // the DYN facts derivable without a schedule.
 func (f *Facts) extractFrameFacts() {
 	app := &f.Sys.App
@@ -285,7 +271,6 @@ func (f *Facts) extractFrameFacts() {
 			prio[a.Node][a.Priority] = true
 		}
 		sort.Slice(fact.Nodes, func(i, j int) bool { return fact.Nodes[i] < fact.Nodes[j] })
-		fact.CrossNode = len(fact.Nodes) > 1
 		f.Frames = append(f.Frames, fact)
 	}
 
@@ -300,13 +285,7 @@ func (f *Facts) extractFrameFacts() {
 		return dyn[i] < dyn[j]
 	})
 	for _, m := range dyn {
-		a := app.Act(m)
-		fid := cfg.FrameID[m]
-		size := sizeInMinislots(cfg, a.C)
-		f.DYN = append(f.DYN, DYNInterference{
-			Msg: m, Name: a.Name, FrameID: fid, SizeMinislots: size,
-			Reachable: fid >= 1 && cfg.NumMinislots > 0 && fid+size-1 <= cfg.NumMinislots,
-		})
+		f.DYN = append(f.DYN, DYNInterference{Msg: m, Name: app.Act(m).Name, FrameID: cfg.FrameID[m]})
 	}
 }
 

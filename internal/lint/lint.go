@@ -11,10 +11,11 @@
 //
 //   - Extract builds a Facts value: per-slot occupancy, per-node and
 //     bus utilisation, DYN frame facts with their Eq. (3) delay
-//     breakdowns, deadline slack and jitter headroom, frame-ID
-//     collisions. Extraction is
-//     configuration-optional — a bare system yields system-level facts
-//     and the configuration/schedule rules report status "skip".
+//     breakdowns, deadline slack and jitter headroom, FrameID sharing,
+//     and the configuration's protocol problems from
+//     flexray.Config.Check. Extraction is configuration-optional — a
+//     bare system yields system-level facts and the
+//     configuration/schedule rules report status "skip".
 //   - Evaluate runs the selected policy packs over the facts. No
 //     silent failures: every rule yields at least one finding with
 //     status pass, fail or skip and a human-readable explanation.

@@ -170,153 +170,31 @@ func structureRules() []Rule {
 				return fails, fmt.Sprintf("all %d deadlined activities fit their deadlines in isolation", n)
 			},
 		},
-		{
-			ID: "CFG001", Pack: PackStructure, Severity: SeverityError, needs: needsConfig,
-			Title: "static segment within protocol limits",
-			check: func(f *Facts, _ Thresholds) ([]Finding, string) {
-				c := f.Cfg
-				var fails []Finding
-				if c.NumStaticSlots < 0 || c.NumStaticSlots > flexray.MaxStaticSlots {
-					fails = append(fails, fail("static", "gdNumberOfStaticSlots %d outside [0,%d]", c.NumStaticSlots, flexray.MaxStaticSlots))
-				}
-				if c.NumStaticSlots > 0 && c.StaticSlotLen <= 0 {
-					fails = append(fails, fail("static", "non-positive gdStaticSlot %v", c.StaticSlotLen))
-				}
-				if max := flexray.DefaultParams().MaxStaticSlotLen(); c.StaticSlotLen > max {
-					fails = append(fails, fail("static", "gdStaticSlot %v exceeds %d macroticks (%v)", c.StaticSlotLen, flexray.MaxStaticSlotMacroticks, max))
-				}
-				return fails, fmt.Sprintf("%d static slots of %v (ST segment %v)", c.NumStaticSlots, c.StaticSlotLen, c.STBus())
-			},
-		},
-		{
-			ID: "CFG002", Pack: PackStructure, Severity: SeverityError, needs: needsConfig,
-			Title: "dynamic segment within protocol limits",
-			check: func(f *Facts, _ Thresholds) ([]Finding, string) {
-				c := f.Cfg
-				var fails []Finding
-				if c.NumMinislots < 0 || c.NumMinislots > flexray.MaxMinislots {
-					fails = append(fails, fail("dynamic", "gNumberOfMinislots %d outside [0,%d]", c.NumMinislots, flexray.MaxMinislots))
-				}
-				if c.NumMinislots > 0 && c.MinislotLen <= 0 {
-					fails = append(fails, fail("dynamic", "non-positive gdMinislot %v", c.MinislotLen))
-				}
-				return fails, fmt.Sprintf("%d minislots of %v (DYN segment %v)", c.NumMinislots, c.MinislotLen, c.DYNBus())
-			},
-		},
-		{
-			ID: "CFG003", Pack: PackStructure, Severity: SeverityError, needs: needsConfig,
-			Title: "bus cycle below the 16 ms protocol limit",
-			check: func(f *Facts, _ Thresholds) ([]Finding, string) {
-				if cy := f.Cfg.Cycle(); cy >= flexray.MaxCycle {
-					return []Finding{fail("cycle", "gdCycle %v not below the 16 ms protocol limit", cy)}, ""
-				}
-				return nil, fmt.Sprintf("gdCycle %v", f.Cfg.Cycle())
-			},
-		},
-		{
-			ID: "CFG004", Pack: PackStructure, Severity: SeverityError, needs: needsConfig,
-			Title: "static slot ownership table is consistent",
-			check: func(f *Facts, _ Thresholds) ([]Finding, string) {
-				c := f.Cfg
-				var fails []Finding
-				if len(c.StaticSlotOwner) != c.NumStaticSlots {
-					fails = append(fails, fail("owners", "StaticSlotOwner has %d entries for %d slots", len(c.StaticSlotOwner), c.NumStaticSlots))
-				}
-				for i, o := range c.StaticSlotOwner {
-					if int(o) >= f.Sys.Platform.NumNodes || int(o) < -1 {
-						fails = append(fails, fail(fmt.Sprintf("slot %d", i+1), "bad owner %d for a %d-node platform", o, f.Sys.Platform.NumNodes))
-					}
-				}
-				return fails, fmt.Sprintf("%d slot owners, all valid", len(c.StaticSlotOwner))
-			},
-		},
-		{
-			ID: "CFG005", Pack: PackStructure, Severity: SeverityError, needs: needsConfig,
-			Title: "every ST-sending node owns a static slot",
-			check: func(f *Facts, _ Thresholds) ([]Finding, string) {
-				owned := map[model.NodeID]bool{}
-				for _, o := range f.Cfg.StaticSlotOwner {
-					if o >= 0 {
-						owned[o] = true
-					}
-				}
-				var fails []Finding
-				senders := f.Sys.App.STSenderNodes()
-				for _, n := range senders {
-					if !owned[n] {
-						fails = append(fails, fail(f.Sys.Platform.NodeName(n),
-							"node sends ST messages but owns no static slot: its frames can never be transmitted"))
-					}
-				}
-				return fails, fmt.Sprintf("all %d ST-sending nodes own static slots", len(senders))
-			},
-		},
-		{
-			ID: "CFG006", Pack: PackStructure, Severity: SeverityError, needs: needsConfig,
-			Title: "the largest ST frame fits the static slot",
-			check: func(f *Facts, _ Thresholds) ([]Finding, string) {
-				maxST := f.Sys.App.MaxC(func(a *model.Activity) bool {
-					return a.IsMessage() && a.Class == model.ST
-				})
-				if f.Cfg.NumStaticSlots > 0 && maxST > f.Cfg.StaticSlotLen {
-					return []Finding{fail("static", "largest ST message (%v) exceeds gdStaticSlot (%v)", maxST, f.Cfg.StaticSlotLen)}, ""
-				}
-				return nil, fmt.Sprintf("largest ST message %v fits gdStaticSlot %v", maxST, f.Cfg.StaticSlotLen)
-			},
-		},
-		{
-			ID: "CFG007", Pack: PackStructure, Severity: SeverityError, needs: needsConfig,
-			Title: "FrameID assignment is total, positive and DYN-only",
-			check: func(f *Facts, _ Thresholds) ([]Finding, string) {
-				app := &f.Sys.App
-				var fails []Finding
-				dyn := app.Messages(int(model.DYN))
-				for _, m := range dyn {
-					a := app.Act(m)
-					fid, ok := f.Cfg.FrameID[m]
-					switch {
-					case !ok:
-						fails = append(fails, fail(a.Name, "DYN message has no FrameID: it can never be transmitted"))
-					case fid < 1:
-						fails = append(fails, fail(a.Name, "FrameID %d < 1 (FrameIDs are 1-based)", fid))
-					}
-				}
-				extra := make([]model.ActID, 0)
-				for m := range f.Cfg.FrameID {
-					if int(m) < 0 || int(m) >= len(app.Acts) {
-						fails = append(fails, fail(fmt.Sprintf("act %d", m), "FrameID assigned to a non-existent activity id"))
-						continue
-					}
-					if a := app.Act(m); !a.IsMessage() || a.Class != model.DYN {
-						extra = append(extra, m)
-					}
-				}
-				sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
-				for _, m := range extra {
-					fails = append(fails, fail(app.Act(m).Name, "FrameID assigned to a non-DYN activity"))
-				}
-				return fails, fmt.Sprintf("all %d DYN messages carry valid FrameIDs", len(dyn))
-			},
-		},
-		{
-			ID: "CFG008", Pack: PackStructure, Severity: SeverityError, needs: needsConfig,
-			Title: "no FrameID is shared across nodes",
-			check: func(f *Facts, _ Thresholds) ([]Finding, string) {
-				var fails []Finding
-				for _, fr := range f.Frames {
-					if fr.CrossNode {
-						names := make([]string, len(fr.Nodes))
-						for i, n := range fr.Nodes {
-							names[i] = f.Sys.Platform.NodeName(n)
-						}
-						fails = append(fails, fail(fmt.Sprintf("FrameID %d", fr.FrameID),
-							"shared across nodes %s: two nodes would transmit in the same dynamic slot",
-							strings.Join(names, ", ")))
-					}
-				}
-				return fails, fmt.Sprintf("%d FrameIDs, none shared across nodes", len(f.Frames))
-			},
-		},
+		protocolRule("CFG001", "static segment within protocol limits", flexray.CheckStaticSegment, func(f *Facts) string {
+			return fmt.Sprintf("%d static slots of %v (ST segment %v)", f.Cfg.NumStaticSlots, f.Cfg.StaticSlotLen, f.Cfg.STBus())
+		}),
+		protocolRule("CFG002", "dynamic segment within protocol limits", flexray.CheckDynamicSegment, func(f *Facts) string {
+			return fmt.Sprintf("%d minislots of %v (DYN segment %v)", f.Cfg.NumMinislots, f.Cfg.MinislotLen, f.Cfg.DYNBus())
+		}),
+		protocolRule("CFG003", "bus cycle below the 16 ms protocol limit", flexray.CheckCycle, func(f *Facts) string {
+			return fmt.Sprintf("gdCycle %v", f.Cfg.Cycle())
+		}),
+		protocolRule("CFG004", "static slot ownership table is consistent", flexray.CheckSlotOwners, func(f *Facts) string {
+			return fmt.Sprintf("%d slot owners, all valid", len(f.Cfg.StaticSlotOwner))
+		}),
+		protocolRule("CFG005", "every ST-sending node owns a static slot", flexray.CheckSTSenders, func(f *Facts) string {
+			return fmt.Sprintf("all %d ST-sending nodes own static slots", len(f.Sys.App.STSenderNodes()))
+		}),
+		protocolRule("CFG006", "the largest ST frame fits the static slot", flexray.CheckSTFrameFits, func(f *Facts) string {
+			maxST := f.Sys.App.MaxC(func(a *model.Activity) bool { return a.IsMessage() && a.Class == model.ST })
+			return fmt.Sprintf("largest ST message %v fits gdStaticSlot %v", maxST, f.Cfg.StaticSlotLen)
+		}),
+		protocolRule("CFG007", "FrameID assignment is total, positive and DYN-only", flexray.CheckFrameIDs, func(f *Facts) string {
+			return fmt.Sprintf("all %d DYN messages carry valid FrameIDs", len(f.DYN))
+		}),
+		protocolRule("CFG008", "no FrameID is shared across nodes", flexray.CheckFrameIDSharing, func(f *Facts) string {
+			return fmt.Sprintf("%d FrameIDs, none shared across nodes", len(f.Frames))
+		}),
 		{
 			ID: "CFG009", Pack: PackStructure, Severity: SeverityWarning, needs: needsConfig,
 			Title: "FrameID sharers multiplex by distinct priorities",
@@ -324,7 +202,7 @@ func structureRules() []Rule {
 				var fails []Finding
 				shared := 0
 				for _, fr := range f.Frames {
-					if len(fr.Msgs) > 1 && !fr.CrossNode {
+					if len(fr.Msgs) > 1 && len(fr.Nodes) == 1 {
 						shared++
 					}
 					if fr.SamePriority {
@@ -335,20 +213,25 @@ func structureRules() []Rule {
 				return fails, fmt.Sprintf("%d slot-multiplexed FrameIDs, all priority-ordered", shared)
 			},
 		},
-		{
-			ID: "CFG010", Pack: PackStructure, Severity: SeverityError, needs: needsConfig,
-			Title: "every DYN frame is reachable within the dynamic segment",
-			check: func(f *Facts, _ Thresholds) ([]Finding, string) {
-				var fails []Finding
-				for _, d := range f.DYN {
-					if !d.Reachable {
-						fails = append(fails, fail(d.Name,
-							"FrameID %d with a %d-minislot frame can never fit the %d-minislot segment",
-							d.FrameID, d.SizeMinislots, f.Cfg.NumMinislots))
-					}
+		protocolRule("CFG010", "every DYN frame is reachable within the dynamic segment", flexray.CheckReachable, func(f *Facts) string {
+			return fmt.Sprintf("all %d DYN frames reachable", len(f.DYN))
+		}),
+	}
+}
+
+// protocolRule is a CFG rule whose failures are the flexray checker's
+// problems of one kind; pass explains a configuration without any.
+func protocolRule(id, title string, kind flexray.CheckKind, pass func(*Facts) string) Rule {
+	return Rule{
+		ID: id, Pack: PackStructure, Severity: SeverityError, needs: needsConfig, Title: title,
+		check: func(f *Facts, _ Thresholds) ([]Finding, string) {
+			var fails []Finding
+			for _, p := range f.Problems {
+				if p.Kind == kind {
+					fails = append(fails, fail(p.Subject, "%s", p.Message))
 				}
-				return fails, fmt.Sprintf("all %d DYN frames reachable", len(f.DYN))
-			},
+			}
+			return fails, pass(f)
 		},
 	}
 }

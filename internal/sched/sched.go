@@ -29,9 +29,9 @@ type Options struct {
 	// evaluated for each SCS task. 1 means plain first-fit (no
 	// holistic evaluation); larger values implement Fig. 2 line 11
 	// by running the analysis for each candidate gap and keeping the
-	// cheapest. The paper's approach corresponds to values > 1; the
-	// experiments default to 1 for the outer optimisation loops and
-	// use 3 for the final configuration.
+	// cheapest. The paper's approach corresponds to values > 1. Every
+	// optimiser, experiment and service path uses DefaultOptions' 1;
+	// only tests set larger values.
 	PlacementCandidates int
 	// Analysis options used for candidate evaluation and the final
 	// run.
