@@ -104,6 +104,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -561,13 +562,19 @@ func jsonContentType(r *http.Request) bool {
 // errBusy marks a request shed because every heavy slot is taken.
 var errBusy = errors.New("server at capacity")
 
+// errPanic marks a computation that panicked; compute logs the panic
+// and its stack.
+var errPanic = errors.New("computation panicked")
+
 // compute runs fn on a heavy-work slot, bounded by ctx. With no slot
 // free it sheds immediately instead of queueing. On timeout the
 // request is answered at once, while fn — the schedule build and the
 // simulator are not interruptible — keeps running in the background
 // and releases its slot when done: the -max-concurrent bound holds
-// even for runaway computations. The caller must not touch fn's
-// results unless compute returned nil.
+// even for runaway computations. A panic in fn is recovered on its
+// goroutine (net/http recovers only the handler's own), logged, and
+// returned as errPanic; its slot is released. The caller must not
+// touch fn's results unless compute returned nil.
 func (s *server) compute(ctx context.Context, fn func()) error {
 	select {
 	case s.heavy <- struct{}{}:
@@ -575,15 +582,22 @@ func (s *server) compute(ctx context.Context, fn func()) error {
 		s.markShed()
 		return errBusy
 	}
-	done := make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
-		defer func() { <-s.heavy }()
-		defer close(done)
+		var err error
+		defer func() {
+			if p := recover(); p != nil {
+				s.log.Error("computation panicked", "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+				err = errPanic
+			}
+			<-s.heavy
+			done <- err
+		}()
 		fn()
 	}()
 	select {
-	case <-done:
-		return nil
+	case err := <-done:
+		return err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -598,6 +612,10 @@ func computeError(w http.ResponseWriter, err error) {
 	if errors.Is(err, errBusy) {
 		w.Header().Set("Retry-After", retryAfter)
 		httpErrorCode(w, http.StatusServiceUnavailable, codeAtCapacity, "server at capacity, retry later")
+		return
+	}
+	if errors.Is(err, errPanic) {
+		httpError(w, http.StatusInternalServerError, "internal error during the computation")
 		return
 	}
 	httpErrorCode(w, http.StatusGatewayTimeout, codeTimeout, "computation exceeded the request budget")

@@ -376,6 +376,51 @@ func TestHealthzStoreStats(t *testing.T) {
 	}
 }
 
+// TestComputePanicRecovered: a computation that panics on its heavy
+// slot answers 500 "internal" instead of killing the process, and
+// frees the slot: with -max-concurrent 1, the next /v1/analyze and
+// /livez still answer 200.
+func TestComputePanicRecovered(t *testing.T) {
+	s, err := newServer(serverConfig{
+		Workers: 1, MaxConcurrent: 1, Timeout: time.Minute,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mux.HandleFunc("POST /v1/panic", func(w http.ResponseWriter, r *http.Request) {
+		if err := s.compute(r.Context(), func() { panic("injected") }); err != nil {
+			computeError(w, err)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close(context.Background())
+	})
+
+	resp, raw := post(t, ts, "/v1/panic", map[string]any{})
+	var env decodedEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatalf("panicking computation: %d %s", resp.StatusCode, raw)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "internal" {
+		t.Fatalf("panicking computation: %d %q, want 500 internal: %s", resp.StatusCode, env.Error.Code, raw)
+	}
+	resp, raw = post(t, ts, "/v1/analyze", map[string]any{
+		"system": json.RawMessage(lintFixture(t, "valid_sys.json")),
+		"config": json.RawMessage(lintFixture(t, "valid_cfg.json")),
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze after the panic: %d %s", resp.StatusCode, raw)
+	}
+	if resp, raw := get(t, ts, "/livez"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("livez after the panic: %d %s", resp.StatusCode, raw)
+	}
+}
+
 // TestPprofDisabled: without -pprof the profiling endpoints do not
 // exist — they must 404, not 405 or 200.
 func TestPprofDisabled(t *testing.T) {

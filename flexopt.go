@@ -283,16 +283,10 @@ type (
 	// JobManagerOptions size the worker pool and the queue, and carry
 	// the retention policy and compaction interval.
 	JobManagerOptions = jobs.ManagerOptions
-	// JobManagerStats snapshot job counts, retention/store counters
-	// and engine totals.
-	JobManagerStats = jobs.ManagerStats
 	// JobRetention bounds the terminal jobs a manager retains; the
 	// zero value keeps everything. Eviction is deterministic: oldest
 	// FinishedAt first, submission order on ties.
 	JobRetention = jobs.RetentionPolicy
-	// JobStoreStats snapshot the durable store (size on disk,
-	// compaction count, last compaction time) for operators.
-	JobStoreStats = jobs.StoreStats
 	// JobSpec describes one job: kind, payload, priority and knobs.
 	JobSpec = jobs.Spec
 	// JobPopulation is a campaign job's input set (synthesised or
@@ -312,7 +306,8 @@ type (
 	JobResult = jobs.Result
 	// JobEvent is one element of a job's progress stream.
 	JobEvent = jobs.Event
-	// JobStore persists job history for crash recovery.
+	// JobStore persists job history for crash recovery and rewrites
+	// it to a snapshot of live state on compaction.
 	JobStore = jobs.Store
 )
 
@@ -338,11 +333,12 @@ var ErrJobEvicted = jobs.ErrEvicted
 // NewJobManager builds a job manager over the given store (nil keeps
 // jobs in memory), replaying the store's history — finished jobs come
 // back with their results, interrupted ones are re-enqueued — and
-// starting the worker pool. Close it to checkpoint outstanding work;
-// with a compacting store (NewJobFileStore), Close also rewrites the
-// log to live state so the next startup replays the snapshot, not
-// history. A JobRetention policy in the options bounds terminal-job
-// state; JobManager.Compact forces a store rewrite on demand.
+// starting the worker pool and its one background loop (lease expiry,
+// age retention, periodic compaction). Close it to checkpoint
+// outstanding work; Close also rewrites the store to live state so the
+// next startup replays the snapshot, not history. A JobRetention
+// policy in the options bounds terminal-job state; JobManager.Compact
+// forces a store rewrite on demand.
 func NewJobManager(store JobStore, opts JobManagerOptions) (*JobManager, error) {
 	return jobs.NewManager(store, opts)
 }
@@ -352,10 +348,10 @@ func NewJobMemStore() JobStore { return jobs.NewMemStore() }
 
 // NewJobFileStore opens (creating if needed) the append-only JSONL job
 // store at path; a manager built over it resumes the recorded state.
-// The store supports compaction (periodic via JobManagerOptions.
-// CompactInterval, always at Close): the log is atomically rewritten
-// to a snapshot of live state, so it grows with the live job set and
-// the append tail, not with all history.
+// Compaction (periodic via JobManagerOptions.CompactInterval, always
+// at Close) atomically rewrites the log to a snapshot of live state,
+// so it grows with the live job set and the append tail, not with all
+// history.
 func NewJobFileStore(path string) (JobStore, error) { return jobs.NewFileStore(path) }
 
 // Performance-regression harness: the curated macro-benchmark suite

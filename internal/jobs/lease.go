@@ -21,11 +21,12 @@ package jobs
 // best-effort as evidence of a fault and ignored by replay; grants are
 // not stored (GET /v1/leases and the grant counter show them).
 //
-// Worker death is survived by lease expiry: a janitor re-queues any
-// granted shard whose lease outlived its TTL without a renewal, and
-// the retired lease ID answers ErrLeaseStale from then on. Re-queueing
-// is deterministic — the shard returns to pending with its range
-// unchanged, so a re-grant computes the identical records.
+// Worker death is survived by lease expiry: the manager's janitor
+// loop (manager.go) re-queues any granted shard whose lease outlived
+// its TTL without a renewal, and the retired lease ID answers
+// ErrLeaseStale from then on. Re-queueing is deterministic — the shard
+// returns to pending with its range unchanged, so a re-grant computes
+// the identical records.
 //
 // Claims are FIFO: whichever worker asks gets the first pending shard
 // in (job submission order, shard index) order. Every system's records
@@ -652,34 +653,6 @@ func (m *Manager) releaseShardLocked(sh *leaseShard, reason error) {
 	sh.state = leasePending
 	sh.worker, sh.leaseID = "", ""
 	sh.expiry = time.Time{}
-}
-
-// leaseJanitor periodically expires overdue leases; its tick is a
-// quarter of the TTL so a dead worker's shard re-queues promptly.
-func (m *Manager) leaseJanitor() {
-	defer m.wg.Done()
-	tick := m.opts.LeaseTTL / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick > 5*time.Second {
-		tick = 5 * time.Second
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case now := <-t.C:
-			m.mu.Lock()
-			idle := len(m.leaseJobs) == 0 && len(m.leaseWorkers) == 0
-			m.mu.Unlock()
-			if !idle {
-				m.expireLeases(now)
-			}
-		}
-	}
 }
 
 // expireLeases re-queues every granted shard whose lease outlived its

@@ -50,9 +50,6 @@ type leaseRenewResponse struct {
 // LeaseAPI serves the /v1/leases endpoints over one manager.
 type LeaseAPI struct {
 	m *Manager
-	// MaxBody, when > 0, bounds request bodies for handlers mounted
-	// without an outer guard (oversized bodies answer 413).
-	MaxBody int64
 }
 
 // NewLeaseAPI builds the HTTP face of m's lease table.
@@ -130,15 +127,10 @@ func (a *LeaseAPI) HandleList(w http.ResponseWriter, r *http.Request) {
 	a.json(w, http.StatusOK, a.m.Leases())
 }
 
-// decode parses a JSON body, mapping an oversized one to 413 (both
-// this API's own MaxBody bound and an outer http.MaxBytesReader
-// surface as MaxBytesError).
+// decode parses a JSON body, mapping one an outer
+// http.MaxBytesReader cut off to 413.
 func (a *LeaseAPI) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := r.Body
-	if a.MaxBody > 0 {
-		body = http.MaxBytesReader(w, body, a.MaxBody)
-	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

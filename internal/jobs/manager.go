@@ -38,9 +38,7 @@ type ManagerOptions struct {
 	Retention RetentionPolicy
 	// CompactInterval triggers periodic store compaction: every
 	// interval with new records appended, the store is rewritten to a
-	// snapshot of live state. <= 0 compacts only at Close. Only
-	// effective when the store implements Compactor (FileStore and
-	// MemStore both do).
+	// snapshot of live state. <= 0 compacts only at Close.
 	CompactInterval time.Duration
 	// Logf receives operational messages (store append failures,
 	// replay summaries, compaction outcomes); nil selects log.Printf.
@@ -90,38 +88,6 @@ func (o ManagerOptions) withDefaults() ManagerOptions {
 		o.LeaseSystems = 4
 	}
 	return o
-}
-
-// ManagerStats snapshot the manager for operators: job counts per
-// lifecycle state, retention and store counters, plus the
-// evaluation-engine counters accumulated across every job the manager
-// ran.
-type ManagerStats struct {
-	Queued    int `json:"queued"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-	// Evicted counts retention evictions since the manager started.
-	Evicted int64 `json:"evicted"`
-	// ResultBytes is the summed encoded size of retained results —
-	// the quantity RetentionPolicy.MaxResultBytes bounds.
-	ResultBytes int64                `json:"result_bytes"`
-	Store       StoreStats           `json:"store"`
-	Engine      campaign.EngineStats `json:"engine"`
-}
-
-// StoreStats snapshot the durable store for operators: alert on
-// SizeBytes (or a stale LastCompaction) to catch unbounded growth.
-type StoreStats struct {
-	// Compactions counts store rewrites since the manager started.
-	Compactions int64 `json:"compactions"`
-	// LastCompaction is the time of the latest rewrite; zero when
-	// none happened yet.
-	LastCompaction time.Time `json:"last_compaction,omitzero"`
-	// SizeBytes is the store's on-disk footprint; -1 when the store
-	// does not report one (MemStore, custom stores without Sizer).
-	SizeBytes int64 `json:"size_bytes"`
 }
 
 // job is the manager-internal state of one job; every field is guarded
@@ -224,11 +190,11 @@ type Manager struct {
 	// maxTombstones) so they answer ErrEvicted, not ErrNotFound.
 	evicted map[string]struct{}
 	tombs   []tombstone
-	// evictions/resultBytes/compactions/lastCompact back ManagerStats.
+	// evictions/resultBytes/compactions back the scrape-time views of
+	// metrics.go; resultBytes is also the retention byte budget's sum.
 	evictions   int64
 	resultBytes int64
 	compactions int64
-	lastCompact time.Time
 
 	// Campaign shard and lease state (lease.go), all guarded by mu:
 	// running distributed jobs by job ID, granted leases by lease ID
@@ -282,61 +248,64 @@ func NewManager(store Store, opts ManagerOptions) (*Manager, error) {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	if tick := m.janitorTick(); tick > 0 {
-		m.wg.Add(1)
-		go m.janitor(tick)
-	}
 	m.wg.Add(1)
-	go m.leaseJanitor()
+	go m.janitor()
 	m.signal(len(m.queue))
 	return m, nil
 }
 
-// janitorTick picks the period of the background janitor: the
-// compaction interval, tightened so age-based eviction lags its
-// deadline by at most a quarter of MaxAge; 0 disables the janitor
-// (retention still applies on every terminal transition, compaction
-// still runs at Close).
-func (m *Manager) janitorTick() time.Duration {
-	tick := m.opts.CompactInterval
-	if age := m.opts.Retention.MaxAge; age > 0 {
-		quarter := age / 4
-		if quarter < 10*time.Millisecond {
-			quarter = 10 * time.Millisecond
-		}
-		if tick <= 0 || quarter < tick {
-			tick = quarter
-		}
-	}
-	return tick
-}
-
-// janitor periodically enforces age-based retention and, when a
-// CompactInterval is set, compacts the store.
-func (m *Manager) janitor(tick time.Duration) {
+// janitor is the manager's one background loop. Each tick it expires
+// overdue leases (skipped while no campaign is distributed and no
+// worker is remembered), applies age retention (with a MaxAge set) and
+// compacts the store once CompactInterval has elapsed (skipped when
+// nothing was appended since the last rewrite). The tick is the
+// shortest of a quarter of the lease TTL (clamped to [10ms, 5s]), so a
+// dead worker's shard re-queues promptly; a quarter of MaxAge (at
+// least 10ms), so an expired job outlives its deadline by at most
+// that; and the CompactInterval.
+func (m *Manager) janitor() {
 	defer m.wg.Done()
+	tick := min(max(m.opts.LeaseTTL/4, 10*time.Millisecond), 5*time.Second)
+	if age := m.opts.Retention.MaxAge; age > 0 {
+		tick = min(tick, max(age/4, 10*time.Millisecond))
+	}
+	ci := m.opts.CompactInterval
+	if ci > 0 {
+		tick = min(tick, ci)
+	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	var sinceCompact time.Duration
 	for {
+		var now time.Time
 		select {
 		case <-m.ctx.Done():
 			return
-		case <-t.C:
+		case now = <-t.C:
 		}
-		m.applyRetention()
-		if ci := m.opts.CompactInterval; ci > 0 {
-			if sinceCompact += tick; sinceCompact >= ci {
-				sinceCompact = 0
-				// An idle period appends nothing; rewriting an
-				// unchanged store would be pure fsync churn.
-				if m.dirty.Load() == 0 {
-					continue
-				}
-				if err := m.Compact(); err != nil {
-					m.opts.Logf("jobs: periodic compaction: %v", err)
-				}
-			}
+		m.mu.Lock()
+		idle := len(m.leaseJobs) == 0 && len(m.leaseWorkers) == 0
+		m.mu.Unlock()
+		if !idle {
+			m.expireLeases(now)
+		}
+		if m.opts.Retention.MaxAge > 0 {
+			m.applyRetention()
+		}
+		if ci <= 0 {
+			continue
+		}
+		if sinceCompact += tick; sinceCompact < ci {
+			continue
+		}
+		sinceCompact = 0
+		// An idle period appends nothing; rewriting an unchanged
+		// store would be pure fsync churn.
+		if m.dirty.Load() == 0 {
+			continue
+		}
+		if err := m.Compact(); err != nil {
+			m.opts.Logf("jobs: periodic compaction: %v", err)
 		}
 	}
 }
@@ -961,49 +930,12 @@ func (m *Manager) QueueDepth() (depth, capacity int) {
 	return len(m.queue) + m.reserved, m.opts.QueueCap
 }
 
-// Stats snapshots the manager.
-func (m *Manager) Stats() ManagerStats {
-	st := ManagerStats{Engine: m.EngineTotals()}
-	st.Store.SizeBytes = -1
-	if sz, ok := m.store.(Sizer); ok {
-		if n, err := sz.Size(); err == nil {
-			st.Store.SizeBytes = n
-		}
-	}
-	m.mu.Lock()
-	for _, j := range m.jobs {
-		switch j.status {
-		case StatusQueued:
-			st.Queued++
-		case StatusRunning:
-			st.Running++
-		case StatusDone:
-			st.Done++
-		case StatusFailed:
-			st.Failed++
-		case StatusCancelled:
-			st.Cancelled++
-		}
-	}
-	st.Evicted = m.evictions
-	st.ResultBytes = m.resultBytes
-	st.Store.Compactions = m.compactions
-	st.Store.LastCompaction = m.lastCompact
-	m.mu.Unlock()
-	return st
-}
-
 // Compact rewrites the store into a snapshot of live state: one
 // submit record per retained job, a status record where the job has
-// progressed beyond queued, and the retained eviction tombstones. A
-// no-op on stores without the Compactor capability. Safe to call at
-// any time; the manager also calls it on the janitor tick (with
-// CompactInterval set) and once during Close.
+// progressed beyond queued, and the retained eviction tombstones.
+// Safe to call at any time; the manager also calls it on the janitor
+// tick (with CompactInterval set) and once during Close.
 func (m *Manager) Compact() error {
-	comp, ok := m.store.(Compactor)
-	if !ok {
-		return nil
-	}
 	// Exclusive gate: no transition+append pair is in flight, so the
 	// snapshot below covers every acknowledged record and nothing
 	// appended before the rewrite can be lost by it.
@@ -1015,7 +947,7 @@ func (m *Manager) Compact() error {
 	_, cspan := m.opts.Tracer.StartRoot(context.Background(), "store.compact", obs.SpanContext{})
 	cspan.SetInt("records", int64(len(recs)))
 	compactStart := time.Now()
-	if err := comp.Compact(recs); err != nil {
+	if err := m.store.Compact(recs); err != nil {
 		cspan.Fail(err)
 		cspan.End()
 		return fmt.Errorf("%w: %v", ErrStore, err)
@@ -1025,7 +957,6 @@ func (m *Manager) Compact() error {
 	m.dirty.Store(0)
 	m.mu.Lock()
 	m.compactions++
-	m.lastCompact = time.Now()
 	m.mu.Unlock()
 	return nil
 }
@@ -1073,7 +1004,7 @@ func (m *Manager) snapshotLocked() []StoreRecord {
 // Close shuts the manager down: submissions are rejected, running jobs
 // are cancelled and checkpointed back to queued in the store (so a
 // restart resumes them), worker exit is awaited up to ctx, the store
-// is compacted (when it supports it and the workers drained cleanly —
+// is compacted (when the workers drained cleanly —
 // the next startup replays live state, not history), and the store is
 // closed. Close is idempotent.
 func (m *Manager) Close(ctx context.Context) error {

@@ -119,10 +119,8 @@ func (x *Metrics) bind(m *Manager) {
 	r.GaugeFunc("flexray_store_size_bytes",
 		"On-disk footprint of the durable job store; -1 when the store does not report one.",
 		func() float64 {
-			if sz, ok := m.store.(Sizer); ok {
-				if n, err := sz.Size(); err == nil {
-					return float64(n)
-				}
+			if n, err := m.store.Size(); err == nil {
+				return float64(n)
 			}
 			return -1
 		})

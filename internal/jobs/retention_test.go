@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // addTerminal white-box inserts a finished job, bypassing the workers,
@@ -34,6 +36,27 @@ func addTerminal(t *testing.T, m *Manager, id string, fin time.Time, resBytes in
 	m.resultBytes += resBytes
 }
 
+// scrapeSeries scrapes reg as TestManagerMetrics does and returns the
+// value of one series, named with its labels as exposed.
+func scrapeSeries(t *testing.T, reg *obs.Registry, series string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("scrape lacks %s", series)
+	return 0
+}
+
 // storeIDs replays the store and returns "type/id" per record.
 func storeIDs(t *testing.T, s Store) []string {
 	t.Helper()
@@ -52,8 +75,9 @@ func storeIDs(t *testing.T, s Store) []string {
 // and each eviction is durably recorded in that order.
 func TestRetentionEvictionOrder(t *testing.T) {
 	store := NewMemStore()
+	reg := obs.NewRegistry()
 	m := newTestManager(t, store, ManagerOptions{
-		Workers: 1, Retention: RetentionPolicy{MaxTerminal: 1},
+		Workers: 1, Retention: RetentionPolicy{MaxTerminal: 1}, Metrics: NewMetrics(reg),
 	})
 	base := time.Now().Add(-time.Hour)
 	addTerminal(t, m, "j-a", base.Add(3*time.Minute), 10) // newest: survives
@@ -92,8 +116,10 @@ func TestRetentionEvictionOrder(t *testing.T) {
 	if _, err := m.Get("j-never"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown id: %v, want ErrNotFound", err)
 	}
-	if st := m.Stats(); st.Evicted != 3 || st.ResultBytes != 10 {
-		t.Errorf("stats evicted=%d result_bytes=%d, want 3 and 10", st.Evicted, st.ResultBytes)
+	evicted := scrapeSeries(t, reg, "flexray_jobs_evicted_total")
+	resultBytes := scrapeSeries(t, reg, "flexray_jobs_result_bytes")
+	if evicted != 3 || resultBytes != 10 {
+		t.Errorf("stats evicted=%v result_bytes=%v, want 3 and 10", evicted, resultBytes)
 	}
 }
 
@@ -117,8 +143,9 @@ func TestRetentionMaxAge(t *testing.T) {
 // TestRetentionMaxResultBytes: the byte budget evicts the oldest
 // result-bearing jobs until the total fits, skipping result-less ones.
 func TestRetentionMaxResultBytes(t *testing.T) {
+	reg := obs.NewRegistry()
 	m := newTestManager(t, NewMemStore(), ManagerOptions{
-		Workers: 1, Retention: RetentionPolicy{MaxResultBytes: 150},
+		Workers: 1, Retention: RetentionPolicy{MaxResultBytes: 150}, Metrics: NewMetrics(reg),
 	})
 	base := time.Now().Add(-time.Hour)
 	addTerminal(t, m, "j-x", base.Add(1*time.Minute), 100)
@@ -133,8 +160,8 @@ func TestRetentionMaxResultBytes(t *testing.T) {
 			t.Errorf("job %s evicted: %v", id, err)
 		}
 	}
-	if st := m.Stats(); st.ResultBytes != 100 {
-		t.Errorf("retained result bytes %d, want 100", st.ResultBytes)
+	if rb := scrapeSeries(t, reg, "flexray_jobs_result_bytes"); rb != 100 {
+		t.Errorf("retained result bytes %v, want 100", rb)
 	}
 }
 
@@ -221,25 +248,28 @@ func TestCompactionBoundsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	m, err := NewManager(s, ManagerOptions{
-		Workers: 1, Retention: RetentionPolicy{MaxTerminal: 2}, Logf: t.Logf,
+		Workers: 1, Retention: RetentionPolicy{MaxTerminal: 2}, Logf: t.Logf, Metrics: NewMetrics(reg),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := m.Stats(); st.Evicted != 20 || st.Done != 2 {
-		t.Fatalf("after replay: evicted=%d done=%d, want 20 and 2", st.Evicted, st.Done)
+	evicted := scrapeSeries(t, reg, "flexray_jobs_evicted_total")
+	done := scrapeSeries(t, reg, `flexray_jobs_state{state="done"}`)
+	if evicted != 20 || done != 2 {
+		t.Fatalf("after replay: evicted=%v done=%v, want 20 and 2", evicted, done)
 	}
 	if err := m.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.Store.Compactions != 1 || st.Store.LastCompaction.IsZero() {
-		t.Errorf("store stats after compaction: %+v", st.Store)
+	if c := scrapeSeries(t, reg, "flexray_store_compactions_total"); c != 1 {
+		t.Errorf("store compactions after compaction: %v, want 1", c)
 	}
-	if st.Store.SizeBytes <= 0 || st.Store.SizeBytes >= before.Size()/4 {
-		t.Errorf("compacted store is %d bytes, want >0 and well under the original %d",
-			st.Store.SizeBytes, before.Size())
+	size := scrapeSeries(t, reg, "flexray_store_size_bytes")
+	if size <= 0 || size >= float64(before.Size()/4) {
+		t.Errorf("compacted store is %v bytes, want >0 and well under the original %d",
+			size, before.Size())
 	}
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatal(err)
@@ -352,13 +382,14 @@ func TestPeriodicCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newTestManager(t, s, ManagerOptions{
+	reg := obs.NewRegistry()
+	newTestManager(t, s, ManagerOptions{
 		Workers: 1, CompactInterval: 20 * time.Millisecond,
-		Retention: RetentionPolicy{MaxTerminal: 1},
+		Retention: RetentionPolicy{MaxTerminal: 1}, Metrics: NewMetrics(reg),
 	})
 	deadline := time.Now().Add(time.Minute)
 	for {
-		if st := m.Stats(); st.Store.Compactions > 0 {
+		if scrapeSeries(t, reg, "flexray_store_compactions_total") > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -373,6 +404,59 @@ func TestPeriodicCompaction(t *testing.T) {
 	// 7 tombstones + 1 live job (submit+done).
 	if len(recs) != 9 {
 		t.Fatalf("periodically compacted log has %d records, want 9", len(recs))
+	}
+}
+
+// TestJanitorRunsAllDuties: one manager's background loop expires a
+// silent worker's lease, evicts a terminal job past MaxAge and
+// compacts the store, all on the same ticker.
+func TestJanitorRunsAllDuties(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newTestManager(t, NewMemStore(), ManagerOptions{
+		Workers: 1, LeaseSystems: 1, LeaseTTL: 100 * time.Millisecond,
+		Retention:       RetentionPolicy{MaxAge: 200 * time.Millisecond},
+		CompactInterval: 50 * time.Millisecond,
+		Metrics:         NewMetrics(reg),
+	})
+	addTerminal(t, m, "j-old", time.Now().Add(-time.Hour), 5)
+	job := submitDistributed(t, m, 1)
+	g, err := m.ClaimLease("silent")
+	if err != nil || g == nil {
+		t.Fatalf("claim: %v, %v", g, err)
+	}
+	// The lease is never renewed.
+	var evicted, compacted, requeued bool
+	for deadline := time.Now().Add(time.Minute); !evicted || !compacted || !requeued; {
+		if time.Now().After(deadline) {
+			t.Fatalf("after a minute: evicted=%v compacted=%v requeued=%v", evicted, compacted, requeued)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if !evicted {
+			_, err := m.Get("j-old")
+			evicted = errors.Is(err, ErrEvicted)
+		}
+		if !compacted {
+			compacted = scrapeSeries(t, reg, "flexray_store_compactions_total") > 0
+		}
+		if !requeued {
+			// The expiry is counted after its store append, which
+			// follows the re-queue.
+			ls := m.Leases().Leases
+			requeued = len(ls) == 1 && ls[0].JobID == job.ID && ls[0].State == "pending" &&
+				scrapeSeries(t, reg, "flexray_lease_expired_total") > 0
+		}
+	}
+	if _, _, err := m.Result("j-old"); !errors.Is(err, ErrEvicted) {
+		t.Errorf("Result of the evicted job: %v, want ErrEvicted", err)
+	}
+	if _, err := m.RenewLease(g.LeaseID, "silent"); !errors.Is(err, ErrLeaseStale) {
+		t.Errorf("renewing the expired lease: %v, want ErrLeaseStale", err)
+	}
+	if n := scrapeSeries(t, reg, "flexray_lease_expired_total"); n != 1 {
+		t.Errorf("flexray_lease_expired_total %v, want 1", n)
+	}
+	if j, err := m.Get(job.ID); err != nil || j.Status != StatusRunning {
+		t.Errorf("distributed job %+v (err %v), want it still running", j, err)
 	}
 }
 

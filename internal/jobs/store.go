@@ -45,15 +45,14 @@ package jobs
 // Compaction rewrites the log to a snapshot of live state: one submit
 // record per live job (in submission order), a status record where the
 // job has progressed beyond queued, one lease "complete" record per
-// finished shard of a non-terminal campaign job, and one evict
-// record per retained tombstone. Replaying the snapshot reconstructs
-// exactly the live
-// state, so the records appended after it — the tail — apply cleanly
-// on top; startup cost is proportional to live jobs plus the tail, not
-// to history. The rewrite is atomic (temp file, fsync, rename): a
-// crash mid-compact leaves either the old log or the new snapshot,
-// never a mix, and a stale or truncated temp file is ignored (and
-// removed) on the next open.
+// finished shard of a non-terminal campaign job, and one evict record
+// per retained tombstone. Replaying the snapshot reconstructs exactly
+// the live state, so the records appended after it — the tail — apply
+// cleanly on top; startup cost is proportional to live jobs plus the
+// tail, not to history. Every Store compacts; FileStore's rewrite is
+// atomic (temp file, fsync, rename): a crash mid-compact leaves either
+// the old log or the new snapshot, never a mix, and a stale or
+// truncated temp file is ignored (and removed) on the next open.
 
 import (
 	"bytes"
@@ -110,31 +109,19 @@ const (
 // durable before it returns; Replay streams the records present when
 // the store was opened, in append order — it is called once, at
 // manager startup, and implementations may release the history
-// afterwards. Implementations must be safe for concurrent Appends.
-//
-// Stores may additionally implement Compactor (bounded growth) and
-// Sizer (operator visibility); the manager uses both when present.
+// afterwards. Compact atomically replaces the whole history with the
+// given snapshot records, so that a later Replay (after reopening)
+// yields the snapshot plus whatever was appended after it; it must be
+// safe against concurrent Appends (an Append may land before or after
+// the rewrite, but is never lost). Size reports the on-disk footprint
+// in bytes, or an error when the store has none. Implementations must
+// be safe for concurrent Appends.
 type Store interface {
 	Append(rec StoreRecord) error
 	Replay(fn func(rec StoreRecord) error) error
-	Close() error
-}
-
-// Compactor is the optional compaction capability of a Store: Compact
-// atomically replaces the whole history with the given snapshot
-// records, so that a subsequent Replay (after reopening) yields the
-// snapshot plus whatever was appended after it. Compact must be safe
-// against concurrent Appends: an Append may land before or after the
-// rewrite, but never be lost.
-type Compactor interface {
 	Compact(recs []StoreRecord) error
-}
-
-// Sizer is the optional size capability of a Store: the current
-// on-disk footprint in bytes, for operators alerting on unbounded
-// growth.
-type Sizer interface {
 	Size() (int64, error)
+	Close() error
 }
 
 // MemStore is an in-memory Store: records survive manager restarts
@@ -172,6 +159,11 @@ func (s *MemStore) Compact(recs []StoreRecord) error {
 	defer s.mu.Unlock()
 	s.recs = append([]StoreRecord(nil), recs...)
 	return nil
+}
+
+// Size fails: a memory store has no on-disk footprint.
+func (s *MemStore) Size() (int64, error) {
+	return 0, errors.New("jobs: memory store has no on-disk size")
 }
 
 func (s *MemStore) Close() error { return nil }
