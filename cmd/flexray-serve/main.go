@@ -110,7 +110,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/flexray"
@@ -118,9 +117,6 @@ import (
 	"repro/internal/lint"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/sched"
-	"repro/internal/schedule"
-	"repro/internal/sim"
 )
 
 // serveOptions collect every operator-facing flag of flexray-serve.
@@ -414,9 +410,6 @@ type server struct {
 	// lintMetrics counts /v1/lint reports and -validate-jobs gate
 	// activity.
 	lintMetrics *lint.Metrics
-	// engine counts the synchronous endpoints' evaluations; the
-	// flexray_engine_* series add the job manager's totals on top.
-	engine campaign.EngineCounters
 	// reg holds every metric the server exposes at GET /metrics; the
 	// middleware in route() and the jobs manager feed it.
 	reg      *obs.Registry
@@ -656,42 +649,38 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request, req *opt
 	}
 	opts := req.Options.Apply(core.DefaultOptions())
 	var (
-		pf   *campaign.PortfolioResult
-		pErr error
+		res     *jobs.OptimizeResult
+		elapsed time.Duration
+		oErr    error
 	)
 	if err := s.compute(r.Context(), func() {
-		pf, pErr = campaign.Portfolio(r.Context(), sys, opts,
-			campaign.EngineOptions{Workers: workers}, req.Algorithms...)
+		start := time.Now()
+		res, oErr = s.jobs.Optimize(r.Context(), sys, opts, workers, req.Algorithms...)
+		elapsed = time.Since(start)
 	}); err != nil {
 		computeError(w, err)
 		return
 	}
-	if pErr != nil {
-		if errors.Is(pErr, context.DeadlineExceeded) || errors.Is(pErr, context.Canceled) {
+	if oErr != nil {
+		if errors.Is(oErr, context.DeadlineExceeded) || errors.Is(oErr, context.Canceled) {
 			httpError(w, http.StatusGatewayTimeout, "optimisation exceeded the request budget")
 			return
 		}
-		httpError(w, http.StatusUnprocessableEntity, pErr.Error())
+		httpError(w, http.StatusUnprocessableEntity, oErr.Error())
 		return
 	}
-	cfgJSON, err := marshalConfig(pf.Best.Config, sys)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.engine.Add(pf.Engine)
 	writeJSON(w, http.StatusOK, optimizeResponse{
 		Best: bestJSON{
-			Algorithm:   pf.Best.Algorithm,
-			Cost:        pf.Best.Cost,
-			Schedulable: pf.Best.Schedulable,
-			Evaluations: pf.Best.Evaluations,
-			ElapsedUs:   pf.Best.Elapsed.Microseconds(),
-			Config:      cfgJSON,
+			Algorithm:   res.Algorithm,
+			Cost:        res.Cost,
+			Schedulable: res.Schedulable,
+			Evaluations: res.Evaluations,
+			ElapsedUs:   res.ElapsedUs,
+			Config:      res.Config,
 		},
-		Runs:      pf.Runs,
-		Engine:    pf.Engine,
-		ElapsedUs: pf.Elapsed.Microseconds(),
+		Runs:      res.Runs,
+		Engine:    res.Engine,
+		ElapsedUs: elapsed.Microseconds(),
 	})
 }
 
@@ -701,56 +690,26 @@ type configuredRequest struct {
 	Repetitions int             `json:"repetitions,omitempty"` // simulate only
 }
 
-type analyzeResponse struct {
-	Schedulable bool               `json:"schedulable"`
-	Cost        float64            `json:"cost"`
-	Converged   bool               `json:"converged"`
-	CycleUs     float64            `json:"cycle_us"`
-	ResponseUs  map[string]float64 `json:"response_us"`
-	Violations  []string           `json:"violations,omitempty"`
-}
-
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request, req *configuredRequest) {
 	sys, cfg, ok := parseConfigured(w, req)
 	if !ok {
 		return
 	}
 	var (
-		res  *analysis.Result
-		bErr error
+		res  *jobs.AnalyzeResult
+		aErr error
 	)
 	if err := s.compute(r.Context(), func() {
-		_, res, bErr = sched.Build(sys, cfg, sched.DefaultOptions())
+		res, aErr = s.jobs.Analyze(sys, cfg, core.DefaultOptions())
 	}); err != nil {
 		computeError(w, err)
 		return
 	}
-	if bErr != nil {
-		httpError(w, http.StatusUnprocessableEntity, fmt.Sprintf("schedule construction failed: %v", bErr))
+	if aErr != nil {
+		httpError(w, http.StatusUnprocessableEntity, aErr.Error())
 		return
 	}
-	s.engine.Add(campaign.EngineStats{Evaluations: 1})
-	resp := analyzeResponse{
-		Schedulable: res.Schedulable,
-		Cost:        res.Cost,
-		Converged:   res.Converged,
-		CycleUs:     cfg.Cycle().Us(),
-		ResponseUs:  map[string]float64{},
-	}
-	for id, rt := range res.R {
-		resp.ResponseUs[sys.App.Act(id).Name] = rt.Us()
-	}
-	for _, id := range res.Violations {
-		resp.Violations = append(resp.Violations, sys.App.Act(id).Name)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-type simulateResponse struct {
-	MaxResponseUs  map[string]float64 `json:"max_response_us"`
-	Completions    map[string]int     `json:"completions"`
-	DeadlineMisses int                `json:"deadline_misses"`
-	Unfinished     int                `json:"unfinished"`
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request, req *configuredRequest) {
@@ -758,27 +717,12 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request, req *con
 	if !ok {
 		return
 	}
-	simOpts := sim.DefaultOptions()
-	if req.Repetitions > 0 {
-		simOpts.Repetitions = req.Repetitions
-	}
 	var (
-		res  *sim.Result
+		res  *jobs.SimulateResult
 		sErr error
 	)
 	if err := s.compute(r.Context(), func() {
-		var table *schedule.Table
-		table, sErr = sched.BuildTable(sys, cfg, sched.DefaultOptions())
-		if sErr != nil {
-			sErr = fmt.Errorf("schedule construction failed: %w", sErr)
-			return
-		}
-		var simulator *sim.Simulator
-		simulator, sErr = sim.New(sys, cfg, table, simOpts)
-		if sErr != nil {
-			return
-		}
-		res, sErr = simulator.Run()
+		res, sErr = s.jobs.Simulate(sys, cfg, core.DefaultOptions(), req.Repetitions)
 	}); err != nil {
 		computeError(w, err)
 		return
@@ -787,20 +731,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request, req *con
 		httpError(w, http.StatusUnprocessableEntity, sErr.Error())
 		return
 	}
-	s.engine.Add(campaign.EngineStats{Evaluations: 1})
-	resp := simulateResponse{
-		MaxResponseUs:  map[string]float64{},
-		Completions:    map[string]int{},
-		DeadlineMisses: res.DeadlineMisses,
-		Unfinished:     res.Unfinished,
-	}
-	for id, rt := range res.MaxResponse {
-		resp.MaxResponseUs[sys.App.Act(id).Name] = rt.Us()
-	}
-	for id, n := range res.Completions {
-		resp.Completions[sys.App.Act(id).Name] = n
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, res)
 }
 
 // parseConfigured resolves the shared {system, config} request shape.
@@ -850,14 +781,6 @@ func parseSystem(w http.ResponseWriter, raw json.RawMessage) (*model.System, boo
 		return nil, false
 	}
 	return sys, true
-}
-
-func marshalConfig(cfg *flexray.Config, sys *model.System) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := cfg.WriteJSON(&buf, sys); err != nil {
-		return nil, err
-	}
-	return json.RawMessage(buf.Bytes()), nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

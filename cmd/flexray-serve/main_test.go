@@ -166,7 +166,7 @@ func TestOptimizeAnalyzeSimulate(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze: %d: %s", resp.StatusCode, body)
 	}
-	var ana analyzeResponse
+	var ana jobs.AnalyzeResult
 	if err := json.Unmarshal(body, &ana); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestOptimizeAnalyzeSimulate(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate: %d: %s", resp.StatusCode, body)
 	}
-	var simr simulateResponse
+	var simr jobs.SimulateResult
 	if err := json.Unmarshal(body, &simr); err != nil {
 		t.Fatal(err)
 	}

@@ -43,26 +43,19 @@ func (s *server) newRegistry() *obs.Registry {
 }
 
 // bindEngineMetrics exposes the process-wide evaluation-engine totals:
-// the synchronous endpoints' counters plus the job manager's. Both are
+// the job manager counts every computation, synchronous or queued, in
 // plain atomics, so a scrape never takes the manager lock. Called from
 // newServer once s.jobs exists.
 func (s *server) bindEngineMetrics() {
-	total := func() struct{ evals, hits, misses float64 } {
-		st := s.jobs.EngineTotals()
-		st.Add(s.engine.Total())
-		return struct{ evals, hits, misses float64 }{
-			float64(st.Evaluations), float64(st.CacheHits), float64(st.CacheMisses),
-		}
-	}
 	s.reg.CounterFunc("flexray_engine_evaluations_total",
 		"Real schedule+analysis evaluations across all endpoints and jobs.",
-		func() float64 { return total().evals })
+		func() float64 { return float64(s.jobs.EngineTotals().Evaluations) })
 	s.reg.CounterFunc("flexray_engine_cache_hits_total",
 		"Evaluations answered from the campaign engine's cache.",
-		func() float64 { return total().hits })
+		func() float64 { return float64(s.jobs.EngineTotals().CacheHits) })
 	s.reg.CounterFunc("flexray_engine_cache_misses_total",
 		"Evaluations that missed the campaign engine's cache and ran.",
-		func() float64 { return total().misses })
+		func() float64 { return float64(s.jobs.EngineTotals().CacheMisses) })
 }
 
 // route mounts a handler on the mux wrapped in the observability

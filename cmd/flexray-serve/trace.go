@@ -165,18 +165,25 @@ func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobSpansResponse is the payload of GET /v1/jobs/{id}/spans: the
-// persisted per-job summary (survives restarts alongside the job) plus
-// the live spans of the job's trace when the span store still holds
-// them. DroppedSpans counts spans the per-trace bound turned away (the
-// X-Trace-Dropped-Spans header of GET /v1/traces/{id}), so a truncated
-// tree — and with it possibly missing convergence events — is visible.
+// job's lifecycle summary (derived from its persisted timestamps, so it
+// survives restarts alongside the job) plus the live spans of the job's
+// trace when the span store still holds them. DroppedSpans counts spans
+// the per-trace bound turned away (the X-Trace-Dropped-Spans header of
+// GET /v1/traces/{id}), so a truncated tree — and with it possibly
+// missing convergence events — is visible.
 type jobSpansResponse struct {
-	JobID        string             `json:"job_id"`
-	Status       jobs.Status        `json:"status"`
-	TraceID      string             `json:"trace_id,omitempty"`
-	Summary      []jobs.SpanSummary `json:"summary,omitempty"`
-	Spans        []obs.SpanData     `json:"spans,omitempty"`
-	DroppedSpans int                `json:"dropped_spans,omitempty"`
+	JobID        string         `json:"job_id"`
+	Status       jobs.Status    `json:"status"`
+	TraceID      string         `json:"trace_id,omitempty"`
+	Summary      []spanSummary  `json:"summary,omitempty"`
+	Spans        []obs.SpanData `json:"spans,omitempty"`
+	DroppedSpans int            `json:"dropped_spans,omitempty"`
+}
+
+// spanSummary is the duration of one lifecycle phase of a job.
+type spanSummary struct {
+	Name       string `json:"name"`
+	DurationUs int64  `json:"duration_us"`
 }
 
 func (s *server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
@@ -185,7 +192,13 @@ func (s *server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
 		jobMissing(w, err)
 		return
 	}
-	resp := jobSpansResponse{JobID: job.ID, Status: job.Status, TraceID: job.TraceID, Summary: job.Spans}
+	resp := jobSpansResponse{JobID: job.ID, Status: job.Status, TraceID: job.TraceID}
+	if job.Status.Terminal() && !job.StartedAt.IsZero() {
+		resp.Summary = []spanSummary{
+			{Name: "job.queued", DurationUs: job.StartedAt.Sub(job.SubmittedAt).Microseconds()},
+			{Name: "job.run", DurationUs: job.FinishedAt.Sub(job.StartedAt).Microseconds()},
+		}
+	}
 	if s.spans != nil && job.TraceID != "" {
 		if id, err := obs.ParseTraceID(job.TraceID); err == nil {
 			if spans, dropped, ok := s.spans.Trace(id); ok {

@@ -4,8 +4,8 @@
 //   - Engine, a worker-pool evaluation service that plugs into the
 //     optimisers through core.EvalHook: independent candidate
 //     configurations (the BBC/OBC-EE sweep grids) are evaluated
-//     concurrently, every evaluation goes through a sharded, bounded
-//     LRU cache keyed on the configuration fingerprint, and a context
+//     concurrently, every evaluation goes through a bounded LRU cache
+//     keyed on the configuration fingerprint, and a context
 //     cancels in-flight work. An engine serves one system, and each
 //     worker owns one evaluation session (core.Session) for it, so the
 //     reusable-analyzer and schedule-table reuse of the serial path
@@ -24,7 +24,6 @@ package campaign
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -44,15 +43,6 @@ const infeasibleCost = 1e15
 // DefaultCacheSize bounds the evaluation cache of every engine, in
 // entries.
 const DefaultCacheSize = 4096
-
-// maxCacheShards caps the sharding of the evaluation cache; beyond 64
-// ways the mutexes stop being the bottleneck long before the shards do.
-const maxCacheShards = 64
-
-// minShardCapacity is the fewest entries one cache shard may hold:
-// small configured caches stay coarsely sharded rather than degrading
-// into per-shard LRUs too tiny to keep a working set.
-const minShardCapacity = 8
 
 // EngineOptions tune one evaluation engine.
 type EngineOptions struct {
@@ -123,14 +113,6 @@ type cacheEntry struct {
 	done chan struct{}
 }
 
-// cacheShard is one lock domain of the sharded evaluation cache.
-type cacheShard struct {
-	mu       sync.Mutex
-	entries  map[cacheKey]*list.Element
-	lru      list.List // of *cacheEntry, most recent first
-	capacity int
-}
-
 // engineWorker is the state pinned to one worker slot: one evaluation
 // session and the (system, scheduler options) pair it was built for.
 // Every engine serves a single pair — Portfolio, a campaign's
@@ -161,8 +143,12 @@ type Engine struct {
 	// grants a worker slot, returning it frees the slot.
 	workers chan *engineWorker
 
-	shards    []cacheShard
-	shardMask uint64
+	// The evaluation cache sits behind one mutex: an evaluation costs
+	// far more than the map lookup the lock guards.
+	mu       sync.Mutex
+	entries  map[cacheKey]*list.Element
+	lru      list.List // of *cacheEntry, most recent first
+	capacity int
 
 	evals  atomic.Int64
 	hits   atomic.Int64
@@ -202,30 +188,13 @@ func NewEngine(ctx context.Context, opts EngineOptions) *Engine {
 // cache of the given capacity.
 func newEngine(ctx context.Context, w, capacity int) *Engine {
 	e := &Engine{
-		ctx:     ctx,
-		workers: make(chan *engineWorker, w),
+		ctx:      ctx,
+		workers:  make(chan *engineWorker, w),
+		entries:  map[cacheKey]*list.Element{},
+		capacity: capacity,
 	}
 	for i := 0; i < w; i++ {
 		e.workers <- &engineWorker{}
-	}
-	// Power-of-two shard count scaled to the worker pool, so the
-	// per-shard mutexes stay uncontended at high worker counts — but
-	// never sharded so finely that a shard holds fewer than
-	// minShardCapacity entries, which would evict hot entries a single
-	// LRU of the same total capacity would retain.
-	n := 1
-	for n < w && n < maxCacheShards {
-		n <<= 1
-	}
-	for n > 1 && capacity/n < minShardCapacity {
-		n >>= 1
-	}
-	perShard := (capacity + n - 1) / n
-	e.shards = make([]cacheShard, n)
-	e.shardMask = uint64(n - 1)
-	for i := range e.shards {
-		e.shards[i].entries = map[cacheKey]*list.Element{}
-		e.shards[i].capacity = perShard
 	}
 	return e
 }
@@ -246,43 +215,31 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// CacheShards reports how many lock domains the evaluation cache is
-// split into.
-func (e *Engine) CacheShards() int { return len(e.shards) }
-
 // Cancelled reports whether the engine's context has been cancelled
 // (results produced afterwards are garbage by design).
 func (e *Engine) Cancelled() bool { return e.ctx.Err() != nil }
 
-// shard picks the lock domain of a key from the low fingerprint bits
-// (FNV output: uniformly distributed).
-func (e *Engine) shard(key *cacheKey) *cacheShard {
-	return &e.shards[binary.LittleEndian.Uint64(key.fp[:8])&e.shardMask]
-}
-
-// Eval evaluates one candidate configuration: sharded cache lookup,
-// then one schedule build plus holistic analysis on a pinned worker
-// session.
+// Eval evaluates one candidate configuration: cache lookup, then one
+// schedule build plus holistic analysis on a pinned worker session.
 func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options) (*analysis.Result, float64) {
 	key := cacheKey{sys: sys, fp: cfg.Fingerprint(), opts: opts}
-	sh := e.shard(&key)
-	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
+	e.mu.Lock()
+	if el, ok := e.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
+		e.lru.MoveToFront(el)
+		e.mu.Unlock()
 		e.hits.Add(1)
 		<-ent.done
 		return ent.res, ent.cost
 	}
 	ent := &cacheEntry{key: key, done: make(chan struct{})}
-	sh.entries[key] = sh.lru.PushFront(ent)
-	for sh.lru.Len() > sh.capacity {
-		oldest := sh.lru.Back()
-		sh.lru.Remove(oldest)
-		delete(sh.entries, oldest.Value.(*cacheEntry).key)
+	e.entries[key] = e.lru.PushFront(ent)
+	for e.lru.Len() > e.capacity {
+		oldest := e.lru.Back()
+		e.lru.Remove(oldest)
+		delete(e.entries, oldest.Value.(*cacheEntry).key)
 	}
-	sh.mu.Unlock()
+	e.mu.Unlock()
 	e.misses.Add(1)
 	// A cancelled evaluation caches an infeasible marker; that is
 	// sound because the engine's lifetime is bound to its context —

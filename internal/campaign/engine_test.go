@@ -112,18 +112,14 @@ func TestEngineCacheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := newEngine(context.Background(), 1, 4)
-	if got := eng.CacheShards(); got != 1 {
-		t.Fatalf("1-worker engine uses %d shards, want 1", got)
-	}
 	for i := 0; i < 16; i++ {
 		cfg := bbc.Config.Clone()
 		cfg.NumMinislots += i
 		eng.Eval(sys, cfg, opts.Sched)
 	}
-	sh := &eng.shards[0]
-	sh.mu.Lock()
-	n, m := sh.lru.Len(), len(sh.entries)
-	sh.mu.Unlock()
+	eng.mu.Lock()
+	n, m := eng.lru.Len(), len(eng.entries)
+	eng.mu.Unlock()
 	if n > 4 || m > 4 {
 		t.Errorf("cache grew to %d list / %d map entries, cap 4", n, m)
 	}
@@ -240,10 +236,8 @@ func TestPortfolioUnknownAlgorithm(t *testing.T) {
 	}
 }
 
-// TestEngineShardedCache: a multi-worker engine splits its cache into a
-// power-of-two number of shards, and memoisation still works across
-// them — every distinct configuration is evaluated exactly once no
-// matter which shard its fingerprint lands in.
+// TestEngineShardedCache: memoisation holds under a batch fanned across
+// 8 workers — every distinct configuration is evaluated exactly once.
 func TestEngineShardedCache(t *testing.T) {
 	sys := testSystem(t, 2, 3)
 	opts := quickOpts()
@@ -252,13 +246,6 @@ func TestEngineShardedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(context.Background(), EngineOptions{Workers: 8})
-	shards := eng.CacheShards()
-	if shards < 2 {
-		t.Fatalf("8-worker engine uses %d shards, want >= 2", shards)
-	}
-	if shards&(shards-1) != 0 {
-		t.Fatalf("shard count %d is not a power of two", shards)
-	}
 
 	const distinct = 32
 	cfgs := make([]*flexray.Config, 0, 2*distinct)

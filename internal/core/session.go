@@ -55,3 +55,16 @@ func (s *Session) Eval(cfg *flexray.Config) (*analysis.Result, float64) {
 	res := s.an.Run()
 	return res, res.Cost
 }
+
+// Analyze is Eval for callers that report why a candidate failed: it
+// returns the schedule-table construction error instead of the
+// infeasible cost. The failed build is repeated to recover its error
+// (builds are deterministic), so Eval, the optimisers' hot path, keeps
+// the shape default.pgo was profiled on.
+func (s *Session) Analyze(cfg *flexray.Config) (*analysis.Result, error) {
+	if res, _ := s.Eval(cfg); res != nil {
+		return res, nil
+	}
+	_, err := s.plan.BuildTable(cfg, s.opts)
+	return nil, err
+}

@@ -314,14 +314,6 @@ type Progress struct {
 	Engine campaign.EngineStats `json:"engine"`
 }
 
-// SpanSummary is the persisted digest of one lifecycle span of a job:
-// enough to answer "where did this job spend its time" after the
-// in-memory span store evicted (or never sampled) the full trace.
-type SpanSummary struct {
-	Name       string `json:"name"`
-	DurationUs int64  `json:"duration_us"`
-}
-
 // Job is the externally visible snapshot of one job. The spec is kept
 // out of the snapshot on purpose: uploaded populations make it large.
 type Job struct {
@@ -337,12 +329,10 @@ type Job struct {
 	// TraceID is the hex trace the job's spans belong to (set once
 	// the job starts under a tracing-enabled manager).
 	TraceID string `json:"trace_id,omitempty"`
-	// Spans are the persisted lifecycle span summaries (terminal
-	// jobs only).
-	Spans []SpanSummary `json:"spans,omitempty"`
 }
 
-// OptimizeResult is the payload of a finished optimize job.
+// OptimizeResult is the payload of a finished optimize job and the
+// answer of POST /v1/optimize (reshaped there under "best").
 type OptimizeResult struct {
 	Algorithm   string               `json:"algorithm"`
 	Cost        float64              `json:"cost"`
@@ -354,19 +344,37 @@ type OptimizeResult struct {
 	Engine      campaign.EngineStats `json:"engine"`
 }
 
-// SweepPoint is the outcome of one configuration of a sweep job.
+// AnalyzeResult is the holistic analysis of one configuration: the
+// body of POST /v1/analyze and part of every sweep point. Response
+// times and violations are keyed by activity name.
+type AnalyzeResult struct {
+	Schedulable bool               `json:"schedulable"`
+	Cost        float64            `json:"cost"`
+	Converged   bool               `json:"converged"`
+	CycleUs     float64            `json:"cycle_us"`
+	ResponseUs  map[string]float64 `json:"response_us"`
+	Violations  []string           `json:"violations,omitempty"`
+}
+
+// SimulateResult is what one simulation of a configuration observed:
+// the body of POST /v1/simulate and part of every simulate-mode sweep
+// point.
+type SimulateResult struct {
+	MaxResponseUs  map[string]float64 `json:"max_response_us"`
+	Completions    map[string]int     `json:"completions"`
+	DeadlineMisses int                `json:"deadline_misses"`
+	Unfinished     int                `json:"unfinished"`
+}
+
+// SweepPoint is the outcome of one configuration of a sweep job. Every
+// point whose schedule could be built carries its analysis; a
+// simulate-mode point adds the simulation. Err says why a point
+// stopped short.
 type SweepPoint struct {
-	Index       int     `json:"index"`
-	Cost        float64 `json:"cost"`
-	Schedulable bool    `json:"schedulable"`
-	// ResponseUs maps activity names to analysed worst-case response
-	// times (analyze mode).
-	ResponseUs map[string]float64 `json:"response_us,omitempty"`
-	// MaxResponseUs/DeadlineMisses report observed behaviour
-	// (simulate mode).
-	MaxResponseUs  map[string]float64 `json:"max_response_us,omitempty"`
-	DeadlineMisses int                `json:"deadline_misses,omitempty"`
-	Err            string             `json:"error,omitempty"`
+	Index int `json:"index"`
+	*AnalyzeResult
+	*SimulateResult
+	Err string `json:"error,omitempty"`
 }
 
 // Result is the payload of a finished job; exactly one field is set,

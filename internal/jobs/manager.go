@@ -112,10 +112,9 @@ type job struct {
 	// RetentionPolicy.MaxResultBytes while the job is retained.
 	resultBytes int64
 	subs        map[*subscriber]struct{}
-	// traceID/spans link the job to its span trace and keep the
-	// persisted lifecycle summaries (tracing-enabled managers only).
+	// traceID links the job to its span trace (tracing-enabled
+	// managers only).
 	traceID string
-	spans   []SpanSummary
 }
 
 func (j *job) snapshot() Job {
@@ -130,7 +129,6 @@ func (j *job) snapshot() Job {
 		StartedAt:   j.startedAt,
 		FinishedAt:  j.finishedAt,
 		TraceID:     j.traceID,
-		Spans:       j.spans,
 	}
 }
 
@@ -348,9 +346,6 @@ func (m *Manager) replay() error {
 			if rec.TraceID != "" {
 				j.traceID = rec.TraceID
 			}
-			if len(rec.Spans) > 0 {
-				j.spans = rec.Spans
-			}
 			// Records written before the result_bytes field carry 0;
 			// only then is the result re-measured.
 			j.resultBytes = rec.ResultBytes
@@ -364,6 +359,11 @@ func (m *Manager) replay() error {
 				j.startedAt = rec.Time
 			default:
 				j.finishedAt = rec.Time
+				// Records written before terminal records carried the
+				// start time leave the running record's in place.
+				if !rec.Started.IsZero() {
+					j.startedAt = rec.Started
+				}
 			}
 		case recordEvict:
 			if rec.ID == "" {
@@ -729,7 +729,7 @@ func (m *Manager) finishLocked(j *job, st Status, errMsg string, res *Result, re
 	return StoreRecord{
 		Type: recordStatus, ID: j.id, Time: j.finishedAt,
 		Status: st, Error: errMsg, Progress: &prog, Result: res,
-		ResultBytes: resBytes, TraceID: j.traceID, Spans: j.spans,
+		ResultBytes: resBytes, TraceID: j.traceID, Started: j.startedAt,
 	}
 }
 
@@ -838,15 +838,6 @@ func (m *Manager) execute(ctx context.Context, j *job) {
 		defer cancel() // release the context's resources
 	}
 	started := j.startedAt
-	if jobSpan != nil {
-		// Lifecycle summaries persist with the terminal record: the
-		// span store is bounded and in-memory, the store record is
-		// neither.
-		j.spans = []SpanSummary{
-			{Name: "job.queued", DurationUs: started.Sub(j.submittedAt).Microseconds()},
-			{Name: "job.run", DurationUs: time.Since(started).Microseconds()},
-		}
-	}
 	var rec StoreRecord
 	switch {
 	case err == nil:
@@ -866,7 +857,7 @@ func (m *Manager) execute(ctx context.Context, j *job) {
 		j.progress = Progress{}
 		j.cancel = nil
 		// The re-run under a restarted manager roots a fresh trace.
-		j.traceID, j.spans = "", nil
+		j.traceID = ""
 		rec = StoreRecord{
 			Type: recordStatus, ID: j.id, Time: time.Now(),
 			Status: StatusQueued, Progress: &Progress{},
@@ -985,7 +976,7 @@ func (m *Manager) snapshotLocked() []StoreRecord {
 			recs = append(recs, StoreRecord{
 				Type: recordStatus, ID: j.id, Time: j.finishedAt,
 				Status: j.status, Error: j.err, Progress: &prog, Result: j.result,
-				ResultBytes: j.resultBytes, TraceID: j.traceID, Spans: j.spans,
+				ResultBytes: j.resultBytes, TraceID: j.traceID, Started: j.startedAt,
 			})
 		case j.status == StatusRunning:
 			// Replays as queued with progress reset — the same

@@ -285,13 +285,21 @@ func TestSweepJob(t *testing.T) {
 		t.Error("analyze point has no response times")
 	}
 
-	waitStatus(t, m, simu.ID, StatusDone)
+	simDone := waitStatus(t, m, simu.ID, StatusDone)
 	res, _, err = m.Result(simu.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sweep) != 2 || len(res.Sweep[0].MaxResponseUs) == 0 {
+	if len(res.Sweep) != 2 || len(res.Sweep[0].MaxResponseUs) == 0 || len(res.Sweep[0].Completions) == 0 {
 		t.Fatalf("simulate sweep incomplete: %+v", res.Sweep)
+	}
+	// A simulate point carries its analysis too, and counts both
+	// computations.
+	if res.Sweep[0].AnalyzeResult == nil || res.Sweep[0].Cost != bbc.Cost {
+		t.Errorf("simulate point 0 analysis %+v, want cost %v", res.Sweep[0].AnalyzeResult, bbc.Cost)
+	}
+	if got := simDone.Progress.Engine.Evaluations; got != 4 {
+		t.Errorf("simulate sweep counted %d evaluations, want 4 (2 points x analysis + simulation)", got)
 	}
 }
 

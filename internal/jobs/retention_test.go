@@ -373,6 +373,68 @@ func TestRestartAfterCompactionResume(t *testing.T) {
 	}
 }
 
+// TestStartedAtSurvivesCompaction: the start time of a finished job
+// survives the compaction at Close and a restart, so its queued and run
+// durations can still be told apart. A store written before terminal
+// records carried the start time (its terminal record holds the
+// retired "spans" digest instead) still replays, taking the start time
+// from the running record.
+func TestStartedAtSurvivesCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	s1, err := NewFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, err := NewManager(s1, ManagerOptions{Workers: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := m1.Submit(Spec{Kind: KindOptimize, System: sysJSON(t, 2, 5),
+		Algorithms: []string{"bbc"}, Tuning: quickTuning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := waitStatus(t, m1, job.ID, StatusDone)
+	if err := m1.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := readRecords(path); err != nil || len(recs) != 2 {
+		t.Fatalf("compacted log: %d records (err %v), want submit + done", len(recs), err)
+	}
+	s2, err := NewFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := newTestManager(t, s2, ManagerOptions{Workers: 1}).Get(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.StartedAt.IsZero() || !after.StartedAt.Equal(before.StartedAt) || !after.FinishedAt.Equal(before.FinishedAt) {
+		t.Errorf("after restart started/finished = %v/%v, want %v/%v",
+			after.StartedAt, after.FinishedAt, before.StartedAt, before.FinishedAt)
+	}
+
+	legacy := filepath.Join(t.TempDir(), "legacy.jsonl")
+	lines := `{"type":"submit","id":"j-old","time":"2026-01-02T03:04:00Z","spec":{"kind":"optimize"}}
+{"type":"status","id":"j-old","time":"2026-01-02T03:04:05Z","status":"running"}
+{"type":"status","id":"j-old","time":"2026-01-02T03:04:09Z","status":"done","spans":[{"name":"job.queued","duration_us":5000000},{"name":"job.run","duration_us":4000000}]}
+`
+	if err := os.WriteFile(legacy, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := NewFileStore(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := newTestManager(t, s3, ManagerOptions{Workers: 1}).Get("j-old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Status != StatusDone || old.FinishedAt.Sub(old.StartedAt) != 4*time.Second || old.StartedAt.Sub(old.SubmittedAt) != 5*time.Second {
+		t.Errorf("legacy job replayed as %+v", old)
+	}
+}
+
 // TestPeriodicCompaction: with a CompactInterval the janitor rewrites
 // the store in the background — no Close needed.
 func TestPeriodicCompaction(t *testing.T) {

@@ -45,38 +45,20 @@ func (m *Manager) evalWorkers(j *job) int {
 
 func (m *Manager) runOptimize(ctx context.Context, j *job, c *compiled) (*Result, error) {
 	m.updateProgress(j, func(p *Progress) { p.Total = 1 })
-	pf, err := campaign.Portfolio(ctx, c.sys, c.opts,
-		campaign.EngineOptions{Workers: m.evalWorkers(j)}, c.algorithms...)
+	res, err := m.Optimize(ctx, c.sys, c.opts, m.evalWorkers(j), c.algorithms...)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := pf.Best.Config.WriteJSON(&buf, c.sys); err != nil {
-		return nil, err
-	}
-	m.engine.Add(pf.Engine)
 	m.updateProgress(j, func(p *Progress) {
 		p.Completed = 1
-		p.Best = pf.Best.Algorithm
-		p.BestCost = pf.Best.Cost
-		if pf.Best.Schedulable {
+		p.Best = res.Algorithm
+		p.BestCost = res.Cost
+		if res.Schedulable {
 			p.Schedulable = 1
 		}
-		p.Engine = pf.Engine
+		p.Engine = res.Engine
 	})
-	return &Result{Optimize: &OptimizeResult{
-		Algorithm:   pf.Best.Algorithm,
-		Cost:        pf.Best.Cost,
-		Schedulable: pf.Best.Schedulable,
-		Evaluations: pf.Best.Evaluations,
-		ElapsedUs:   pf.Best.Elapsed.Microseconds(),
-		Config:      json.RawMessage(buf.Bytes()),
-		Runs:        pf.Runs,
-		Engine:      pf.Engine,
-	}}, nil
+	return &Result{Optimize: res}, nil
 }
 
 func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, error) {
@@ -84,9 +66,9 @@ func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, e
 	m.updateProgress(j, func(p *Progress) { p.Total = total })
 	// Points are independent, so the sweep shards across the job's
 	// evaluation workers; each goroutine owns its own evaluation
-	// session (analyze mode — sessions are not safe for concurrent
-	// use), and results land positionally, so the output is identical
-	// for any worker count.
+	// session (sessions are not safe for concurrent use), and results
+	// land positionally, so the output is identical for any worker
+	// count.
 	workers := m.evalWorkers(j)
 	if workers > total {
 		workers = total
@@ -98,17 +80,13 @@ func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var session *core.Session
-			if !c.simulate {
-				session = core.NewSession(c.sys, c.opts.Sched)
-			}
+			session := core.NewSession(c.sys, c.opts.Sched)
 			for i := range idxc {
-				pt := sweepPoint(c.sys, c.cfgs[i], c.opts, session, i, j.spec.Repetitions)
+				pt := m.sweepPoint(session, c, i, j.spec.Repetitions)
 				points[i] = pt
-				m.engine.Add(campaign.EngineStats{Evaluations: 1})
 				m.updateProgress(j, func(p *Progress) {
 					p.Completed++
-					p.Engine.Evaluations++
+					p.Engine.Evaluations += pt.evaluations()
 					if pt.Err != "" {
 						return
 					}
@@ -155,48 +133,127 @@ func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, e
 	return &Result{Sweep: points}, nil
 }
 
-// sweepPoint evaluates one configuration of a sweep.
-func sweepPoint(sys *model.System, cfg *flexray.Config, opts core.Options, session *core.Session, idx, reps int) SweepPoint {
+// sweepPoint evaluates configuration idx of a sweep through the same
+// methods as POST /v1/analyze and /v1/simulate.
+func (m *Manager) sweepPoint(session *core.Session, c *compiled, idx, reps int) SweepPoint {
 	pt := SweepPoint{Index: idx}
-	if session != nil {
-		res, cost := session.Eval(cfg)
-		if res == nil {
-			pt.Err = "schedule construction failed"
-			return pt
-		}
-		pt.Cost = cost
-		pt.Schedulable = res.Schedulable
-		pt.ResponseUs = map[string]float64{}
-		for id, rt := range res.R {
-			pt.ResponseUs[sys.App.Act(id).Name] = rt.Us()
-		}
+	cfg := c.cfgs[idx]
+	var err error
+	if pt.AnalyzeResult, err = m.analyze(session, c.sys, cfg); err != nil {
+		pt.Err = err.Error()
 		return pt
 	}
-	table, res, err := sched.Build(sys, cfg, opts.Sched)
+	if c.simulate {
+		if pt.SimulateResult, err = m.Simulate(c.sys, cfg, c.opts, reps); err != nil {
+			pt.Err = err.Error()
+		}
+	}
+	return pt
+}
+
+// evaluations counts the computations a sweep point ran to completion,
+// as the manager's engine counters did.
+func (pt *SweepPoint) evaluations() int64 {
+	var n int64
+	if pt.AnalyzeResult != nil {
+		n++
+	}
+	if pt.SimulateResult != nil {
+		n++
+	}
+	return n
+}
+
+// Optimize races the optimiser portfolio on sys with the given
+// evaluation workers, on the caller's goroutine: POST /v1/optimize and
+// the optimize job kind. A cancelled ctx surfaces as its error.
+func (m *Manager) Optimize(ctx context.Context, sys *model.System, opts core.Options, workers int, algorithms ...string) (*OptimizeResult, error) {
+	pf, err := campaign.Portfolio(ctx, sys, opts, campaign.EngineOptions{Workers: workers}, algorithms...)
 	if err != nil {
-		pt.Err = fmt.Sprintf("schedule construction failed: %v", err)
-		return pt
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		return nil, err
 	}
-	pt.Cost = res.Cost
-	pt.Schedulable = res.Schedulable
+	var buf bytes.Buffer
+	if err := pf.Best.Config.WriteJSON(&buf, sys); err != nil {
+		return nil, err
+	}
+	m.engine.Add(pf.Engine)
+	return &OptimizeResult{
+		Algorithm:   pf.Best.Algorithm,
+		Cost:        pf.Best.Cost,
+		Schedulable: pf.Best.Schedulable,
+		Evaluations: pf.Best.Evaluations,
+		ElapsedUs:   pf.Best.Elapsed.Microseconds(),
+		Config:      json.RawMessage(buf.Bytes()),
+		Runs:        pf.Runs,
+		Engine:      pf.Engine,
+	}, nil
+}
+
+// Analyze builds cfg's schedule table and runs the holistic analysis
+// over it, on the caller's goroutine: POST /v1/analyze.
+func (m *Manager) Analyze(sys *model.System, cfg *flexray.Config, opts core.Options) (*AnalyzeResult, error) {
+	return m.analyze(core.NewSession(sys, opts.Sched), sys, cfg)
+}
+
+// analyze is Analyze on a session for sys; a sweep keeps one session
+// per goroutine across its points.
+func (m *Manager) analyze(session *core.Session, sys *model.System, cfg *flexray.Config) (*AnalyzeResult, error) {
+	res, err := session.Analyze(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("schedule construction failed: %w", err)
+	}
+	m.engine.Add(campaign.EngineStats{Evaluations: 1})
+	out := &AnalyzeResult{
+		Schedulable: res.Schedulable,
+		Cost:        res.Cost,
+		Converged:   res.Converged,
+		CycleUs:     cfg.Cycle().Us(),
+		ResponseUs:  map[string]float64{},
+	}
+	for id, rt := range res.R {
+		out.ResponseUs[sys.App.Act(id).Name] = rt.Us()
+	}
+	for _, id := range res.Violations {
+		out.Violations = append(out.Violations, sys.App.Act(id).Name)
+	}
+	return out, nil
+}
+
+// Simulate builds cfg's schedule table and runs the discrete-event
+// simulator over it (reps > 0 overrides the default repetitions), on
+// the caller's goroutine: POST /v1/simulate.
+func (m *Manager) Simulate(sys *model.System, cfg *flexray.Config, opts core.Options, reps int) (*SimulateResult, error) {
+	table, err := sched.BuildTable(sys, cfg, opts.Sched)
+	if err != nil {
+		return nil, fmt.Errorf("schedule construction failed: %w", err)
+	}
 	simOpts := sim.DefaultOptions()
 	if reps > 0 {
 		simOpts.Repetitions = reps
 	}
 	simulator, err := sim.New(sys, cfg, table, simOpts)
 	if err != nil {
-		pt.Err = err.Error()
-		return pt
+		return nil, err
 	}
-	sres, err := simulator.Run()
+	res, err := simulator.Run()
 	if err != nil {
-		pt.Err = err.Error()
-		return pt
+		return nil, err
 	}
-	pt.MaxResponseUs = map[string]float64{}
-	for id, rt := range sres.MaxResponse {
-		pt.MaxResponseUs[sys.App.Act(id).Name] = rt.Us()
+	m.engine.Add(campaign.EngineStats{Evaluations: 1})
+	out := &SimulateResult{
+		MaxResponseUs:  map[string]float64{},
+		Completions:    map[string]int{},
+		DeadlineMisses: res.DeadlineMisses,
+		Unfinished:     res.Unfinished,
 	}
-	pt.DeadlineMisses = sres.DeadlineMisses
-	return pt
+	for id, rt := range res.MaxResponse {
+		out.MaxResponseUs[sys.App.Act(id).Name] = rt.Us()
+	}
+	for id, n := range res.Completions {
+		out.Completions[sys.App.Act(id).Name] = n
+	}
+	return out, nil
 }

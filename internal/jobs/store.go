@@ -8,9 +8,11 @@ package jobs
 //	{"type":"submit","id":j,"time":t,"spec":{...}}
 //	    — a job enters the system; the spec is stored verbatim.
 //	{"type":"status","id":j,"time":t,"status":s,
-//	 "error":e?,"progress":{...}?,"result":{...}?,"result_bytes":n?}
+//	 "error":e?,"progress":{...}?,"result":{...}?,"result_bytes":n?,
+//	 "trace_id":x?,"started":t?}
 //	    — a lifecycle transition. Terminal transitions carry the final
-//	      progress and, for "done", the result payload. A "queued"
+//	      progress, the start time of a job that ran and, for "done",
+//	      the result payload. A "queued"
 //	      status record after a "running" one is a shutdown
 //	      checkpoint: the job was interrupted and must be re-run.
 //	{"type":"evict","id":j,"time":t}
@@ -87,12 +89,11 @@ type StoreRecord struct {
 	// every retained result; absent on records written before the
 	// field existed (replay falls back to measuring).
 	ResultBytes int64 `json:"result_bytes,omitempty"`
-	// TraceID/Spans persist the job's trace linkage and lifecycle
-	// span summaries with its terminal transition, so span-level
-	// timing survives manager restarts even though the in-memory
-	// span store does not.
-	TraceID string        `json:"trace_id,omitempty"`
-	Spans   []SpanSummary `json:"spans,omitempty"`
+	// TraceID persists the job's trace linkage with its terminal
+	// transition. Started is the job's start time, repeated there so
+	// it survives a compaction that drops the running record.
+	TraceID string    `json:"trace_id,omitempty"`
+	Started time.Time `json:"started,omitzero"`
 	// Lease is the payload of a "lease" record: one shard or lease
 	// event of the campaign job (see lease.go).
 	Lease *LeaseEvent `json:"lease,omitempty"`
