@@ -31,7 +31,10 @@ func GreedyFillForTest(need int, extras [][]int, budgets [][]int64) (int64, int,
 
 // RunFullRecomputeForTest is Run without the window cache: the jitter
 // fixpoint recomputes every FPS busy window and every DYN Eq. (3)
-// window on every pass. TestRunMatchesFullRecompute pins Run to it.
+// window on every pass. FPS windows come from fullFPSWindow, which
+// iterates every phase, so TestRunMatchesFullRecompute and
+// FuzzRunMatchesFullRecompute pin both the cache and fpsWindow's
+// phase pruning.
 func (a *Analyzer) RunFullRecomputeForTest() *Result {
 	app := &a.sys.App
 	res := &Result{Converged: true}
@@ -68,7 +71,7 @@ func (a *Analyzer) RunFullRecomputeForTest() *Result {
 				j := a.releaseJitter(act)
 				var r units.Duration
 				if act.IsTask() {
-					r = units.SatAdd(j, a.fpsWindow(act))
+					r = units.SatAdd(j, a.fullFPSWindow(act))
 				} else if d := a.dynWindow(act); d.sat {
 					r = a.capD[id]
 				} else {
@@ -92,4 +95,43 @@ func (a *Analyzer) RunFullRecomputeForTest() *Result {
 	}
 	a.finish(res)
 	return res
+}
+
+// fullFPSWindow is fpsWindow without its pruning: it iterates the
+// busy-window recurrence from C at every phase of BusyBoundaries,
+// phase 0 included, through plain Advance, under the same bound and
+// 1000-step cap, and returns the largest window.
+func (a *Analyzer) fullFPSWindow(act *model.Activity) units.Duration {
+	app := &a.sys.App
+	av := a.availability(act.Node)
+	hp := a.fpsOrder[a.hpStart[act.ID]:a.hpEnd[act.ID]]
+	bound := a.capD[act.ID]
+	window := func(phi units.Time) units.Duration {
+		w := act.C
+		for iter := 0; iter < 1000; iter++ {
+			demand := act.C
+			for _, h := range hp {
+				n := units.CeilDiv(int64(w)+int64(a.j[h]), int64(a.period[h]))
+				demand = units.SatAdd(demand, units.Duration(n)*app.Acts[h].C)
+			}
+			end := av.Advance(phi, demand)
+			if units.Duration(end) >= units.Infinite {
+				return bound
+			}
+			next := units.Duration(end - phi)
+			if next > bound {
+				return bound
+			}
+			if next <= w {
+				return w
+			}
+			w = next
+		}
+		return bound
+	}
+	var worst units.Duration
+	for _, phi := range av.BusyBoundaries() {
+		worst = max(worst, window(phi))
+	}
+	return worst
 }

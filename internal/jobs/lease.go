@@ -538,8 +538,9 @@ func (m *Manager) CompleteLease(leaseID, workerID string, records []campaign.Rec
 
 // completeShard folds one finished shard into its campaign; shards run
 // locally and shards reported by a lease worker both come through
-// here. It rebases the records onto global population indices and
-// appends them durably as a "complete" lease record (ev carries the
+// here. It rebases the records onto global population indices, drops
+// the optimiser results their runs carry (withoutResults) and appends
+// them durably as a "complete" lease record (ev carries the
 // lease identity, if any). Then, under the manager lock and once
 // commit (when non-nil) accepts, it keeps them for the merge, counts
 // their engine work, advances progress and wakes the job on its last
@@ -550,6 +551,7 @@ func (m *Manager) completeShard(sh *leaseShard, records []campaign.Record, ev Le
 	rebased := make([]campaign.Record, len(records))
 	for i, rec := range records {
 		rec.Index = sh.lo + i
+		rec.Runs = withoutResults(rec.Runs)
 		rebased[i] = rec
 	}
 	ev.Event, ev.Shard, ev.Lo, ev.Hi, ev.Records = leaseEventComplete, sh.idx, sh.lo, sh.hi, rebased

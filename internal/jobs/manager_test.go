@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -192,6 +193,85 @@ func TestCampaignJobParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetainedJobsDropResults: the records of a finished local campaign
+// job and the runs of an optimize job keep no optimiser Result, and
+// dropping it leaves the JSON result byte for byte what it would be
+// with the direct campaign.Run's Results in place. withoutResults
+// leaves its argument alone.
+func TestRetainedJobsDropResults(t *testing.T) {
+	pop := &Population{NodeCounts: []int{2}, AppsPerCount: 2, Seed: 7, DeadlineFactor: 2.0}
+	algs := []string{"bbc", "obc-cf"}
+	var want []campaign.Record
+	err := campaign.Run(context.Background(),
+		campaign.PopulationSpecs(pop.NodeCounts, pop.AppsPerCount, pop.Seed, pop.DeadlineFactor),
+		quickTuning().Apply(core.DefaultOptions()), campaign.Options{Workers: 1, Algorithms: algs},
+		func(r campaign.Record) error { want = append(want, r); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, nil, ManagerOptions{Workers: 1})
+	camp, err := m.Submit(Spec{Kind: KindCampaign, Population: pop, Algorithms: algs, Tuning: quickTuning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := m.Submit(Spec{Kind: KindOptimize, System: sysJSON(t, 2, 5), Algorithms: algs, Tuning: quickTuning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m, camp.ID, StatusDone)
+	waitStatus(t, m, opt.ID, StatusDone)
+	res, _, err := m.Result(camp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != len(want) {
+		t.Fatalf("%d records, want %d", len(res.Records), len(want))
+	}
+	// The job's records with the direct run's Results put back.
+	restored := slices.Clone(res.Records)
+	for i, rec := range res.Records {
+		if len(rec.Runs) != len(want[i].Runs) {
+			t.Fatalf("record %d: %d runs, want %d", i, len(rec.Runs), len(want[i].Runs))
+		}
+		restored[i].Runs = slices.Clone(rec.Runs)
+		for k, run := range rec.Runs {
+			if run.Result != nil {
+				t.Errorf("record %d run %s keeps its optimiser Result", i, run.Algorithm)
+			}
+			if want[i].Runs[k].Result == nil {
+				t.Fatalf("direct record %d run %s has no Result to restore", i, run.Algorithm)
+			}
+			restored[i].Runs[k].Result = want[i].Runs[k].Result
+		}
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	with, err := json.Marshal(&Result{Records: restored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, with) {
+		t.Errorf("dropping Results changed the JSON result:\n%s\nwith Results:\n%s", got, with)
+	}
+
+	ores, _, err := m.Result(opt.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range ores.Optimize.Runs {
+		if run.Result != nil {
+			t.Errorf("optimize run %s keeps its optimiser Result", run.Algorithm)
+		}
+	}
+
+	runs := want[0].Runs
+	if out := withoutResults(runs); out[0].Result != nil || runs[0].Result == nil {
+		t.Errorf("withoutResults: copy keeps %v, argument lost %v", out[0].Result != nil, runs[0].Result == nil)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -187,9 +188,21 @@ func (m *Manager) Optimize(ctx context.Context, sys *model.System, opts core.Opt
 		Evaluations: pf.Best.Evaluations,
 		ElapsedUs:   pf.Best.Elapsed.Microseconds(),
 		Config:      json.RawMessage(buf.Bytes()),
-		Runs:        pf.Runs,
+		Runs:        withoutResults(pf.Runs),
 		Engine:      pf.Engine,
 	}, nil
+}
+
+// withoutResults returns a copy of runs with every Result cleared. A
+// retained job keeps only the telemetry its JSON shows; the optimiser
+// outcome behind each run (the configuration and the analysis with its
+// response maps) would otherwise stay alive as long as the job does.
+func withoutResults(runs []campaign.AlgoRun) []campaign.AlgoRun {
+	out := slices.Clone(runs)
+	for i := range out {
+		out[i].Result = nil
+	}
+	return out
 }
 
 // Analyze builds cfg's schedule table and runs the holistic analysis

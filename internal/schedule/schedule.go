@@ -377,8 +377,9 @@ func (t *Table) foldedBusy(node model.NodeID, dst []Interval) []Interval {
 type Availability struct {
 	horizon units.Duration
 	busy    []Interval // folded into one period, merged
-	// busyPrefix[i] = total busy time in [0, busy[i].End)
-	busyPrefix []units.Duration
+	// freeBefore[i] = free time in [0, busy[i].Start); the busy time
+	// before interval i is busy[i].Start - freeBefore[i].
+	freeBefore []units.Duration
 	totalBusy  units.Duration
 	// boundaries are the candidate critical-instant offsets, computed
 	// once: the response-time analysis queries them for every FPS task
@@ -416,10 +417,10 @@ func (t *Table) buildAvailability(node model.NodeID, av *Availability) *Availabi
 	av.horizon = t.Horizon
 	av.busy = t.foldedBusy(node, av.busy)
 	var acc units.Duration
-	av.busyPrefix = av.busyPrefix[:0]
+	av.freeBefore = av.freeBefore[:0]
 	for _, iv := range av.busy {
+		av.freeBefore = append(av.freeBefore, units.Duration(iv.Start)-acc)
 		acc += iv.Len()
-		av.busyPrefix = append(av.busyPrefix, acc)
 	}
 	av.totalBusy = acc
 	av.boundaries = append(av.boundaries[:0], 0)
@@ -471,11 +472,8 @@ func (av *Availability) FreeIn(a, b units.Time) units.Duration {
 // Advance returns the earliest instant e >= from such that the free
 // time in [from, e) is at least demand; this is the completion instant
 // of an FPS workload of `demand` units released at `from`. It inverts
-// the supply function in one step: the target is the free time before
-// from plus demand; whole periods of free time are split off with a
-// floor division, and one binary search over the free time before each
-// busy interval finds the gap in which the remainder runs out. It
-// returns saturation (Time(Infinite)) if the node never accumulates the
+// the supply function in one step (see complete). It returns
+// saturation (Time(Infinite)) if the node never accumulates the
 // demand, which happens only when the static schedule leaves no slack
 // at all, or when the completion instant lies beyond Infinite.
 func (av *Availability) Advance(from units.Time, demand units.Duration) units.Time {
@@ -485,13 +483,43 @@ func (av *Availability) Advance(from units.Time, demand units.Duration) units.Ti
 	if av.horizon <= 0 || len(av.busy) == 0 {
 		return from.Add(demand)
 	}
+	return av.complete(units.Duration(from)-av.busyUpTo(from), demand)
+}
+
+// AdvanceFromBoundary returns Advance(BusyBoundaries()[i], demand)
+// without searching for the free time before the phase: phase 0 has
+// none, and busy start k has freeBefore[k] of it. The FPS busy-window
+// recurrence calls it on every step.
+func (av *Availability) AdvanceFromBoundary(i int, demand units.Duration) units.Time {
+	from := av.boundaries[i]
+	if demand <= 0 {
+		return from
+	}
+	if av.horizon <= 0 || len(av.busy) == 0 {
+		return from.Add(demand)
+	}
+	var free units.Duration
+	if i > 0 {
+		free = av.freeBefore[i-1]
+	}
+	return av.complete(free, demand)
+}
+
+// complete returns the instant at which the free time accumulated since
+// 0 reaches free+demand, where free is the free time before the release
+// instant (negative for instants before 0). Whole periods of free time
+// are split off with a floor division, and one binary search over the
+// free time before each busy interval finds the gap in which the
+// remainder runs out. It needs horizon > 0 and at least one busy
+// interval.
+func (av *Availability) complete(free, demand units.Duration) units.Time {
 	freePerPeriod := int64(av.horizon - av.totalBusy)
 	if freePerPeriod <= 0 {
 		return units.Time(units.Infinite)
 	}
 	// Free time never outruns wall time, so a saturated target
 	// saturates the result below.
-	target := units.SatAdd(units.Duration(from)-av.busyUpTo(from), demand)
+	target := units.SatAdd(free, demand)
 	// Split target into q whole periods of free time plus a remainder
 	// in (0, freePerPeriod], so a demand that runs out exactly at the
 	// end of a period's last gap completes there, not a period later.
@@ -504,9 +532,7 @@ func (av *Availability) Advance(from units.Time, demand units.Duration) units.Ti
 	// The remainder runs out in the gap before the first busy
 	// interval whose preceding free time reaches it (or in the gap
 	// after the last one); the busy time before that gap shifts it.
-	i := sort.Search(len(av.busy), func(i int) bool {
-		return units.Duration(av.busy[i].Start)-av.busyPrefixBefore(i) >= rem
-	})
+	i, _ := slices.BinarySearch(av.freeBefore, rem)
 	h := int64(av.horizon)
 	if q > int64(units.Infinite)/h {
 		return units.Time(units.Infinite)
@@ -517,17 +543,28 @@ func (av *Availability) Advance(from units.Time, demand units.Duration) units.Ti
 // busyPrefixBefore returns the busy time of one period before busy
 // interval i (i may be len(busy): the whole period's busy time).
 func (av *Availability) busyPrefixBefore(i int) units.Duration {
-	if i == 0 {
-		return 0
+	if i == len(av.busy) {
+		return av.totalBusy
 	}
-	return av.busyPrefix[i-1]
+	return units.Duration(av.busy[i].Start) - av.freeBefore[i]
 }
 
 // BusyBoundaries returns candidate critical-instant offsets within one
 // period: phase zero and the start of every SCS busy interval. Supply
 // is minimal over windows that begin exactly when a reservation starts,
 // so these phases dominate all others for the FPS response-time
-// maximisation. The returned slice is shared and must not be modified.
+// maximisation. Phase zero is itself dominated by the first busy start
+// s0 when there is one: [0, s0) is free, so for every length x the free
+// time in [0, x) is at least the free time in [s0, s0+x), and a
+// workload released at 0 never completes later, relative to its
+// release, than one released at s0. The FPS analysis therefore skips
+// phase zero on a node with reservations. It also skips any phase whose
+// busy-window recurrence maps the running maximum to at most itself:
+// the recurrence is monotone and starts below that maximum, so its
+// least fixpoint cannot exceed it. The list keeps every phase, so that
+// element i+1 is the start of busy interval i and reference checks can
+// iterate them all. The returned slice is shared and must not be
+// modified.
 func (av *Availability) BusyBoundaries() []units.Time {
 	return av.boundaries
 }

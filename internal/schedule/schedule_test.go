@@ -356,7 +356,8 @@ func randomAvailability(rng *rand.Rand) *Availability {
 // TestAdvanceMatchesWalk pins the one-step inverse against the
 // gap-by-gap walk over random folded busy patterns, from instants that
 // are negative, inside busy intervals or on their edges, and demands
-// that end exactly on a gap edge or span many periods.
+// that end exactly on a gap edge or span many periods. From a busy
+// boundary, AdvanceFromBoundary must agree with both.
 func TestAdvanceMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 3000; trial++ {
@@ -370,6 +371,11 @@ func TestAdvanceMatchesWalk(t *testing.T) {
 			from := units.Time(rng.Int63n(4*h) - 2*h)
 			if len(edges) > 0 && rng.Intn(2) == 0 {
 				from = edges[rng.Intn(len(edges))] + units.Time(h*(rng.Int63n(5)-2))
+			}
+			bi := -1
+			if rng.Intn(3) == 0 {
+				bi = rng.Intn(len(av.boundaries))
+				from = av.boundaries[bi]
 			}
 			var demand units.Duration
 			switch rng.Intn(4) {
@@ -387,9 +393,17 @@ func TestAdvanceMatchesWalk(t *testing.T) {
 				}
 				demand = av.FreeIn(from, edge)
 			}
-			if got, want := av.Advance(from, demand), advanceWalk(av, from, demand); got != want {
+			want := advanceWalk(av, from, demand)
+			if got := av.Advance(from, demand); got != want {
 				t.Fatalf("trial %d: busy %v over %d: Advance(%d, %d) = %d, walk %d",
 					trial, av.busy, h, from, demand, got, want)
+			}
+			if bi < 0 {
+				continue
+			}
+			if got := av.AdvanceFromBoundary(bi, demand); got != want {
+				t.Fatalf("trial %d: busy %v over %d: AdvanceFromBoundary(%d, %d) = %d, walk %d from %d",
+					trial, av.busy, h, bi, demand, got, want, from)
 			}
 		}
 	}
@@ -420,6 +434,11 @@ func TestAdvanceNearInfiniteDemand(t *testing.T) {
 		}
 		if got < 0 || units.Duration(got) > units.Infinite {
 			t.Errorf("Advance(%d, %d) = %d overflowed", c.from, c.demand, got)
+		}
+		for i, b := range av.BusyBoundaries() {
+			if got, want := av.AdvanceFromBoundary(i, c.demand), advanceWalk(av, b, c.demand); got != want {
+				t.Errorf("AdvanceFromBoundary(%d, %d) = %d, walk %d", i, c.demand, got, want)
+			}
 		}
 	}
 	// One free unit per period: the walk's period skip overflows
@@ -591,6 +610,6 @@ func TestResetMatchesNew(t *testing.T) {
 // sameAvailability compares two supply functions field by field.
 func sameAvailability(a, b *Availability) bool {
 	return a.horizon == b.horizon && a.totalBusy == b.totalBusy &&
-		slices.Equal(a.busy, b.busy) && slices.Equal(a.busyPrefix, b.busyPrefix) &&
+		slices.Equal(a.busy, b.busy) && slices.Equal(a.freeBefore, b.freeBefore) &&
 		slices.Equal(a.boundaries, b.boundaries)
 }

@@ -25,13 +25,15 @@ var fuzzPortfolio = []func(*model.System, core.Options) (*core.Result, error){
 // optionally perturbed (FrameID swaps and drops, minislot and segment
 // changes, policy flips), no simulated response may exceed its
 // analysed worst-case bound, and the bus trace must keep the protocol
-// invariants of checkTrace. Responses that are not bounds under the
-// analysis' own assumptions (unboundedActs) are exempt. `go test`
-// replays the seed corpus under testdata/fuzz; `go test -fuzz`
-// explores further.
+// invariants of checkTrace. Configurations that flexray.Config.Validate
+// rejects are skipped: no service path analyses or simulates them.
+// Responses that are not bounds under the analysis' own assumptions
+// (unboundedActs) are exempt; the log line says what share of the
+// event-triggered activities was checked. `go test` replays the seed
+// corpus under testdata/fuzz; `go test -fuzz` explores further.
 func FuzzSimulationNeverExceedsAnalysis(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64) {
-		sys, cfg, an, ana, res := fuzzInput(t, nodes, seed, algo, perturb)
+		sys, cfg, an, ana, res := fuzzInput(t, nodes, seed, algo, perturb, true)
 		checkTrace(t, sys, cfg, res.Trace)
 		if !ana.Converged {
 			return // the jitter fixpoint stopped early: no bounds to hold
@@ -43,6 +45,16 @@ func FuzzSimulationNeverExceedsAnalysis(f *testing.F) {
 					sys.App.Acts[id].Name, res.MaxResponse[id], ana.R[id], cfg)
 			}
 		}
+		et, checked := 0, 0
+		for i := range sys.App.Acts {
+			if act := &sys.App.Acts[i]; !act.IsTT() {
+				et++
+				if !unbounded[act.ID] {
+					checked++
+				}
+			}
+		}
+		t.Logf("checked %d of %d event-triggered activities against their bounds", checked, et)
 	})
 }
 
@@ -63,7 +75,7 @@ func TestSelfBacklogEscapesTheAnalysis(t *testing.T) {
 		algo    uint8
 		perturb int64
 	}{{14, -73, 0, -74}, {94, -116, 10, 0}} {
-		sys, _, an, ana, res := fuzzInput(t, in.nodes, in.seed, in.algo, in.perturb)
+		sys, _, an, ana, res := fuzzInput(t, in.nodes, in.seed, in.algo, in.perturb, false)
 		above := aboveAnalysis(ana, res)
 		if len(above) == 0 {
 			t.Errorf("%+v: no simulated response above the analysis any more", in)
@@ -80,8 +92,9 @@ func TestSelfBacklogEscapesTheAnalysis(t *testing.T) {
 
 // fuzzInput builds, configures, schedules, analyses and simulates one
 // fuzz input, skipping inputs that yield no system, configuration or
-// table. It returns the analyzer with the Result of its one Run.
-func fuzzInput(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64) (*model.System, *flexray.Config, *analysis.Analyzer, *analysis.Result, *Result) {
+// table, and with validOnly also configurations Config.Validate
+// rejects. It returns the analyzer with the Result of its one Run.
+func fuzzInput(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64, validOnly bool) (*model.System, *flexray.Config, *analysis.Analyzer, *analysis.Result, *Result) {
 	t.Helper()
 	p := synth.DefaultParams(2+int(nodes%4), seed)
 	p.DeadlineFactor = 2.0
@@ -100,6 +113,11 @@ func fuzzInput(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64)
 	cfg := best.Config
 	if perturb != 0 {
 		cfg = flexraytest.Perturb(rand.New(rand.NewSource(perturb)), cfg, sys.App.Messages(int(model.DYN)))
+	}
+	if validOnly {
+		if err := cfg.Validate(copts.Params, sys); err != nil {
+			t.Skipf("configuration rejected by Config.Validate: %v", err)
+		}
 	}
 	schedOpts := sched.DefaultOptions()
 	table, err := sched.BuildTable(sys, cfg, schedOpts)
