@@ -48,11 +48,10 @@ func DefaultOptions() Options {
 // Result carries the outcome of one holistic analysis run.
 type Result struct {
 	// R maps every activity to its worst-case response time,
-	// measured from the release of the owning graph instance.
+	// measured from the release of the owning graph instance. The
+	// release jitters the analysis used are read from the Analyzer
+	// (Analyzer.Jitter).
 	R map[model.ActID]units.Duration
-	// J maps event-triggered activities to the release jitter used
-	// in their analysis (inherited from predecessors, Section 5.1).
-	J map[model.ActID]units.Duration
 	// Schedulable reports whether every activity meets its deadline.
 	Schedulable bool
 	// Cost is the cost function of Eq. (5): strictly positive if any
@@ -125,7 +124,7 @@ type Analyzer struct {
 
 	// r/j hold the current response-time and jitter iterates; has[id]
 	// records whether an entry was ever written (mirroring presence in
-	// the Result maps the fixpoint used to read).
+	// the Result.R map the fixpoint used to read).
 	r   []units.Duration
 	j   []units.Duration
 	has []bool
@@ -391,8 +390,9 @@ func (a *Analyzer) Interferers(id model.ActID) []model.ActID {
 // with jitter propagation along the precedence edges until a fixpoint
 // (Section 5: "the interference from the SCS activities" is part of
 // both the FPS and the DYN analysis). The iteration state lives in the
-// analyzer's dense r/j arrays; the Result maps are materialised once at
-// the end. An activity's response window is recomputed only when an
+// analyzer's dense r/j arrays; the Result's response map is
+// materialised once at the end, and the jitters stay readable through
+// Jitter. An activity's response window is recomputed only when an
 // interferer's jitter changed since the window was last computed; its
 // own jitter enters only in the final sum, so the cached window gives
 // the same response a recomputation would.
@@ -542,23 +542,27 @@ func (a *Analyzer) tableResponse(act *model.Activity) units.Duration {
 	return worst
 }
 
-// emit materialises the dense iteration state into the Result maps.
-// Only activities that were actually written appear, mirroring the
+// emit materialises the dense response times into Result.R. Only
+// activities that were actually written appear, mirroring the
 // incremental map inserts the fixpoint used to perform.
 func (a *Analyzer) emit(res *Result) {
 	app := &a.sys.App
 	res.R = make(map[model.ActID]units.Duration, len(app.Acts))
-	res.J = make(map[model.ActID]units.Duration, len(app.Acts))
 	for i := range app.Acts {
-		act := &app.Acts[i]
-		if !a.has[act.ID] {
-			continue
-		}
-		res.R[act.ID] = a.r[act.ID]
-		if !act.IsTT() {
-			res.J[act.ID] = a.j[act.ID]
+		if id := app.Acts[i].ID; a.has[id] {
+			res.R[id] = a.r[id]
 		}
 	}
+}
+
+// Jitter returns the release jitter the last Run used for activity id
+// (Section 5.1): the latest worst-case completion of its predecessors,
+// or its own release offset if that is later — for a DYN message the
+// Jm of Eq. (2). It is 0 for SCS tasks and ST messages, whose responses
+// come from the schedule table. Call it after Run and before the next
+// Reset.
+func (a *Analyzer) Jitter(id model.ActID) units.Duration {
+	return a.j[id]
 }
 
 // finish computes deadlines, violations and the cost function (Eq. 5).

@@ -486,11 +486,14 @@ func TestJitterPropagationAlongChain(t *testing.T) {
 	}
 	a := newAnalyzer(t, sys, cfg)
 	res := a.Run()
-	if res.J[m] != res.R[e1] {
-		t.Errorf("J(m) = %v, want R(e1) = %v", res.J[m], res.R[e1])
+	if a.Jitter(m) != res.R[e1] {
+		t.Errorf("J(m) = %v, want R(e1) = %v", a.Jitter(m), res.R[e1])
 	}
-	if res.J[e2] != res.R[m] {
-		t.Errorf("J(e2) = %v, want R(m) = %v", res.J[e2], res.R[m])
+	if a.Jitter(e2) != res.R[m] {
+		t.Errorf("J(e2) = %v, want R(m) = %v", a.Jitter(e2), res.R[m])
+	}
+	if got := a.Jitter(e1); got != 0 {
+		t.Errorf("J(e1) = %v, want 0 (no predecessor, no release offset)", got)
 	}
 	if got, want := res.R[e2], res.R[m]+200*us; got != want {
 		t.Errorf("R(e2) = %v, want %v", got, want)
@@ -616,11 +619,12 @@ func TestResetMatchesFresh(t *testing.T) {
 		table := tables[rng.Intn(len(tables))]
 		reusable.Reset(cfg, table)
 		got := reusable.Run()
-		want := New(sys, cfg, table, DefaultOptions()).Run()
+		fresh := New(sys, cfg, table, DefaultOptions())
+		want := fresh.Run()
 		for _, m := range []model.ActID{m1, m2, m3} {
-			if got.R[m] != want.R[m] || got.J[m] != want.J[m] {
+			if got.R[m] != want.R[m] || reusable.Jitter(m) != fresh.Jitter(m) {
 				t.Fatalf("step %d: R/J(%d) = %v/%v after Reset, want %v/%v",
-					i, m, got.R[m], got.J[m], want.R[m], want.J[m])
+					i, m, got.R[m], reusable.Jitter(m), want.R[m], fresh.Jitter(m))
 			}
 		}
 		if got.Cost != want.Cost || got.Schedulable != want.Schedulable {

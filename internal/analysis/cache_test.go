@@ -13,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/synth"
+	"repro/internal/units"
 )
 
 // recomputeChecker compares a cached Run with the full-recompute
@@ -34,10 +35,20 @@ func (c *recomputeChecker) check(name string, sys *model.System, an *analysis.An
 	}
 	an.Reset(cfg, table)
 	got := an.Run()
+	jitters := make([]units.Duration, len(sys.App.Acts))
+	for i := range sys.App.Acts {
+		jitters[i] = an.Jitter(sys.App.Acts[i].ID)
+	}
 	want := an.RunFullRecomputeForTest()
 	if !reflect.DeepEqual(got, want) {
 		c.t.Fatalf("%s: cached Run differs from the full recompute\ncached: %+v\nfull:   %+v\nconfig: %+v",
 			name, got, want, cfg)
+	}
+	for i, j := range jitters {
+		if id := sys.App.Acts[i].ID; an.Jitter(id) != j {
+			c.t.Fatalf("%s: cached Run's jitter of %d is %v, full recompute %v\nconfig: %+v",
+				name, id, j, an.Jitter(id), cfg)
+		}
 	}
 	c.runs++
 	if !got.Converged {
@@ -67,7 +78,8 @@ func shortFixpoint(sys *model.System) []*analysis.Analyzer {
 // flexraytest.Perturb-ed variants of both, which include saturated
 // windows. The perturbed variants also run on analyzers with a
 // MaxOuterIter of 1-3, so fixpoints stopped midway (Converged false)
-// are compared too. The whole Result must match bit for bit.
+// are compared too. The whole Result and every jitter must match bit
+// for bit.
 func TestRunMatchesFullRecompute(t *testing.T) {
 	c := &recomputeChecker{t: t}
 	copts := core.DefaultOptions()

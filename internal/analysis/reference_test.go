@@ -2,11 +2,11 @@ package analysis_test
 
 // This file retains the pre-flat-layout holistic analysis — the
 // maps-and-pointers implementation the flat, index-addressed Analyzer
-// replaced — as an executable reference specification. refAnalyze is a
-// near-verbatim port of that code onto the public API: response times
-// and jitters live in the Result maps during the fixpoint, DYN
-// interference environments are per-message heap objects, and nothing
-// is pooled. The differential test below drives both implementations
+// replaced — as an executable reference specification. refAnalyzer is
+// a near-verbatim port of that code onto the public API: during the
+// fixpoint, response times live in the Result map and jitters in a map
+// of the reference's own, DYN interference environments are
+// per-message heap objects, and nothing is pooled. The differential test below drives both implementations
 // over randomly synthesised systems and randomly perturbed
 // configurations and requires identical output, bit for bit.
 
@@ -39,11 +39,9 @@ type refAnalyzer struct {
 	fpsByNode map[model.NodeID][]model.ActID
 	dynMsgs   []model.ActID
 	envs      map[model.ActID]*refEnv
-}
-
-// refAnalyze runs the retained reference analysis once.
-func refAnalyze(sys *model.System, cfg *flexray.Config, table *schedule.Table, opts analysis.Options) *analysis.Result {
-	return newRefAnalyzer(sys, cfg, table, opts).run()
+	// j maps event-triggered activities to their release jitter
+	// (filled by run).
+	j map[model.ActID]units.Duration
 }
 
 // newRefAnalyzer binds the reference analysis to one input.
@@ -119,9 +117,9 @@ func (a *refAnalyzer) run() *analysis.Result {
 	app := &a.sys.App
 	res := &analysis.Result{
 		R:         make(map[model.ActID]units.Duration, len(app.Acts)),
-		J:         make(map[model.ActID]units.Duration, len(app.Acts)),
 		Converged: true,
 	}
+	a.j = make(map[model.ActID]units.Duration, len(app.Acts))
 	for i := range app.Acts {
 		act := &app.Acts[i]
 		if !act.IsTT() {
@@ -154,8 +152,8 @@ func (a *refAnalyzer) run() *analysis.Result {
 				} else {
 					r = a.dynResponse(act, j, res)
 				}
-				if res.J[id] != j || res.R[id] != r {
-					res.J[id] = j
+				if a.j[id] != j || res.R[id] != r {
+					a.j[id] = j
 					res.R[id] = r
 					changed = true
 				}
@@ -269,7 +267,7 @@ func (a *refAnalyzer) busyWindow(act *model.Activity, hp []model.ActID, phi unit
 		demand := act.C
 		for _, h := range hp {
 			ha := app.Act(h)
-			n := units.CeilDiv(int64(w)+int64(res.J[h]), int64(app.Period(h)))
+			n := units.CeilDiv(int64(w)+int64(a.j[h]), int64(app.Period(h)))
 			demand = units.SatAdd(demand, units.Duration(n)*ha.C)
 		}
 		end := av.Advance(phi, demand)
@@ -394,7 +392,7 @@ func (a *refAnalyzer) dynEnv(act *model.Activity, fid int) *refEnv {
 
 func (a *refAnalyzer) instances(m model.ActID, t units.Duration, res *analysis.Result) int64 {
 	period := a.sys.App.Period(m)
-	n := units.CeilDiv(int64(t)+int64(res.J[m]), int64(period))
+	n := units.CeilDiv(int64(t)+int64(a.j[m]), int64(period))
 	if n < 0 {
 		return 0
 	}
@@ -580,9 +578,9 @@ func refExactFill(env *refEnv, budgets [][]int64, nodeCap int) (int64, bool) {
 // the flat analyzer: randomly synthesised systems, randomly perturbed
 // configurations, one long-lived flat Analyzer (so Reset invalidation
 // is part of the test surface) against the retained reference
-// implementation. Every Result must match bit for bit, and the
-// Eq. (2)-(3) breakdown of every DYN message, saturated or not, must
-// reproduce the analysed response exactly. Interferers must list, for
+// implementation. Every Result and every activity's jitter must match
+// bit for bit, and the Eq. (2)-(3) breakdown of every DYN message,
+// saturated or not, must reproduce the analysed response exactly. Interferers must list, for
 // every FPS task and DYN message, the ids the reference fixpoint reads
 // the jitters of, in the reference's order.
 func TestFlatAnalyzerMatchesReference(t *testing.T) {
@@ -631,10 +629,18 @@ func TestFlatAnalyzerMatchesReference(t *testing.T) {
 			an := flat[exact]
 			an.Reset(cfg, table)
 			got := an.Run()
-			want := refAnalyze(sys, cfg, table, aopts)
+			ref := newRefAnalyzer(sys, cfg, table, aopts)
+			want := ref.run()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("system (%d nodes, seed %d) trial %d (exact=%v):\nflat: %+v\nref:  %+v\nconfig: %+v",
 					tc.nodes, tc.seed, trial, exact, got, want, cfg)
+			}
+			for i := range sys.App.Acts {
+				id := sys.App.Acts[i].ID
+				if got, want := an.Jitter(id), ref.j[id]; got != want {
+					t.Fatalf("system (%d nodes, seed %d) trial %d: Jitter(%d) = %v, reference %v",
+						tc.nodes, tc.seed, trial, id, got, want)
+				}
 			}
 			for _, m := range dyn {
 				d, ok := an.ExplainDYN(m)
@@ -646,7 +652,6 @@ func TestFlatAnalyzerMatchesReference(t *testing.T) {
 						tc.nodes, tc.seed, trial, m, d.Response, got.R[m])
 				}
 			}
-			ref := newRefAnalyzer(sys, cfg, table, aopts)
 			for _, id := range append(sys.App.Tasks(int(model.FPS)), dyn...) {
 				if got, want := an.Interferers(id), ref.interferers(id); !slices.Equal(got, want) {
 					t.Fatalf("system (%d nodes, seed %d) trial %d: Interferers(%d) = %v, reference %v",

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/flexray"
@@ -149,6 +149,17 @@ type curveFit struct {
 	dyn  []model.ActID
 	// interpolated[nMS] caches the last interpolation pass.
 	interpolated map[int]float64
+
+	// Storage every selectBest call refills in place, so the
+	// interpolation allocates only while its support set grows past
+	// the storage's capacity: sorted backs sortedPoints, sup and xs are
+	// the support points and their abscissae, ys the ordinates of the
+	// fit being built, polys one Newton polynomial per DYN message.
+	sorted     []*evalPoint
+	sup        []*evalPoint
+	xs, ys     []float64
+	polys      []interp.Newton
+	lin1, lin2 interp.Linear
 }
 
 // addPoint evaluates one dynamic-segment size exactly and stores it in
@@ -203,22 +214,27 @@ func (cf *curveFit) addPoints(sizes []int) {
 
 // storePoint builds the support-set entry for one exactly evaluated
 // size, splitting the cost into the DYN responses (the interpolation
-// targets) and the non-DYN contributions.
+// targets) and the non-DYN contributions. The non-DYN sums run in
+// ActID order: float addition is not associative, so summing in map
+// order would let the interpolated costs differ from run to run.
 func (cf *curveFit) storePoint(nMS int, cand *flexray.Config, res *analysis.Result, cost float64) *evalPoint {
 	p := &evalPoint{nMS: nMS, x: cf.x(nMS), cfg: cand, res: res, cost: cost}
 	if res != nil {
 		app := &cf.e.sys.App
-		isDYN := map[model.ActID]bool{}
-		for _, m := range cf.dyn {
-			isDYN[m] = true
-			p.rm = append(p.rm, res.R[m].Us())
+		p.rm = make([]float64, len(cf.dyn))
+		for i, m := range cf.dyn {
+			p.rm[i] = res.R[m].Us()
 		}
-		for id, r := range res.R {
-			if isDYN[id] {
+		for i := range app.Acts {
+			act := &app.Acts[i]
+			if act.IsMessage() && act.Class == model.DYN {
 				continue
 			}
-			d := app.Deadline(id)
-			diff := (r - d).Us()
+			r, ok := res.R[act.ID]
+			if !ok {
+				continue
+			}
+			diff := (r - app.Deadline(act.ID)).Us()
 			if diff > 0 {
 				p.nonDYNf1 += diff
 			}
@@ -239,44 +255,48 @@ func (cf *curveFit) x(nMS int) float64 {
 // is nothing sensible to select.
 func (cf *curveFit) selectBest() (nMS int, cost float64, exact bool) {
 	// Newton polynomial per DYN message over the support points.
-	var xs []float64
-	var pts []*evalPoint
+	cf.sup, cf.xs = cf.sup[:0], cf.xs[:0]
 	for _, p := range cf.sortedPoints() {
 		if p.res == nil {
 			continue // structurally infeasible size: not a support point
 		}
-		xs = append(xs, p.x)
-		pts = append(pts, p)
+		cf.sup = append(cf.sup, p)
+		cf.xs = append(cf.xs, p.x)
 	}
-	if len(pts) == 0 {
+	if len(cf.sup) == 0 {
 		return -1, 0, false
 	}
-	polys := make([]*interp.Newton, len(cf.dyn))
+	if cf.polys == nil {
+		cf.polys = make([]interp.Newton, len(cf.dyn))
+	}
 	for mi := range cf.dyn {
-		ys := make([]float64, len(pts))
-		for pi, p := range pts {
-			ys[pi] = p.rm[mi]
+		cf.ys = cf.ys[:0]
+		for _, p := range cf.sup {
+			cf.ys = append(cf.ys, p.rm[mi])
 		}
-		n, err := interp.NewNewton(xs, ys)
-		if err != nil {
+		if err := cf.polys[mi].Fit(cf.xs, cf.ys); err != nil {
 			return -1, 0, false
 		}
-		polys[mi] = n
 	}
-	f1s := make([]float64, len(pts))
-	f2s := make([]float64, len(pts))
-	for pi, p := range pts {
-		f1s[pi] = p.nonDYNf1
-		f2s[pi] = p.nonDYNf2
+	cf.ys = cf.ys[:0]
+	for _, p := range cf.sup {
+		cf.ys = append(cf.ys, p.nonDYNf1)
 	}
-	lin1, err1 := interp.NewLinear(xs, f1s)
-	lin2, err2 := interp.NewLinear(xs, f2s)
+	err1 := cf.lin1.Fit(cf.xs, cf.ys)
+	cf.ys = cf.ys[:0]
+	for _, p := range cf.sup {
+		cf.ys = append(cf.ys, p.nonDYNf2)
+	}
+	err2 := cf.lin2.Fit(cf.xs, cf.ys)
 	if err1 != nil || err2 != nil {
 		return -1, 0, false
 	}
 
 	app := &cf.e.sys.App
-	cf.interpolated = map[int]float64{}
+	if cf.interpolated == nil {
+		cf.interpolated = make(map[int]float64, len(cf.grid))
+	}
+	clear(cf.interpolated)
 	bestN, bestC, bestExact := -1, math.Inf(1), false
 	consider := func(n int, c float64, ex bool) {
 		if c < bestC || (c == bestC && ex && !bestExact) {
@@ -289,10 +309,10 @@ func (cf *curveFit) selectBest() (nMS int, cost float64, exact bool) {
 			continue
 		}
 		x := cf.x(n)
-		f1 := lin1.Eval(x)
-		f2 := lin2.Eval(x)
+		f1 := cf.lin1.Eval(x)
+		f2 := cf.lin2.Eval(x)
 		for mi, m := range cf.dyn {
-			r := polys[mi].Eval(x)
+			r := cf.polys[mi].Eval(x)
 			if min := app.Act(m).C.Us(); r < min {
 				r = min // a response below the bus time is impossible
 			}
@@ -365,13 +385,15 @@ func (cf *curveFit) widestGapMid() int {
 	return best
 }
 
+// sortedPoints returns the support set in nMS order, in storage that
+// the next call reuses.
 func (cf *curveFit) sortedPoints() []*evalPoint {
-	out := make([]*evalPoint, 0, len(cf.pts))
+	cf.sorted = cf.sorted[:0]
 	for _, p := range cf.pts {
-		out = append(out, p)
+		cf.sorted = append(cf.sorted, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].nMS < out[j].nMS })
-	return out
+	slices.SortFunc(cf.sorted, func(a, b *evalPoint) int { return cmp.Compare(a.nMS, b.nMS) })
+	return cf.sorted
 }
 
 // bestExactCost returns the lowest exactly evaluated cost so far.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/cruise"
 	"repro/internal/flexray"
 	"repro/internal/model"
 	"repro/internal/synth"
@@ -232,5 +234,90 @@ func TestCheckSTFits(t *testing.T) {
 		if _, err := run(sys, DefaultOptions()); err == nil {
 			t.Error("optimiser accepted a system whose ST message fits no legal slot")
 		}
+	}
+}
+
+// bbcCurveFit builds the curve fit OBC-CF would run on sys at the BBC
+// configuration's slot geometry, with its initial support set
+// evaluated.
+func bbcCurveFit(t *testing.T, sys *model.System) *curveFit {
+	t.Helper()
+	opts := DefaultOptions().withDefaults()
+	bbc, err := BBC(sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEvaluator(sys, opts, "OBC-CF")
+	cfg := bbc.Config
+	minMS, maxMS := dynBounds(sys, cfg, cfg.MinislotLen)
+	cf := &curveFit{
+		e:    e,
+		cfg:  cfg,
+		grid: dynGrid(minMS, maxMS, opts.DYNGridCap),
+		pts:  map[int]*evalPoint{},
+		dyn:  sys.App.Messages(int(model.DYN)),
+	}
+	cf.addPoints(dynGrid(minMS, maxMS, opts.InitialPoints))
+	return cf
+}
+
+// TestStorePointSumsInActIDOrder: the non-DYN cost split of a support
+// point is the sum over the activities in ActID order, so storing the
+// same Result always gives the same bits (a sum in map order differs
+// from run to run in its last bits).
+func TestStorePointSumsInActIDOrder(t *testing.T) {
+	sys, err := synth.Generate(synth.DefaultParams(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := bbcCurveFit(t, sys)
+	app := &cf.e.sys.App
+	checked := 0
+	for nMS, p := range cf.pts {
+		if p.res == nil {
+			continue
+		}
+		var f1, f2 float64
+		for i := range app.Acts {
+			act := &app.Acts[i]
+			r, ok := p.res.R[act.ID]
+			if !ok || (act.IsMessage() && act.Class == model.DYN) {
+				continue
+			}
+			diff := (r - app.Deadline(act.ID)).Us()
+			if diff > 0 {
+				f1 += diff
+			}
+			f2 += diff
+		}
+		for rep := 0; rep < 20; rep++ {
+			q := cf.storePoint(nMS, p.cfg, p.res, p.cost)
+			if math.Float64bits(q.nonDYNf1) != math.Float64bits(f1) || math.Float64bits(q.nonDYNf2) != math.Float64bits(f2) {
+				t.Fatalf("nMS %d rep %d: non-DYN sums %v/%v, ActID-order sums %v/%v",
+					nMS, rep, q.nonDYNf1, q.nonDYNf2, f1, f2)
+			}
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no support point was analysed")
+	}
+}
+
+// TestSelectBestAllocatesNothing: once selectBest has run on a support
+// set, interpolating the grid again reuses the curve fit's storage.
+func TestSelectBestAllocatesNothing(t *testing.T) {
+	cf := bbcCurveFit(t, cruise.MustSystem())
+	n, c, exact := cf.selectBest()
+	if n < 0 {
+		t.Fatal("selectBest found nothing to select")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if n2, c2, ex2 := cf.selectBest(); n2 != n || c2 != c || ex2 != exact {
+			t.Fatalf("selectBest changed its pick: (%d, %v, %v) then (%d, %v, %v)", n, c, exact, n2, c2, ex2)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm selectBest allocates %v times, want 0", allocs)
 	}
 }

@@ -3,67 +3,69 @@
 // interpolates message response times as a function of the dynamic
 // segment length; the paper chose a Newton polynomial because it is
 // "extremely fast, in particular when recalculating the values after a
-// new point has been added to the set Points" — which is exactly the
-// incremental AddPoint below.
+// new point has been added to the set Points".
+//
+// Each fit is one O(m²) divided-difference pass over the m support
+// points in the order given (the heuristic passes them in sorted
+// support order), written into storage the interpolant keeps and
+// reuses. The same support set in the same order therefore gives the
+// same coefficients bit for bit, whatever was fitted before, and a
+// warm interpolant refits without allocating.
 package interp
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// Newton is an interpolating polynomial in Newton form over a growing
-// set of support points.
+// Newton is an interpolating polynomial in Newton form. The zero value
+// is the empty polynomial; Fit makes it interpolate a support set.
 type Newton struct {
 	xs   []float64
-	ys   []float64
 	coef []float64 // coef[k] = f[x0,...,xk]
+	row  []float64 // divided-difference scratch
 }
 
-// ErrDuplicateX reports an attempt to add a support point with an
-// existing abscissa.
+// ErrDuplicateX reports a support set with a repeated abscissa.
 var ErrDuplicateX = errors.New("interp: duplicate x")
 
-// NewNewton builds a polynomial through the given points.
-func NewNewton(xs, ys []float64) (*Newton, error) {
+// Fit makes n the polynomial through (xs[i], ys[i]), reusing n's
+// storage. It returns ErrDuplicateX if two xs are equal and leaves n
+// empty on any error.
+func (n *Newton) Fit(xs, ys []float64) error {
 	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("interp: %d xs vs %d ys", len(xs), len(ys))
+		n.reset()
+		return fmt.Errorf("interp: %d xs vs %d ys", len(xs), len(ys))
 	}
-	n := &Newton{}
-	for i := range xs {
-		if err := n.AddPoint(xs[i], ys[i]); err != nil {
-			return nil, err
-		}
+	m := len(xs)
+	n.xs = append(n.xs[:0], xs...)
+	n.row = append(n.row[:0], ys...)
+	n.coef = slices.Grow(n.coef[:0], m)[:m]
+	if m == 0 {
+		return nil
 	}
-	return n, nil
-}
-
-// AddPoint extends the polynomial with one support point, reusing all
-// previously computed divided differences (O(n) per insertion).
-func (n *Newton) AddPoint(x, y float64) error {
-	for _, xi := range n.xs {
-		if xi == x {
-			return ErrDuplicateX
-		}
-	}
-	n.xs = append(n.xs, x)
-	n.ys = append(n.ys, y)
-	m := len(n.xs)
-	// Rebuild the divided-difference table row by row. The support
-	// sets of the heuristic hold 5-15 points, so the O(m^2) rebuild
-	// is negligible and avoids the numerical bookkeeping of the
-	// strictly incremental diagonal update.
-	n.coef = make([]float64, m)
-	row := append([]float64(nil), n.ys...)
+	// Level k divides by xs[i+k]-xs[i] for every i, so the levels
+	// together compare every pair of abscissae once.
+	row := n.row
 	n.coef[0] = row[0]
 	for k := 1; k < m; k++ {
 		for i := 0; i < m-k; i++ {
-			row[i] = (row[i+1] - row[i]) / (n.xs[i+k] - n.xs[i])
+			d := xs[i+k] - xs[i]
+			if d == 0 {
+				n.reset()
+				return ErrDuplicateX
+			}
+			row[i] = (row[i+1] - row[i]) / d
 		}
 		n.coef[k] = row[0]
 	}
 	return nil
+}
+
+func (n *Newton) reset() {
+	n.xs, n.coef = n.xs[:0], n.coef[:0]
 }
 
 // Len returns the number of support points.
@@ -83,27 +85,33 @@ func (n *Newton) Eval(x float64) float64 {
 	return v
 }
 
-// Linear interpolates piecewise-linearly through (xs, ys); it is used
-// for the slowly varying non-DYN part of the cost function where a
-// high-order polynomial would oscillate. xs need not be sorted.
+// Linear interpolates piecewise-linearly through a support set; it is
+// used for the slowly varying non-DYN part of the cost function where
+// a high-order polynomial would oscillate. The zero value is the empty
+// interpolant.
 type Linear struct {
 	xs []float64
 	ys []float64
 }
 
-// NewLinear builds a piecewise-linear interpolant.
-func NewLinear(xs, ys []float64) (*Linear, error) {
+// Fit makes l the piecewise-linear interpolant through (xs[i], ys[i]),
+// reusing l's storage. xs need not be sorted. It returns ErrDuplicateX
+// if two xs are equal and leaves l empty on any error.
+func (l *Linear) Fit(xs, ys []float64) error {
+	l.xs, l.ys = l.xs[:0], l.ys[:0]
 	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("interp: %d xs vs %d ys", len(xs), len(ys))
+		return fmt.Errorf("interp: %d xs vs %d ys", len(xs), len(ys))
 	}
-	l := &Linear{xs: append([]float64(nil), xs...), ys: append([]float64(nil), ys...)}
+	l.xs = append(l.xs, xs...)
+	l.ys = append(l.ys, ys...)
 	sort.Sort(byX{l})
 	for i := 1; i < len(l.xs); i++ {
 		if l.xs[i] == l.xs[i-1] {
-			return nil, ErrDuplicateX
+			l.xs, l.ys = l.xs[:0], l.ys[:0]
+			return ErrDuplicateX
 		}
 	}
-	return l, nil
+	return nil
 }
 
 type byX struct{ l *Linear }

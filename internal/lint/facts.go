@@ -301,7 +301,7 @@ func (f *Facts) buildScheduleFacts(opts Options) {
 	}
 	f.Table, f.Res = table, res
 	f.extractSlotFacts()
-	f.extractSlackFacts()
+	f.extractSlackFacts(an)
 
 	// Eq. (3) breakdowns for the DYN facts, from the analyzer whose
 	// Run produced res.
@@ -372,8 +372,9 @@ func (f *Facts) extractSlotFacts() {
 }
 
 // extractSlackFacts derives deadline slack and jitter headroom per
-// activity from the analysis result, in ActID order.
-func (f *Facts) extractSlackFacts() {
+// activity from the analysis result and the jitters of the analyzer
+// whose Run produced it, in ActID order.
+func (f *Facts) extractSlackFacts(an *analysis.Analyzer) {
 	app := &f.Sys.App
 	violated := map[model.ActID]bool{}
 	for _, id := range f.Res.Violations {
@@ -390,7 +391,7 @@ func (f *Facts) extractSlackFacts() {
 		r := f.Res.R[id]
 		sf := SlackFact{
 			Act: id, Name: a.Name,
-			Deadline: d, Response: r, Jitter: f.Res.J[id],
+			Deadline: d, Response: r, Jitter: an.Jitter(id),
 			Slack: d - r,
 			Met:   !violated[id] && r <= d,
 		}

@@ -1,18 +1,22 @@
 package lint
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/cruise"
 	"repro/internal/flexray"
 	"repro/internal/flexray/flexraytest"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/synth"
 )
 
@@ -292,5 +296,66 @@ func TestDYNDelayExplainsReportedResponse(t *testing.T) {
 		if explained == 0 {
 			t.Errorf("%s: no DYN delay fact was extracted", sys.Name)
 		}
+	}
+}
+
+// TestSlackFactsCarryAnalyzerJitter pins the jitter headroom facts to
+// the analysis: on cruise under its BBC configuration, where tasks and
+// DYN messages inherit release jitter along their precedence chains,
+// every SlackFact's Jitter is the analyzer's Jitter for that activity
+// and JitterFrac is its share of the deadline. HDR004 must then fail
+// for the jittered activities once JitterFracWarn is set below their
+// share, and only for them.
+func TestSlackFactsCarryAnalyzerJitter(t *testing.T) {
+	sys := cruise.MustSystem()
+	bbc, err := core.BBC(sys, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	f := Extract(sys, bbc.Config, opts)
+	if f.Res == nil {
+		t.Fatalf("no analysis facts: %v %s", f.BuildErr, f.ScheduleSkip)
+	}
+	table, err := sched.BuildTable(sys, bbc.Config, opts.Sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := analysis.New(sys, bbc.Config, table, opts.Sched.Analysis)
+	an.Run()
+
+	minFrac := math.Inf(1)
+	jittered := map[string]bool{}
+	for _, s := range f.Slack {
+		if want := an.Jitter(s.Act); s.Jitter != want {
+			t.Errorf("%s: SlackFact.Jitter %v, analyzer %v", s.Name, s.Jitter, want)
+		}
+		if s.Deadline > 0 {
+			if want := float64(s.Jitter) / float64(s.Deadline); s.JitterFrac != want {
+				t.Errorf("%s: JitterFrac %v, want %v", s.Name, s.JitterFrac, want)
+			}
+		}
+		if s.Jitter > 0 && s.Deadline > 0 {
+			jittered[s.Name] = true
+			minFrac = math.Min(minFrac, s.JitterFrac)
+		}
+	}
+	if len(jittered) == 0 {
+		t.Fatal("no activity inherits release jitter; the test needs a precedence chain")
+	}
+
+	opts.Thresholds.JitterFracWarn = minFrac / 2
+	rep, err := Run(sys, bbc.Config, opts, PackHeadroom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := map[string]bool{}
+	for _, fd := range rep.Findings {
+		if fd.Rule == "HDR004" && fd.Status == StatusFail {
+			failed[fd.Subject] = true
+		}
+	}
+	if !reflect.DeepEqual(failed, jittered) {
+		t.Errorf("HDR004 failed for %v, want exactly the jittered activities %v", failed, jittered)
 	}
 }

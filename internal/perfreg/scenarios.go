@@ -42,11 +42,11 @@ const SessionConfigCount = 31
 
 // SessionAllocsPerMix is the exact number of heap allocations one
 // steady-state evaluation session performs over one full
-// SessionConfigs mix (15 per candidate evaluation). Allocation
+// SessionConfigs mix (11 per candidate evaluation). Allocation
 // counts on this path are deterministic — the README quotes this
 // number and TestSessionAllocsPinned enforces it, so the claim cannot
 // drift from the code.
-const SessionAllocsPerMix = 465
+const SessionAllocsPerMix = 341
 
 // SessionConfigs builds the candidate stream of the evaluation
 // scenarios: a DYN-length sweep at fixed geometry interleaved with
