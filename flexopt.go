@@ -139,7 +139,8 @@ type (
 	// AnalysisResult carries worst-case response times, jitters and
 	// the Eq. (5) cost of one configuration.
 	AnalysisResult = analysis.Result
-	// SchedOptions tune the global scheduling algorithm.
+	// SchedOptions carry the analysis options of BuildSchedule
+	// and evaluation sessions.
 	SchedOptions = sched.Options
 )
 
@@ -168,8 +169,8 @@ func NewEvalSession(sys *System, opts SchedOptions) *EvalSession {
 	return core.NewSession(sys, opts)
 }
 
-// DefaultSchedOptions returns first-fit placement with default
-// analysis.
+// DefaultSchedOptions returns the default analysis options; SCS tasks
+// are always placed first-fit.
 func DefaultSchedOptions() SchedOptions { return sched.DefaultOptions() }
 
 // Simulation.

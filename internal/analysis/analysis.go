@@ -45,6 +45,23 @@ func DefaultOptions() Options {
 	}
 }
 
+// withDefaults replaces every non-positive limit with its
+// DefaultOptions value, so a zero Options analyses exactly like
+// DefaultOptions().
+func (o Options) withDefaults() Options {
+	d := DefaultOptions()
+	if o.FillNodeCap <= 0 {
+		o.FillNodeCap = d.FillNodeCap
+	}
+	if o.MaxOuterIter <= 0 {
+		o.MaxOuterIter = d.MaxOuterIter
+	}
+	if o.DivergenceFactor <= 0 {
+		o.DivergenceFactor = d.DivergenceFactor
+	}
+	return o
+}
+
 // Result carries the outcome of one holistic analysis run.
 type Result struct {
 	// R maps every activity to its worst-case response time,
@@ -175,10 +192,7 @@ type Analyzer struct {
 	topoDone []bool
 }
 
-// New builds an analyzer bound to one configuration and table. The
-// table may be partially filled: the global scheduling algorithm calls
-// the analysis while it is still inserting SCS activities (Fig. 2
-// line 11).
+// New builds an analyzer bound to one configuration and table.
 func New(sys *model.System, cfg *flexray.Config, table *schedule.Table, opts Options) *Analyzer {
 	a := NewReusable(sys, opts)
 	a.Reset(cfg, table)
@@ -189,18 +203,16 @@ func New(sys *model.System, cfg *flexray.Config, table *schedule.Table, opts Opt
 // initialised, but Reset must bind a configuration and table before the
 // first Run. Reusing one analyzer across many candidate configurations
 // amortises both this setup and the scratch buffers of the analysis.
+// Non-positive limits in opts take their DefaultOptions values.
 func NewReusable(sys *model.System, opts Options) *Analyzer {
 	app := &sys.App
 	n := len(app.Acts)
-	a := &Analyzer{sys: sys, opts: opts}
+	a := &Analyzer{sys: sys, opts: opts.withDefaults()}
 
 	a.period = make([]units.Duration, n)
 	a.deadline = make([]units.Duration, n)
 	a.capD = make([]units.Duration, n)
-	f := opts.DivergenceFactor
-	if f <= 0 {
-		f = 8
-	}
+	f := a.opts.DivergenceFactor
 	for id := 0; id < n; id++ {
 		a.period[id] = app.Period(model.ActID(id))
 		a.deadline[id] = app.Deadline(model.ActID(id))
@@ -418,9 +430,6 @@ func (a *Analyzer) Run() *Result {
 
 	// Event-triggered part: fixpoint over jitters.
 	maxIter := a.opts.MaxOuterIter
-	if maxIter <= 0 {
-		maxIter = 64
-	}
 	for iter := 0; ; iter++ {
 		changed := false
 		for g := range app.Graphs {
@@ -532,12 +541,6 @@ func (a *Analyzer) tableResponse(act *model.Activity) units.Duration {
 				worst = d
 			}
 		}
-	}
-	if worst == 0 {
-		// Not (yet) in the table: the global scheduler analyses
-		// partially built tables. Account at least for the
-		// activity's own duration so cost comparisons stay sane.
-		worst = act.C
 	}
 	return worst
 }

@@ -80,6 +80,30 @@ func shortFixpoint(sys *model.System) []*analysis.Analyzer {
 // MaxOuterIter of 1-3, so fixpoints stopped midway (Converged false)
 // are compared too. The whole Result and every jitter must match bit
 // for bit.
+// TestZeroOptionsMatchDefaults: an analyzer built from a zero Options
+// (or one with only ExactFill set) reports exactly what the
+// DefaultOptions analyzer does.
+func TestZeroOptionsMatchDefaults(t *testing.T) {
+	sys := cruise.MustSystem()
+	bbc, err := core.BBC(sys, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := sched.BuildTable(sys, bbc.Config, sched.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exact := range []bool{false, true} {
+		def := analysis.DefaultOptions()
+		def.ExactFill = exact
+		got := analysis.New(sys, bbc.Config, table, analysis.Options{ExactFill: exact}).Run()
+		want := analysis.New(sys, bbc.Config, table, def).Run()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ExactFill %v: zero options give %+v, defaults %+v", exact, got, want)
+		}
+	}
+}
+
 func TestRunMatchesFullRecompute(t *testing.T) {
 	c := &recomputeChecker{t: t}
 	copts := core.DefaultOptions()

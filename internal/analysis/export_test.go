@@ -50,9 +50,6 @@ func (a *Analyzer) RunFullRecomputeForTest() *Result {
 		a.has[act.ID] = true
 	}
 	maxIter := a.opts.MaxOuterIter
-	if maxIter <= 0 {
-		maxIter = 64
-	}
 	for iter := 0; ; iter++ {
 		changed := false
 		for g := range app.Graphs {

@@ -201,9 +201,6 @@ func (a *refAnalyzer) tableResponse(act *model.Activity) units.Duration {
 			}
 		}
 	}
-	if worst == 0 {
-		worst = act.C
-	}
 	return worst
 }
 

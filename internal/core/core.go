@@ -58,8 +58,7 @@ type Options struct {
 	// Policy is the latest-transmission rule of candidate
 	// configurations.
 	Policy flexray.LatestTxPolicy
-	// Sched configures the global scheduling algorithm used inside
-	// every evaluation.
+	// Sched holds the analysis options of every evaluation.
 	Sched sched.Options
 
 	// DYNGridCap caps the number of dynamic-segment lengths in a
@@ -148,9 +147,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinislotLen <= 0 {
 		o.MinislotLen = d.MinislotLen
-	}
-	if o.Sched.PlacementCandidates == 0 {
-		o.Sched = d.Sched
 	}
 	if o.DYNGridCap <= 0 {
 		o.DYNGridCap = d.DYNGridCap

@@ -27,6 +27,17 @@ func quickOpts() Options {
 	return o
 }
 
+// TestWithDefaultsKeepsAnalysisOptions: filling in defaults keeps the
+// analysis settings a caller chose; zero analysis fields are the
+// analyzer's own defaults, so withDefaults leaves Sched alone.
+func TestWithDefaultsKeepsAnalysisOptions(t *testing.T) {
+	var o Options
+	o.Sched.Analysis.DivergenceFactor = 2
+	if got := o.withDefaults().Sched.Analysis.DivergenceFactor; got != 2 {
+		t.Fatalf("DivergenceFactor = %d after withDefaults, want 2", got)
+	}
+}
+
 func TestBBCProducesValidConfig(t *testing.T) {
 	sys := genSystem(t, 3, 7)
 	res, err := BBC(sys, quickOpts())

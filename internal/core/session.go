@@ -8,7 +8,7 @@ import (
 )
 
 // Session is a reusable evaluation pipeline for one system under one
-// scheduler configuration. It replaces the build-everything-from-scratch
+// set of analysis options. It replaces the build-everything-from-scratch
 // evaluation (one schedule table plus one fresh Analyzer per candidate)
 // with two layers of reuse:
 //
@@ -27,7 +27,6 @@ import (
 // to freshly built ones. A Session is not safe for concurrent use; the
 // campaign engine pins one to each worker.
 type Session struct {
-	opts sched.Options
 	plan *sched.Plan
 	an   *analysis.Analyzer
 }
@@ -35,7 +34,6 @@ type Session struct {
 // NewSession builds an evaluation session for one system.
 func NewSession(sys *model.System, opts sched.Options) *Session {
 	return &Session{
-		opts: opts,
 		plan: sched.NewPlan(sys),
 		an:   analysis.NewReusable(sys, opts.Analysis),
 	}
@@ -47,7 +45,7 @@ func NewSession(sys *model.System, opts sched.Options) *Session {
 // Result is freshly allocated and remains valid after further Eval
 // calls; all internal scratch is reused.
 func (s *Session) Eval(cfg *flexray.Config) (*analysis.Result, float64) {
-	table, err := s.plan.BuildTable(cfg, s.opts)
+	table, err := s.plan.BuildTable(cfg)
 	if err != nil {
 		return nil, infeasibleCost
 	}
@@ -65,6 +63,6 @@ func (s *Session) Analyze(cfg *flexray.Config) (*analysis.Result, error) {
 	if res, _ := s.Eval(cfg); res != nil {
 		return res, nil
 	}
-	_, err := s.plan.BuildTable(cfg, s.opts)
+	_, err := s.plan.BuildTable(cfg)
 	return nil, err
 }

@@ -184,31 +184,27 @@ func TestSessionBatchDuplicates(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesFreshWithPlacement sweeps the minislot count, which
-// changes the dynamic segment and so the table, through one session
-// with first-fit and with holistic placement (PlacementCandidates > 1,
-// which clones the table for its trials). The first-fit sweep revisits
-// every value, so rebuilt tables meet geometries seen before. Every
-// evaluation must match the fresh pipeline.
-func TestSessionMatchesFreshWithPlacement(t *testing.T) {
+// TestSessionMatchesFreshOverMinislotSweep sweeps the minislot count,
+// which changes the dynamic segment and so the table, through one
+// session. The sweep revisits every value, so rebuilt tables meet
+// geometries seen before. Every evaluation must match the fresh
+// pipeline.
+func TestSessionMatchesFreshOverMinislotSweep(t *testing.T) {
+	const evals, deltas = 160, 64
 	sys := genSystem(t, 2, 5)
-	for _, tc := range []struct{ placement, evals, deltas int }{{1, 160, 64}, {3, 8, 8}} {
-		opts := sessionQuickOpts()
-		opts.Sched.PlacementCandidates = tc.placement
-		bbc, err := BBC(sys, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := NewSession(sys, opts.Sched)
-		for i := 0; i < tc.evals; i++ {
-			cfg := bbc.Config.Clone()
-			cfg.NumMinislots += i % tc.deltas
-			sres, scost := sess.Eval(cfg)
-			fres, fcost := freshEval(sys, cfg, opts.Sched)
-			if scost != fcost || !reflect.DeepEqual(sres, fres) {
-				t.Fatalf("PlacementCandidates %d, eval %d: session (%v) differs from fresh (%v)",
-					tc.placement, i, scost, fcost)
-			}
+	opts := sessionQuickOpts()
+	bbc, err := BBC(sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(sys, opts.Sched)
+	for i := 0; i < evals; i++ {
+		cfg := bbc.Config.Clone()
+		cfg.NumMinislots += i % deltas
+		sres, scost := sess.Eval(cfg)
+		fres, fcost := freshEval(sys, cfg, opts.Sched)
+		if scost != fcost || !reflect.DeepEqual(sres, fres) {
+			t.Fatalf("eval %d: session (%v) differs from fresh (%v)", i, scost, fcost)
 		}
 	}
 }
@@ -232,7 +228,7 @@ func TestSessionTableMemoBound(t *testing.T) {
 		cfg := bbc.Config.Clone()
 		cfg.NumMinislots += i % (geometries + 16)
 		sres, scost := sess.Eval(cfg)
-		if table, err := sess.plan.BuildTable(cfg, sess.opts); err == nil {
+		if table, err := sess.plan.BuildTable(cfg); err == nil {
 			if first == nil {
 				first = table
 			} else if table != first {

@@ -83,7 +83,7 @@ type Options struct {
 	// run, unlocking the schedule and timing packs. Off, those rules
 	// skip — the shape the cheap submission gate uses.
 	Schedule bool
-	// Sched tunes the table construction and analysis.
+	// Sched holds the analysis options.
 	Sched sched.Options
 	// Thresholds parameterise the headroom rules.
 	Thresholds Thresholds
@@ -103,9 +103,6 @@ func DefaultOptions() Options {
 func (o Options) withDefaults() Options {
 	if o.Params == (flexray.Params{}) {
 		o.Params = flexray.DefaultParams()
-	}
-	if o.Sched.PlacementCandidates == 0 {
-		o.Sched = sched.DefaultOptions()
 	}
 	o.Thresholds = o.Thresholds.withDefaults()
 	return o

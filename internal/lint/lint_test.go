@@ -166,6 +166,16 @@ func TestScheduleDisabled(t *testing.T) {
 	}
 }
 
+// TestWithDefaultsKeepsAnalysisOptions: filling in defaults keeps the
+// analysis settings a caller chose.
+func TestWithDefaultsKeepsAnalysisOptions(t *testing.T) {
+	var o Options
+	o.Sched.Analysis.DivergenceFactor = 2
+	if got := o.withDefaults().Sched.Analysis.DivergenceFactor; got != 2 {
+		t.Fatalf("DivergenceFactor = %d after withDefaults, want 2", got)
+	}
+}
+
 func TestPackSelection(t *testing.T) {
 	sys := loadSystem(t, "invalid_sys.json")
 	rep, err := Run(sys, nil, DefaultOptions(), PackHeadroom)

@@ -337,10 +337,9 @@ func buildTableSetup() (func() error, func(), error) {
 		return nil, nil, fmt.Errorf("perfreg: session mix has %d slot geometries, want %d", len(geoms), sessionGeometries)
 	}
 	plan := sched.NewPlan(sys)
-	opts := sched.DefaultOptions()
 	i := 0
 	return func() error {
-		_, err := plan.BuildTable(geoms[i%len(geoms)], opts)
+		_, err := plan.BuildTable(geoms[i%len(geoms)])
 		i++
 		return err
 	}, nil, nil

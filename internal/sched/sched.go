@@ -2,9 +2,16 @@
 // a list scheduler that builds the static schedule table (start times
 // for SCS tasks, slot assignments for ST messages) over the application
 // hyper-period, ordering the ready list by a modified critical-path
-// metric (ref [12]) and — optionally — placing each SCS task where the
-// holistic analysis reports the least damage to FPS tasks and DYN
-// messages (schedule_TT_task, Fig. 2 lines 10-12).
+// metric (ref [12]).
+//
+// schedule_TT_task (Fig. 2 lines 10-12) places each SCS task first-fit:
+// at the earliest gap on its node, at or after its ASAP time, that
+// holds its WCET. The paper instead tries every candidate gap with the
+// holistic analysis and keeps the one that hurts FPS tasks and DYN
+// messages least; measured on the cruise case study and the quick
+// Fig. 9 population, that costs tens of times the optimiser CPU and
+// makes the cruise OBC results worse, so the repo does not do it (see
+// README, "Departures from the paper").
 //
 // The scheduler is split in two: a Plan holds everything that depends
 // only on the system (the TT instances of the hyper-period, their
@@ -23,24 +30,16 @@ import (
 	"repro/internal/units"
 )
 
-// Options tune the scheduler.
+// Options tune the holistic analysis that follows table construction;
+// the table itself has no settings.
 type Options struct {
-	// PlacementCandidates is the number of alternative start times
-	// evaluated for each SCS task. 1 means plain first-fit (no
-	// holistic evaluation); larger values implement Fig. 2 line 11
-	// by running the analysis for each candidate gap and keeping the
-	// cheapest. The paper's approach corresponds to values > 1. Every
-	// optimiser, experiment and service path uses DefaultOptions' 1;
-	// only tests set larger values.
-	PlacementCandidates int
-	// Analysis options used for candidate evaluation and the final
-	// run.
+	// Analysis options used for the analysis of the built table.
 	Analysis analysis.Options
 }
 
-// DefaultOptions returns first-fit placement with default analysis.
+// DefaultOptions returns the default analysis options.
 func DefaultOptions() Options {
-	return Options{PlacementCandidates: 1, Analysis: analysis.DefaultOptions()}
+	return Options{Analysis: analysis.DefaultOptions()}
 }
 
 // Build runs the global scheduling algorithm for the given bus
@@ -64,9 +63,11 @@ func Build(sys *model.System, cfg *flexray.Config, opts Options) (*schedule.Tabl
 // Plan, so the caller owns the returned table. Callers that build many
 // tables for one system (core.Session, and through it the campaign
 // engine workers) keep a Plan instead; Build is BuildTable plus one
-// fresh analysis.
+// fresh analysis. opts is unused: table construction has no settings,
+// and the parameter stays because external callers (the benchmark
+// harness) pass it.
 func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule.Table, error) {
-	return NewPlan(sys).BuildTable(cfg, opts)
+	return NewPlan(sys).BuildTable(cfg)
 }
 
 // planNode is one instance of a TT activity inside the hyper-period:
@@ -187,7 +188,7 @@ func NewPlan(sys *model.System) *Plan {
 // configuration and returns the finished static schedule table. The
 // Plan owns the table and rebuilds it in place: it stays valid only
 // until the next BuildTable on the same Plan.
-func (p *Plan) BuildTable(cfg *flexray.Config, opts Options) (*schedule.Table, error) {
+func (p *Plan) BuildTable(cfg *flexray.Config) (*schedule.Table, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
@@ -209,15 +210,6 @@ func (p *Plan) BuildTable(cfg *flexray.Config, opts Options) (*schedule.Table, e
 		p.push(i)
 	}
 
-	// One resettable analyzer serves every placement-candidate trial:
-	// the configuration stays fixed across trials, so its DYN
-	// interference environments are built once for the whole schedule
-	// construction.
-	var trialAn *analysis.Analyzer
-	if opts.PlacementCandidates > 1 {
-		trialAn = analysis.NewReusable(p.sys, opts.Analysis)
-	}
-
 	for len(p.ready) > 0 {
 		// Select the ready activity with the greatest remaining
 		// critical path (Fig. 2 line 2); earliest ASAP breaks ties,
@@ -228,8 +220,9 @@ func (p *Plan) BuildTable(cfg *flexray.Config, opts Options) (*schedule.Table, e
 
 		var f units.Time
 		if a.IsTask() {
-			start, err := placeTask(cfg, table, trialAn, nd, a, p.asap[i], opts)
-			if err != nil {
+			// schedule_TT_task: first fit at or after the ASAP time.
+			start := table.FirstGap(a.Node, p.asap[i], a.C)
+			if err := table.PlaceTask(nd.act, nd.inst, a.Node, start, a.C); err != nil {
 				return nil, err
 			}
 			f = start.Add(a.C)
@@ -309,40 +302,4 @@ func (p *Plan) pop() int32 {
 	}
 	p.ready = h
 	return top
-}
-
-// placeTask implements schedule_TT_task: it finds candidate start
-// times at or after the task's ASAP and keeps the one the holistic
-// analysis likes best (or plain first-fit when only one candidate is
-// requested). Candidate trials rebind the shared analyzer to each
-// trial table; the configuration-derived analysis caches survive every
-// rebind because cfg never changes within one build.
-func placeTask(cfg *flexray.Config, table *schedule.Table, trialAn *analysis.Analyzer,
-	nd *planNode, a *model.Activity, asap units.Time, opts Options) (units.Time, error) {
-
-	k := opts.PlacementCandidates
-	if k <= 1 {
-		start := table.FirstGap(a.Node, asap, a.C)
-		return start, table.PlaceTask(nd.act, nd.inst, a.Node, start, a.C)
-	}
-
-	cands := table.Gaps(a.Node, asap, a.C, k)
-	if len(cands) == 0 {
-		return 0, fmt.Errorf("sched: no gap for task %q on node %d", a.Name, a.Node)
-	}
-	bestIdx := 0
-	bestCost := 0.0
-	for i, start := range cands {
-		trial := table.Clone()
-		if err := trial.PlaceTask(nd.act, nd.inst, a.Node, start, a.C); err != nil {
-			continue
-		}
-		trialAn.Reset(cfg, trial)
-		res := trialAn.Run()
-		if i == 0 || res.Cost < bestCost {
-			bestIdx, bestCost = i, res.Cost
-		}
-	}
-	start := cands[bestIdx]
-	return start, table.PlaceTask(nd.act, nd.inst, a.Node, start, a.C)
 }

@@ -198,35 +198,6 @@ func (t *Table) FirstGap(node model.NodeID, earliest units.Time, c units.Duratio
 	return start
 }
 
-// Gaps returns up to max candidate start times >= earliest at which the
-// node can host c contiguous units: the first fit plus the starts of
-// subsequent free gaps. The global scheduler evaluates these as
-// placement candidates for schedule_TT_task (Fig. 2 line 11).
-func (t *Table) Gaps(node model.NodeID, earliest units.Time, c units.Duration, max int) []units.Time {
-	var out []units.Time
-	start := earliest
-	busy := t.Busy(node)
-	i := 0
-	for len(out) < max {
-		for i < len(busy) && busy[i].End <= start {
-			i++
-		}
-		if i >= len(busy) {
-			out = append(out, start)
-			break
-		}
-		if busy[i].Start >= start.Add(c) {
-			out = append(out, start)
-			start = busy[i].End
-			i++
-			continue
-		}
-		start = busy[i].End
-		i++
-	}
-	return out
-}
-
 // PlaceMessage assigns an ST message instance to the first static slot
 // of its sender node whose start is >= ready (the frame buffer is read
 // by the controller at the beginning of the slot, Section 3) and which

@@ -87,20 +87,6 @@ func TestFirstGapSkipsBusy(t *testing.T) {
 	}
 }
 
-func TestGapsEnumeratesCandidates(t *testing.T) {
-	tb := New(cfg2(), 10*ms)
-	if err := tb.PlaceTask(0, 0, 0, units.Time(100*us), 100*us); err != nil {
-		t.Fatal(err)
-	}
-	got := tb.Gaps(0, 0, 50*us, 3)
-	if len(got) != 2 {
-		t.Fatalf("Gaps = %v, want 2 candidates (before + after the block)", got)
-	}
-	if got[0] != 0 || got[1] != units.Time(200*us) {
-		t.Errorf("Gaps = %v, want [0 200µs]", got)
-	}
-}
-
 func TestPlaceMessagePacksFrames(t *testing.T) {
 	sys := msgSystem(t, 3, 40*us)
 	tb := New(cfg2(), 10*ms)
@@ -473,37 +459,6 @@ func TestFoldedBusyWrapsAcrossHorizon(t *testing.T) {
 	}
 }
 
-func TestCloneTableIndependence(t *testing.T) {
-	sys := msgSystem(t, 2, 40*us)
-	tb := New(cfg2(), 10*ms)
-	m := sys.App.Messages(int(model.ST))[0]
-	if _, err := tb.PlaceMessage(&sys.App, m, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	cl := tb.Clone()
-	m2 := sys.App.Messages(int(model.ST))[1]
-	if _, err := cl.PlaceMessage(&sys.App, m2, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.PlaceTask(5, 0, 0, 0, 10*us); err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Msgs) != 1 {
-		t.Errorf("clone placement leaked into original: %d messages", len(tb.Msgs))
-	}
-	if len(tb.Busy(0)) != 0 {
-		t.Errorf("clone task reservation leaked into original")
-	}
-	// Packing state must also be cloned: the original still has room.
-	if _, err := tb.PlaceMessage(&sys.App, m2, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	e := tb.Msgs[1]
-	if e.Offset != 40*us {
-		t.Errorf("original packing offset = %v, want 40µs", e.Offset)
-	}
-}
-
 func TestBusyBoundaries(t *testing.T) {
 	tb := New(cfg2(), units.Duration(1*ms))
 	must := func(err error) {
@@ -528,8 +483,7 @@ func TestBusyBoundaries(t *testing.T) {
 // intervals, entry indexes, slot packing and supply functions. Supply
 // functions queried before the Reset must not survive it (node 0 is
 // queried again before the refill places anything on it), nor a later
-// PlaceTask on their node. A clone taken before the Reset keeps its
-// contents and its slot lists.
+// PlaceTask on their node.
 func TestResetMatchesNew(t *testing.T) {
 	sys := msgSystem(t, 3, 40*us)
 	msgs := sys.App.Messages(int(model.ST))
@@ -578,7 +532,6 @@ func TestResetMatchesNew(t *testing.T) {
 	fill(tb, 0, 0)
 	tb.Availability(0)
 	tb.Availability(1)
-	cl := tb.Clone()
 
 	swapped := cfg2()
 	swapped.StaticSlotOwner = []model.NodeID{1, 0}
@@ -595,16 +548,6 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 	}
 	same("placement after query", tb, want)
-
-	orig := New(cfg2(), units.Duration(1*ms))
-	fill(orig, 0, 0)
-	same("clone", cl, orig)
-	for _, x := range []*Table{cl, orig} {
-		if _, err := x.PlaceMessage(&sys.App, msgs[0], 1, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	same("placement on the clone", cl, orig)
 }
 
 // sameAvailability compares two supply functions field by field.
