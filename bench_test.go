@@ -300,30 +300,3 @@ func BenchmarkEvalSession(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkPerfScenarios drives every scenario op of the
-// performance-regression harness (internal/perfreg) under the
-// standard benchmark runner. `flexray-bench perf` measures exactly
-// these ops with its own calibrated-sampling harness; this benchmark
-// keeps them exercised by `go test -bench` so the two surfaces cannot
-// diverge.
-func BenchmarkPerfScenarios(b *testing.B) {
-	for _, sc := range flexopt.PerfSuite() {
-		b.Run(sc.Name, func(b *testing.B) {
-			op, cleanup, err := sc.Setup()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if cleanup != nil {
-				defer cleanup()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := op(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

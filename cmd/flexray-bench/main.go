@@ -17,8 +17,8 @@
 //	flexray-bench cruise          # cruise-controller case study
 //	flexray-bench ablation        # design-choice ablations (DESIGN.md §6)
 //	flexray-bench perf [...]      # performance-regression harness
-//	                              # (BENCH_<seq>.json report + baseline gate;
-//	                              # see the "perf" flag set)
+//	                              # (JSON report + time gate against a
+//	                              # baseline; see the "perf" flag set)
 //	flexray-bench trace [-server URL | -in FILE] [trace-id]
 //	                              # render an exported span trace as a
 //	                              # duration-breakdown tree (self/total

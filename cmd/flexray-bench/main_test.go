@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/perfreg"
 )
@@ -100,14 +102,14 @@ func TestSplitArgsInterleavedFlags(t *testing.T) {
 // perf flag set, not the subcommand scanner.
 func TestSplitArgsPerfOwnsTail(t *testing.T) {
 	o := &benchOptions{}
-	inv, err := splitArgs([]string{"perf", "-quick", "-baseline", "BENCH_5.json"}, o)
+	inv, err := splitArgs([]string{"perf", "-quick", "-baseline", "parent.json"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(inv.cmds) != 1 || inv.cmds[0] != "perf" {
 		t.Fatalf("cmds = %v", inv.cmds)
 	}
-	if got := strings.Join(inv.perfArgs, " "); got != "-quick -baseline BENCH_5.json" {
+	if got := strings.Join(inv.perfArgs, " "); got != "-quick -baseline parent.json" {
 		t.Errorf("perfArgs = %q", got)
 	}
 }
@@ -129,29 +131,26 @@ func TestSplitArgsTraceOwnsTail(t *testing.T) {
 	}
 }
 
-// fixtureSuite is a fast deterministic suite for the gate-path tests:
-// op() allocates exactly `allocs` objects per call.
-func fixtureSuite(allocs int) func() []*perfreg.Scenario {
+// fixtureSuite is a fast suite for the gate-path tests: op() spins
+// for a few microseconds, then sleeps for delay.
+func fixtureSuite(delay time.Duration) func() []*perfreg.Scenario {
 	return func() []*perfreg.Scenario {
 		return []*perfreg.Scenario{{
 			Name:   "fixture/op",
 			Unit:   "op",
 			Serial: true,
 			// Same-machine timing of a microsecond op still jitters;
-			// the fixture gates on allocations, which are exact.
+			// the injected regression is a sleep three orders of
+			// magnitude longer.
 			TimeTolPct: 900,
 			Setup: func() (func() error, func(), error) {
-				var keep []*[32]byte
 				sink := 0
 				return func() error {
-					keep = keep[:0]
-					for i := 0; i < allocs; i++ {
-						keep = append(keep, new([32]byte))
-					}
 					for i := 0; i < 2000; i++ {
 						sink += i
 					}
 					_ = sink
+					time.Sleep(delay)
 					return nil
 				}, nil, nil
 			},
@@ -161,36 +160,34 @@ func fixtureSuite(allocs int) func() []*perfreg.Scenario {
 
 // TestPerfBaselineGate drives the acceptance fixture end to end
 // through runPerf: an unchanged tree gates clean against its own
-// baseline, and an injected regression (one extra allocation per op)
-// exits non-zero.
+// report, and an injected time regression exits non-zero.
 func TestPerfBaselineGate(t *testing.T) {
 	dir := t.TempDir()
-	baseline := filepath.Join(dir, "BENCH_1.json")
+	baseline := filepath.Join(dir, "parent.json")
 	defer func(orig func() []*perfreg.Scenario) { perfSuite = orig }(perfSuite)
 
-	perfSuite = fixtureSuite(2)
+	perfSuite = fixtureSuite(0)
 	var stdout, stderr bytes.Buffer
-	if code := runPerf([]string{"-quick", "-seq", "1", "-out", baseline}, &stdout, &stderr); code != 0 {
+	if code := runPerf([]string{"-quick", "-out", baseline}, &stdout, &stderr); code != 0 {
 		t.Fatalf("baseline run = %d: %s", code, stderr.String())
 	}
 
-	// Unchanged: the same suite against its own baseline passes.
+	// Unchanged: the same suite against its own report passes.
 	out := filepath.Join(dir, "current.json")
 	stdout.Reset()
 	stderr.Reset()
-	if code := runPerf([]string{"-quick", "-seq", "2", "-out", out, "-baseline", baseline}, &stdout, &stderr); code != 0 {
+	if code := runPerf([]string{"-quick", "-out", out, "-baseline", baseline}, &stdout, &stderr); code != 0 {
 		t.Fatalf("unchanged gate = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "fixture/op") {
 		t.Errorf("diff table missing scenario:\n%s", stdout.String())
 	}
 
-	// Injected regression: one extra allocation per op breaches the
-	// exact allocs/op gate.
-	perfSuite = fixtureSuite(3)
+	// Injected regression: a 5 ms sleep per op breaches the time gate.
+	perfSuite = fixtureSuite(5 * time.Millisecond)
 	stdout.Reset()
 	stderr.Reset()
-	if code := runPerf([]string{"-quick", "-seq", "3", "-out", out, "-baseline", baseline}, &stdout, &stderr); code != 1 {
+	if code := runPerf([]string{"-quick", "-out", out, "-baseline", baseline}, &stdout, &stderr); code != 1 {
 		t.Fatalf("regressed gate = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "REGRESSED") {
@@ -203,10 +200,37 @@ func TestPerfBaselineGate(t *testing.T) {
 	}
 }
 
+// TestPerfWithoutOutWritesNothing: a run without -out, gated or not,
+// leaves no file in the current directory.
+func TestPerfWithoutOutWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(t.TempDir(), "parent.json")
+	defer func(orig func() []*perfreg.Scenario) { perfSuite = orig }(perfSuite)
+	perfSuite = fixtureSuite(0)
+	var stdout, stderr bytes.Buffer
+	if code := runPerf([]string{"-quick", "-out", baseline}, &stdout, &stderr); code != 0 {
+		t.Fatalf("baseline run = %d: %s", code, stderr.String())
+	}
+	t.Chdir(dir)
+	for _, args := range [][]string{{"-quick"}, {"-quick", "-baseline", baseline}} {
+		if code := runPerf(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("runPerf(%v) = %d: %s", args, code, stderr.String())
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("perf without -out left %s in the current directory", e.Name())
+	}
+}
+
 // TestPerfList drives `perf -list` against the real curated suite: one
-// catalogue row per scenario carrying the unit and the gate tolerances,
+// catalogue row per scenario carrying the unit, the time tolerance and
+// the allocation pass, a closing line naming the allocation pins, and
 // no measurement. The expectations are table-driven from the suite
-// itself so a scenario added or regated without showing up here fails.
+// itself so a scenario added or retuned without showing up here fails.
 func TestPerfList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := runPerf([]string{"-list"}, &stdout, &stderr); code != 0 {
@@ -215,23 +239,13 @@ func TestPerfList(t *testing.T) {
 	out := stdout.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	suite := perfreg.Suite()
-	if got, want := len(lines), len(suite)+1; got != want {
-		t.Fatalf("perf -list printed %d lines, want %d (header + %d scenarios):\n%s",
+	if got, want := len(lines), len(suite)+2; got != want {
+		t.Fatalf("perf -list printed %d lines, want %d (header + %d scenarios + pins line):\n%s",
 			got, want, len(suite), out)
 	}
-	for _, col := range []string{"scenario", "unit", "time-tol", "alloc-tol", "bytes-tol", "description"} {
+	for _, col := range []string{"scenario", "unit", "time-tol", "alloc-pass", "description"} {
 		if !strings.Contains(lines[0], col) {
 			t.Errorf("header misses %q: %q", col, lines[0])
-		}
-	}
-	tol := func(v float64) string {
-		switch {
-		case v < 0:
-			return "-"
-		case v == 0:
-			return "exact"
-		default:
-			return fmt.Sprintf("%.0f%%", v)
 		}
 	}
 	for i, sc := range suite {
@@ -240,19 +254,20 @@ func TestPerfList(t *testing.T) {
 		if timeTol == 0 {
 			timeTol = perfreg.DefaultTimeTolPct
 		}
-		bytesTol := sc.BytesTolPct
-		if bytesTol == 0 {
-			bytesTol = perfreg.DefaultBytesTolPct
+		want := []string{sc.Name, sc.Unit, fmt.Sprintf("%.0f%%", timeTol)}
+		if sc.Serial {
+			want = append(want, "serial")
 		}
-		for _, want := range []string{sc.Name, sc.Unit, tol(timeTol), tol(sc.AllocTolPct), tol(bytesTol)} {
-			if !strings.Contains(row, want) {
-				t.Errorf("row %d misses %q: %q", i+1, want, row)
+		for _, w := range want {
+			if !strings.Contains(row, w) {
+				t.Errorf("row %d misses %q: %q", i+1, w, row)
 			}
 		}
 	}
-	// -list never measures: a run of the full catalogue must be
-	// instant, so it cannot have produced a report file as a side
-	// effect.
+	if !strings.Contains(lines[len(lines)-1], "TestScenarioAllocsPinned") {
+		t.Errorf("last line does not name the allocation pins: %q", lines[len(lines)-1])
+	}
+	// -list never measures, so it cannot have produced a report.
 	if strings.Contains(stderr.String(), "report") {
 		t.Errorf("perf -list wrote a report: %s", stderr.String())
 	}
@@ -273,7 +288,7 @@ func TestPerfRejectsUnknownArgs(t *testing.T) {
 func TestPerfFlagsRegistered(t *testing.T) {
 	fs := flag.NewFlagSet("perf", flag.ContinueOnError)
 	registerPerfFlags(fs)
-	for _, name := range []string{"quick", "list", "out", "baseline", "time-tol", "seq"} {
+	for _, name := range []string{"quick", "list", "out", "baseline", "time-tol"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("perf flag -%s not registered", name)
 		}

@@ -1,15 +1,14 @@
 // The perf subcommand runs the performance-regression harness
 // (internal/perfreg): it measures the curated macro-benchmark suite,
-// writes a schema-versioned BENCH_<seq>.json report, and — with
-// -baseline — gates the run against a committed baseline, printing a
-// human diff table and exiting 1 on any regression.
+// writes the schema-versioned report to -out when given, and — with
+// -baseline — gates the run's time against a report of the parent
+// commit, printing a human diff table and exiting 1 on any regression.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/perfreg"
 )
@@ -22,7 +21,6 @@ type perfOptions struct {
 	out      string
 	baseline string
 	timeTol  float64
-	seq      int
 }
 
 // registerPerfFlags declares the perf flag set on fs and returns the
@@ -32,15 +30,13 @@ func registerPerfFlags(fs *flag.FlagSet) *perfOptions {
 	fs.BoolVar(&o.quick, "quick", false,
 		"reduced sampling for CI smoke runs (timings get noisier; allocation counts stay identical to a full run)")
 	fs.BoolVar(&o.list, "list", false,
-		"print the scenario catalogue (name, unit, gate tolerances, description) and exit without measuring")
+		"print the scenario catalogue (name, unit, time tolerance, allocation pass, description) and exit without measuring")
 	fs.StringVar(&o.out, "out", "",
-		"write the JSON report to this path (default BENCH_<seq>.json in the current directory)")
+		"write the JSON report to this path (default: no file)")
 	fs.StringVar(&o.baseline, "baseline", "",
-		"compare this run against the given baseline report and exit 1 on any regression")
+		"compare this run's time against the given report and exit 1 on any regression")
 	fs.Float64Var(&o.timeTol, "time-tol", 0,
-		"override every scenario's time-regression tolerance, in percent (use a loose value when the baseline was produced on different hardware)")
-	fs.IntVar(&o.seq, "seq", 0,
-		"sequence number recorded in the report (default: next free BENCH_<n>.json)")
+		"override every scenario's time-regression tolerance, in percent (use a loose value on a shared or noisy machine)")
 	return o
 }
 
@@ -80,25 +76,14 @@ func runPerf(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "flexray-bench perf:", err)
 		return 1
 	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(stderr, "flexray-bench perf:", err)
-		return 1
+	if o.out != "" {
+		report.GitSHA = perfreg.GitSHA(".")
+		if err := report.WriteFile(o.out); err != nil {
+			fmt.Fprintln(stderr, "flexray-bench perf:", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "perf: report %s (%d scenarios)\n", o.out, len(report.Scenarios))
 	}
-	report.Seq = o.seq
-	if report.Seq <= 0 {
-		report.Seq = perfreg.NextSeq(cwd)
-	}
-	report.GitSHA = perfreg.GitSHA(cwd)
-	out := o.out
-	if out == "" {
-		out = perfreg.SeqPath(cwd, report.Seq)
-	}
-	if err := report.WriteFile(out); err != nil {
-		fmt.Fprintln(stderr, "flexray-bench perf:", err)
-		return 1
-	}
-	fmt.Fprintf(stderr, "perf: report %s (seq %d, %d scenarios)\n", out, report.Seq, len(report.Scenarios))
 
 	if o.baseline == "" {
 		return 0
@@ -109,10 +94,10 @@ func runPerf(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	cmp := perfreg.Compare(base, report, perfreg.CompareOptions{TimeTolPct: o.timeTol})
-	fmt.Fprintf(stdout, "baseline %s (seq %d, %s)\n\n%s\n%s",
-		o.baseline, base.Seq, base.Env.GoVersion, cmp.Table(), perfreg.Benchstat(base, report))
+	fmt.Fprintf(stdout, "baseline %s (%s, git %s)\n\n%s\n%s",
+		o.baseline, base.Env.GoVersion, base.GitSHA, cmp.Table(), perfreg.Benchstat(base, report))
 	if !cmp.OK() {
-		fmt.Fprintf(stderr, "perf: %d metric(s) regressed against %s\n",
+		fmt.Fprintf(stderr, "perf: %d scenario(s) regressed or missing against %s\n",
 			len(cmp.Regressions())+len(cmp.Missing), o.baseline)
 		return 1
 	}

@@ -145,23 +145,4 @@
 // and the -retain-*/-compact-interval flags bounding store and memory
 // growth. OPERATIONS.md is the operator-facing guide: store sizing,
 // retention tuning, crash-recovery semantics, alerting.
-//
-// # Performance regression tracking
-//
-// PerfSuite is the curated macro-benchmark suite over the hot paths
-// above: evaluation sessions versus the from-scratch pipeline,
-// campaign-engine throughput at one and GOMAXPROCS workers, job
-// submit→drain latency, Fig. 7/Fig. 9 regeneration, and JSONL store
-// replay and compaction. PerfRun measures it with calibrated
-// repetition and robust statistics (median + MAD) plus a separate
-// fixed-repetition allocation pass, producing a schema-versioned
-// PerfReport — the BENCH_<seq>.json files committed at the repo root
-// are that report, one per PR: the machine-readable performance
-// trajectory. PerfCompare gates a report against a baseline with
-// noise-tolerant per-metric thresholds (15% on time, widened by the
-// observed sample spread; exact allocation equality on
-// single-goroutine scenarios, whose counts are deterministic).
-// `flexray-bench perf` is the CLI over the same functions, and CI
-// runs it against the newest committed baseline on every push; see
-// the "Performance baselines" section of OPERATIONS.md.
 package flexopt

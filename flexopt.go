@@ -12,7 +12,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/perfreg"
 	"repro/internal/sched"
 	"repro/internal/schedule"
 	"repro/internal/sim"
@@ -354,56 +353,6 @@ func NewJobMemStore() JobStore { return jobs.NewMemStore() }
 // so it grows with the live job set and the append tail, not with all
 // history.
 func NewJobFileStore(path string) (JobStore, error) { return jobs.NewFileStore(path) }
-
-// Performance-regression harness: the curated macro-benchmark suite
-// behind `flexray-bench perf` and the committed BENCH_<seq>.json
-// trajectory.
-type (
-	// PerfScenario is one macro-benchmark of the suite.
-	PerfScenario = perfreg.Scenario
-	// PerfMeasureConfig tunes sampling; see PerfQuickConfig.
-	PerfMeasureConfig = perfreg.MeasureConfig
-	// PerfReport is one schema-versioned BENCH_<seq>.json: per-
-	// scenario ns/op, allocs/op, B/op and throughput plus an
-	// environment fingerprint and git SHA.
-	PerfReport = perfreg.Report
-	// PerfScenarioResult is one scenario's measured metrics and
-	// regression thresholds.
-	PerfScenarioResult = perfreg.ScenarioResult
-	// PerfCompareOptions tune the regression gate (cross-machine
-	// time-tolerance override, MAD noise widening).
-	PerfCompareOptions = perfreg.CompareOptions
-	// PerfComparison is the outcome of gating a run against a
-	// baseline report.
-	PerfComparison = perfreg.Comparison
-)
-
-// PerfSuite returns the curated macro-benchmark suite: evaluation
-// sessions vs the fresh path, campaign-engine throughput, the async
-// job pipeline, figure regeneration and the durable job store.
-func PerfSuite() []*PerfScenario { return perfreg.Suite() }
-
-// PerfQuickConfig returns the reduced CI sampling configuration
-// (noisier timings, allocation counts identical to a full run).
-func PerfQuickConfig() PerfMeasureConfig { return perfreg.QuickConfig() }
-
-// PerfRun measures a scenario suite with calibrated repetition and
-// robust statistics (median + MAD) and assembles the report.
-func PerfRun(scens []*PerfScenario, cfg PerfMeasureConfig) (*PerfReport, error) {
-	return perfreg.RunSuite(scens, cfg)
-}
-
-// PerfCompare gates cur against a baseline report: per-metric
-// noise-tolerant thresholds, 15% on time and exact allocation counts
-// by default. Comparison.OK reports the verdict; Comparison.Table
-// renders the human diff.
-func PerfCompare(base, cur *PerfReport, opts PerfCompareOptions) *PerfComparison {
-	return perfreg.Compare(base, cur, opts)
-}
-
-// ReadPerfReport parses a BENCH_<seq>.json, rejecting unknown schema
-// versions.
-func ReadPerfReport(path string) (*PerfReport, error) { return perfreg.ReadReport(path) }
 
 // Observability: the dependency-free metrics and span-tracing layer
 // behind flexray-serve's GET /metrics and GET /v1/traces/{id}.

@@ -252,50 +252,3 @@ func TestPublicAPIJobs(t *testing.T) {
 		t.Errorf("job records %+v, want one winning record for %s", res.Records, sys.Name)
 	}
 }
-
-// TestPublicAPIPerf drives the performance-regression harness through
-// the facade: measure a tiny custom suite, round-trip the report, and
-// gate a doctored regression with PerfCompare.
-func TestPublicAPIPerf(t *testing.T) {
-	suite := []*flexopt.PerfScenario{{
-		Name:   "facade/spin",
-		Unit:   "op",
-		Serial: true,
-		Setup: func() (func() error, func(), error) {
-			sink := 0
-			return func() error {
-				for i := 0; i < 500; i++ {
-					sink += i
-				}
-				_ = sink
-				return nil
-			}, nil, nil
-		},
-	}}
-	cfg := flexopt.PerfQuickConfig()
-	report, err := flexopt.PerfRun(suite, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Scenarios) != 1 || report.Scenarios[0].AllocsPerOp != 0 {
-		t.Fatalf("report = %+v", report.Scenarios)
-	}
-	path := t.TempDir() + "/BENCH_1.json"
-	report.Seq = 1
-	if err := report.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	base, err := flexopt.ReadPerfReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp := flexopt.PerfCompare(base, report, flexopt.PerfCompareOptions{}); !cmp.OK() {
-		t.Errorf("report regressed against itself:\n%s", cmp.Table())
-	}
-	worse := *report
-	worse.Scenarios = append([]flexopt.PerfScenarioResult(nil), report.Scenarios...)
-	worse.Scenarios[0].AllocsPerOp += 3
-	if cmp := flexopt.PerfCompare(base, &worse, flexopt.PerfCompareOptions{}); cmp.OK() {
-		t.Error("injected allocation regression passed the facade gate")
-	}
-}

@@ -42,7 +42,7 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	o.Workers = clampWorkers(o.Workers)
+	o.Workers = ClampWorkers(o.Workers)
 	if len(o.Algorithms) == 0 {
 		o.Algorithms = Algorithms
 	}

@@ -157,11 +157,12 @@ type Engine struct {
 
 var _ core.EvalHook = (*Engine)(nil)
 
-// clampWorkers bounds a requested worker count to a small multiple of
-// the CPU count: evaluations are pure CPU, so parallelism beyond that
-// only costs memory — and the request may come from an untrusted
-// client (flexray-serve forwards worker counts from job specs).
-func clampWorkers(w int) int {
+// ClampWorkers bounds a requested worker count to 8×GOMAXPROCS:
+// evaluations are pure CPU, so parallelism beyond that only costs
+// memory — and the request may come from an untrusted client
+// (flexray-serve forwards worker counts from job specs). Every job
+// kind resolves its worker count through it.
+func ClampWorkers(w int) int {
 	if max := 8 * runtime.GOMAXPROCS(0); w > max {
 		return max
 	}
@@ -181,7 +182,7 @@ func NewEngine(ctx context.Context, opts EngineOptions) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return newEngine(ctx, clampWorkers(w), DefaultCacheSize)
+	return newEngine(ctx, ClampWorkers(w), DefaultCacheSize)
 }
 
 // newEngine builds an engine with w worker slots and an evaluation

@@ -148,9 +148,9 @@ type Spec struct {
 	// priority.
 	Priority int `json:"priority,omitempty"`
 	// Workers bounds the job's evaluation parallelism; <= 0 uses the
-	// manager default. The campaign engine clamps excessive values to
-	// a small multiple of the CPU count, so untrusted submissions
-	// cannot spawn unbounded goroutines.
+	// manager default. Every job kind clamps it to 8×GOMAXPROCS
+	// (campaign.ClampWorkers), so untrusted submissions cannot spawn
+	// unbounded goroutines.
 	Workers int `json:"workers,omitempty"`
 	// Algorithms selects the optimisers (optimize, campaign); empty
 	// means the full canonical portfolio.

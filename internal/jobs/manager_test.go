@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -308,6 +309,23 @@ func TestCampaignUploadedSystems(t *testing.T) {
 		if rec.Name != sys.Name || rec.BestCost != want.Cost {
 			t.Errorf("record %d: (%s, %v), want (%s, %v)", i, rec.Name, rec.BestCost, sys.Name, want.Cost)
 		}
+	}
+}
+
+// TestEvalWorkersClamped: a huge Workers value, from a sweep spec or
+// the manager default, resolves to the engine's 8×GOMAXPROCS clamp, so
+// a sweep cannot start a goroutine (and a session) per requested
+// worker. evalWorkers is the one resolution every job kind uses.
+func TestEvalWorkersClamped(t *testing.T) {
+	want := 8 * runtime.GOMAXPROCS(0)
+	huge := 1 << 30
+	m := &Manager{opts: ManagerOptions{EvalWorkers: 1}}
+	if got := m.evalWorkers(&job{spec: Spec{Kind: KindSweep, Workers: huge}}); got != want {
+		t.Errorf("spec Workers %d resolved to %d, want %d", huge, got, want)
+	}
+	m.opts.EvalWorkers = huge
+	if got := m.evalWorkers(&job{spec: Spec{Kind: KindSweep}}); got != want {
+		t.Errorf("EvalWorkers %d resolved to %d, want %d", huge, got, want)
 	}
 }
 

@@ -36,12 +36,14 @@ func (m *Manager) run(ctx context.Context, j *job) (*Result, error) {
 	return nil, fmt.Errorf("jobs: unknown job kind %q", j.spec.Kind)
 }
 
-// evalWorkers resolves a job's evaluation parallelism.
+// evalWorkers resolves a job's evaluation parallelism, clamped like
+// the campaign engine's.
 func (m *Manager) evalWorkers(j *job) int {
+	w := m.opts.EvalWorkers
 	if j.spec.Workers > 0 {
-		return j.spec.Workers
+		w = j.spec.Workers
 	}
-	return m.opts.EvalWorkers
+	return campaign.ClampWorkers(w)
 }
 
 func (m *Manager) runOptimize(ctx context.Context, j *job, c *compiled) (*Result, error) {
@@ -70,10 +72,7 @@ func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, e
 	// session (sessions are not safe for concurrent use), and results
 	// land positionally, so the output is identical for any worker
 	// count.
-	workers := m.evalWorkers(j)
-	if workers > total {
-		workers = total
-	}
+	workers := min(m.evalWorkers(j), total)
 	points := make([]SweepPoint, total)
 	idxc := make(chan int)
 	var wg sync.WaitGroup

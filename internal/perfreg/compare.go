@@ -7,7 +7,7 @@ import (
 	"text/tabwriter"
 )
 
-// Metric names used in comparisons.
+// Metric names used in comparisons and summaries.
 const (
 	MetricTime   = "ns/op"
 	MetricAllocs = "allocs/op"
@@ -17,10 +17,9 @@ const (
 // CompareOptions tune the regression gate.
 type CompareOptions struct {
 	// TimeTolPct, when > 0, overrides every scenario's time
-	// tolerance. Committed baselines are produced on one machine and
-	// CI runs on another: time thresholds do not transfer across
-	// hardware, so the CI gate passes a loose override (catching only
-	// catastrophic slowdowns) while allocation gates stay exact.
+	// tolerance. CI compares against the parent commit measured on
+	// the same shared runner, whose timings still jitter, so it passes
+	// a loose override that catches only catastrophic slowdowns.
 	TimeTolPct float64
 	// MADFactor widens the effective time tolerance to at least
 	// MADFactor sample-MADs of noise (the larger of baseline and
@@ -29,10 +28,9 @@ type CompareOptions struct {
 	MADFactor float64
 }
 
-// MetricDelta is one gated metric of one scenario.
+// MetricDelta is the gated ns/op of one scenario.
 type MetricDelta struct {
 	Scenario string  `json:"scenario"`
-	Metric   string  `json:"metric"`
 	Base     float64 `json:"base"`
 	Cur      float64 `json:"cur"`
 	// DeltaPct is the relative change in percent (positive = worse).
@@ -43,8 +41,9 @@ type MetricDelta struct {
 	Regressed bool    `json:"regressed"`
 }
 
-// Comparison is the outcome of gating a current report against a
-// baseline.
+// Comparison is the outcome of gating a current report's time against
+// a baseline. Allocations are not gated here: TestScenarioAllocsPinned
+// pins them, and Benchstat prints both reports' counts side by side.
 type Comparison struct {
 	// Missing lists baseline scenarios absent from the current run —
 	// lost coverage gates as hard as a regression.
@@ -67,14 +66,14 @@ func (c *Comparison) Regressions() []MetricDelta {
 }
 
 // OK reports whether the gate passes: every baseline scenario present
-// and no metric regressed.
+// and no time regressed.
 func (c *Comparison) OK() bool {
 	return len(c.Missing) == 0 && len(c.Regressions()) == 0
 }
 
-// Compare gates cur against base scenario by scenario. Thresholds
-// come from the baseline (the blessed contract), optionally widened
-// per CompareOptions; a tolerance of NoGate skips that metric.
+// Compare gates the time of cur against base scenario by scenario.
+// Thresholds come from the baseline, optionally overridden and
+// widened per CompareOptions.
 func Compare(base, cur *Report, opts CompareOptions) *Comparison {
 	if opts.MADFactor <= 0 {
 		opts.MADFactor = 3
@@ -87,19 +86,20 @@ func Compare(base, cur *Report, opts CompareOptions) *Comparison {
 			c.Missing = append(c.Missing, b.Name)
 			continue
 		}
-		timeTol := b.TimeTolPct
+		if b.NsPerOp <= 0 {
+			continue // no time to scale a relative tolerance by
+		}
+		tol := b.TimeTolPct
 		if opts.TimeTolPct > 0 {
-			timeTol = opts.TimeTolPct
+			tol = opts.TimeTolPct
 		}
-		if timeTol >= 0 && b.NsPerOp > 0 {
-			// Noise widening: a threshold tighter than the observed
-			// sample spread would gate on scheduler luck, not code.
-			noise := 100 * opts.MADFactor * max(b.NsMAD, s.NsMAD) / b.NsPerOp
-			timeTol = max(timeTol, noise)
-		}
-		c.gate(b.Name, MetricTime, b.NsPerOp, s.NsPerOp, timeTol)
-		c.gate(b.Name, MetricAllocs, float64(b.AllocsPerOp), float64(s.AllocsPerOp), b.AllocTolPct)
-		c.gate(b.Name, MetricBytes, float64(b.BytesPerOp), float64(s.BytesPerOp), b.BytesTolPct)
+		// Noise widening: a threshold tighter than the observed
+		// sample spread would gate on scheduler luck, not code.
+		tol = max(tol, 100*opts.MADFactor*max(b.NsMAD, s.NsMAD)/b.NsPerOp)
+		d := MetricDelta{Scenario: b.Name, Base: b.NsPerOp, Cur: s.NsPerOp, TolPct: tol}
+		d.DeltaPct = 100 * (s.NsPerOp - b.NsPerOp) / b.NsPerOp
+		d.Regressed = d.DeltaPct > tol
+		c.Deltas = append(c.Deltas, d)
 	}
 	for i := range cur.Scenarios {
 		if base.Scenario(cur.Scenarios[i].Name) == nil {
@@ -109,32 +109,8 @@ func Compare(base, cur *Report, opts CompareOptions) *Comparison {
 	return c
 }
 
-// gate records one metric delta; tol < 0 (NoGate) skips it entirely.
-func (c *Comparison) gate(scenario, metric string, base, cur, tol float64) {
-	if tol < 0 {
-		return
-	}
-	d := MetricDelta{Scenario: scenario, Metric: metric, Base: base, Cur: cur, TolPct: tol}
-	switch {
-	case base == 0:
-		// A zero baseline cannot express a relative change, so any
-		// percentage tolerance is meaningless there: the metric
-		// appearing from nothing is always a regression (a blessed
-		// zero-alloc scenario growing to 1000 allocs/op must not
-		// slip through a 5% threshold).
-		d.Regressed = cur > 0
-		if cur > 0 {
-			d.DeltaPct = 100
-		}
-	default:
-		d.DeltaPct = 100 * (cur - base) / base
-		d.Regressed = d.DeltaPct > tol
-	}
-	c.Deltas = append(c.Deltas, d)
-}
-
 // Table renders the comparison as the human diff table the CLI
-// prints: one row per gated metric, regressions marked, plus
+// prints: one row per scenario's time, regressions marked, plus
 // missing/added scenario notes.
 func (c *Comparison) Table() string {
 	var sb strings.Builder
@@ -147,9 +123,8 @@ func (c *Comparison) Table() string {
 		} else if d.DeltaPct < 0 {
 			verdict = "improved"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%+.1f%%\t%.0f%%\t%s\n",
-			d.Scenario, d.Metric, formatMetric(d.Metric, d.Base), formatMetric(d.Metric, d.Cur),
-			d.DeltaPct, d.TolPct, verdict)
+		fmt.Fprintf(tw, "%s\t%s\t%.0f\t%.0f\t%+.1f%%\t%.0f%%\t%s\n",
+			d.Scenario, MetricTime, d.Base, d.Cur, d.DeltaPct, d.TolPct, verdict)
 	}
 	for _, name := range c.Missing {
 		fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\tMISSING\n", name)
@@ -161,21 +136,14 @@ func (c *Comparison) Table() string {
 	return sb.String()
 }
 
-func formatMetric(metric string, v float64) string {
-	if metric == MetricTime {
-		return fmt.Sprintf("%.0f", v)
-	}
-	return fmt.Sprintf("%d", int64(v))
-}
-
 // Benchstat renders a benchstat-style before/after summary of two
 // reports: one section per metric, each row showing old and new values
 // with the per-report noise band (±MAD as a percentage of the median,
 // time only — allocation counts have no sampling spread) and the
 // relative delta, plus a closing geomean row over the scenarios both
 // reports measured. It complements the gate table: the table answers
-// "did anything regress past its tolerance", this answers "how did the
-// run move overall".
+// "did any time regress past its tolerance", this answers "how did the
+// run move overall", allocations and bytes included.
 func Benchstat(base, cur *Report) string {
 	var sb strings.Builder
 	tw := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)

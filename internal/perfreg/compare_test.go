@@ -6,7 +6,7 @@ import (
 )
 
 // fixtureReport builds a baseline with one scenario carrying typical
-// metrics and the default tolerances.
+// metrics and the default time tolerance.
 func fixtureReport(mut func(*ScenarioResult)) *Report {
 	sc := ScenarioResult{
 		Name:        "eval/session",
@@ -19,58 +19,41 @@ func fixtureReport(mut func(*ScenarioResult)) *Report {
 		AllocsPerOp: 16,
 		BytesPerOp:  6000,
 		TimeTolPct:  DefaultTimeTolPct,
-		AllocTolPct: 0,
-		BytesTolPct: DefaultBytesTolPct,
 	}
 	if mut != nil {
 		mut(&sc)
 	}
 	return &Report{
 		SchemaVersion: SchemaVersion,
-		Seq:           5,
 		Env:           CurrentEnvironment(),
 		Scenarios:     []ScenarioResult{sc},
 	}
 }
 
 // TestCompareGate is the injected-regression fixture: an unchanged
-// report passes the gate; each deliberately regressed metric fails
-// it.
+// report passes the gate and a regressed time fails it. Allocation and
+// byte regressions pass: Compare gates time only, and
+// TestScenarioAllocsPinned owns the allocation counts.
 func TestCompareGate(t *testing.T) {
 	base := fixtureReport(nil)
 	cases := []struct {
-		name   string
-		mut    func(*ScenarioResult)
-		ok     bool
-		metric string
+		name string
+		mut  func(*ScenarioResult)
+		ok   bool
 	}{
 		{name: "unchanged", mut: nil, ok: true},
 		{name: "time within tolerance", ok: true,
 			mut: func(s *ScenarioResult) { s.NsPerOp *= 1.10 }},
-		{name: "time regression", ok: false, metric: MetricTime,
+		{name: "time regression", ok: false,
 			mut: func(s *ScenarioResult) { s.NsPerOp *= 1.30 }},
 		{name: "time improvement", ok: true,
 			mut: func(s *ScenarioResult) { s.NsPerOp *= 0.5 }},
-		{name: "single alloc regression", ok: false, metric: MetricAllocs,
+		{name: "single alloc regression", ok: true,
 			mut: func(s *ScenarioResult) { s.AllocsPerOp++ }},
 		{name: "alloc improvement", ok: true,
 			mut: func(s *ScenarioResult) { s.AllocsPerOp-- }},
-		{name: "bytes regression", ok: false, metric: MetricBytes,
+		{name: "bytes regression", ok: true,
 			mut: func(s *ScenarioResult) { s.BytesPerOp *= 2 }},
-	}
-	// A metric appearing from a zero baseline regresses regardless of
-	// its percentage tolerance (relative thresholds are meaningless
-	// at 0).
-	zeroBase := fixtureReport(func(s *ScenarioResult) {
-		s.AllocsPerOp = 0
-		s.AllocTolPct = 25
-	})
-	grown := fixtureReport(func(s *ScenarioResult) {
-		s.AllocsPerOp = 1000
-		s.AllocTolPct = 25
-	})
-	if cmp := Compare(zeroBase, grown, CompareOptions{}); cmp.OK() {
-		t.Error("allocations appearing from a zero baseline passed a 25% tolerance gate")
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,11 +61,12 @@ func TestCompareGate(t *testing.T) {
 			if cmp.OK() != tc.ok {
 				t.Fatalf("OK() = %v, want %v\n%s", cmp.OK(), tc.ok, cmp.Table())
 			}
-			if !tc.ok {
-				regs := cmp.Regressions()
-				if len(regs) != 1 || regs[0].Metric != tc.metric {
-					t.Fatalf("regressions = %+v, want exactly one on %s", regs, tc.metric)
-				}
+			// One gated row per scenario: its time.
+			if len(cmp.Deltas) != 1 {
+				t.Errorf("Compare gated %d rows for one scenario, want 1 (time only):\n%s", len(cmp.Deltas), cmp.Table())
+			}
+			if regs := cmp.Regressions(); !tc.ok && len(regs) != 1 {
+				t.Fatalf("regressions = %+v, want exactly one", regs)
 			}
 		})
 	}
@@ -131,43 +115,23 @@ func TestCompareMADWidening(t *testing.T) {
 func TestCompareTimeTolOverride(t *testing.T) {
 	base := fixtureReport(nil)
 	cur := fixtureReport(func(s *ScenarioResult) { s.NsPerOp *= 2.5 })
-	// Cross-machine mode: a loose override lets a 2.5× time delta
-	// through while allocation gates stay exact.
+	// Shared-runner mode: a loose override lets a 2.5× time delta
+	// through, but not a catastrophic 5× one.
 	if cmp := Compare(base, cur, CompareOptions{TimeTolPct: 300}); !cmp.OK() {
 		t.Fatalf("override did not widen the time gate:\n%s", cmp.Table())
 	}
-	cur.Scenarios[0].AllocsPerOp++
+	cur.Scenarios[0].NsPerOp *= 2
 	if cmp := Compare(base, cur, CompareOptions{TimeTolPct: 300}); cmp.OK() {
-		t.Fatal("alloc regression passed under the time override")
-	}
-}
-
-func TestCompareNoGate(t *testing.T) {
-	base := fixtureReport(func(s *ScenarioResult) {
-		s.AllocTolPct = NoGate
-		s.BytesTolPct = NoGate
-	})
-	cur := fixtureReport(func(s *ScenarioResult) {
-		s.AllocsPerOp *= 10
-		s.BytesPerOp *= 10
-	})
-	cmp := Compare(base, cur, CompareOptions{})
-	if !cmp.OK() {
-		t.Fatalf("NoGate metrics gated:\n%s", cmp.Table())
-	}
-	for _, d := range cmp.Deltas {
-		if d.Metric != MetricTime {
-			t.Errorf("ungated metric %s present in deltas", d.Metric)
-		}
+		t.Fatal("a 5x slowdown passed the 300% time override")
 	}
 }
 
 func TestCompareTable(t *testing.T) {
 	base := fixtureReport(nil)
-	cur := fixtureReport(func(s *ScenarioResult) { s.AllocsPerOp++ })
+	cur := fixtureReport(func(s *ScenarioResult) { s.NsPerOp *= 2 })
 	cur.Scenarios = append(cur.Scenarios, ScenarioResult{Name: "new/one"})
 	table := Compare(base, cur, CompareOptions{}).Table()
-	for _, want := range []string{"eval/session", "allocs/op", "REGRESSED", "new/one", "verdict"} {
+	for _, want := range []string{"eval/session", "ns/op", "REGRESSED", "new/one", "verdict"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table omits %q:\n%s", want, table)
 		}
@@ -211,33 +175,30 @@ func TestBenchstat(t *testing.T) {
 }
 
 // TestCatalogue pins the -list rendering contract: one row per
-// scenario, tolerance columns rendered as "-" (ungated), "exact"
-// (zero) or a percentage.
+// scenario with its time tolerance (default resolved) and allocation
+// pass, and a closing line naming where the allocation pins live.
 func TestCatalogue(t *testing.T) {
 	out := Catalogue([]*Scenario{
-		{Name: "a/gated", Unit: "op", Description: "gated one"},
-		{Name: "b/free", Unit: "op", AllocTolPct: NoGate, BytesTolPct: NoGate, Description: "ungated one"},
-		{Name: "c/wide", Unit: "op", TimeTolPct: 40, AllocTolPct: 25, Description: "widened one"},
+		{Name: "a/serial", Unit: "op", Serial: true, Description: "serial one"},
+		{Name: "b/wide", Unit: "op", TimeTolPct: 40, AllocWarmup: 1, AllocOps: 3, Description: "widened one"},
 	})
 	for _, want := range []string{
-		"a/gated", "exact", "15%", "10%", // defaults: time 15, allocs exact, bytes 10
-		"b/free", "-",
-		"c/wide", "40%", "25%",
-		"gated one", "ungated one", "widened one",
+		"a/serial", "15%", "2+4 serial", // defaults: time 15%, 2 warm-up + 4 measured calls
+		"b/wide", "40%", "1+3",
+		"serial one", "widened one",
+		"TestScenarioAllocsPinned",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("catalogue omits %q:\n%s", want, out)
 		}
 	}
 	if got := strings.Count(out, "\n"); got != 4 {
-		t.Errorf("catalogue has %d lines, want 4 (header + 3 rows):\n%s", got, out)
+		t.Errorf("catalogue has %d lines, want 4 (header + 2 rows + pins line):\n%s", got, out)
 	}
 }
 
 // TestSuiteShape pins the curated suite's contract: at least six
-// scenarios, unique names, the documented hot paths all covered, and
-// sane gating defaults (serial scenarios alloc-exact, concurrent ones
-// ungated on allocations).
+// scenarios, unique names and the documented hot paths all covered.
 func TestSuiteShape(t *testing.T) {
 	suite := Suite()
 	if len(suite) < 6 {
@@ -252,12 +213,6 @@ func TestSuiteShape(t *testing.T) {
 			t.Errorf("duplicate scenario %q", sc.Name)
 		}
 		seen[sc.Name] = true
-		if sc.Serial && sc.AllocTolPct == NoGate {
-			t.Errorf("%s: serial scenarios have deterministic allocations and must gate them", sc.Name)
-		}
-		if !sc.Serial && sc.AllocTolPct == 0 {
-			t.Errorf("%s: concurrent scenario cannot promise exact allocation counts", sc.Name)
-		}
 	}
 	for _, want := range []string{
 		"eval/fresh", "eval/session", "sched/build-table", "campaign/serial", "campaign/parallel",

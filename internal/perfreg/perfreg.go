@@ -1,30 +1,31 @@
 // Package perfreg is the performance-regression harness: a curated
-// suite of macro-benchmarks over the hot paths the previous PRs
-// optimised (evaluation sessions, the campaign engine, the async job
-// pipeline, figure regeneration, the durable job store), measured with
-// calibrated repetition and robust statistics and emitted as a
-// versioned machine-readable report (BENCH_<seq>.json at the repo
-// root).
+// suite of macro-benchmarks over the hot paths the optimisers pay for
+// on every evaluation (evaluation sessions, the campaign engine, the
+// async job pipeline, figure regeneration, the durable job store),
+// measured with calibrated repetition and robust statistics and
+// emitted as a versioned machine-readable report.
 //
-// The harness exists so optimisation claims leave a durable,
-// comparable artifact instead of one-off README numbers: every report
-// carries ns/op, allocs/op, B/op and derived throughput per scenario,
-// plus an environment fingerprint and the git SHA, and Compare gates a
-// fresh run against a committed baseline with noise-tolerant
-// per-metric thresholds (default 15% on time, exact equality on
-// allocs/op for single-goroutine scenarios, where allocation counts
-// are deterministic).
+// Two checks guard the suite, each doing one job:
+//
+//   - Allocations are pinned in go test: TestScenarioAllocsPinned
+//     (allocs_test.go) holds one row per Suite scenario with its
+//     allocs/op and B/op pins, measured by the same fixed-repetition
+//     allocation pass as the report. A change that moves an
+//     allocation count edits its pin.
+//   - Time is compared against the parent commit on the same machine:
+//     `flexray-bench perf -baseline parent.json` gates ns/op with
+//     noise-tolerant thresholds (default 15%, widened by the observed
+//     sample spread) and prints allocs/op and B/op next to it.
 //
 // Timing uses the median of several calibrated samples with the
 // median absolute deviation (MAD) as the noise estimate — a single
 // preempted sample cannot shift the reported value the way it shifts
 // a mean. Allocation counts come from a separate fixed-repetition
-// pass that is identical in quick and full mode, so a quick CI run is
-// alloc-comparable with a full baseline.
+// pass that is identical in quick and full mode.
 //
 // `flexray-bench perf` is the harness CLI; `go test -bench
-// PerfScenarios` drives the same scenario ops, so the two can never
-// measure different code.
+// PerfScenarios ./internal/perfreg` drives the same scenario ops, so
+// the two can never measure different code.
 package perfreg
 
 import (
@@ -71,29 +72,18 @@ type Scenario struct {
 	// it under GOMAXPROCS(1), making mallocs/op exact and
 	// deterministic (the testing.AllocsPerRun approach).
 	Serial bool
-	// TimeTolPct, AllocTolPct and BytesTolPct are the regression
-	// thresholds Compare applies to this scenario. Time defaults to
-	// DefaultTimeTolPct; bytes defaults to DefaultBytesTolPct; allocs
-	// default to 0 — exact — because serial allocation counts are
-	// deterministic. NoGate disables a metric (concurrent scenarios,
-	// whose allocation totals depend on scheduling).
-	TimeTolPct  float64
-	AllocTolPct float64
-	BytesTolPct float64
+	// TimeTolPct is the time-regression threshold Compare applies to
+	// this scenario; 0 selects DefaultTimeTolPct.
+	TimeTolPct float64
 	// Setup builds the operation. It returns the op, an optional
 	// cleanup run after measurement, and an error that aborts the
 	// suite.
 	Setup func() (op func() error, cleanup func(), err error)
 }
 
-// Default regression tolerances; see Scenario.
-const (
-	DefaultTimeTolPct  = 15.0
-	DefaultBytesTolPct = 10.0
-	// NoGate disables regression gating for one metric of one
-	// scenario.
-	NoGate = -1.0
-)
+// DefaultTimeTolPct is the time-regression threshold of a scenario
+// that sets none; see Scenario.TimeTolPct.
+const DefaultTimeTolPct = 15.0
 
 // normalized returns a copy with defaults applied.
 func (s *Scenario) normalized() Scenario {
@@ -109,9 +99,6 @@ func (s *Scenario) normalized() Scenario {
 	}
 	if n.TimeTolPct == 0 {
 		n.TimeTolPct = DefaultTimeTolPct
-	}
-	if n.BytesTolPct == 0 {
-		n.BytesTolPct = DefaultBytesTolPct
 	}
 	return n
 }
@@ -135,8 +122,8 @@ type MeasureConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// FullConfig returns the baseline-quality configuration used to
-// regenerate committed BENCH_*.json reports.
+// FullConfig returns the full-quality sampling configuration, for
+// same-machine comparisons on a quiet host.
 func FullConfig() MeasureConfig {
 	return MeasureConfig{
 		Samples:          9,
@@ -256,8 +243,6 @@ func measure(s Scenario, cfg MeasureConfig, op func() error) (ScenarioResult, er
 		AllocsPerOp: allocs,
 		BytesPerOp:  bytes,
 		TimeTolPct:  s.TimeTolPct,
-		AllocTolPct: s.AllocTolPct,
-		BytesTolPct: s.BytesTolPct,
 	}
 	if med > 0 {
 		res.OpsPerSec = 1e9 / med
@@ -297,8 +282,8 @@ func measureAllocs(op func() error, warmup, ops, opsPerCall int, serial bool) (a
 	return allocs, bytes, nil
 }
 
-// RunSuite measures every scenario and assembles the report (Seq and
-// GitSHA are the caller's to fill in).
+// RunSuite measures every scenario and assembles the report (GitSHA is
+// the caller's to fill in).
 func RunSuite(scens []*Scenario, cfg MeasureConfig) (*Report, error) {
 	rep := &Report{
 		SchemaVersion: SchemaVersion,
@@ -322,34 +307,27 @@ func RunSuite(scens []*Scenario, cfg MeasureConfig) (*Report, error) {
 }
 
 // Catalogue renders the suite as the human-readable table behind
-// `flexray-bench perf -list`: one row per scenario with its unit and
-// the gate tolerances Compare will apply, defaults resolved exactly as
-// Measure resolves them. "exact" marks a zero tolerance (any increase
-// regresses); "-" marks an ungated metric.
+// `flexray-bench perf -list`: one row per scenario with its unit, the
+// time tolerance Compare applies (defaults resolved as Measure
+// resolves them) and the allocation pass its pins are measured with —
+// warm-up+measured op calls, and "serial" for a GOMAXPROCS(1) pass.
+// The allocs/op and B/op pins themselves are the rows of
+// TestScenarioAllocsPinned.
 func Catalogue(scens []*Scenario) string {
 	var sb strings.Builder
 	tw := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "scenario\tunit\ttime-tol\talloc-tol\tbytes-tol\tdescription")
+	fmt.Fprintln(tw, "scenario\tunit\ttime-tol\talloc-pass\tdescription")
 	for _, sc := range scens {
 		s := sc.normalized()
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n",
-			s.Name, s.Unit, formatTol(s.TimeTolPct), formatTol(s.AllocTolPct), formatTol(s.BytesTolPct),
-			s.Description)
+		pass := fmt.Sprintf("%d+%d", s.AllocWarmup, s.AllocOps)
+		if s.Serial {
+			pass += " serial"
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%.0f%%\t%s\t%s\n", s.Name, s.Unit, s.TimeTolPct, pass, s.Description)
 	}
 	tw.Flush()
+	fmt.Fprintln(&sb, "allocs/op and B/op pins: TestScenarioAllocsPinned, internal/perfreg/allocs_test.go")
 	return sb.String()
-}
-
-// formatTol renders one gate tolerance for the catalogue.
-func formatTol(tol float64) string {
-	switch {
-	case tol < 0:
-		return "-"
-	case tol == 0:
-		return "exact"
-	default:
-		return fmt.Sprintf("%.0f%%", tol)
-	}
 }
 
 // median returns the middle value of xs (mean of the middle two for

@@ -55,9 +55,9 @@ func TestMeasureSpin(t *testing.T) {
 	if res.Samples != 3 || res.Reps < 1 {
 		t.Errorf("samples/reps = %d/%d", res.Samples, res.Reps)
 	}
-	// Defaults applied by normalization.
-	if res.TimeTolPct != DefaultTimeTolPct || res.AllocTolPct != 0 || res.BytesTolPct != DefaultBytesTolPct {
-		t.Errorf("tolerances = %v/%v/%v, want defaults", res.TimeTolPct, res.AllocTolPct, res.BytesTolPct)
+	// Default applied by normalization.
+	if res.TimeTolPct != DefaultTimeTolPct {
+		t.Errorf("time tolerance = %v, want %v", res.TimeTolPct, DefaultTimeTolPct)
 	}
 }
 
@@ -144,15 +144,16 @@ func TestMedianAndMAD(t *testing.T) {
 	}
 }
 
+// TestReportRoundTrip runs a suite, writes and reads its report back,
+// and gates the run against what it read: a report passes against
+// itself, and a doctored time regression fails.
 func TestReportRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	rep, err := RunSuite([]*Scenario{spinScenario("test/spin")}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Seq = 7
 	rep.GitSHA = "abc123"
-	path := SeqPath(dir, rep.Seq)
+	path := filepath.Join(t.TempDir(), "report.json")
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 7 || got.GitSHA != "abc123" || len(got.Scenarios) != 1 {
+	if got.GitSHA != "abc123" || len(got.Scenarios) != 1 {
 		t.Errorf("round trip lost fields: %+v", got)
 	}
 	if got.Scenario("test/spin") == nil {
@@ -169,12 +170,21 @@ func TestReportRoundTrip(t *testing.T) {
 	if got.Env.GoVersion == "" || got.Env.GOMAXPROCS <= 0 {
 		t.Errorf("environment fingerprint incomplete: %+v", got.Env)
 	}
+	if cmp := Compare(got, rep, CompareOptions{}); !cmp.OK() {
+		t.Errorf("report regressed against itself:\n%s", cmp.Table())
+	}
+	worse := *rep
+	worse.Scenarios = append([]ScenarioResult(nil), rep.Scenarios...)
+	worse.Scenarios[0].NsPerOp *= 10
+	if cmp := Compare(got, &worse, CompareOptions{}); cmp.OK() {
+		t.Error("a 10x time regression passed the gate")
+	}
 }
 
 func TestReadReportRejectsSchemaDrift(t *testing.T) {
 	dir := t.TempDir()
 	rep := &Report{SchemaVersion: SchemaVersion + 1, Env: CurrentEnvironment()}
-	path := filepath.Join(dir, "BENCH_1.json")
+	path := filepath.Join(dir, "future.json")
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -183,18 +193,28 @@ func TestReadReportRejectsSchemaDrift(t *testing.T) {
 	}
 }
 
-func TestNextSeq(t *testing.T) {
-	dir := t.TempDir()
-	if n := NextSeq(dir); n != 1 {
-		t.Errorf("empty dir NextSeq = %d, want 1", n)
-	}
-	for _, seq := range []int{1, 5} {
-		rep := &Report{SchemaVersion: SchemaVersion, Seq: seq}
-		if err := rep.WriteFile(SeqPath(dir, seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := NextSeq(dir); n != 6 {
-		t.Errorf("NextSeq = %d, want 6", n)
+// BenchmarkPerfScenarios drives every scenario op of the suite under
+// the standard benchmark runner. `flexray-bench perf` measures exactly
+// these ops with its own calibrated-sampling harness; this benchmark
+// keeps them exercised by `go test -bench` so the two surfaces cannot
+// diverge.
+func BenchmarkPerfScenarios(b *testing.B) {
+	for _, sc := range Suite() {
+		b.Run(sc.Name, func(b *testing.B) {
+			op, cleanup, err := sc.Setup()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if cleanup != nil {
+				defer cleanup()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 )
 
-// SchemaVersion versions the BENCH_*.json format. Readers reject
-// reports from a different major schema instead of mis-gating on
+// SchemaVersion versions the report format. Readers reject reports
+// from a different major schema instead of mis-gating on
 // reinterpreted fields.
 const SchemaVersion = 1
 
@@ -57,8 +55,8 @@ func cpuModel() string {
 	return ""
 }
 
-// ScenarioResult is one scenario's measured metrics plus the
-// thresholds Compare applies to them.
+// ScenarioResult is one scenario's measured metrics plus the time
+// threshold Compare applies to them.
 type ScenarioResult struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
@@ -74,18 +72,14 @@ type ScenarioResult struct {
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// Per-metric regression tolerances in percent; -1 (NoGate)
-	// disables a metric.
-	TimeTolPct  float64 `json:"time_tol_pct"`
-	AllocTolPct float64 `json:"alloc_tol_pct"`
-	BytesTolPct float64 `json:"bytes_tol_pct"`
+	// TimeTolPct is the ns/op regression tolerance in percent.
+	TimeTolPct float64 `json:"time_tol_pct"`
 }
 
-// Report is one BENCH_<seq>.json: the performance trajectory entry of
-// one PR.
+// Report is one run of the suite, as `flexray-bench perf -out` writes
+// it.
 type Report struct {
 	SchemaVersion int              `json:"schema_version"`
-	Seq           int              `json:"seq"`
 	GitSHA        string           `json:"git_sha,omitempty"`
 	GeneratedAt   time.Time        `json:"generated_at"`
 	Quick         bool             `json:"quick,omitempty"`
@@ -103,8 +97,7 @@ func (r *Report) Scenario(name string) *ScenarioResult {
 	return nil
 }
 
-// WriteFile writes the report as indented JSON (one committed
-// BENCH_<seq>.json per PR, so the trajectory diffs cleanly).
+// WriteFile writes the report as indented JSON.
 func (r *Report) WriteFile(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -128,29 +121,6 @@ func ReadReport(path string) (*Report, error) {
 			path, r.SchemaVersion, SchemaVersion)
 	}
 	return &r, nil
-}
-
-// NextSeq scans dir for BENCH_<n>.json files and returns the next
-// free sequence number (1 when none exist).
-func NextSeq(dir string) int {
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return 1
-	}
-	next := 1
-	for _, m := range matches {
-		base := strings.TrimSuffix(filepath.Base(m), ".json")
-		n, err := strconv.Atoi(strings.TrimPrefix(base, "BENCH_"))
-		if err == nil && n >= next {
-			next = n + 1
-		}
-	}
-	return next
-}
-
-// SeqPath returns dir/BENCH_<seq>.json.
-func SeqPath(dir string, seq int) string {
-	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", seq))
 }
 
 // GitSHA returns the HEAD commit of the repository containing dir, or

@@ -160,10 +160,6 @@ func Suite() []*Scenario {
 			OpsPerCall:  campaignSystems,
 			AllocWarmup: 1,
 			AllocOps:    2,
-			// The engine spawns goroutines even at one worker;
-			// scheduling shifts a few allocations either way.
-			AllocTolPct: 25,
-			BytesTolPct: 25,
 			Setup:       campaignSetup(1),
 		},
 		{
@@ -174,11 +170,6 @@ func Suite() []*Scenario {
 			AllocWarmup: 1,
 			AllocOps:    2,
 			TimeTolPct:  25,
-			// The parallel allocation count is as stable across runs as
-			// the serial one (goroutine scheduling shifts a few
-			// allocations either way), so it gets the same gate.
-			AllocTolPct: 25,
-			BytesTolPct: 25,
 			Setup:       campaignSetup(runtime.GOMAXPROCS(0)),
 		},
 		{
@@ -186,8 +177,6 @@ func Suite() []*Scenario {
 			Description: "async job submit→drain latency (campaign job through the manager's queue and worker pool)",
 			Unit:        "job",
 			TimeTolPct:  25,
-			AllocTolPct: NoGate,
-			BytesTolPct: NoGate,
 			Setup:       jobsPipelineSetup,
 		},
 		{
@@ -195,8 +184,6 @@ func Suite() []*Scenario {
 			Description: "distributed campaign submit→drain latency (coordinator + 2 loopback lease workers over HTTP)",
 			Unit:        "job",
 			TimeTolPct:  25,
-			AllocTolPct: NoGate,
-			BytesTolPct: NoGate,
 			Setup:       distributedDrainSetup,
 		},
 		{
@@ -209,10 +196,6 @@ func Suite() []*Scenario {
 			// measured ops see the long-lived allocation profile.
 			AllocWarmup: 64,
 			AllocOps:    128,
-			// The store's FIFO eviction queue compacts periodically, so
-			// a few allocations amortise across ops.
-			AllocTolPct: 10,
-			BytesTolPct: 25,
 			Setup:       tracedRequestSetup,
 		},
 		{
@@ -222,11 +205,6 @@ func Suite() []*Scenario {
 			Serial:      true,
 			AllocWarmup: 4,
 			AllocOps:    8,
-			// The fact extractor re-runs the schedule build and holistic
-			// analysis each report; a few allocations shift with map
-			// sizing on that path.
-			AllocTolPct: 5,
-			BytesTolPct: 25,
 			Setup:       lintReportSetup,
 		},
 		{
@@ -235,8 +213,6 @@ func Suite() []*Scenario {
 			Unit:        "point",
 			OpsPerCall:  9,
 			TimeTolPct:  25,
-			AllocTolPct: NoGate,
-			BytesTolPct: NoGate,
 			Setup:       fig7Setup,
 		},
 		{
@@ -245,8 +221,6 @@ func Suite() []*Scenario {
 			Unit:        "system",
 			OpsPerCall:  2,
 			TimeTolPct:  25,
-			AllocTolPct: NoGate,
-			BytesTolPct: NoGate,
 			Setup:       fig9Setup,
 		},
 		{
@@ -264,9 +238,8 @@ func Suite() []*Scenario {
 			OpsPerCall:  storeRecordCount,
 			Serial:      true,
 			// fsync latency dominates and varies with the filesystem.
-			TimeTolPct:  40,
-			AllocTolPct: 5,
-			Setup:       storeCompactSetup,
+			TimeTolPct: 40,
+			Setup:      storeCompactSetup,
 		},
 	}
 }
