@@ -1,6 +1,6 @@
 // Benchmarks regenerating every figure of the paper's evaluation
-// (Section 7). Each benchmark is one experiment of DESIGN.md's
-// per-experiment index; run them with
+// (Section 7). Each benchmark is one flexray-bench experiment; run
+// them with
 //
 //	go test -bench=. -benchmem
 //
@@ -145,8 +145,8 @@ func BenchmarkCruiseController(b *testing.B) {
 	}
 }
 
-// BenchmarkAblations runs the three design-choice ablations of
-// DESIGN.md §6 (FrameID order, latest-transmission rule, fill solver).
+// BenchmarkAblations runs the three design-choice ablations (FrameID
+// order, latest-transmission rule, fill solver).
 func BenchmarkAblations(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -15,7 +15,8 @@
 //	                              # to a running flexray-serve instead of
 //	                              # executing locally
 //	flexray-bench cruise          # cruise-controller case study
-//	flexray-bench ablation        # design-choice ablations (DESIGN.md §6)
+//	flexray-bench ablation        # design-choice ablations (FrameID order,
+//	                              # latest-transmission rule, fill solver)
 //	flexray-bench perf [...]      # performance-regression harness
 //	                              # (JSON report + time gate against a
 //	                              # baseline; see the "perf" flag set)
@@ -129,7 +130,7 @@ var commands = []command{
 		}},
 	{"cruise", "cruise-controller case study",
 		func(*benchOptions, invocation, io.Writer, io.Writer) int { cruiseStudy(); return 0 }},
-	{"ablation", "design-choice ablations (DESIGN.md §6)",
+	{"ablation", "design-choice ablations (FrameID order, latest-transmission rule, fill solver)",
 		func(*benchOptions, invocation, io.Writer, io.Writer) int { ablation(); return 0 }},
 	{"perf", `performance-regression harness (own flags; try "perf -h")`,
 		func(_ *benchOptions, inv invocation, stdout, stderr io.Writer) int {

@@ -120,67 +120,53 @@ import (
 )
 
 // serveOptions collect every operator-facing flag of flexray-serve.
-// The flags are registered through registerFlags so the docs-drift
-// test can enumerate them against the README and OPERATIONS.md flag
-// reference tables.
+// The server's settings register straight into cfg; the fields beside
+// it are process-level: where to listen and persist, the peer role,
+// logging and -version. The flags are registered through registerFlags
+// so the docs-drift test can enumerate them against the README and
+// OPERATIONS.md flag reference tables.
 type serveOptions struct {
-	addr            string
-	workers         int
-	maxConc         int
-	timeout         time.Duration
-	maxBody         int64
-	pprofOn         bool
-	store           string
-	jobWorkers      int
-	queueCap        int
-	retainJobs      int
-	retainAge       time.Duration
-	retainBytes     int64
-	compactInterval time.Duration
-	logFormat       string
-	traceSample     float64
-	traceSlow       time.Duration
-	traceSpans      int
-	traceDetail     string
-	leaseTTL        time.Duration
-	leaseSystems    int
-	peer            string
-	peerID          string
-	peerPoll        time.Duration
-	addrFile        string
-	validateJobs    bool
-	version         bool
+	cfg       serverConfig
+	addr      string
+	addrFile  string
+	store     string
+	peer      string
+	peerID    string
+	peerPoll  time.Duration
+	logFormat string
+	version   bool
 }
 
 // registerFlags declares the flexray-serve flag set on fs; main passes
 // flag.CommandLine, tests pass a throwaway set.
 func registerFlags(fs *flag.FlagSet) *serveOptions {
 	o := &serveOptions{}
+	c := &o.cfg
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&o.workers, "workers", 0, "evaluation workers per request (0 = GOMAXPROCS)")
-	fs.IntVar(&o.maxConc, "max-concurrent", 2, "heavy requests served at once (excess gets 503)")
-	fs.DurationVar(&o.timeout, "timeout", 2*time.Minute, "per-request wall-clock budget")
-	fs.Int64Var(&o.maxBody, "max-body", 8<<20, "request body size cap in bytes")
-	fs.BoolVar(&o.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling the evaluation sessions)")
+	fs.IntVar(&c.Workers, "workers", 0, "evaluation workers per request (0 = GOMAXPROCS)")
+	fs.IntVar(&c.MaxConcurrent, "max-concurrent", 2, "heavy requests served at once (excess gets 503)")
+	fs.DurationVar(&c.Timeout, "timeout", 2*time.Minute, "per-request wall-clock budget")
+	fs.Int64Var(&c.MaxBody, "max-body", 8<<20, "request body size cap in bytes")
+	fs.BoolVar(&c.Pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling the evaluation sessions)")
 	fs.StringVar(&o.store, "store", "", "append-only JSONL job store; empty keeps jobs in memory only")
-	fs.IntVar(&o.jobWorkers, "job-workers", 2, "async jobs executed concurrently")
-	fs.IntVar(&o.queueCap, "queue-cap", 64, "queued async jobs before submissions are shed")
-	fs.IntVar(&o.retainJobs, "retain-jobs", 0, "terminal jobs retained before the oldest are evicted (0 = unlimited)")
-	fs.DurationVar(&o.retainAge, "retain-age", 0, "terminal jobs finished longer ago than this are evicted (0 = unlimited)")
-	fs.Int64Var(&o.retainBytes, "retain-bytes", 0, "total encoded job-result bytes retained before the oldest results are evicted (0 = unlimited)")
-	fs.DurationVar(&o.compactInterval, "compact-interval", 0, "rewrite the -store file to live state this often (0 = only at shutdown)")
+	fs.IntVar(&c.JobWorkers, "job-workers", 2, "async jobs executed concurrently")
+	fs.IntVar(&c.JobQueueCap, "queue-cap", 64, "queued async jobs before submissions are shed")
+	fs.IntVar(&c.JobRetention.MaxTerminal, "retain-jobs", 0, "terminal jobs retained before the oldest are evicted (0 = unlimited)")
+	fs.DurationVar(&c.JobRetention.MaxAge, "retain-age", 0, "terminal jobs finished longer ago than this are evicted (0 = unlimited)")
+	fs.Int64Var(&c.JobRetention.MaxResultBytes, "retain-bytes", 0, "total encoded job-result bytes retained before the oldest results are evicted (0 = unlimited)")
+	fs.DurationVar(&c.JobCompactInterval, "compact-interval", 0, "rewrite the -store file to live state this often (0 = only at shutdown)")
 	fs.StringVar(&o.logFormat, "log-format", "text", "structured log encoding: text or json")
-	fs.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of requests span-traced (0 disables tracing, 1 traces everything)")
-	fs.DurationVar(&o.traceSlow, "trace-slow", 0, "always record traces slower than this even when unsampled (0 = off)")
-	fs.IntVar(&o.traceSpans, "trace-spans", 65536, "spans retained in memory across all traces (oldest traces evicted first)")
-	fs.StringVar(&o.traceDetail, "trace-detail", "run", "span granularity: run (one span per optimiser) or phase (optimiser-internal phases too)")
-	fs.DurationVar(&o.leaseTTL, "lease-ttl", 30*time.Second, "distributed shard lease TTL; a worker silent this long forfeits its shard")
-	fs.IntVar(&o.leaseSystems, "lease-systems", 4, "systems per campaign shard, the unit of durable progress and, with distribute, of a lease (campaign jobs may override per spec)")
+	fs.Float64Var(&c.TraceSample, "trace-sample", 0, "fraction of requests span-traced (0 disables tracing, 1 traces everything)")
+	fs.DurationVar(&c.TraceSlow, "trace-slow", 0, "always record traces slower than this even when unsampled (0 = off)")
+	fs.IntVar(&c.TraceSpans, "trace-spans", 65536, "spans retained in memory across all traces (oldest traces evicted first)")
+	fs.StringVar(&c.TraceDetail, "trace-detail", "run", "span granularity: run (one span per optimiser) or phase (optimiser-internal phases too)")
+	fs.DurationVar(&c.LeaseTTL, "lease-ttl", 30*time.Second, "distributed shard lease TTL; a worker silent this long forfeits its shard")
+	fs.IntVar(&c.LeaseSystems, "lease-systems", 4, "systems per campaign shard, the unit of durable progress and, with distribute, of a lease (campaign jobs may override per spec)")
 	fs.StringVar(&o.peer, "peer", "", "coordinator base URL; set to join it as a lease worker peer")
 	fs.StringVar(&o.peerID, "peer-id", "", "worker identity reported to the coordinator (default hostname-pid)")
 	fs.DurationVar(&o.peerPoll, "peer-poll", 250*time.Millisecond, "idle wait between lease claim attempts in -peer mode")
 	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound listen address to this file once serving (for :0 addresses)")
-	fs.BoolVar(&o.validateJobs, "validate-jobs", false, "lint uploaded systems at job submission and reject error-severity findings with 422")
+	fs.BoolVar(&c.ValidateJobs, "validate-jobs", false, "lint uploaded systems at job submission and reject error-severity findings with 422")
 	fs.BoolVar(&o.version, "version", false, "print build information and exit")
 	return o
 }
@@ -225,30 +211,10 @@ func runServe(args []string) int {
 		}
 		store = f
 	}
-	s, err := newServer(serverConfig{
-		Workers:       o.workers,
-		MaxConcurrent: o.maxConc,
-		Timeout:       o.timeout,
-		MaxBody:       o.maxBody,
-		Pprof:         o.pprofOn,
-		JobStore:      store,
-		JobWorkers:    o.jobWorkers,
-		JobQueueCap:   o.queueCap,
-		JobRetention: jobs.RetentionPolicy{
-			MaxTerminal:    o.retainJobs,
-			MaxAge:         o.retainAge,
-			MaxResultBytes: o.retainBytes,
-		},
-		JobCompactInterval: o.compactInterval,
-		LeaseTTL:           o.leaseTTL,
-		LeaseSystems:       o.leaseSystems,
-		ValidateJobs:       o.validateJobs,
-		Logger:             logger,
-		TraceSample:        o.traceSample,
-		TraceSlow:          o.traceSlow,
-		TraceSpans:         o.traceSpans,
-		TraceDetail:        o.traceDetail,
-	})
+	cfg := o.cfg
+	cfg.JobStore = store
+	cfg.Logger = logger
+	s, err := newServer(cfg)
 	if err != nil {
 		logger.Error("startup", "error", err)
 		return 1
@@ -279,8 +245,8 @@ func runServe(args []string) int {
 	go func() { errc <- srv.Serve(ln) }()
 	logger.Info("listening",
 		"addr", ln.Addr().String(),
-		"workers", effectiveWorkers(o.workers),
-		"max_concurrent", o.maxConc,
+		"workers", effectiveWorkers(o.cfg.Workers),
+		"max_concurrent", o.cfg.MaxConcurrent,
 		"version", s.build.Version,
 		"revision", s.build.Revision)
 
@@ -299,7 +265,7 @@ func runServe(args []string) int {
 			ID:      o.peerID,
 			BaseURL: o.peer,
 			Poll:    o.peerPoll,
-			Workers: o.workers,
+			Workers: o.cfg.Workers,
 			Logf: func(format string, args ...any) {
 				logger.Info(fmt.Sprintf(format, args...))
 			},

@@ -84,8 +84,7 @@
 // exactly that: independent sweep candidates fan across a worker pool
 // whose workers each pin their own evaluation session, results are
 // memoised in a bounded LRU cache keyed on the configuration
-// fingerprint and sharded into power-of-two lock domains scaled to the
-// worker count, and a context cancels in-flight work. Because
+// fingerprint behind one mutex, and a context cancels in-flight work. Because
 // evaluations are pure, results are bit-identical at any worker count.
 //
 // Portfolio races BBC, OBC-CF, OBC-EE and SA concurrently on one

@@ -32,10 +32,6 @@ type Options struct {
 	// bounded budget. It requires SA to be listed after the OBC
 	// variants (the canonical order does).
 	SAWarmFromOBC bool
-	// Engine configures the per-system evaluation engine. Inside a
-	// campaign the default is one evaluation worker per system — the
-	// outer across-system parallelism already saturates the machine.
-	Engine EngineOptions
 }
 
 func (o Options) withDefaults() Options {
@@ -45,9 +41,6 @@ func (o Options) withDefaults() Options {
 	o.Workers = ClampWorkers(o.Workers)
 	if len(o.Algorithms) == 0 {
 		o.Algorithms = Algorithms
-	}
-	if o.Engine.Workers <= 0 {
-		o.Engine.Workers = 1
 	}
 	return o
 }
@@ -257,9 +250,11 @@ func evaluateSystem(ctx context.Context, idx int, sp synth.Params, opts core.Opt
 }
 
 // optimiseSystem runs the configured algorithm suite on one system and
-// fills in the record's runs, winner and engine telemetry.
+// fills in the record's runs, winner and engine telemetry. Each system
+// gets an engine with one evaluation worker: the across-system
+// parallelism of Workers already saturates the machine.
 func optimiseSystem(ctx context.Context, rec *Record, sys *model.System, opts core.Options, copts Options) {
-	engine := NewEngine(ctx, copts.Engine)
+	engine := NewEngine(ctx, EngineOptions{Workers: 1})
 	runOpts := engine.Hook(opts)
 	ctx, ssp := obs.StartSpan(ctx, "campaign.system")
 	ssp.SetString("system", sys.Name)

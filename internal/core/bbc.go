@@ -25,7 +25,7 @@ func BBC(sys *model.System, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.newConfig(fids)
+	cfg := newConfig(fids)
 
 	// Lines 2-4: minimal static segment, round-robin assignment.
 	senders := sys.App.STSenderNodes()

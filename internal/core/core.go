@@ -49,15 +49,19 @@ type EvalHook interface {
 }
 
 // Options tune the optimisers. Zero values select the defaults of
-// DefaultOptions.
+// DefaultOptions. Every value knob besides Params and Sched is also a
+// field of jobs.Tuning, so a job run by a remote lease worker sees the
+// same options as a local run.
+//
+// The values the paper fixes are constants, not options: candidate
+// configurations use one-macrotick minislots and the per-frame
+// latest-transmission rule (Fig. 4), the curve fit starts from
+// initialSupportPoints support points and stops after noImproveLimit
+// iterations without improvement (Fig. 8), and SA derives its cooling
+// schedule from the starting cost and SAIterations.
 type Options struct {
 	// Params are the physical-layer constants.
 	Params flexray.Params
-	// MinislotLen is gdMinislot; defaults to one macrotick.
-	MinislotLen units.Duration
-	// Policy is the latest-transmission rule of candidate
-	// configurations.
-	Policy flexray.LatestTxPolicy
 	// Sched holds the analysis options of every evaluation.
 	Sched sched.Options
 
@@ -65,7 +69,7 @@ type Options struct {
 	// sweep grid (BBC line 5, OBCEE, and the interpolation grid of
 	// OBCCF). The paper sweeps in single-minislot steps; the cap
 	// trades a coarser grid for tractable experiment turnaround and
-	// never changes who wins (see EXPERIMENTS.md).
+	// never changes who wins.
 	DYNGridCap int
 	// SlotCountCap caps gdNumberOfStaticSlots explored by OBC as a
 	// multiple of the BBC minimum (protocol max 1023 still applies);
@@ -74,13 +78,6 @@ type Options struct {
 	// SlotLenSteps caps how many 20·gdBit increments of gdStaticSlot
 	// OBC explores; 0 means 8.
 	SlotLenSteps int
-	// InitialPoints is the size of the initial support set of the
-	// curve-fitting heuristic (the paper used five).
-	InitialPoints int
-	// Nmax is the curve-fitting termination bound: iterations
-	// without a schedulable solution or cost improvement (the paper
-	// used ten).
-	Nmax int
 
 	// MaxEvaluations bounds the schedule+analysis runs one optimiser
 	// invocation may spend (0 = unlimited). All heuristics are
@@ -116,27 +113,18 @@ type Options struct {
 	SAWarmStart *flexray.Config
 	// SASeed seeds the annealer's PRNG (deterministic baselines).
 	SASeed int64
-	// SAInitTemp and SACooling define the geometric cooling
-	// schedule; zero values derive them from the starting cost and
-	// SAIterations.
-	SAInitTemp float64
-	SACooling  float64
 }
 
 // DefaultOptions returns the options used by the experiments.
 func DefaultOptions() Options {
 	return Options{
-		Params:        flexray.DefaultParams(),
-		MinislotLen:   units.Microsecond,
-		Policy:        flexray.LatestTxPerFrame,
-		Sched:         sched.DefaultOptions(),
-		DYNGridCap:    64,
-		SlotCountCap:  4,
-		SlotLenSteps:  8,
-		InitialPoints: 5,
-		Nmax:          10,
-		SAIterations:  2000,
-		SASeed:        1,
+		Params:       flexray.DefaultParams(),
+		Sched:        sched.DefaultOptions(),
+		DYNGridCap:   64,
+		SlotCountCap: 4,
+		SlotLenSteps: 8,
+		SAIterations: 2000,
+		SASeed:       1,
 	}
 }
 
@@ -144,9 +132,6 @@ func (o Options) withDefaults() Options {
 	d := DefaultOptions()
 	if o.Params == (flexray.Params{}) {
 		o.Params = d.Params
-	}
-	if o.MinislotLen <= 0 {
-		o.MinislotLen = d.MinislotLen
 	}
 	if o.DYNGridCap <= 0 {
 		o.DYNGridCap = d.DYNGridCap
@@ -157,14 +142,11 @@ func (o Options) withDefaults() Options {
 	if o.SlotLenSteps <= 0 {
 		o.SlotLenSteps = d.SlotLenSteps
 	}
-	if o.InitialPoints <= 0 {
-		o.InitialPoints = d.InitialPoints
-	}
-	if o.Nmax <= 0 {
-		o.Nmax = d.Nmax
-	}
 	if o.SAIterations <= 0 {
 		o.SAIterations = d.SAIterations
+	}
+	if o.SASeed == 0 {
+		o.SASeed = d.SASeed
 	}
 	return o
 }
@@ -415,16 +397,17 @@ func minStaticSlotLen(sys *model.System, p flexray.Params) units.Duration {
 }
 
 // newConfig assembles a candidate configuration skeleton shared by all
-// optimisers.
-func (o Options) newConfig(fids map[model.ActID]int) *flexray.Config {
+// optimisers: one-macrotick minislots and the per-frame latest
+// transmission rule, the dynamic segment of Fig. 4.
+func newConfig(fids map[model.ActID]int) *flexray.Config {
 	f := make(map[model.ActID]int, len(fids))
 	for k, v := range fids {
 		f[k] = v
 	}
 	return &flexray.Config{
-		MinislotLen: o.MinislotLen,
+		MinislotLen: units.Microsecond,
 		FrameID:     f,
-		Policy:      o.Policy,
+		Policy:      flexray.LatestTxPerFrame,
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/cruise"
 	"repro/internal/flexray"
 	"repro/internal/model"
 	"repro/internal/synth"
@@ -35,6 +36,36 @@ func TestWithDefaultsKeepsAnalysisOptions(t *testing.T) {
 	o.Sched.Analysis.DivergenceFactor = 2
 	if got := o.withDefaults().Sched.Analysis.DivergenceFactor; got != 2 {
 		t.Fatalf("DivergenceFactor = %d after withDefaults, want 2", got)
+	}
+}
+
+// TestZeroOptionsMatchDefaults: zero Options select the defaults of
+// DefaultOptions, so the zero value and DefaultOptions give every
+// optimiser the same run on cruise. Both sides get the same SA budget;
+// every other field is left at zero on one side and at its default on
+// the other.
+func TestZeroOptionsMatchDefaults(t *testing.T) {
+	sys := cruise.MustSystem()
+	zero := Options{SAIterations: 200}
+	def := DefaultOptions()
+	def.SAIterations = zero.SAIterations
+	for _, alg := range []struct {
+		name string
+		run  func(*model.System, Options) (*Result, error)
+	}{{"BBC", BBC}, {"OBC-CF", OBCCF}, {"OBC-EE", OBCEE}, {"SA", SA}} {
+		got, err := alg.run(sys, zero)
+		if err != nil {
+			t.Fatalf("%s with zero options: %v", alg.name, err)
+		}
+		want, err := alg.run(sys, def)
+		if err != nil {
+			t.Fatalf("%s with DefaultOptions: %v", alg.name, err)
+		}
+		if got.Cost != want.Cost || got.Evaluations != want.Evaluations ||
+			got.Config.Fingerprint() != want.Config.Fingerprint() {
+			t.Errorf("%s: zero options give cost %v after %d evaluations (%v), DefaultOptions cost %v after %d (%v)",
+				alg.name, got.Cost, got.Evaluations, got.Config, want.Cost, want.Evaluations, want.Config)
+		}
 	}
 }
 
@@ -221,10 +252,10 @@ func TestDynBoundsReachability(t *testing.T) {
 	sys := genSystem(t, 2, 17)
 	fids, _ := AssignFrameIDs(sys)
 	opts := quickOpts()
-	cfg := opts.newConfig(fids)
+	cfg := newConfig(fids)
 	cfg.NumStaticSlots = len(sys.App.STSenderNodes())
 	cfg.StaticSlotLen = minStaticSlotLen(sys, opts.Params)
-	minMS, maxMS := dynBounds(sys, cfg, opts.MinislotLen)
+	minMS, maxMS := dynBounds(sys, cfg, cfg.MinislotLen)
 	if maxMS < minMS {
 		t.Fatalf("no feasible DYN size: [%d,%d]", minMS, maxMS)
 	}
@@ -241,7 +272,7 @@ func TestDynBoundsReachability(t *testing.T) {
 	if cfg.Cycle() >= flexray.MaxCycle {
 		t.Errorf("cycle %v at maxMS breaches the 16 ms limit", cfg.Cycle())
 	}
-	if units.Duration(maxMS)*opts.MinislotLen > units.Duration(flexray.MaxMinislots)*opts.MinislotLen {
+	if units.Duration(maxMS)*cfg.MinislotLen > units.Duration(flexray.MaxMinislots)*cfg.MinislotLen {
 		t.Errorf("maxMS %d exceeds protocol minislot limit", maxMS)
 	}
 }

@@ -13,14 +13,24 @@ import (
 	"repro/internal/units"
 )
 
+// The two constants of Fig. 8, at the paper's values.
+const (
+	// initialSupportPoints is the size of the initial support set.
+	initialSupportPoints = 5
+	// noImproveLimit (the paper's N_max) ends the refinement after
+	// this many iterations without a schedulable solution or cost
+	// improvement.
+	noImproveLimit = 10
+)
+
 // curveFitDYN implements Determine_DYN_segment_length (Section 6.2.1,
 // Fig. 8): instead of scheduling and analysing every possible dynamic
 // segment size, it evaluates a small support set ("Points", initially
-// five sizes), interpolates the response time of every DYN message over
-// the whole grid with Newton polynomials, picks the size with the best
-// (interpolated or exact) cost, and refines the support set until a
-// schedulable size is confirmed exactly or Nmax iterations pass without
-// improvement.
+// initialSupportPoints sizes), interpolates the response time of every
+// DYN message over the whole grid with Newton polynomials, picks the
+// size with the best (interpolated or exact) cost, and refines the
+// support set until a schedulable size is confirmed exactly or
+// noImproveLimit iterations pass without improvement.
 func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.Result, float64) {
 	if len(cfg.FrameID) == 0 {
 		cand := cfg.Clone()
@@ -56,7 +66,7 @@ func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.
 	if phases {
 		support = e.opts.Span.StartChild("cf.support")
 	}
-	cf.addPoints(dynGrid(minMS, maxMS, e.opts.InitialPoints)) // lines 2-5
+	cf.addPoints(dynGrid(minMS, maxMS, initialSupportPoints)) // lines 2-5
 	if support != nil {
 		support.SetInt("points", int64(len(cf.pts)))
 		support.End()
@@ -112,15 +122,15 @@ func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.
 				cf.addPoint(alt)
 			}
 		}
-		// Termination condition (line 15/21): Nmax iterations
-		// without a schedulable solution and without cost
+		// Termination condition (line 15/21): noImproveLimit
+		// iterations without a schedulable solution and without cost
 		// improvement.
 		if ec := cf.bestExactCost(); ec < bestSoFar-1e-9 {
 			bestSoFar = ec
 			noImprove = 0
 		} else {
 			noImprove++
-			if noImprove >= e.opts.Nmax {
+			if noImprove >= noImproveLimit {
 				return cf.bestExact()
 			}
 		}

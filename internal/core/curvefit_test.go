@@ -257,7 +257,7 @@ func bbcCurveFit(t *testing.T, sys *model.System) *curveFit {
 		pts:  map[int]*evalPoint{},
 		dyn:  sys.App.Messages(int(model.DYN)),
 	}
-	cf.addPoints(dynGrid(minMS, maxMS, opts.InitialPoints))
+	cf.addPoints(dynGrid(minMS, maxMS, initialSupportPoints))
 	return cf
 }
 

@@ -76,7 +76,7 @@ func obc(sys *model.System, opts Options, alg string, size dynSizer) (*Result, e
 	// iteration hoisted out; for OBC-CF it replaces one curve-fit
 	// pass with the exact sweep.
 	if minSlots > 0 || len(fids) > 0 {
-		cfg0 := opts.newConfig(fids)
+		cfg0 := newConfig(fids)
 		cfg0.NumStaticSlots = minSlots
 		cfg0.StaticSlotLen = slotLenMin
 		cfg0.StaticSlotOwner = assignSlotsByQuota(sys, minSlots)
@@ -118,7 +118,7 @@ func obc(sys *model.System, opts Options, alg string, size dynSizer) (*Result, e
 			if slotLen > slotLenMax {
 				break
 			}
-			cfg := opts.newConfig(fids)
+			cfg := newConfig(fids)
 			cfg.NumStaticSlots = numSlots
 			cfg.StaticSlotLen = slotLen
 			cfg.StaticSlotOwner = assignSlotsByQuota(sys, numSlots) // line 5
@@ -140,7 +140,7 @@ func obc(sys *model.System, opts Options, alg string, size dynSizer) (*Result, e
 	}
 	if minSlots == 0 && maxSlots == 0 && best == nil {
 		// Degenerate pass for systems without ST traffic.
-		cfg := opts.newConfig(fids)
+		cfg := newConfig(fids)
 		cand, res, cost := size(e, cfg)
 		if cand != nil {
 			best, bestRes, bestCost = cand, res, cost

@@ -36,12 +36,12 @@ func SA(sys *model.System, opts Options) (*Result, error) {
 	if opts.SAWarmStart != nil {
 		cur = opts.SAWarmStart.Clone()
 	} else {
-		cur = opts.newConfig(fids)
+		cur = newConfig(fids)
 		cur.NumStaticSlots = len(senders)
 		cur.StaticSlotLen = minStaticSlotLen(sys, opts.Params)
 		cur.StaticSlotOwner = assignSlotsRoundRobin(senders, cur.NumStaticSlots)
 		if len(fids) > 0 {
-			minMS, maxMS := dynBounds(sys, cur, opts.MinislotLen)
+			minMS, maxMS := dynBounds(sys, cur, cur.MinislotLen)
 			if maxMS < minMS {
 				return nil, errNoDYNRoom
 			}
@@ -55,17 +55,10 @@ func SA(sys *model.System, opts Options) (*Result, error) {
 	bestRes, curCost := e.eval(cur)
 	best, bestCost := cur, curCost
 
-	// Geometric cooling from an application-scaled temperature.
-	temp := opts.SAInitTemp
-	if temp <= 0 {
-		temp = math.Max(math.Abs(curCost), 100)
-	}
-	cooling := opts.SACooling
-	if cooling <= 0 {
-		// Reach ~1e-3 of the initial temperature by the last
-		// iteration.
-		cooling = math.Pow(1e-3, 1/float64(opts.SAIterations))
-	}
+	// Geometric cooling from an application-scaled temperature down
+	// to ~1e-3 of it by the last iteration.
+	temp := math.Max(math.Abs(curCost), 100)
+	cooling := math.Pow(1e-3, 1/float64(opts.SAIterations))
 
 	// The walk is inherently candidate-at-a-time: each mutation starts
 	// from the current state, which the accept/reject decision of the

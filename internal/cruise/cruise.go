@@ -6,7 +6,7 @@
 // counts and the Section 7 utilisation bands, and is tuned so that the
 // paper's qualitative outcome holds: the Basic Bus Configuration is
 // unschedulable while both OBC variants find schedulable
-// configurations (see DESIGN.md, "Substitutions").
+// configurations.
 package cruise
 
 import (

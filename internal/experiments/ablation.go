@@ -12,9 +12,9 @@ import (
 
 // The ablations quantify the design choices the paper motivates
 // qualitatively: unique criticality-ordered FrameIDs (Section 6.1),
-// the per-frame versus per-node latest-transmission rule (Section 3 /
-// DESIGN.md §3), and the exact versus greedy "filled bus cycles"
-// computation of the analysis (Section 5.1 / ref [14]).
+// the per-frame versus per-node latest-transmission rule (Section 3),
+// and the exact versus greedy "filled bus cycles" computation of the
+// analysis (Section 5.1 / ref [14]).
 
 // AblationRow compares one design choice on one system.
 type AblationRow struct {

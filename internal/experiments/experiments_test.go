@@ -80,7 +80,7 @@ func TestFig7UShape(t *testing.T) {
 // TestFig7SystemCounts pins the paper's workload: 45 tasks, 10 ST and
 // 20 DYN messages.
 func TestFig7SystemCounts(t *testing.T) {
-	sys, err := Fig7System(DefaultFig7Params().Seed)
+	sys, err := Fig7System(fig7Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

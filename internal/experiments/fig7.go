@@ -14,18 +14,24 @@ import (
 	"repro/internal/units"
 )
 
-// Fig7Params parameterise the DYN-segment-length characterisation. The
-// paper used a system of 45 tasks communicating through 10 static and
-// 20 dynamic messages, a fixed static segment of 1286 µs, and swept the
-// dynamic segment from 2285.4 µs to 13000 µs.
+// The fixed setup of Fig. 7: the paper used a system of 45 tasks
+// communicating through 10 static and 20 dynamic messages, a fixed
+// static segment of 1286 µs, and swept the dynamic segment from
+// 2285.4 µs to 13000 µs.
+const (
+	// fig7Seed generates the characterised system (Fig7System).
+	fig7Seed = 42
+	// fig7Messages is how many of the largest DYN messages the series
+	// reports (the paper plots a handful).
+	fig7Messages = 6
+	fig7STBus    = 1286 * units.Microsecond
+	fig7DYNMin   = 2285400 * units.Nanosecond
+	fig7DYNMax   = 13000 * units.Microsecond
+)
+
+// Fig7Params parameterise the DYN-segment-length characterisation.
 type Fig7Params struct {
-	Seed      int64
-	Points    int // sweep resolution (the paper plots ~21 points)
-	Messages  int // how many DYN messages to report (the paper plots a handful)
-	STBusUs   float64
-	DYNMinUs  float64
-	DYNMaxUs  float64
-	ExactFill bool
+	Points int // sweep resolution (the paper plots ~21 points)
 	// Workers evaluates the sweep points concurrently through the
 	// campaign engine; <= 0 selects GOMAXPROCS. The points are
 	// independent, so the series is identical at any worker count.
@@ -34,14 +40,7 @@ type Fig7Params struct {
 
 // DefaultFig7Params mirror the paper's setup.
 func DefaultFig7Params() Fig7Params {
-	return Fig7Params{
-		Seed:     42,
-		Points:   21,
-		Messages: 6,
-		STBusUs:  1286,
-		DYNMinUs: 2285.4,
-		DYNMaxUs: 13000,
-	}
+	return Fig7Params{Points: 21}
 }
 
 // Fig7Point is one x-position of the sweep.
@@ -79,7 +78,7 @@ func Fig7(p Fig7Params) (*Fig7Series, error) {
 	if p.Points <= 1 {
 		p.Points = 21
 	}
-	sys, err := Fig7System(p.Seed)
+	sys, err := Fig7System(fig7Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -97,15 +96,14 @@ func Fig7(p Fig7Params) (*Fig7Series, error) {
 	if slotLen == 0 {
 		return nil, fmt.Errorf("fig7: system has no ST messages")
 	}
-	stBus := units.Microseconds(p.STBusUs)
 	// As many slots as fit the requested STbus while each still holds
 	// the largest ST frame; the slot length absorbs the remainder so
 	// the static segment hits the requested size exactly.
-	numSlots := int(int64(stBus) / int64(slotLen))
+	numSlots := int(int64(fig7STBus) / int64(slotLen))
 	if min := len(sys.App.STSenderNodes()); numSlots < min {
 		numSlots = min
 	}
-	slotLen = units.Duration(int64(stBus) / int64(numSlots))
+	slotLen = units.Duration(int64(fig7STBus) / int64(numSlots))
 	if slotLen < sys.App.MaxC(func(a *model.Activity) bool {
 		return a.IsMessage() && a.Class == model.ST
 	}) {
@@ -141,8 +139,8 @@ func Fig7(p Fig7Params) (*Fig7Series, error) {
 			}
 		}
 	}
-	if p.Messages > 0 && len(dyn) > p.Messages {
-		dyn = dyn[:p.Messages]
+	if len(dyn) > fig7Messages {
+		dyn = dyn[:fig7Messages]
 	}
 	series := &Fig7Series{}
 	for _, m := range dyn {
@@ -150,9 +148,8 @@ func Fig7(p Fig7Params) (*Fig7Series, error) {
 	}
 
 	opts := sched.DefaultOptions()
-	opts.Analysis.ExactFill = p.ExactFill
-	minMS := int(units.CeilDiv(int64(units.Microseconds(p.DYNMinUs)), int64(cfg.MinislotLen)))
-	maxMS := int(int64(units.Microseconds(p.DYNMaxUs)) / int64(cfg.MinislotLen))
+	minMS := int(units.CeilDiv(int64(fig7DYNMin), int64(cfg.MinislotLen)))
+	maxMS := int(int64(fig7DYNMax) / int64(cfg.MinislotLen))
 	// The sweep points are independent, so they are built up front and
 	// fanned across the campaign engine's worker pool; the series is
 	// assembled in sweep order afterwards.

@@ -13,7 +13,7 @@ import (
 // Fig9Params scale the heuristic evaluation. The paper generated 25
 // applications per node count and ran SA "for several hours" per
 // system; the defaults keep a full regeneration in the minutes range
-// while preserving every qualitative relation (see EXPERIMENTS.md).
+// while preserving every qualitative relation.
 type Fig9Params struct {
 	// NodeCounts are the platform sizes evaluated (the paper's
 	// figure plots 2-5).

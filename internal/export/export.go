@@ -59,11 +59,8 @@ func DOT(w io.Writer, sys *model.System) error {
 // GanttOptions tune the ASCII chart.
 type GanttOptions struct {
 	// Width is the number of character columns representing the
-	// horizon (default 100).
+	// table's horizon (default 100).
 	Width int
-	// Horizon bounds the rendered window; zero renders the table's
-	// own horizon.
-	Horizon units.Duration
 }
 
 // Gantt renders the static schedule and the bus-cycle structure as an
@@ -74,10 +71,7 @@ func Gantt(w io.Writer, sys *model.System, cfg *flexray.Config, table *schedule.
 	if width <= 0 {
 		width = 100
 	}
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = table.Horizon
-	}
+	horizon := table.Horizon
 	if horizon <= 0 {
 		return fmt.Errorf("export: no horizon to render")
 	}

@@ -77,8 +77,8 @@ type LatestTxPolicy uint8
 const (
 	// LatestTxPerFrame transmits a frame of size s minislots
 	// starting at minislot counter i iff i+s-1 <= NumMinislots. This
-	// is the behaviour of the paper's Fig. 4 example (see DESIGN.md
-	// §3) and the package default.
+	// is the behaviour of the paper's Fig. 4 example and the package
+	// default.
 	LatestTxPerFrame LatestTxPolicy = iota
 	// LatestTxPerNode transmits iff i <= pLatestTx(node), where
 	// pLatestTx is precomputed from the *largest* DYN frame the node
@@ -147,7 +147,7 @@ func (c *Config) StaticSlotStart(cycle int64, slot int) units.Time {
 }
 
 // StaticSlotEnd returns the end of the slot; ST frames are considered
-// delivered at this instant (DESIGN.md §3).
+// delivered at this instant.
 func (c *Config) StaticSlotEnd(cycle int64, slot int) units.Time {
 	return c.StaticSlotStart(cycle, slot).Add(c.StaticSlotLen)
 }

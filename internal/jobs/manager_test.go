@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -25,6 +26,36 @@ import (
 // job finishes in well under a second.
 func quickTuning() *Tuning {
 	return &Tuning{DYNGridCap: 24, SlotCountCap: 2, SlotLenSteps: 3, MaxEvaluations: 300, SAIterations: 120}
+}
+
+// TestTuningCarriesEveryOptionKnob: a remote lease worker rebuilds its
+// optimiser options as Tuning.Apply(core.DefaultOptions()), so every
+// value knob of core.Options must survive TuningFromOptions and Apply.
+// Params and Sched (structs) and the hooks and warm start (pointers and
+// interfaces) are not knobs; DivergenceFactor is the one Sched field
+// a job carries.
+func TestTuningCarriesEveryOptionKnob(t *testing.T) {
+	want := core.DefaultOptions()
+	v := reflect.ValueOf(&want).Elem()
+	knobs := 0
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + int64(100+i))
+			knobs++
+		case reflect.Struct, reflect.Pointer, reflect.Interface:
+		default:
+			t.Errorf("core.Options.%s: %s field neither carried nor exempt", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	want.Sched.Analysis.DivergenceFactor = 7
+	got := TuningFromOptions(want).Apply(core.DefaultOptions())
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip through Tuning:\n got %+v\nwant %+v", got, want)
+	}
+	if knobs == 0 {
+		t.Error("core.Options has no value knobs")
+	}
 }
 
 func sysJSON(t *testing.T, nodes int, seed int64) json.RawMessage {

@@ -106,9 +106,9 @@ type allocPin struct {
 // GOMAXPROCS 1, 2 and 4, shuffled whole-package runs with -count 3,
 // and two or three processes at once; CHANGES.md lists them). The
 // other rows were never identical in five runs; their comments cite
-// the measured min-max over the same runs, and their spread covers it
+// the measured min-max over such runs, and their spread covers it
 // with a margin about as wide again on either side, because their
-// counts grow with scheduling and wall time.
+// counts move with goroutine scheduling.
 //
 // A change that moves a count edits its pin and says why in
 // CHANGES.md.
@@ -122,9 +122,11 @@ var allocPins = map[string]allocPin{
 	"campaign/parallel": {allocs: 5503, spread: 6, bytes: 835400},
 	// 5096-5105: queue, progress events and subscription wake-ups.
 	"jobs/pipeline": {allocs: 5100, spread: 20, bytes: 484300},
-	// 5688-5995: idle lease polls (one per worker every 2 ms) add
-	// allocations in proportion to the op's wall time.
-	"jobs/distributed-drain": {allocs: 5840, spread: 450, bytes: 550000, io: true},
+	// 5974-6018: the workers live for one op and make the same
+	// claims in every op; what moves is how the engine's, the
+	// manager's and the HTTP goroutines interleave (GOMAXPROCS 1:
+	// 5989; 4: 6000-6008).
+	"jobs/distributed-drain": {allocs: 5996, spread: 44, bytes: 557000, io: true},
 	"serve/traced-request":   {allocs: 38, bytes: 8029},
 	"lint/report":            {allocs: 1765, bytes: 202551},
 	// 209-210.

@@ -21,12 +21,13 @@ type CompareOptions struct {
 	// the same shared runner, whose timings still jitter, so it passes
 	// a loose override that catches only catastrophic slowdowns.
 	TimeTolPct float64
-	// MADFactor widens the effective time tolerance to at least
-	// MADFactor sample-MADs of noise (the larger of baseline and
-	// current); <= 0 selects 3. A scenario whose own timing spread
-	// exceeds its percentage threshold cannot flake the gate.
-	MADFactor float64
 }
+
+// madFactor widens the effective time tolerance to at least madFactor
+// sample-MADs of noise (the larger of baseline and current), so a
+// scenario whose own timing spread exceeds its percentage threshold
+// cannot flake the gate.
+const madFactor = 3
 
 // MetricDelta is the gated ns/op of one scenario.
 type MetricDelta struct {
@@ -75,9 +76,6 @@ func (c *Comparison) OK() bool {
 // Thresholds come from the baseline, optionally overridden and
 // widened per CompareOptions.
 func Compare(base, cur *Report, opts CompareOptions) *Comparison {
-	if opts.MADFactor <= 0 {
-		opts.MADFactor = 3
-	}
 	c := &Comparison{}
 	for i := range base.Scenarios {
 		b := &base.Scenarios[i]
@@ -95,7 +93,7 @@ func Compare(base, cur *Report, opts CompareOptions) *Comparison {
 		}
 		// Noise widening: a threshold tighter than the observed
 		// sample spread would gate on scheduler luck, not code.
-		tol = max(tol, 100*opts.MADFactor*max(b.NsMAD, s.NsMAD)/b.NsPerOp)
+		tol = max(tol, 100*madFactor*max(b.NsMAD, s.NsMAD)/b.NsPerOp)
 		d := MetricDelta{Scenario: b.Name, Base: b.NsPerOp, Cur: s.NsPerOp, TolPct: tol}
 		d.DeltaPct = 100 * (s.NsPerOp - b.NsPerOp) / b.NsPerOp
 		d.Regressed = d.DeltaPct > tol

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/campaign"
@@ -397,6 +399,12 @@ func jobsPipelineSetup() (func() error, func(), error) {
 // by two loopback worker peers, merged and drained to done. The delta
 // against jobs/pipeline is the lease-protocol overhead (HTTP hops,
 // durable shard completes, merge) on an otherwise identical workload.
+//
+// The workers live for one op: they start once the job's shards are
+// claimable and stop once the job is done and each has made its one
+// empty claim (a 204, after which it would sleep for its poll interval,
+// longer than any op). So every op does the same claims, and none
+// lands in the op by the clock.
 func distributedDrainSetup() (func() error, func(), error) {
 	mgr, err := jobs.NewManager(nil, jobs.ManagerOptions{
 		Workers:      1,
@@ -411,21 +419,10 @@ func distributedDrainSetup() (func() error, func(), error) {
 	mux := http.NewServeMux()
 	jobs.NewLeaseAPI(mgr).Register(mux)
 	srv := httptest.NewServer(mux)
-
-	wctx, wstop := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		w := jobs.NewWorker(jobs.WorkerOptions{
-			ID:      fmt.Sprintf("perf-w%d", i+1),
-			BaseURL: srv.URL,
-			Poll:    2 * time.Millisecond,
-			Workers: 1,
-			Logf:    func(string, ...any) {},
-		})
-		go func() {
-			defer func() { done <- struct{}{} }()
-			w.Run(wctx)
-		}()
+	idle := make(chan struct{}, 2)
+	client := &http.Client{
+		Timeout:   2 * time.Minute,
+		Transport: &idleSignal{base: srv.Client().Transport, idle: idle},
 	}
 
 	tuning := CampaignTuning()
@@ -442,18 +439,59 @@ func distributedDrainSetup() (func() error, func(), error) {
 			DeadlineFactor: 2.0,
 		},
 	}
+	const workers = 2
 	op := func() error {
 		j, err := mgr.Submit(spec)
 		if err != nil {
 			return err
 		}
-		_, ch, cancel, err := mgr.Subscribe(j.ID)
+		snap, ch, cancel, err := mgr.Subscribe(j.ID)
 		if err != nil {
 			return err
 		}
 		defer cancel()
+		// The job goroutine sets Total and registers the shards under
+		// one lock, so a non-zero Total means they are claimable.
+		for snap.Progress.Total == 0 {
+			ev, ok := <-ch
+			if !ok {
+				return fmt.Errorf("job %s ended before its shards were claimable", j.ID)
+			}
+			snap = ev.Job
+		}
+		wctx, wstop := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			w := jobs.NewWorker(jobs.WorkerOptions{
+				ID:      fmt.Sprintf("perf-w%d", i+1),
+				BaseURL: srv.URL,
+				Client:  client,
+				Poll:    time.Hour,
+				Workers: 1,
+				Logf:    func(string, ...any) {},
+			})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.Run(wctx)
+			}()
+		}
 		for range ch {
 			// Drain until the terminal transition closes the stream.
+		}
+		deadline := time.NewTimer(time.Minute)
+		defer deadline.Stop()
+		for i := 0; i < workers && err == nil; i++ {
+			select {
+			case <-idle:
+			case <-deadline.C:
+				err = fmt.Errorf("job %s: %d of %d workers made their empty claim", j.ID, i, workers)
+			}
+		}
+		wstop()
+		wg.Wait()
+		if err != nil {
+			return err
 		}
 		final, err := mgr.Get(j.ID)
 		if err != nil {
@@ -465,15 +503,42 @@ func distributedDrainSetup() (func() error, func(), error) {
 		return nil
 	}
 	cleanup := func() {
-		wstop()
-		<-done
-		<-done
 		srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		mgr.Close(ctx)
 	}
 	return op, cleanup, nil
+}
+
+// idleSignal is a lease worker's transport that sends on idle once the
+// body of an empty claim (204 No Content) is closed: from there the
+// worker only returns to its poll sleep.
+type idleSignal struct {
+	base http.RoundTripper
+	idle chan<- struct{}
+}
+
+func (t *idleSignal) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := t.base.RoundTrip(r)
+	if err == nil && resp.StatusCode == http.StatusNoContent {
+		resp.Body = &signalOnClose{ReadCloser: resp.Body, idle: t.idle}
+	}
+	return resp, err
+}
+
+type signalOnClose struct {
+	io.ReadCloser
+	idle chan<- struct{}
+}
+
+func (b *signalOnClose) Close() error {
+	err := b.ReadCloser.Close()
+	select {
+	case b.idle <- struct{}{}:
+	default: // never block a worker; the op waits for one per worker
+	}
+	return err
 }
 
 // tracedRequestSetup measures the cost a fully sampled trace adds to

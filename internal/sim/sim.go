@@ -29,17 +29,18 @@ type Options struct {
 	// hyper-period (otherwise the static schedule table cannot be
 	// replayed periodically) and return an error if it does not.
 	Repetitions int
-	// DrainFactor extends the bus simulation past the last release
-	// by DrainFactor*hyperperiod so queued work completes.
-	DrainFactor int
 	// Trace enables recording of bus events (capped at TraceCap).
 	Trace    bool
 	TraceCap int
 }
 
-// DefaultOptions simulates one hyper-period with a 4x drain.
+// drainFactor extends the bus simulation past the last release by
+// drainFactor hyper-periods so queued work completes.
+const drainFactor = 4
+
+// DefaultOptions simulates one hyper-period (plus the drain).
 func DefaultOptions() Options {
-	return Options{Repetitions: 1, DrainFactor: 4, TraceCap: 4096}
+	return Options{Repetitions: 1, TraceCap: 4096}
 }
 
 // TraceKind classifies bus trace events.
@@ -148,9 +149,6 @@ func New(sys *model.System, cfg *flexray.Config, table *schedule.Table, opts Opt
 	if opts.Repetitions <= 0 {
 		opts.Repetitions = 1
 	}
-	if opts.DrainFactor <= 0 {
-		opts.DrainFactor = 4
-	}
 	if opts.TraceCap <= 0 {
 		opts.TraceCap = 4096
 	}
@@ -190,7 +188,7 @@ func (s *Simulator) Run() (*Result, error) {
 	app := &s.sys.App
 
 	s.lastRelease = units.Time(int64(s.hyper) * int64(s.opts.Repetitions))
-	s.drainEnd = s.lastRelease.Add(units.Duration(int64(s.hyper) * int64(s.opts.DrainFactor)))
+	s.drainEnd = s.lastRelease.Add(units.Duration(int64(s.hyper) * drainFactor))
 
 	// Static schedule: replay table entries for each repetition.
 	for rep := 0; rep < s.opts.Repetitions; rep++ {

@@ -32,18 +32,16 @@ type Params struct {
 	NodeUtilMin, NodeUtilMax float64
 	// BusUtilMin/Max bound the bus utilisation (10-70%).
 	BusUtilMin, BusUtilMax float64
-	// Periods is the period menu graphs draw from; defaults keep
-	// the hyper-period at 40 ms.
-	Periods []units.Duration
 	// DeadlineFactor scales graph deadlines relative to the period
 	// (default 1.0).
 	DeadlineFactor float64
-	// MaxPreds bounds the in-degree of graph-internal edges
-	// (default 2).
-	MaxPreds int
 	// Seed drives all random choices.
 	Seed int64
 }
+
+// periodMenu is the period menu graphs draw from; it keeps the
+// hyper-period at 40 ms.
+var periodMenu = []units.Duration{10 * units.Millisecond, 20 * units.Millisecond, 40 * units.Millisecond}
 
 // DefaultParams returns the Section 7 population with the given node
 // count and seed.
@@ -57,9 +55,7 @@ func DefaultParams(nodes int, seed int64) Params {
 		NodeUtilMax:    0.60,
 		BusUtilMin:     0.10,
 		BusUtilMax:     0.70,
-		Periods:        []units.Duration{10 * units.Millisecond, 20 * units.Millisecond, 40 * units.Millisecond},
 		DeadlineFactor: 1.0,
-		MaxPreds:       2,
 		Seed:           seed,
 	}
 }
@@ -81,14 +77,8 @@ func (p Params) withDefaults() Params {
 	if p.BusUtilMax <= 0 {
 		p.BusUtilMin, p.BusUtilMax = d.BusUtilMin, d.BusUtilMax
 	}
-	if len(p.Periods) == 0 {
-		p.Periods = d.Periods
-	}
 	if p.DeadlineFactor <= 0 {
 		p.DeadlineFactor = d.DeadlineFactor
-	}
-	if p.MaxPreds <= 0 {
-		p.MaxPreds = d.MaxPreds
 	}
 	return p
 }
@@ -133,7 +123,7 @@ func Generate(p Params) (*model.System, error) {
 		// a random permutation), so the first ttGraphs graphs being
 		// TT realises the share exactly.
 		isTT[g] = g < ttGraphs
-		periods[g] = p.Periods[rng.Intn(len(p.Periods))]
+		periods[g] = periodMenu[rng.Intn(len(periodMenu))]
 		kind := "et"
 		if isTT[g] {
 			kind = "tt"
@@ -152,11 +142,11 @@ func Generate(p Params) (*model.System, error) {
 			rawC[t] = 1 + rng.Float64()
 			taskIDs[t] = b.Task(gi, fmt.Sprintf("t%d", t), nodeOf[t], units.Microsecond, pol)
 		}
-		// Random DAG: every non-root picks 1..MaxPreds predecessors
+		// Random DAG: every non-root picks one or two predecessors
 		// among the earlier tasks of the graph.
 		for j := 1; j < p.GraphSize; j++ {
 			k := 1
-			if j > 1 && p.MaxPreds > 1 && rng.Intn(2) == 0 {
+			if j > 1 && rng.Intn(2) == 0 {
 				k = 2
 			}
 			seen := map[int]bool{}
