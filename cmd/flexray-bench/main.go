@@ -50,7 +50,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -174,67 +173,32 @@ type invocation struct {
 	traceArgs []string
 }
 
-// splitArgs scans the non-flag arguments, accepting the global flags
-// in any position (the flag package stops parsing at the first
-// subcommand). Everything after a "perf" subcommand belongs to perf's
-// own flag set.
-func splitArgs(args []string, o *benchOptions) (invocation, error) {
+// splitArgs parses the command line with fs: global flags in any
+// position — the flag package stops at the first non-flag argument, so
+// parsing resumes after each subcommand name — and the subcommands in
+// order. Everything after "perf" or "trace" belongs to that
+// subcommand's own flag set.
+func splitArgs(fs *flag.FlagSet, args []string) (invocation, error) {
 	var inv invocation
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case a == "-full" || a == "--full":
-			o.full = true
-		case a == "-workers" || a == "--workers":
-			i++
-			n, err := intArg(args, i, "-workers")
-			if err != nil {
-				return inv, err
-			}
-			o.workers = n
-			workersSet = true
-		case strings.HasPrefix(a, "-workers=") || strings.HasPrefix(a, "--workers="):
-			n, err := intVal(a, "-workers")
-			if err != nil {
-				return inv, err
-			}
-			o.workers = n
-			workersSet = true
-		case a == "-cpuprofile" || a == "--cpuprofile":
-			i++
-			v, err := strArg(args, i, "-cpuprofile")
-			if err != nil {
-				return inv, err
-			}
-			o.cpuprofile = v
-		case strings.HasPrefix(a, "-cpuprofile=") || strings.HasPrefix(a, "--cpuprofile="):
-			o.cpuprofile = a[strings.Index(a, "=")+1:]
-		case a == "-submit" || a == "--submit":
-			i++
-			v, err := strArg(args, i, "-submit")
-			if err != nil {
-				return inv, err
-			}
-			o.submit = v
-		case strings.HasPrefix(a, "-submit=") || strings.HasPrefix(a, "--submit="):
-			o.submit = a[strings.Index(a, "=")+1:]
-		case strings.ToLower(a) == "perf":
-			// The perf harness owns the rest of the line: its flags
-			// (-baseline, -quick, ...) are not experiment names.
-			inv.cmds = append(inv.cmds, "perf")
-			inv.perfArgs = args[i+1:]
-			return inv, nil
-		case strings.ToLower(a) == "trace":
-			// Likewise the trace renderer: its flags and the trace-ID
-			// operand are not experiment names.
-			inv.cmds = append(inv.cmds, "trace")
-			inv.traceArgs = args[i+1:]
-			return inv, nil
-		default:
-			inv.cmds = append(inv.cmds, strings.ToLower(a))
+	for {
+		if err := fs.Parse(args); err != nil {
+			return inv, err
 		}
+		if fs.NArg() == 0 {
+			return inv, nil
+		}
+		cmd, rest := strings.ToLower(fs.Arg(0)), fs.Args()[1:]
+		inv.cmds = append(inv.cmds, cmd)
+		switch cmd {
+		case "perf":
+			inv.perfArgs = rest
+			return inv, nil
+		case "trace":
+			inv.traceArgs = rest
+			return inv, nil
+		}
+		args = rest
 	}
-	return inv, nil
 }
 
 func main() {
@@ -246,7 +210,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	fs.Usage = func() { usage(stderr, fs) }
 	o := registerBenchFlags(fs)
-	if err := fs.Parse(argv); err != nil {
+	inv, err := splitArgs(fs, argv)
+	if err != nil {
 		return 2
 	}
 	fs.Visit(func(f *flag.Flag) {
@@ -254,12 +219,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			workersSet = true
 		}
 	})
-	inv, err := splitArgs(fs.Args(), o)
-	if err != nil {
-		fmt.Fprintf(stderr, "flexray-bench: %v\n", err)
-		usage(stderr, fs)
-		return 2
-	}
 	// Validate every subcommand before executing any: a typo must
 	// not run half the list first.
 	for _, cmd := range inv.cmds {
@@ -313,37 +272,6 @@ func usage(w io.Writer, fs *flag.FlagSet) {
 // call it explicitly because os.Exit skips the deferred flush, which
 // would leave the profile file empty.
 var stopProfile = func() {}
-
-// strArg returns args[i] or an error when the flag has no value.
-func strArg(args []string, i int, flag string) (string, error) {
-	if i >= len(args) {
-		return "", fmt.Errorf("%s needs a value", flag)
-	}
-	return args[i], nil
-}
-
-// intArg parses args[i] as the integer value of flag.
-func intArg(args []string, i int, flag string) (int, error) {
-	v, err := strArg(args, i, flag)
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s value %q", flag, v)
-	}
-	return n, nil
-}
-
-// intVal parses the integer after "=" in a -flag=value argument.
-func intVal(a, flag string) (int, error) {
-	v := a[strings.Index(a, "=")+1:]
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s value %q", flag, a)
-	}
-	return n, nil
-}
 
 func header(title string) {
 	fmt.Printf("\n=== %s ===\n\n", title)

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,8 +25,8 @@ func TestSubcommandsRecognized(t *testing.T) {
 		"campaign", "cruise", "ablation", "perf", "trace", "all"}
 	for _, cmd := range known {
 		t.Run(cmd, func(t *testing.T) {
-			o := &benchOptions{}
-			inv, err := splitArgs([]string{cmd}, o)
+			fs, _ := benchFlags()
+			inv, err := splitArgs(fs, []string{cmd})
 			if err != nil {
 				t.Fatalf("splitArgs(%q): %v", cmd, err)
 			}
@@ -84,9 +87,16 @@ func TestBadFlagValuesExit2(t *testing.T) {
 	}
 }
 
+// benchFlags returns a fresh global flag set and its parse
+// destination.
+func benchFlags() (*flag.FlagSet, *benchOptions) {
+	fs := flag.NewFlagSet("flexray-bench", flag.ContinueOnError)
+	return fs, registerBenchFlags(fs)
+}
+
 func TestSplitArgsInterleavedFlags(t *testing.T) {
-	o := &benchOptions{}
-	inv, err := splitArgs([]string{"fig7", "-workers=3", "fig9", "-full"}, o)
+	fs, o := benchFlags()
+	inv, err := splitArgs(fs, []string{"fig7", "-workers=3", "fig9", "-full"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +111,8 @@ func TestSplitArgsInterleavedFlags(t *testing.T) {
 // TestSplitArgsPerfOwnsTail: everything after "perf" belongs to the
 // perf flag set, not the subcommand scanner.
 func TestSplitArgsPerfOwnsTail(t *testing.T) {
-	o := &benchOptions{}
-	inv, err := splitArgs([]string{"perf", "-quick", "-baseline", "parent.json"}, o)
+	fs, _ := benchFlags()
+	inv, err := splitArgs(fs, []string{"perf", "-quick", "-baseline", "parent.json"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +128,8 @@ func TestSplitArgsPerfOwnsTail(t *testing.T) {
 // "trace" — its flags and the trace-ID operand are not experiment
 // names.
 func TestSplitArgsTraceOwnsTail(t *testing.T) {
-	o := &benchOptions{}
-	inv, err := splitArgs([]string{"trace", "-in", "t.jsonl", "4bf92f3577b34da6a3ce929d0e0e4736"}, o)
+	fs, _ := benchFlags()
+	inv, err := splitArgs(fs, []string{"trace", "-in", "t.jsonl", "4bf92f3577b34da6a3ce929d0e0e4736"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +138,34 @@ func TestSplitArgsTraceOwnsTail(t *testing.T) {
 	}
 	if got := strings.Join(inv.traceArgs, " "); got != "-in t.jsonl 4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Errorf("traceArgs = %q", got)
+	}
+}
+
+// TestSubmitDistribute: a flag after the subcommand reaches the flag
+// set, so `campaign -submit URL -distribute` posts a distributed
+// campaign spec.
+func TestSubmitDistribute(t *testing.T) {
+	var spec map[string]any
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"j-1","kind":"campaign","status":"done"}`)
+	})
+	mux.HandleFunc("GET /v1/jobs/j-1/result", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{}`)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"campaign", "-submit", srv.URL, "-distribute"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d: %s", code, stderr.String())
+	}
+	if spec["kind"] != "campaign" || spec["distribute"] != true {
+		t.Errorf("posted spec %v, want a campaign with \"distribute\": true", spec)
 	}
 }
 

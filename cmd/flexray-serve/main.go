@@ -83,10 +83,12 @@
 // resumes them and keeps serving finished results.
 //
 // The -retain-* flags bound terminal-job state (oldest evicted first;
-// evicted IDs answer 410 Gone) and -compact-interval periodically
-// rewrites the -store file to live state — shutdown always compacts —
-// so neither memory nor the store grows with history. See
-// OPERATIONS.md for the production tuning guide.
+// evicted IDs answer 410 Gone). The job table is the only in-memory
+// copy of a job, so an evicted job's memory is freed, with or without
+// -store. -compact-interval periodically rewrites the -store file to
+// live state — shutdown always compacts — so neither memory nor the
+// store grows with history. See OPERATIONS.md for the production
+// tuning guide.
 package main
 
 import (
@@ -328,8 +330,8 @@ type serverConfig struct {
 	// default: the profiling endpoints leak heap contents and must
 	// never face untrusted clients.
 	Pprof bool
-	// JobStore persists the async job subsystem; nil keeps jobs in
-	// memory for the lifetime of the process.
+	// JobStore persists the async job subsystem; nil keeps only the
+	// live job table, for the lifetime of the process.
 	JobStore jobs.Store
 	// JobWorkers/JobQueueCap size the async job manager.
 	JobWorkers  int

@@ -109,11 +109,12 @@
 // running, done/failed/cancelled), monotone progress counters
 // (systems completed, best cost so far, engine cache stats),
 // cooperative cancellation and a per-job event stream (Subscribe).
-// Durability is pluggable through JobStore: NewJobMemStore keeps jobs
-// in memory, NewJobFileStore appends every submission and transition
-// to a JSONL file and replays it on startup, so a killed or gracefully
-// stopped manager resumes interrupted jobs and still serves the
-// results of finished ones.
+// Durability is pluggable through JobStore: a manager built with a nil
+// store keeps only its live job table, for the life of the process;
+// NewJobFileStore appends every submission and transition to a JSONL
+// file and replays it on startup, so a killed or gracefully stopped
+// manager resumes interrupted jobs and still serves the results of
+// finished ones.
 //
 // # Retention and compaction
 //

@@ -32,9 +32,9 @@ func main() {
 	reg := flexopt.NewMetricsRegistry()
 	tracer := flexopt.NewTracer(flexopt.TracerOptions{SampleRatio: 1})
 
-	// An in-memory store keeps the example self-contained; pass a
-	// flexopt.NewJobFileStore path instead and jobs survive restarts.
-	mgr, err := flexopt.NewJobManager(flexopt.NewJobMemStore(), flexopt.JobManagerOptions{
+	// No store keeps the example self-contained; pass a
+	// flexopt.NewJobFileStore instead and jobs survive restarts.
+	mgr, err := flexopt.NewJobManager(nil, flexopt.JobManagerOptions{
 		Workers:     1,
 		EvalWorkers: 2,
 		Logf:        log.Printf,

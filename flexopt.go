@@ -331,9 +331,9 @@ const (
 var ErrJobEvicted = jobs.ErrEvicted
 
 // NewJobManager builds a job manager over the given store (nil keeps
-// jobs in memory), replaying the store's history — finished jobs come
-// back with their results, interrupted ones are re-enqueued — and
-// starting the worker pool and its one background loop (lease expiry,
+// only the live job table in memory, nothing durable), replaying the
+// store's history — finished jobs come back with their results,
+// interrupted ones are re-enqueued — and starting the worker pool and its one background loop (lease expiry,
 // age retention, periodic compaction). Close it to checkpoint
 // outstanding work; Close also rewrites the store to live state so the
 // next startup replays the snapshot, not history. A JobRetention
@@ -342,9 +342,6 @@ var ErrJobEvicted = jobs.ErrEvicted
 func NewJobManager(store JobStore, opts JobManagerOptions) (*JobManager, error) {
 	return jobs.NewManager(store, opts)
 }
-
-// NewJobMemStore returns an in-memory job store (no crash recovery).
-func NewJobMemStore() JobStore { return jobs.NewMemStore() }
 
 // NewJobFileStore opens (creating if needed) the append-only JSONL job
 // store at path; a manager built over it resumes the recorded state.

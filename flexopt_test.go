@@ -197,7 +197,7 @@ func TestPublicAPICampaign(t *testing.T) {
 // submit a campaign over builder-made (uploaded) systems, follow its
 // event stream, and fetch the result.
 func TestPublicAPIJobs(t *testing.T) {
-	mgr, err := flexopt.NewJobManager(flexopt.NewJobMemStore(), flexopt.JobManagerOptions{
+	mgr, err := flexopt.NewJobManager(nil, flexopt.JobManagerOptions{
 		Workers: 1,
 		Logf:    t.Logf,
 	})

@@ -555,13 +555,9 @@ func (m *Manager) completeShard(sh *leaseShard, records []campaign.Record, ev Le
 		rebased[i] = rec
 	}
 	ev.Event, ev.Shard, ev.Lo, ev.Hi, ev.Records = leaseEventComplete, sh.idx, sh.lo, sh.hi, rebased
-	appendStart := time.Now()
-	err := m.store.Append(StoreRecord{Type: recordLease, ID: lj.j.id, Time: appendStart, Lease: &ev})
-	m.opts.Metrics.observeAppend(time.Since(appendStart), err)
-	if err != nil {
+	if err := m.append(StoreRecord{Type: recordLease, ID: lj.j.id, Time: time.Now(), Lease: &ev}); err != nil {
 		return fmt.Errorf("%w: %v", ErrStore, err)
 	}
-	m.dirty.Add(1)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -485,7 +485,11 @@ func TestDistributedRestartResume(t *testing.T) {
 // records in the store can neither overwrite the first durable shard
 // completion nor attach results to unknown or terminal jobs.
 func TestLeaseReplayNeverResurrects(t *testing.T) {
-	store := NewMemStore()
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	seeded, err := NewFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec := &Spec{
 		Kind:       KindCampaign,
 		Population: &Population{NodeCounts: []int{2, 2}, AppsPerCount: 1, Seed: 3, DeadlineFactor: 2.0},
@@ -524,9 +528,16 @@ func TestLeaseReplayNeverResurrects(t *testing.T) {
 		}},
 	}
 	for _, r := range seed {
-		if err := store.Append(r); err != nil {
+		if err := seeded.Append(r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := seeded.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewFileStore(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 	m := newTestManager(t, store, ManagerOptions{Workers: 1, LeaseSystems: 1, LeaseTTL: time.Hour})
 	waitStatus(t, m, "j-test", StatusRunning)

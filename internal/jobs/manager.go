@@ -139,7 +139,10 @@ type subscriber struct {
 	ch chan Event
 }
 
-// Manager owns the queue, the worker pool and the durable store.
+// Manager owns the queue, the worker pool and the durable store, if
+// any. A manager without a store keeps nothing but its live job table:
+// it appends nothing, replays nothing, and what retention evicts is
+// gone from memory.
 //
 // Without a retention policy, terminal jobs (and their results) are
 // retained for the manager's lifetime so results stay fetchable; the
@@ -159,7 +162,7 @@ type subscriber struct {
 // exclusively across snapshot and rewrite.
 type Manager struct {
 	opts   ManagerOptions
-	store  Store
+	store  Store // nil: no durable history
 	ctx    context.Context
 	cancel context.CancelFunc
 	wake   chan struct{}
@@ -209,14 +212,12 @@ type Manager struct {
 	engine campaign.EngineCounters
 }
 
-// NewManager builds a manager over the given store (nil selects a
-// fresh MemStore), replays the store's history — finished jobs come
-// back with their results, queued and interrupted-running jobs are
-// re-enqueued — and starts the worker pool.
+// NewManager builds a manager over the given store (nil keeps jobs in
+// memory only, for the life of the process), replays the store's
+// history — finished jobs come back with their results, queued and
+// interrupted-running jobs are re-enqueued — and starts the worker
+// pool.
 func NewManager(store Store, opts ManagerOptions) (*Manager, error) {
-	if store == nil {
-		store = NewMemStore()
-	}
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -313,6 +314,9 @@ func (m *Manager) janitor() {
 // goes back to the queue, progress reset, exactly as a graceful
 // shutdown would have checkpointed it.
 func (m *Manager) replay() error {
+	if m.store == nil {
+		return nil
+	}
 	var replayed int
 	err := m.store.Replay(func(rec StoreRecord) error {
 		replayed++
@@ -477,14 +481,9 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 	// insert) keeps a concurrent compaction from rewriting the store
 	// after the append but before the job is visible to its snapshot.
 	m.gate.RLock()
-	appendStart := time.Now()
-	err := m.store.Append(StoreRecord{
+	err := m.append(StoreRecord{
 		Type: recordSubmit, ID: j.id, Time: j.submittedAt, Spec: &spec,
 	})
-	m.opts.Metrics.observeAppend(time.Since(appendStart), err)
-	if err == nil {
-		m.dirty.Add(1)
-	}
 
 	m.mu.Lock()
 	m.reserved--
@@ -693,18 +692,28 @@ func (m *Manager) closeSubsLocked(j *job) {
 	}
 }
 
+// append durably records one store record, timing it and counting it
+// towards the next compaction. Without a store it records nothing.
+func (m *Manager) append(rec StoreRecord) error {
+	if m.store == nil {
+		return nil
+	}
+	start := time.Now()
+	err := m.store.Append(rec)
+	m.opts.Metrics.observeAppend(time.Since(start), err)
+	if err == nil {
+		m.dirty.Add(1)
+	}
+	return err
+}
+
 // appendStatus best-effort records a transition or eviction; a
 // failing store is logged, not fatal — the in-memory state stays
 // authoritative.
 func (m *Manager) appendStatus(rec StoreRecord) {
-	start := time.Now()
-	err := m.store.Append(rec)
-	m.opts.Metrics.observeAppend(time.Since(start), err)
-	if err != nil {
+	if err := m.append(rec); err != nil {
 		m.opts.Logf("jobs: store append (%s %s %s): %v", rec.Type, rec.ID, rec.Status, err)
-		return
 	}
-	m.dirty.Add(1)
 }
 
 // finishLocked moves a job to a terminal state and ends its event
@@ -925,8 +934,12 @@ func (m *Manager) QueueDepth() (depth, capacity int) {
 // submit record per retained job, a status record where the job has
 // progressed beyond queued, and the retained eviction tombstones.
 // Safe to call at any time; the manager also calls it on the janitor
-// tick (with CompactInterval set) and once during Close.
+// tick (with CompactInterval set) and once during Close. Without a
+// store it does nothing.
 func (m *Manager) Compact() error {
+	if m.store == nil {
+		return nil
+	}
 	// Exclusive gate: no transition+append pair is in flight, so the
 	// snapshot below covers every acknowledged record and nothing
 	// appended before the rewrite can be lost by it.
@@ -1033,8 +1046,10 @@ func (m *Manager) Close(ctx context.Context) error {
 			m.opts.Logf("jobs: shutdown compaction: %v", cerr)
 		}
 	}
-	if cerr := m.store.Close(); err == nil {
-		err = cerr
+	if m.store != nil {
+		if cerr := m.store.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

@@ -119,8 +119,10 @@ func (x *Metrics) bind(m *Manager) {
 	r.GaugeFunc("flexray_store_size_bytes",
 		"On-disk footprint of the durable job store; -1 when the store does not report one.",
 		func() float64 {
-			if n, err := m.store.Size(); err == nil {
-				return float64(n)
+			if m.store != nil {
+				if n, err := m.store.Size(); err == nil {
+					return float64(n)
+				}
 			}
 			return -1
 		})

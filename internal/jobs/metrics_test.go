@@ -14,7 +14,8 @@ import (
 // scrape-time state gauges.
 func TestManagerMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := newTestManager(t, nil, ManagerOptions{Workers: 1, Metrics: NewMetrics(reg)})
+	store, _ := tempStore(t)
+	m := newTestManager(t, store, ManagerOptions{Workers: 1, Metrics: NewMetrics(reg)})
 	raw := sysJSON(t, 2, 3)
 	job, err := m.Submit(Spec{
 		Kind: KindOptimize, System: raw,

@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -57,15 +59,29 @@ func scrapeSeries(t *testing.T, reg *obs.Registry, series string) float64 {
 	return 0
 }
 
-// storeIDs replays the store and returns "type/id" per record.
-func storeIDs(t *testing.T, s Store) []string {
+// tempStore opens a FileStore in a fresh temporary directory and
+// returns it with its path.
+func tempStore(t *testing.T) (*FileStore, string) {
 	t.Helper()
-	var ids []string
-	if err := s.Replay(func(rec StoreRecord) error {
-		ids = append(ids, rec.Type+"/"+rec.ID)
-		return nil
-	}); err != nil {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	s, err := NewFileStore(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	return s, path
+}
+
+// storeIDs reads the store file at path and returns "type/id" per
+// record.
+func storeIDs(t *testing.T, path string) []string {
+	t.Helper()
+	recs, err := readRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, rec := range recs {
+		ids = append(ids, rec.Type+"/"+rec.ID)
 	}
 	return ids
 }
@@ -74,7 +90,7 @@ func storeIDs(t *testing.T, s Store) []string {
 // leave oldest-FinishedAt-first, submission sequence breaking ties,
 // and each eviction is durably recorded in that order.
 func TestRetentionEvictionOrder(t *testing.T) {
-	store := NewMemStore()
+	store, path := tempStore(t)
 	reg := obs.NewRegistry()
 	m := newTestManager(t, store, ManagerOptions{
 		Workers: 1, Retention: RetentionPolicy{MaxTerminal: 1}, Metrics: NewMetrics(reg),
@@ -90,7 +106,7 @@ func TestRetentionEvictionOrder(t *testing.T) {
 		t.Fatalf("retained %v, want exactly j-a", list)
 	}
 	want := []string{"evict/j-b", "evict/j-c", "evict/j-d"}
-	got := storeIDs(t, store)
+	got := storeIDs(t, path)
 	if len(got) != len(want) {
 		t.Fatalf("store records %v, want %v", got, want)
 	}
@@ -125,7 +141,8 @@ func TestRetentionEvictionOrder(t *testing.T) {
 
 // TestRetentionMaxAge: only terminal jobs older than MaxAge go.
 func TestRetentionMaxAge(t *testing.T) {
-	m := newTestManager(t, NewMemStore(), ManagerOptions{
+	store, _ := tempStore(t)
+	m := newTestManager(t, store, ManagerOptions{
 		Workers: 1, Retention: RetentionPolicy{MaxAge: time.Hour},
 	})
 	now := time.Now()
@@ -144,7 +161,8 @@ func TestRetentionMaxAge(t *testing.T) {
 // result-bearing jobs until the total fits, skipping result-less ones.
 func TestRetentionMaxResultBytes(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := newTestManager(t, NewMemStore(), ManagerOptions{
+	store, _ := tempStore(t)
+	m := newTestManager(t, store, ManagerOptions{
 		Workers: 1, Retention: RetentionPolicy{MaxResultBytes: 150}, Metrics: NewMetrics(reg),
 	})
 	base := time.Now().Add(-time.Hour)
@@ -167,7 +185,9 @@ func TestRetentionMaxResultBytes(t *testing.T) {
 
 // TestRetentionOnLiveJobs drives retention through real execution: with
 // MaxTerminal=1, finishing a second job evicts the first, and the
-// eviction is visible over the manager API.
+// eviction is visible over the manager API. The manager has no store,
+// so nothing else holds the evicted result: it is garbage once the
+// job leaves the table.
 func TestRetentionOnLiveJobs(t *testing.T) {
 	m := newTestManager(t, nil, ManagerOptions{
 		Workers: 1, Retention: RetentionPolicy{MaxTerminal: 1},
@@ -179,6 +199,11 @@ func TestRetentionOnLiveJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, m, first.ID, StatusDone)
+	res, _, err := m.Result(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstResult := weak.Make(res)
 	second, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -194,6 +219,10 @@ func TestRetentionOnLiveJobs(t *testing.T) {
 			t.Fatal("first job never evicted")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	runtime.GC()
+	if firstResult.Value() != nil {
+		t.Error("the evicted job's result is still reachable after a collection")
 	}
 	if _, _, err := m.Result(second.ID); err != nil {
 		t.Errorf("retained job result: %v", err)
@@ -474,7 +503,8 @@ func TestPeriodicCompaction(t *testing.T) {
 // compacts the store, all on the same ticker.
 func TestJanitorRunsAllDuties(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := newTestManager(t, NewMemStore(), ManagerOptions{
+	store, _ := tempStore(t)
+	m := newTestManager(t, store, ManagerOptions{
 		Workers: 1, LeaseSystems: 1, LeaseTTL: 100 * time.Millisecond,
 		Retention:       RetentionPolicy{MaxAge: 200 * time.Millisecond},
 		CompactInterval: 50 * time.Millisecond,

@@ -125,50 +125,6 @@ type Store interface {
 	Close() error
 }
 
-// MemStore is an in-memory Store: records survive manager restarts
-// within one process (tests, embedding) but not process crashes.
-type MemStore struct {
-	mu   sync.Mutex
-	recs []StoreRecord
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{} }
-
-func (s *MemStore) Append(rec StoreRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recs = append(s.recs, rec)
-	return nil
-}
-
-func (s *MemStore) Replay(fn func(rec StoreRecord) error) error {
-	s.mu.Lock()
-	recs := append([]StoreRecord(nil), s.recs...)
-	s.mu.Unlock()
-	for _, rec := range recs {
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Compact replaces the in-memory history with the snapshot.
-func (s *MemStore) Compact(recs []StoreRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recs = append([]StoreRecord(nil), recs...)
-	return nil
-}
-
-// Size fails: a memory store has no on-disk footprint.
-func (s *MemStore) Size() (int64, error) {
-	return 0, errors.New("jobs: memory store has no on-disk size")
-}
-
-func (s *MemStore) Close() error { return nil }
-
 // compactSuffix names the temp file a compaction writes next to the
 // store before atomically renaming it over the log. A crash
 // mid-compact leaves it behind; NewFileStore ignores and removes it,

@@ -193,45 +193,3 @@ func TestFileStoreCrashMidCompaction(t *testing.T) {
 		t.Errorf("original log not replayed intact: %v", got)
 	}
 }
-
-// TestMemStoreCompact: the in-memory store swaps its history for the
-// snapshot.
-func TestMemStoreCompact(t *testing.T) {
-	s := NewMemStore()
-	for i := 0; i < 4; i++ {
-		if err := s.Append(StoreRecord{Type: recordStatus, ID: "j-old"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Compact([]StoreRecord{{Type: recordSubmit, ID: "j-new", Spec: &Spec{Kind: KindSweep}}}); err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	var last string
-	if err := s.Replay(func(rec StoreRecord) error { n++; last = rec.ID; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || last != "j-new" {
-		t.Errorf("compacted mem store replayed %d records (last %q), want 1 j-new", n, last)
-	}
-}
-
-func TestMemStoreReplay(t *testing.T) {
-	s := NewMemStore()
-	if err := s.Append(StoreRecord{Type: recordSubmit, ID: "a", Spec: &Spec{Kind: KindSweep}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(StoreRecord{Type: recordStatus, ID: "a", Status: StatusRunning}); err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	if err := s.Replay(func(rec StoreRecord) error {
-		ids = append(ids, rec.ID+"/"+rec.Type)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != "a/submit" || ids[1] != "a/status" {
-		t.Errorf("replay order %v", ids)
-	}
-}

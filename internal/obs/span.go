@@ -12,7 +12,7 @@ import (
 
 // Span tracing: a Tracer produces Spans (trace/span/parent IDs,
 // monotonic start/duration, typed attributes, bounded events, status)
-// that feed a bounded sharded SpanStore with per-trace assembly. The
+// that feed a bounded SpanStore with per-trace assembly. The
 // design rules mirror the metrics side of the package:
 //
 //   - zero cost when disabled: a nil *Tracer and a nil *Span are valid

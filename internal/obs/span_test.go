@@ -278,11 +278,8 @@ func TestSpanStorePerTraceCap(t *testing.T) {
 }
 
 func TestSpanStoreEviction(t *testing.T) {
-	// Per-shard budget is MaxSpans/16 floored at MaxSpansPerTrace, so
-	// every shard holds at most 4 spans here: filling one shard with
-	// single-span traces must evict the oldest traces, not grow. Trace
-	// IDs are random, so the test records 65 traces: by pigeonhole at
-	// least one of the 16 shards receives 5 whatever the IDs are.
+	// One more single-span trace than MaxSpans holds: the oldest trace
+	// must be evicted, not the store grow.
 	const traces = 65
 	store := NewSpanStore(SpanStoreOptions{MaxSpans: 64, MaxSpansPerTrace: 4})
 	tr, _ := testTracer(1, TracerOptions{Store: store})
@@ -313,12 +310,38 @@ func TestSpanStoreEviction(t *testing.T) {
 	}
 }
 
-// TestSpanStoreFullTraceEvictedByNeighbour: when the shard budget is
-// the per-trace bound (MaxSpans/16 below it), a trace at that bound
-// fills its shard, and one span of any other trace in the same shard
-// evicts it; with room for both, it stays.
+// TestSpanStoreBoundHolds: MaxSpans bounds the whole store at every
+// step of a long load, and what survives is the newest traces.
+func TestSpanStoreBoundHolds(t *testing.T) {
+	const traces, perTrace = 4000, 20
+	for _, maxSpans := range []int{1000, 4096} {
+		store := NewSpanStore(SpanStoreOptions{MaxSpans: maxSpans})
+		ids := make([]TraceID, traces)
+		for i := range ids {
+			ids[i] = TraceID{byte(i), byte(i >> 8), 1}
+			for j := 0; j < perTrace; j++ {
+				store.add(SpanData{TraceID: ids[i]})
+				if n := store.Stats().Spans; n > maxSpans {
+					t.Fatalf("MaxSpans %d: %d spans held in trace %d", maxSpans, n, i+1)
+				}
+			}
+		}
+		newest := maxSpans / perTrace
+		for i, id := range ids {
+			if _, _, ok := store.Trace(id); ok != (i >= traces-newest) {
+				t.Fatalf("MaxSpans %d: trace %d of %d kept = %v, want only the newest %d",
+					maxSpans, i, traces, ok, newest)
+			}
+		}
+	}
+}
+
+// TestSpanStoreFullTraceEvictedByNeighbour: with MaxSpans below the
+// per-trace bound, a trace at that bound overflows the store on its
+// own and is kept while it is appended to, and one span of any other
+// trace evicts it; with room for both, it stays.
 func TestSpanStoreFullTraceEvictedByNeighbour(t *testing.T) {
-	full, neighbour := TraceID{1}, TraceID{1 + spanShards} // one shard
+	full, neighbour := TraceID{1}, TraceID{2}
 	for _, tc := range []struct {
 		maxSpans int
 		kept     bool

@@ -1,39 +1,27 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// spanShards is the fixed shard count; trace IDs are random, so the
-// first ID byte spreads traces evenly.
-const spanShards = 16
+import "sync"
 
 // SpanStoreOptions bounds a SpanStore.
 type SpanStoreOptions struct {
 	// MaxSpans bounds the total number of retained spans across all
-	// traces; when a shard overflows its share, whole oldest-first
-	// traces are evicted. Default 65536.
+	// traces; when the store overflows, whole traces are evicted,
+	// oldest first. The trace being appended to is never evicted, so a
+	// single trace may exceed a MaxSpans below MaxSpansPerTrace.
+	// Default 65536.
 	MaxSpans int
 	// MaxSpansPerTrace bounds one trace; spans past the bound are
 	// dropped (counted per trace and globally). Default 512.
 	MaxSpansPerTrace int
 }
 
-// SpanStore is a bounded sharded in-memory store of finished spans,
-// keyed by trace ID for per-trace assembly. All methods are safe for
-// concurrent use.
+// SpanStore is a bounded in-memory store of finished spans, keyed by
+// trace ID for per-trace assembly. All methods are safe for concurrent
+// use.
 type SpanStore struct {
+	maxSpans    int
 	maxPerTrace int
-	maxPerShard int
-	shards      [spanShards]spanShard
 
-	recorded atomic.Uint64 // spans accepted
-	dropped  atomic.Uint64 // spans dropped by the per-trace bound
-	evicted  atomic.Uint64 // traces evicted by the store bound
-}
-
-type spanShard struct {
 	mu     sync.Mutex
 	traces map[TraceID]*traceBuf
 	// order is the FIFO eviction queue of live trace IDs; head indexes
@@ -42,6 +30,10 @@ type spanShard struct {
 	order []TraceID
 	head  int
 	spans int
+
+	recorded uint64 // spans accepted
+	dropped  uint64 // spans dropped by the per-trace bound
+	evicted  uint64 // traces evicted by the store bound
 }
 
 type traceBuf struct {
@@ -58,64 +50,48 @@ func NewSpanStore(o SpanStoreOptions) *SpanStore {
 	if o.MaxSpansPerTrace <= 0 {
 		o.MaxSpansPerTrace = 512
 	}
-	perShard := o.MaxSpans / spanShards
-	if perShard < o.MaxSpansPerTrace {
-		perShard = o.MaxSpansPerTrace
+	return &SpanStore{
+		maxSpans:    o.MaxSpans,
+		maxPerTrace: o.MaxSpansPerTrace,
+		traces:      map[TraceID]*traceBuf{},
 	}
-	s := &SpanStore{maxPerTrace: o.MaxSpansPerTrace, maxPerShard: perShard}
-	for i := range s.shards {
-		s.shards[i].traces = map[TraceID]*traceBuf{}
-	}
-	return s
 }
 
-func (s *SpanStore) shard(id TraceID) *spanShard {
-	return &s.shards[int(id[0])%spanShards]
-}
-
-// add retains one finished span, evicting oldest traces when the
-// shard overflows.
+// add retains one finished span, evicting the oldest traces when the
+// store overflows.
 func (s *SpanStore) add(sd SpanData) {
-	sh := s.shard(sd.TraceID)
-	sh.mu.Lock()
-	buf, ok := sh.traces[sd.TraceID]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	buf, ok := s.traces[sd.TraceID]
 	if !ok {
 		buf = &traceBuf{}
-		sh.traces[sd.TraceID] = buf
-		sh.order = append(sh.order, sd.TraceID)
+		s.traces[sd.TraceID] = buf
+		s.order = append(s.order, sd.TraceID)
 	}
 	if len(buf.spans) >= s.maxPerTrace {
 		buf.dropped++
-		sh.mu.Unlock()
-		s.dropped.Add(1)
+		s.dropped++
 		return
 	}
 	buf.spans = append(buf.spans, sd)
-	sh.spans++
-	var evicted int
-	for sh.spans > s.maxPerShard && sh.head < len(sh.order) {
-		old := sh.order[sh.head]
-		sh.head++
+	s.spans++
+	s.recorded++
+	for s.spans > s.maxSpans && len(s.traces) > 1 {
+		old := s.order[s.head]
+		s.head++
 		if old == sd.TraceID {
 			// Never evict the trace being appended to: re-queue it
 			// as the newest and keep scanning.
-			sh.order = append(sh.order, old)
+			s.order = append(s.order, old)
 			continue
 		}
-		if buf, ok := sh.traces[old]; ok {
-			sh.spans -= len(buf.spans)
-			delete(sh.traces, old)
-			evicted++
-		}
+		s.spans -= len(s.traces[old].spans)
+		delete(s.traces, old)
+		s.evicted++
 	}
-	if sh.head > len(sh.order)/2 && sh.head > 32 {
-		sh.order = append(sh.order[:0:0], sh.order[sh.head:]...)
-		sh.head = 0
-	}
-	sh.mu.Unlock()
-	s.recorded.Add(1)
-	if evicted > 0 {
-		s.evicted.Add(uint64(evicted))
+	if s.head > len(s.order)/2 && s.head > 32 {
+		s.order = append(s.order[:0:0], s.order[s.head:]...)
+		s.head = 0
 	}
 }
 
@@ -123,10 +99,9 @@ func (s *SpanStore) add(sd SpanData) {
 // number of spans its per-trace bound dropped; ok is false when the
 // trace is unknown (never sampled, or already evicted).
 func (s *SpanStore) Trace(id TraceID) (spans []SpanData, dropped int, ok bool) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	buf, ok := sh.traces[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	buf, ok := s.traces[id]
 	if !ok {
 		return nil, 0, false
 	}
@@ -144,17 +119,13 @@ type SpanStoreStats struct {
 
 // Stats returns current occupancy and lifetime totals.
 func (s *SpanStore) Stats() SpanStoreStats {
-	st := SpanStoreStats{
-		Recorded: s.recorded.Load(),
-		Dropped:  s.dropped.Load(),
-		Evicted:  s.evicted.Load(),
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return SpanStoreStats{
+		Traces:   len(s.traces),
+		Spans:    s.spans,
+		Recorded: s.recorded,
+		Dropped:  s.dropped,
+		Evicted:  s.evicted,
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		st.Traces += len(sh.traces)
-		st.Spans += sh.spans
-		sh.mu.Unlock()
-	}
-	return st
 }

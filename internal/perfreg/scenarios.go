@@ -550,7 +550,7 @@ func (b *signalOnClose) Close() error {
 // within the allocation warmup.
 func tracedRequestSetup() (func() error, func(), error) {
 	reg := obs.NewRegistry()
-	store := obs.NewSpanStore(obs.SpanStoreOptions{MaxSpans: 256, MaxSpansPerTrace: 16})
+	store := obs.NewSpanStore(obs.SpanStoreOptions{MaxSpans: 16, MaxSpansPerTrace: 16})
 	tracer := obs.NewTracer(obs.TracerOptions{Store: store, SampleRatio: 1})
 	hist := reg.Histogram("flexray_http_request_duration_seconds",
 		"HTTP request latency in seconds, by route.", obs.DefBuckets, "route", "/v1/ping")
