@@ -104,33 +104,27 @@ type command struct {
 }
 
 var commands = []command{
-	{"fig1", "protocol mechanics trace (Fig. 1)",
-		func(*benchOptions, invocation, io.Writer, io.Writer) int { fig1(); return 0 }},
-	{"fig3", "ST segment optimisation example (Fig. 3)",
-		func(*benchOptions, invocation, io.Writer, io.Writer) int { fig3(); return 0 }},
-	{"fig4", "DYN segment optimisation example (Fig. 4)",
-		func(*benchOptions, invocation, io.Writer, io.Writer) int { fig4(); return 0 }},
-	{"fig7", "response time vs DYN length (Fig. 7)",
-		func(*benchOptions, invocation, io.Writer, io.Writer) int { fig7(); return 0 }},
-	{"fig9", "heuristic evaluation (Fig. 9, both panels)",
-		func(o *benchOptions, _ invocation, _, _ io.Writer) int { fig9(o.full); return 0 }},
+	{"fig1", "protocol mechanics trace (Fig. 1)", experiment(fig1)},
+	{"fig3", "ST segment optimisation example (Fig. 3)", experiment(fig3)},
+	{"fig4", "DYN segment optimisation example (Fig. 4)", experiment(fig4)},
+	{"fig7", "response time vs DYN length (Fig. 7)", experiment(fig7)},
+	{"fig9", "heuristic evaluation (Fig. 9, both panels)", experiment(fig9)},
 	{"campaign", "population sweep streamed as JSONL (local or -submit)",
-		func(o *benchOptions, _ invocation, _, stderr io.Writer) int {
-			if o.submit != "" {
-				submitCampaign(o.submit, o.full, o.distribute)
-			} else {
-				if o.distribute {
-					fmt.Fprintln(stderr, "flexray-bench: -distribute needs -submit (the shards run on the server's worker peers)")
-					return 2
-				}
-				campaignJSONL(o.full)
+		func(o *benchOptions, _ invocation, stdout, stderr io.Writer) int {
+			var err error
+			switch {
+			case o.submit != "":
+				err = submitCampaign(o, stdout, stderr)
+			case o.distribute:
+				fmt.Fprintln(stderr, "flexray-bench: -distribute needs -submit (the shards run on the server's worker peers)")
+				return 2
+			default:
+				err = campaignJSONL(o, stdout, stderr)
 			}
-			return 0
+			return exitCode(stderr, err)
 		}},
-	{"cruise", "cruise-controller case study",
-		func(*benchOptions, invocation, io.Writer, io.Writer) int { cruiseStudy(); return 0 }},
-	{"ablation", "design-choice ablations (FrameID order, latest-transmission rule, fill solver)",
-		func(*benchOptions, invocation, io.Writer, io.Writer) int { ablation(); return 0 }},
+	{"cruise", "cruise-controller case study", experiment(cruiseStudy)},
+	{"ablation", "design-choice ablations (FrameID order, latest-transmission rule, fill solver)", experiment(ablation)},
 	{"perf", `performance-regression harness (own flags; try "perf -h")`,
 		func(_ *benchOptions, inv invocation, stdout, stderr io.Writer) int {
 			return runPerf(inv.perfArgs, stdout, stderr)
@@ -139,17 +133,32 @@ var commands = []command{
 		func(_ *benchOptions, inv invocation, stdout, stderr io.Writer) int {
 			return runTrace(inv.traceArgs, stdout, stderr)
 		}},
-	{"all", "everything except perf",
-		func(o *benchOptions, _ invocation, _, _ io.Writer) int {
-			fig1()
-			fig3()
-			fig4()
-			fig7()
-			cruiseStudy()
-			ablation()
-			fig9(o.full)
-			return 0
-		}},
+	{"all", "everything except perf", experiment(func(o *benchOptions, w io.Writer) error {
+		for _, f := range []func(*benchOptions, io.Writer) error{fig1, fig3, fig4, fig7, cruiseStudy, ablation, fig9} {
+			if err := f(o, w); err != nil {
+				return err
+			}
+		}
+		return nil
+	})},
+}
+
+// experiment adapts an experiment that prints to w into a command
+// runner: its output goes to stdout, an error to stderr with exit 1.
+func experiment(f func(o *benchOptions, w io.Writer) error) func(*benchOptions, invocation, io.Writer, io.Writer) int {
+	return func(o *benchOptions, _ invocation, stdout, stderr io.Writer) int {
+		return exitCode(stderr, f(o, stdout))
+	}
+}
+
+// exitCode reports err on stderr and returns the exit status: 0 for a
+// nil error, 1 otherwise.
+func exitCode(stderr io.Writer, err error) int {
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(stderr, "flexray-bench:", err)
+	return 1
 }
 
 // commandByName returns the table entry for name, or nil.
@@ -239,16 +248,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "flexray-bench:", err)
 			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
 			fmt.Fprintln(stderr, "flexray-bench:", err)
 			return 1
 		}
-		stopProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-		defer stopProfile()
+		defer pprof.StopCPUProfile()
 	}
 	for _, cmd := range inv.cmds {
 		if code := commandByName(cmd).run(o, inv, stdout, stderr); code != 0 {
@@ -268,128 +273,121 @@ func usage(w io.Writer, fs *flag.FlagSet) {
 	fs.PrintDefaults()
 }
 
-// stopProfile flushes a running CPU profile; exits through fail()
-// call it explicitly because os.Exit skips the deferred flush, which
-// would leave the profile file empty.
-var stopProfile = func() {}
-
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n\n", title)
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n=== %s ===\n\n", title)
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "flexray-bench:", err)
-	stopProfile()
-	os.Exit(1)
-}
-
-func fig1() {
-	header("Fig. 1 — FlexRay communication cycle example (bus trace, 2 cycles)")
+func fig1(_ *benchOptions, w io.Writer) error {
+	header(w, "Fig. 1 — FlexRay communication cycle example (bus trace, 2 cycles)")
 	trace, _, err := experiments.Fig1Trace()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Print(trace)
+	fmt.Fprint(w, trace)
+	return nil
 }
 
-func fig3() {
-	header("Fig. 3 — Optimisation of the ST segment (paper: R3 = 16 / 12 / 10)")
+func fig3(_ *benchOptions, w io.Writer) error {
+	header(w, "Fig. 3 — Optimisation of the ST segment (paper: R3 = 16 / 12 / 10)")
 	rows, err := experiments.Fig3()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("%-8s %-10s %-8s %-8s %-8s %-10s\n", "variant", "gdCycle", "R1", "R2", "R3", "paper R3")
+	fmt.Fprintf(w, "%-8s %-10s %-8s %-8s %-8s %-10s\n", "variant", "gdCycle", "R1", "R2", "R3", "paper R3")
 	for _, r := range rows {
-		fmt.Printf("%-8v %-10v %-8v %-8v %-8v %-10v\n", r.Variant, r.GdCycle, r.R1, r.R2, r.R3, r.PaperR3)
+		fmt.Fprintf(w, "%-8v %-10v %-8v %-8v %-8v %-10v\n", r.Variant, r.GdCycle, r.R1, r.R2, r.R3, r.PaperR3)
 	}
+	return nil
 }
 
-func fig4() {
-	header("Fig. 4 — Optimisation of the DYN segment (paper: R2 = 37 / 35 / 21)")
+func fig4(_ *benchOptions, w io.Writer) error {
+	header(w, "Fig. 4 — Optimisation of the DYN segment (paper: R2 = 37 / 35 / 21)")
 	rows, err := experiments.Fig4()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("%-8s %-10s %-8s %-8s %-8s %-10s %-12s\n",
+	fmt.Fprintf(w, "%-8s %-10s %-8s %-8s %-8s %-10s %-12s\n",
 		"variant", "gdCycle", "R1", "R2", "R3", "paper R2", "analysed R2")
 	for _, r := range rows {
-		fmt.Printf("%-8v %-10v %-8v %-8v %-8v %-10v %-12v\n",
+		fmt.Fprintf(w, "%-8v %-10v %-8v %-8v %-8v %-10v %-12v\n",
 			r.Variant, r.GdCycle, r.R1, r.R2, r.R3, r.PaperR2, r.AnalysedR2)
 	}
+	return nil
 }
 
-func fig7() {
-	header("Fig. 7 — Influence of DYN segment length on message response times")
+func fig7(_ *benchOptions, w io.Writer) error {
+	header(w, "Fig. 7 — Influence of DYN segment length on message response times")
 	p := experiments.DefaultFig7Params()
 	p.Workers = workers
 	series, err := experiments.Fig7(p)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("%-12s %-12s", "DYNbus(µs)", "gdCycle(µs)")
+	fmt.Fprintf(w, "%-12s %-12s", "DYNbus(µs)", "gdCycle(µs)")
 	for _, n := range series.MessageNames {
-		fmt.Printf(" %10s", n)
+		fmt.Fprintf(w, " %10s", n)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, p := range series.Points {
-		fmt.Printf("%-12.1f %-12.1f", p.DYNBus.Us(), p.GdCycle.Us())
+		fmt.Fprintf(w, "%-12.1f %-12.1f", p.DYNBus.Us(), p.GdCycle.Us())
 		for _, r := range p.R {
-			fmt.Printf(" %10.0f", r.Us())
+			fmt.Fprintf(w, " %10.0f", r.Us())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("\n(expect the paper's U shape: responses fall, reach a minimum, then rise)")
+	fmt.Fprintln(w, "\n(expect the paper's U shape: responses fall, reach a minimum, then rise)")
+	return nil
 }
 
-func fig9(full bool) {
+func fig9(o *benchOptions, w io.Writer) error {
 	p := experiments.DefaultFig9Params()
-	if !full {
+	if !o.full {
 		p = experiments.QuickFig9Params()
 		p.AppsPerSet = 5
 	}
 	p.Workers = workers
-	header(fmt.Sprintf("Fig. 9 — Evaluation of bus optimisation algorithms (%d apps / node count)", p.AppsPerSet))
+	header(w, fmt.Sprintf("Fig. 9 — Evaluation of bus optimisation algorithms (%d apps / node count)", p.AppsPerSet))
 	res, err := experiments.Fig9(p)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("%-8s %-6s %-14s %-12s %-10s %-12s\n",
+	fmt.Fprintf(w, "%-8s %-6s %-14s %-12s %-10s %-12s\n",
 		"algo", "nodes", "avg %dev vs SA", "schedulable", "evals", "time")
 	for _, c := range res.Cells {
-		fmt.Printf("%-8s %-6d %-14.2f %d/%-10d %-10d %-12v\n",
+		fmt.Fprintf(w, "%-8s %-6d %-14.2f %d/%-10d %-10d %-12v\n",
 			c.Algorithm, c.Nodes, c.AvgDeviationPct, c.Schedulable, c.Total, c.Evaluations, c.TotalTime)
 	}
-	fmt.Println("\n(left panel: BBC deviates most and stops finding schedulable configs as nodes grow;")
-	fmt.Println(" right panel: BBC runs in ~zero time, OBC-CF well under OBC-EE)")
+	fmt.Fprintln(w, "\n(left panel: BBC deviates most and stops finding schedulable configs as nodes grow;")
+	fmt.Fprintln(w, " right panel: BBC runs in ~zero time, OBC-CF well under OBC-EE)")
+	return nil
 }
 
 // campaignJSONL streams the Fig. 9 population sweep as one JSON record
 // per system — the machine-readable face of the evaluation, suitable
 // for piping into jq or a plotting notebook.
-func campaignJSONL(full bool) {
+func campaignJSONL(o *benchOptions, stdout, stderr io.Writer) error {
 	p := experiments.QuickFig9Params()
-	if full {
+	if o.full {
 		p = experiments.DefaultFig9Params()
 	}
 	specs := campaign.PopulationSpecs(p.NodeCounts, p.AppsPerSet, p.Seed, p.DeadlineFactor)
-	fmt.Fprintf(os.Stderr, "campaign: %d systems (%v nodes × %d apps), workers=%d\n",
+	fmt.Fprintf(stderr, "campaign: %d systems (%v nodes × %d apps), workers=%d\n",
 		len(specs), p.NodeCounts, p.AppsPerSet, workers)
-	if _, err := campaign.WriteJSONL(context.Background(), specs, p.Opts,
-		campaign.Options{Workers: workers, SAWarmFromOBC: true}, os.Stdout); err != nil {
-		fail(err)
-	}
+	_, err := campaign.WriteJSONL(context.Background(), specs, p.Opts,
+		campaign.Options{Workers: workers, SAWarmFromOBC: true}, stdout)
+	return err
 }
 
 // submitCampaign ships the campaign population to a running
 // flexray-serve as an async job, tails its progress on stderr, and
 // prints the finished records to stdout as JSONL — the same output
 // shape as the local path, produced remotely.
-func submitCampaign(base string, full, distribute bool) {
+func submitCampaign(o *benchOptions, stdout, stderr io.Writer) error {
 	p := experiments.QuickFig9Params()
-	if full {
+	if o.full {
 		p = experiments.DefaultFig9Params()
 	}
-	base = strings.TrimRight(base, "/")
+	base := strings.TrimRight(o.submit, "/")
 	spec := jobs.Spec{
 		Kind:          jobs.KindCampaign,
 		SAWarmFromOBC: true,
@@ -397,7 +395,7 @@ func submitCampaign(base string, full, distribute bool) {
 		// Distribute shards the job across the server's lease worker
 		// peers (-peer fleets); the merged result is bit-identical to
 		// the server running it alone.
-		Distribute: distribute,
+		Distribute: o.distribute,
 		Population: &jobs.Population{
 			NodeCounts:     p.NodeCounts,
 			AppsPerCount:   p.AppsPerSet,
@@ -412,95 +410,104 @@ func submitCampaign(base string, full, distribute bool) {
 	}
 	raw, err := json.Marshal(spec)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(raw))
 	if err != nil {
-		fail(err)
+		return err
 	}
-	body, job := decodeJob(resp)
+	body, job, err := decodeJob(resp)
+	if err != nil {
+		return err
+	}
 	if resp.StatusCode != http.StatusAccepted {
-		fail(fmt.Errorf("submit: %s: %s", resp.Status, body))
+		return fmt.Errorf("submit: %s: %s", resp.Status, body)
 	}
-	fmt.Fprintf(os.Stderr, "campaign: submitted job %s (%d systems) to %s\n",
+	fmt.Fprintf(stderr, "campaign: submitted job %s (%d systems) to %s\n",
 		job.ID, len(p.NodeCounts)*p.AppsPerSet, base)
 
 	for !job.Status.Terminal() {
 		time.Sleep(500 * time.Millisecond)
 		resp, err := http.Get(base + "/v1/jobs/" + job.ID)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		body, j := decodeJob(resp)
+		body, j, err := decodeJob(resp)
+		if err != nil {
+			return err
+		}
 		if resp.StatusCode != http.StatusOK {
-			fail(fmt.Errorf("poll: %s: %s", resp.Status, body))
+			return fmt.Errorf("poll: %s: %s", resp.Status, body)
 		}
 		job = j
-		fmt.Fprintf(os.Stderr, "campaign: %s %d/%d (best %s, cost %.1f)\n",
+		fmt.Fprintf(stderr, "campaign: %s %d/%d (best %s, cost %.1f)\n",
 			job.Status, job.Progress.Completed, job.Progress.Total,
 			job.Progress.Best, job.Progress.BestCost)
 	}
 	if job.Status != jobs.StatusDone {
-		fail(fmt.Errorf("job %s: %s", job.Status, job.Error))
+		return fmt.Errorf("job %s: %s", job.Status, job.Error)
 	}
 
 	resp, err = http.Get(base + "/v1/jobs/" + job.ID + "/result")
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		fail(fmt.Errorf("result: %s", resp.Status))
+		return fmt.Errorf("result: %s", resp.Status)
 	}
 	var res jobs.Result
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		fail(err)
+		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	for _, rec := range res.Records {
 		if err := enc.Encode(rec); err != nil {
-			fail(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // decodeJob reads a job snapshot response (closing the body) and also
 // returns the raw bytes for error reporting.
-func decodeJob(resp *http.Response) ([]byte, jobs.Job) {
+func decodeJob(resp *http.Response) ([]byte, jobs.Job, error) {
 	defer resp.Body.Close()
+	var job jobs.Job
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		fail(err)
+		return nil, job, err
 	}
-	var job jobs.Job
 	if resp.StatusCode < 300 {
 		if err := json.Unmarshal(buf.Bytes(), &job); err != nil {
-			fail(err)
+			return nil, job, err
 		}
 	}
-	return buf.Bytes(), job
+	return buf.Bytes(), job, nil
 }
 
-func ablation() {
-	header("Ablations — FrameID order, latest-transmission rule, fill solver")
+func ablation(_ *benchOptions, w io.Writer) error {
+	header(w, "Ablations — FrameID order, latest-transmission rule, fill solver")
 	rows, err := experiments.Ablations([]int64{1, 2, 3, 4, 5}, 3)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Print(experiments.AblationReport(rows))
-	fmt.Println("\n(paper choice = criticality FrameIDs / per-frame rule / greedy fill;")
-	fmt.Println(" alternatives are reversed FrameIDs / per-node pLatestTx / exact branch-and-bound)")
+	fmt.Fprint(w, experiments.AblationReport(rows))
+	fmt.Fprintln(w, "\n(paper choice = criticality FrameIDs / per-frame rule / greedy fill;")
+	fmt.Fprintln(w, " alternatives are reversed FrameIDs / per-node pLatestTx / exact branch-and-bound)")
+	return nil
 }
 
-func cruiseStudy() {
-	header("Cruise controller case study (paper: BBC unschedulable; OBC-CF ≈ OBC-EE, much faster)")
+func cruiseStudy(_ *benchOptions, w io.Writer) error {
+	header(w, "Cruise controller case study (paper: BBC unschedulable; OBC-CF ≈ OBC-EE, much faster)")
 	rows, err := experiments.Cruise(core.DefaultOptions())
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("%-8s %-12s %-14s %-8s %-12s\n", "algo", "schedulable", "cost", "evals", "time")
+	fmt.Fprintf(w, "%-8s %-12s %-14s %-8s %-12s\n", "algo", "schedulable", "cost", "evals", "time")
 	for _, r := range rows {
-		fmt.Printf("%-8s %-12v %-14.1f %-8d %-12v\n",
+		fmt.Fprintf(w, "%-8s %-12v %-14.1f %-8d %-12v\n",
 			r.Algorithm, r.Schedulable, r.Cost, r.Evaluations, r.Elapsed.Round(1000))
 	}
+	return nil
 }

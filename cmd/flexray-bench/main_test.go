@@ -167,6 +167,26 @@ func TestSubmitDistribute(t *testing.T) {
 	if spec["kind"] != "campaign" || spec["distribute"] != true {
 		t.Errorf("posted spec %v, want a campaign with \"distribute\": true", spec)
 	}
+	if !strings.Contains(stderr.String(), "campaign: submitted job j-1") {
+		t.Errorf("submit progress did not reach run's stderr:\n%s", stderr.String())
+	}
+}
+
+// TestExperimentsWriteToRunWriters: an experiment prints to the stdout
+// run receives, so a check on that writer sees everything it printed.
+func TestExperimentsWriteToRunWriters(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"fig3", "fig4"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d: %s", code, stderr.String())
+	}
+	for _, want := range []string{"=== Fig. 3", "=== Fig. 4", "paper R3", "analysed R2"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("stderr not empty: %s", stderr.String())
+	}
 }
 
 // fixtureSuite is a fast suite for the gate-path tests: op() spins

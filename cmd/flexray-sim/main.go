@@ -95,7 +95,7 @@ func main() {
 	for _, id := range ids {
 		a := sys.App.Act(id)
 		simR := res.MaxResponse[id]
-		anaR := ana.R[id]
+		anaR, _ := ana.Response(id)
 		d := sys.App.Deadline(id)
 		ok := anaR <= d
 		if !ok {

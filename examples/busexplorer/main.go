@@ -61,8 +61,8 @@ func main() {
 		}
 		var worst flexopt.Duration
 		for _, m := range dyn {
-			if ana.R[m] > worst {
-				worst = ana.R[m]
+			if r, _ := ana.Response(m); r > worst {
+				worst = r
 			}
 		}
 		pts = append(pts, point{nMS, ana.Cost, worst})

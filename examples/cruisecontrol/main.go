@@ -71,7 +71,8 @@ func main() {
 	var rows []slackRow
 	for i := range sys.App.Acts {
 		a := &sys.App.Acts[i]
-		rows = append(rows, slackRow{a.Name, sys.App.Deadline(a.ID) - ana.R[a.ID]})
+		r, _ := ana.Response(a.ID)
+		rows = append(rows, slackRow{a.Name, sys.App.Deadline(a.ID) - r})
 	}
 	for i := 0; i < len(rows); i++ {
 		for j := i + 1; j < len(rows); j++ {

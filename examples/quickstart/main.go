@@ -52,7 +52,8 @@ func main() {
 	fmt.Printf("\n%-10s %-12s %-12s\n", "activity", "WCRT", "deadline")
 	for i := range sys.App.Acts {
 		a := &sys.App.Acts[i]
-		fmt.Printf("%-10s %-12v %-12v\n", a.Name, res.Analysis.R[a.ID], sys.App.Deadline(a.ID))
+		r, _ := res.Analysis.Response(a.ID)
+		fmt.Printf("%-10s %-12v %-12v\n", a.Name, r, sys.App.Deadline(a.ID))
 	}
 
 	// Cross-check with the discrete-event simulator: observed
@@ -68,7 +69,8 @@ func main() {
 	fmt.Printf("\nsimulated responses (1 hyper-period): %d observed deadline misses\n", simRes.DeadlineMisses)
 	for i := range sys.App.Acts {
 		a := &sys.App.Acts[i]
+		r, _ := res.Analysis.Response(a.ID)
 		fmt.Printf("%-10s simulated %-12v analysed %-12v\n",
-			a.Name, simRes.MaxResponse[a.ID], res.Analysis.R[a.ID])
+			a.Name, simRes.MaxResponse[a.ID], r)
 	}
 }

@@ -70,7 +70,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			t.Errorf("%s: %d observed misses on a schedulable config", alg.name, simRes.DeadlineMisses)
 		}
 		for id, r := range simRes.MaxResponse {
-			if bound := ana.R[id]; r > bound {
+			if bound, _ := ana.Response(id); r > bound {
 				t.Errorf("%s: simulated %v above analysed %v for activity %d", alg.name, r, bound, id)
 			}
 		}

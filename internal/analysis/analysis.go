@@ -62,13 +62,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result carries the outcome of one holistic analysis run.
+// Result carries the outcome of one holistic analysis run. The
+// response times live in one dense slice by ActID; read them with
+// Response, or range over R. The release jitters the analysis used are
+// read from the Analyzer (Analyzer.Jitter).
 type Result struct {
-	// R maps every activity to its worst-case response time,
-	// measured from the release of the owning graph instance. The
-	// release jitters the analysis used are read from the Analyzer
-	// (Analyzer.Jitter).
-	R map[model.ActID]units.Duration
+	// resp holds every activity's worst-case response time, measured
+	// from the release of the owning graph instance, by ActID;
+	// noResponse marks an activity the fixpoint never wrote: a
+	// zero-cost event-triggered activity, or one it had not reached
+	// when a graph could not be ordered.
+	resp []units.Duration
 	// Schedulable reports whether every activity meets its deadline.
 	Schedulable bool
 	// Cost is the cost function of Eq. (5): strictly positive if any
@@ -82,6 +86,32 @@ type Result struct {
 	// was reached monotonically (they are: the iteration is
 	// monotone), but the configuration is reported unschedulable.
 	Converged bool
+}
+
+// noResponse marks an absent entry of Result.resp; response times are
+// never negative.
+const noResponse units.Duration = -1
+
+// R yields every activity the analysis computed a response time for,
+// with that response, in ActID order:
+//
+//	for id, rt := range res.R { ... }
+func (r *Result) R(yield func(model.ActID, units.Duration) bool) {
+	for id, rt := range r.resp {
+		if rt != noResponse && !yield(model.ActID(id), rt) {
+			return
+		}
+	}
+}
+
+// Response returns activity id's worst-case response time; ok is false
+// when the analysis computed none (R does not yield id), and the
+// response is then 0.
+func (r *Result) Response(id model.ActID) (rt units.Duration, ok bool) {
+	if id < 0 || int(id) >= len(r.resp) || r.resp[id] == noResponse {
+		return 0, false
+	}
+	return r.resp[id], true
 }
 
 // Analyzer performs holistic analyses of one system. An analyzer is a
@@ -140,8 +170,8 @@ type Analyzer struct {
 	// --- fixpoint scratch, by ActID, cleared per Run ---
 
 	// r/j hold the current response-time and jitter iterates; has[id]
-	// records whether an entry was ever written (mirroring presence in
-	// the Result.R map the fixpoint used to read).
+	// records whether an entry was ever written (an absent entry of
+	// the Result).
 	r   []units.Duration
 	j   []units.Duration
 	has []bool
@@ -402,8 +432,8 @@ func (a *Analyzer) Interferers(id model.ActID) []model.ActID {
 // with jitter propagation along the precedence edges until a fixpoint
 // (Section 5: "the interference from the SCS activities" is part of
 // both the FPS and the DYN analysis). The iteration state lives in the
-// analyzer's dense r/j arrays; the Result's response map is
-// materialised once at the end, and the jitters stay readable through
+// analyzer's dense r/j arrays; the Result's response slice is
+// copied once at the end, and the jitters stay readable through
 // Jitter. An activity's response window is recomputed only when an
 // interferer's jitter changed since the window was last computed; its
 // own jitter enters only in the final sum, so the cached window gives
@@ -545,16 +575,15 @@ func (a *Analyzer) tableResponse(act *model.Activity) units.Duration {
 	return worst
 }
 
-// emit materialises the dense response times into Result.R. Only
-// activities that were actually written appear, mirroring the
-// incremental map inserts the fixpoint used to perform.
+// emit copies the dense response times into the Result; only the
+// activities the fixpoint wrote are present.
 func (a *Analyzer) emit(res *Result) {
-	app := &a.sys.App
-	res.R = make(map[model.ActID]units.Duration, len(app.Acts))
-	for i := range app.Acts {
-		if id := app.Acts[i].ID; a.has[id] {
-			res.R[id] = a.r[id]
+	res.resp = make([]units.Duration, len(a.r))
+	for id, rt := range a.r {
+		if !a.has[id] {
+			rt = noResponse
 		}
+		res.resp[id] = rt
 	}
 }
 
@@ -573,6 +602,7 @@ func (a *Analyzer) finish(res *Result) {
 	app := &a.sys.App
 	a.emit(res)
 	var f1, f2 float64
+	late := 0
 	for i := range app.Acts {
 		act := &app.Acts[i]
 		if !a.has[act.ID] {
@@ -583,16 +613,25 @@ func (a *Analyzer) finish(res *Result) {
 		diff := float64(r-d) / float64(units.Microsecond)
 		if r > d {
 			f1 += diff
-			res.Violations = append(res.Violations, act.ID)
+			late++
 		}
 		f2 += diff
+	}
+	if late > 0 {
+		// A second pass fills Violations with one allocation.
+		res.Violations = make([]model.ActID, 0, late)
+		for i := range app.Acts {
+			if id := app.Acts[i].ID; a.has[id] && a.r[id] > a.deadline[id] {
+				res.Violations = append(res.Violations, id)
+			}
+		}
 	}
 	if !res.Converged {
 		// A non-converged fixpoint means some window saturated;
 		// the saturation is already reflected in f1.
 		res.Schedulable = false
 	} else {
-		res.Schedulable = len(res.Violations) == 0
+		res.Schedulable = late == 0
 	}
 	if f1 > 0 {
 		res.Cost = f1

@@ -31,6 +31,12 @@ func actID(t testing.TB, sys *model.System, name string) model.ActID {
 // fig4System rebuilds the paper's Fig. 4 scenario directly against the
 // analysis: N1 sends m1 (7 minislots, high priority) and m3 (3), N2
 // sends m2 (6); ST segment one 8µs slot; minislot 1µs.
+// responseOf is res's response time of id, 0 when it has none.
+func responseOf(res *Result, id model.ActID) units.Duration {
+	r, _ := res.Response(id)
+	return r
+}
+
 func fig4System(t testing.TB) (*model.System, *flexray.Config) {
 	t.Helper()
 	b := model.NewBuilder("fig4-ana", 2)
@@ -161,16 +167,16 @@ func TestDynResponseBoundsFig4(t *testing.T) {
 	a := newAnalyzer(t, sys, cfg)
 	res := a.Run()
 	m2 := actID(t, sys, "m2")
-	if res.R[m2] < 35*us {
-		t.Errorf("R(m2) = %v, below the simulated response 35µs", res.R[m2])
+	if responseOf(res, m2) < 35*us {
+		t.Errorf("R(m2) = %v, below the simulated response 35µs", responseOf(res, m2))
 	}
-	if res.R[m2] > 200*us {
-		t.Errorf("R(m2) = %v, absurdly above one period", res.R[m2])
+	if responseOf(res, m2) > 200*us {
+		t.Errorf("R(m2) = %v, absurdly above one period", responseOf(res, m2))
 	}
 	// m1 has the lowest FrameID, no hp, no lf: its worst case is one
 	// missed cycle (sigma = 20-8-0 = 12) plus w' (8) plus C (7).
 	m1 := actID(t, sys, "m1")
-	if got, want := res.R[m1], 27*us; got != want {
+	if got, want := responseOf(res, m1), 27*us; got != want {
 		t.Errorf("R(m1) = %v, want exactly %v (sigma+w'+C)", got, want)
 	}
 }
@@ -181,8 +187,8 @@ func TestDynResponseMissingFrameIDSaturates(t *testing.T) {
 	a := newAnalyzer(t, sys, cfg)
 	res := a.Run()
 	m2 := actID(t, sys, "m2")
-	if res.R[m2] < sys.App.Deadline(m2) {
-		t.Errorf("R(m2) without FrameID = %v, want saturation above deadline", res.R[m2])
+	if responseOf(res, m2) < sys.App.Deadline(m2) {
+		t.Errorf("R(m2) without FrameID = %v, want saturation above deadline", responseOf(res, m2))
 	}
 	if res.Schedulable {
 		t.Error("system with untransmittable message reported schedulable")
@@ -462,10 +468,10 @@ func TestFPSResponseWithInterferenceAndBlackouts(t *testing.T) {
 	}
 	a := New(sys, cfg, table, DefaultOptions())
 	res := a.Run()
-	if got := res.R[hi]; got != 2*ms {
+	if got := responseOf(res, hi); got != 2*ms {
 		t.Errorf("R(hi) = %v, want 2ms (blackout + own C)", got)
 	}
-	if got := res.R[lo]; got != 4*ms {
+	if got := responseOf(res, lo); got != 4*ms {
 		t.Errorf("R(lo) = %v, want 4ms (blackout + hi + own C)", got)
 	}
 }
@@ -486,19 +492,19 @@ func TestJitterPropagationAlongChain(t *testing.T) {
 	}
 	a := newAnalyzer(t, sys, cfg)
 	res := a.Run()
-	if a.Jitter(m) != res.R[e1] {
-		t.Errorf("J(m) = %v, want R(e1) = %v", a.Jitter(m), res.R[e1])
+	if a.Jitter(m) != responseOf(res, e1) {
+		t.Errorf("J(m) = %v, want R(e1) = %v", a.Jitter(m), responseOf(res, e1))
 	}
-	if a.Jitter(e2) != res.R[m] {
-		t.Errorf("J(e2) = %v, want R(m) = %v", a.Jitter(e2), res.R[m])
+	if a.Jitter(e2) != responseOf(res, m) {
+		t.Errorf("J(e2) = %v, want R(m) = %v", a.Jitter(e2), responseOf(res, m))
 	}
 	if got := a.Jitter(e1); got != 0 {
 		t.Errorf("J(e1) = %v, want 0 (no predecessor, no release offset)", got)
 	}
-	if got, want := res.R[e2], res.R[m]+200*us; got != want {
+	if got, want := responseOf(res, e2), responseOf(res, m)+200*us; got != want {
 		t.Errorf("R(e2) = %v, want %v", got, want)
 	}
-	if got := res.R[e1]; got != 100*us {
+	if got := responseOf(res, e1); got != 100*us {
 		t.Errorf("R(e1) = %v, want 100µs", got)
 	}
 }
@@ -528,7 +534,7 @@ func TestMoreInterferenceNeverHelps(t *testing.T) {
 			FrameID: fid,
 		}
 		a := newAnalyzer(t, sys, cfg)
-		return a.Run().R[mID]
+		return responseOf(a.Run(), mID)
 	}
 	without := build(false)
 	with := build(true)
@@ -545,8 +551,8 @@ func TestExactFillOptionAgreesOrDominatesGreedy(t *testing.T) {
 	exact := New(sys, cfg, table, optsExact).Run()
 	greedy := New(sys, cfg, table, DefaultOptions()).Run()
 	for _, m := range sys.App.Messages(int(model.DYN)) {
-		if exact.R[m] < greedy.R[m] {
-			t.Errorf("message %d: exact R %v below greedy R %v", m, exact.R[m], greedy.R[m])
+		if responseOf(exact, m) < responseOf(greedy, m) {
+			t.Errorf("message %d: exact R %v below greedy R %v", m, responseOf(exact, m), responseOf(greedy, m))
 		}
 	}
 }
@@ -622,9 +628,9 @@ func TestResetMatchesFresh(t *testing.T) {
 		fresh := New(sys, cfg, table, DefaultOptions())
 		want := fresh.Run()
 		for _, m := range []model.ActID{m1, m2, m3} {
-			if got.R[m] != want.R[m] || reusable.Jitter(m) != fresh.Jitter(m) {
+			if responseOf(got, m) != responseOf(want, m) || reusable.Jitter(m) != fresh.Jitter(m) {
 				t.Fatalf("step %d: R/J(%d) = %v/%v after Reset, want %v/%v",
-					i, m, got.R[m], reusable.Jitter(m), want.R[m], fresh.Jitter(m))
+					i, m, responseOf(got, m), reusable.Jitter(m), responseOf(want, m), fresh.Jitter(m))
 			}
 		}
 		if got.Cost != want.Cost || got.Schedulable != want.Schedulable {

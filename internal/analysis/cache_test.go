@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -44,6 +45,7 @@ func (c *recomputeChecker) check(name string, sys *model.System, an *analysis.An
 		c.t.Fatalf("%s: cached Run differs from the full recompute\ncached: %+v\nfull:   %+v\nconfig: %+v",
 			name, got, want, cfg)
 	}
+	checkRangeR(c.t, name, sys, an, got)
 	for i, j := range jitters {
 		if id := sys.App.Acts[i].ID; an.Jitter(id) != j {
 			c.t.Fatalf("%s: cached Run's jitter of %d is %v, full recompute %v\nconfig: %+v",
@@ -57,6 +59,39 @@ func (c *recomputeChecker) check(name string, sys *model.System, an *analysis.An
 	if !got.Schedulable {
 		c.unschedulable++
 	}
+}
+
+// checkRangeR checks that ranging over res.R, the Result of an's last
+// Run on sys, yields exactly the (id, response) set of the response map
+// Run returned before the dense storage, in ActID order, and that
+// Response agrees with that map on every id, out-of-range ones
+// included. It returns how many activities have no response.
+func checkRangeR(t testing.TB, name string, sys *model.System, an *analysis.Analyzer, res *analysis.Result) (absent int) {
+	t.Helper()
+	want := an.ResponseMapForTest()
+	got := map[model.ActID]units.Duration{}
+	prev := model.ActID(-1)
+	for id, rt := range res.R {
+		if id <= prev {
+			t.Fatalf("%s: range res.R yields %d after %d", name, id, prev)
+		}
+		prev = id
+		got[id] = rt
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("%s: range res.R yields %v, the response map held %v", name, got, want)
+	}
+	n := model.ActID(len(sys.App.Acts))
+	for id := model.ActID(-1); id <= n; id++ {
+		rt, ok := res.Response(id)
+		if wrt, wok := want[id]; rt != wrt || ok != wok {
+			t.Fatalf("%s: Response(%d) = %v, %v; the response map held %v, %v", name, id, rt, ok, wrt, wok)
+		}
+	}
+	for range res.R {
+		break // stopping a range early must not panic
+	}
+	return int(n) - len(want)
 }
 
 // shortFixpoint returns reusable analyzers whose jitter fixpoint stops
@@ -199,4 +234,41 @@ func FuzzRunMatchesFullRecompute(f *testing.F) {
 		short := shortFixpoint(sys)
 		c.check("perturbed, short fixpoint", sys, short[rng.Intn(len(short))], cfg)
 	})
+}
+
+// TestRangeRYieldsResponseMap pins Result's dense storage to the
+// response map it replaced, on the cruise BBC configuration and on a
+// system whose zero-cost FPS task the fixpoint never writes, so its
+// Result has an absent entry. TestRunMatchesFullRecompute runs the
+// same check on every Result it compares.
+func TestRangeRYieldsResponseMap(t *testing.T) {
+	sys := cruise.MustSystem()
+	bbc, err := core.BBC(sys, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := sched.BuildTable(sys, bbc.Config, sched.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := analysis.New(sys, bbc.Config, table, analysis.DefaultOptions())
+	if absent := checkRangeR(t, "cruise", sys, an, an.Run()); absent != 0 {
+		t.Errorf("cruise: %d activities without a response, want 0", absent)
+	}
+
+	const us = units.Microsecond
+	b := model.NewBuilder("zero-cost", 2)
+	g := b.Graph("g", 1000*us, 1000*us)
+	b.PrioTask(g, "busy", 0, 100*us, 2)
+	b.PrioTask(g, "idle", 1, 0, 1)
+	sys = b.MustBuild()
+	cfg := &flexray.Config{MinislotLen: us, FrameID: map[model.ActID]int{}}
+	table, err = sched.BuildTable(sys, cfg, sched.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	an = analysis.New(sys, cfg, table, analysis.DefaultOptions())
+	if absent := checkRangeR(t, "zero-cost", sys, an, an.Run()); absent != 1 {
+		t.Errorf("zero-cost: %d activities without a response, want 1", absent)
+	}
 }

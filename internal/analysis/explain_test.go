@@ -55,8 +55,8 @@ func TestExplainDYNConsistentWithRun(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: ExplainDYN(%d) not applicable", sys.Name, m)
 			}
-			if d.Response != res.R[m] {
-				t.Errorf("%s: message %d: breakdown response %v != analysed %v (%v)", sys.Name, m, d.Response, res.R[m], d)
+			if d.Response != responseOf(res, m) {
+				t.Errorf("%s: message %d: breakdown response %v != analysed %v (%v)", sys.Name, m, d.Response, responseOf(res, m), d)
 			}
 			if d.Saturated {
 				saturated++

@@ -29,6 +29,36 @@ func GreedyFillForTest(need int, extras [][]int, budgets [][]int64) (int64, int,
 	return filled, leftover, out
 }
 
+// ResultForTest builds the Result of n activities whose response times
+// are r: an id absent from r is absent from the Result, as it was from
+// the response map the dense storage replaced.
+func ResultForTest(n int, r map[model.ActID]units.Duration, schedulable bool, cost float64, violations []model.ActID, converged bool) *Result {
+	res := &Result{resp: make([]units.Duration, n), Schedulable: schedulable, Cost: cost, Violations: violations, Converged: converged}
+	for id := range res.resp {
+		rt, ok := r[model.ActID(id)]
+		if !ok {
+			rt = noResponse
+		}
+		res.resp[id] = rt
+	}
+	return res
+}
+
+// ResponseMapForTest returns the response map Run returned before
+// Result stored its responses densely, built the way that Run's emit
+// built it from the analyzer's last fixpoint: one entry per activity
+// the fixpoint wrote. Call it after Run and before the next Reset.
+func (a *Analyzer) ResponseMapForTest() map[model.ActID]units.Duration {
+	app := &a.sys.App
+	out := make(map[model.ActID]units.Duration, len(app.Acts))
+	for i := range app.Acts {
+		if id := app.Acts[i].ID; a.has[id] {
+			out[id] = a.r[id]
+		}
+	}
+	return out
+}
+
 // RunFullRecomputeForTest is Run without the window cache: the jitter
 // fixpoint recomputes every FPS busy window and every DYN Eq. (3)
 // window on every pass. FPS windows come from fullFPSWindow, which

@@ -113,9 +113,27 @@ func (a *refAnalyzer) cap(id model.ActID) units.Duration {
 	return units.Duration(int64(m) * int64(f))
 }
 
+// refResult is the reference's result: the Result of the map-based
+// analysis, whose response times were a map the fixpoint read and
+// wrote.
+type refResult struct {
+	R           map[model.ActID]units.Duration
+	Schedulable bool
+	Cost        float64
+	Violations  []model.ActID
+	Converged   bool
+}
+
+// run analyses the bound input and returns the outcome as the flat
+// analyzer's dense Result, for a comparison of the dense storage.
 func (a *refAnalyzer) run() *analysis.Result {
+	r := a.fixpoint()
+	return analysis.ResultForTest(len(a.sys.App.Acts), r.R, r.Schedulable, r.Cost, r.Violations, r.Converged)
+}
+
+func (a *refAnalyzer) fixpoint() *refResult {
 	app := &a.sys.App
-	res := &analysis.Result{
+	res := &refResult{
 		R:         make(map[model.ActID]units.Duration, len(app.Acts)),
 		Converged: true,
 	}
@@ -171,7 +189,7 @@ func (a *refAnalyzer) run() *analysis.Result {
 	return res
 }
 
-func (a *refAnalyzer) releaseJitter(act *model.Activity, res *analysis.Result) units.Duration {
+func (a *refAnalyzer) releaseJitter(act *model.Activity, res *refResult) units.Duration {
 	j := act.Release
 	for _, p := range act.Preds {
 		if r, ok := res.R[p]; ok && r > j {
@@ -204,7 +222,7 @@ func (a *refAnalyzer) tableResponse(act *model.Activity) units.Duration {
 	return worst
 }
 
-func (a *refAnalyzer) finish(res *analysis.Result) {
+func (a *refAnalyzer) finish(res *refResult) {
 	app := &a.sys.App
 	var f1, f2 float64
 	for i := range app.Acts {
@@ -233,7 +251,7 @@ func (a *refAnalyzer) finish(res *analysis.Result) {
 	}
 }
 
-func (a *refAnalyzer) fpsResponse(act *model.Activity, jitter units.Duration, res *analysis.Result) units.Duration {
+func (a *refAnalyzer) fpsResponse(act *model.Activity, jitter units.Duration, res *refResult) units.Duration {
 	av := a.table.Availability(act.Node)
 	var hp []model.ActID
 	for _, id := range a.fpsByNode[act.Node] {
@@ -256,7 +274,7 @@ func (a *refAnalyzer) fpsResponse(act *model.Activity, jitter units.Duration, re
 	return units.SatAdd(jitter, worst)
 }
 
-func (a *refAnalyzer) busyWindow(act *model.Activity, hp []model.ActID, phi units.Time, bound units.Duration, res *analysis.Result) units.Duration {
+func (a *refAnalyzer) busyWindow(act *model.Activity, hp []model.ActID, phi units.Time, bound units.Duration, res *refResult) units.Duration {
 	app := &a.sys.App
 	av := a.table.Availability(act.Node)
 	w := act.C
@@ -296,7 +314,7 @@ type refLfItem struct {
 	extra int
 }
 
-func (a *refAnalyzer) dynResponse(act *model.Activity, jitter units.Duration, res *analysis.Result) units.Duration {
+func (a *refAnalyzer) dynResponse(act *model.Activity, jitter units.Duration, res *refResult) units.Duration {
 	fid, ok := a.cfg.FrameID[act.ID]
 	if !ok || a.cfg.NumMinislots <= 0 {
 		return a.cap(act.ID)
@@ -387,7 +405,7 @@ func (a *refAnalyzer) dynEnv(act *model.Activity, fid int) *refEnv {
 	return env
 }
 
-func (a *refAnalyzer) instances(m model.ActID, t units.Duration, res *analysis.Result) int64 {
+func (a *refAnalyzer) instances(m model.ActID, t units.Duration, res *refResult) int64 {
 	period := a.sys.App.Period(m)
 	n := units.CeilDiv(int64(t)+int64(a.j[m]), int64(period))
 	if n < 0 {
@@ -396,7 +414,7 @@ func (a *refAnalyzer) instances(m model.ActID, t units.Duration, res *analysis.R
 	return n
 }
 
-func (a *refAnalyzer) fillCycles(env *refEnv, t units.Duration, res *analysis.Result) (filled int64, leftover int) {
+func (a *refAnalyzer) fillCycles(env *refEnv, t units.Duration, res *refResult) (filled int64, leftover int) {
 	var hpFill int64
 	for _, m := range env.hp {
 		hpFill += a.instances(m, t, res)
@@ -644,9 +662,9 @@ func TestFlatAnalyzerMatchesReference(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if d.Response != got.R[m] {
+				if r, _ := got.Response(m); d.Response != r {
 					t.Fatalf("system (%d nodes, seed %d) trial %d: ExplainDYN(%d) response %v != analysed %v",
-						tc.nodes, tc.seed, trial, m, d.Response, got.R[m])
+						tc.nodes, tc.seed, trial, m, d.Response, r)
 				}
 			}
 			for _, id := range append(sys.App.Tasks(int(model.FPS)), dyn...) {

@@ -39,6 +39,12 @@ import (
 // the same result, and EvalBatch must return slices positionally
 // aligned with cfgs. A nil analysis result with an infeasible cost
 // marks configurations that could not be scheduled at all.
+//
+// The configurations are borrowed for the call only: SA edits one
+// scratch configuration in place and passes it for every candidate, so
+// a hook that keeps a configuration past its return must keep a Clone
+// (the campaign engine keeps only its fingerprint). The returned
+// Result belongs to the caller and must not change afterwards.
 type EvalHook interface {
 	// Eval evaluates one candidate configuration.
 	Eval(sys *model.System, cfg *flexray.Config, opts sched.Options) (*analysis.Result, float64)

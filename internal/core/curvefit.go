@@ -225,26 +225,22 @@ func (cf *curveFit) addPoints(sizes []int) {
 // storePoint builds the support-set entry for one exactly evaluated
 // size, splitting the cost into the DYN responses (the interpolation
 // targets) and the non-DYN contributions. The non-DYN sums run in
-// ActID order: float addition is not associative, so summing in map
-// order would let the interpolated costs differ from run to run.
+// ActID order (the order R yields): float addition is not associative,
+// so summing in any other order could change the interpolated costs.
 func (cf *curveFit) storePoint(nMS int, cand *flexray.Config, res *analysis.Result, cost float64) *evalPoint {
 	p := &evalPoint{nMS: nMS, x: cf.x(nMS), cfg: cand, res: res, cost: cost}
 	if res != nil {
 		app := &cf.e.sys.App
 		p.rm = make([]float64, len(cf.dyn))
 		for i, m := range cf.dyn {
-			p.rm[i] = res.R[m].Us()
+			r, _ := res.Response(m)
+			p.rm[i] = r.Us()
 		}
-		for i := range app.Acts {
-			act := &app.Acts[i]
-			if act.IsMessage() && act.Class == model.DYN {
+		for id, r := range res.R {
+			if act := app.Act(id); act.IsMessage() && act.Class == model.DYN {
 				continue
 			}
-			r, ok := res.R[act.ID]
-			if !ok {
-				continue
-			}
-			diff := (r - app.Deadline(act.ID)).Us()
+			diff := (r - app.Deadline(id)).Us()
 			if diff > 0 {
 				p.nonDYNf1 += diff
 			}

@@ -263,8 +263,8 @@ func bbcCurveFit(t *testing.T, sys *model.System) *curveFit {
 
 // TestStorePointSumsInActIDOrder: the non-DYN cost split of a support
 // point is the sum over the activities in ActID order, so storing the
-// same Result always gives the same bits (a sum in map order differs
-// from run to run in its last bits).
+// same Result always gives the same bits (a sum in any other order can
+// differ in its last bits).
 func TestStorePointSumsInActIDOrder(t *testing.T) {
 	sys, err := synth.Generate(synth.DefaultParams(4, 1))
 	if err != nil {
@@ -280,7 +280,7 @@ func TestStorePointSumsInActIDOrder(t *testing.T) {
 		var f1, f2 float64
 		for i := range app.Acts {
 			act := &app.Acts[i]
-			r, ok := p.res.R[act.ID]
+			r, ok := p.res.Response(act.ID)
 			if !ok || (act.IsMessage() && act.Class == model.DYN) {
 				continue
 			}

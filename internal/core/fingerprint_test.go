@@ -28,7 +28,7 @@ func fingerprintConfigs(t *testing.T) []*flexray.Config {
 	rng := rand.New(rand.NewSource(5))
 	cfgs := []*flexray.Config{res.Config}
 	for cur := res.Config; len(cfgs) < 6; {
-		if next := mutate(sys, cur, rng, opts, senders); next != nil {
+		if next := refMutate(sys, cur, rng, opts, senders); next != nil {
 			cfgs = append(cfgs, next)
 			cur = next
 		}

@@ -6,11 +6,11 @@ import (
 	"repro/internal/cruise"
 )
 
-// TestValidateAllocsOnSAPath guards SA's hot path: SA validates every
-// neighbour before evaluating it, so validating a valid configuration
-// must stay a small fixed cost: two allocations (the slot-owner table
-// and the DYN frame list); problems are allocated only on failure.
-func TestValidateAllocsOnSAPath(t *testing.T) {
+// TestCheckAllocatesNothing guards SA's hot path: SA validates every
+// candidate before evaluating it, so checking a valid configuration —
+// through Check or through Validate, which joins Check's problems —
+// must not allocate; problems are allocated only on failure.
+func TestCheckAllocatesNothing(t *testing.T) {
 	sys := cruise.MustSystem()
 	opts := DefaultOptions()
 	res, err := BBC(sys, opts)
@@ -18,11 +18,13 @@ func TestValidateAllocsOnSAPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := res.Config
-	if err := cfg.Validate(opts.Params, sys); err != nil {
-		t.Fatalf("BBC configuration invalid: %v", err)
+	if probs := cfg.Check(opts.Params, sys); probs != nil {
+		t.Fatalf("BBC configuration invalid: %v", probs)
 	}
-	const maxAllocs = 2
-	if got := testing.AllocsPerRun(100, func() { _ = cfg.Validate(opts.Params, sys) }); got > maxAllocs {
-		t.Errorf("Validate allocates %v times on the cruise BBC configuration, want <= %d", got, maxAllocs)
+	if got := testing.AllocsPerRun(100, func() { _ = cfg.Check(opts.Params, sys) }); got != 0 {
+		t.Errorf("Check allocates %v times on the cruise BBC configuration, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = cfg.Validate(opts.Params, sys) }); got != 0 {
+		t.Errorf("Validate allocates %v times on the cruise BBC configuration, want 0", got)
 	}
 }

@@ -126,6 +126,7 @@ func Fig3() ([]Fig3Row, error) {
 			}
 			panic("unknown activity " + name)
 		}
+		analysed, _ := res.Response(id("m3"))
 		rows = append(rows, Fig3Row{
 			Variant:  v,
 			GdCycle:  cfg.Cycle(),
@@ -133,7 +134,7 @@ func Fig3() ([]Fig3Row, error) {
 			R2:       sr.MaxResponse[id("m2")],
 			R3:       sr.MaxResponse[id("m3")],
 			PaperR3:  paper[v],
-			Analysed: res.R[id("m3")],
+			Analysed: analysed,
 		})
 	}
 	return rows, nil

@@ -118,6 +118,7 @@ func Fig4() ([]Fig4Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		analysed, _ := res.Response(actByName(sys, "m2"))
 		rows = append(rows, Fig4Row{
 			Variant:    v,
 			GdCycle:    cfg.Cycle(),
@@ -125,7 +126,7 @@ func Fig4() ([]Fig4Row, error) {
 			R2:         sr.MaxResponse[actByName(sys, "m2")],
 			R3:         sr.MaxResponse[actByName(sys, "m3")],
 			PaperR2:    paper[v],
-			AnalysedR2: res.R[actByName(sys, "m2")],
+			AnalysedR2: analysed,
 		})
 	}
 	return rows, nil

@@ -177,7 +177,8 @@ func Fig7(p Fig7Params) (*Fig7Series, error) {
 		}
 		pt := Fig7Point{DYNBus: cands[i].DYNBus(), GdCycle: cands[i].Cycle(), CostSign: res.Cost}
 		for _, m := range dyn {
-			pt.R = append(pt.R, res.R[m])
+			r, _ := res.Response(m)
+			pt.R = append(pt.R, r)
 		}
 		series.Points = append(series.Points, pt)
 	}

@@ -45,11 +45,18 @@ type dynFrame struct {
 	id  model.ActID
 }
 
+// checkStack bounds the scratch Check keeps on its stack: the slot
+// owners of up to checkStack nodes and up to checkStack DYN frames.
+// Larger systems take one heap slice each.
+const checkStack = 128
+
 // Check returns every way the configuration breaks the protocol
 // limits or does not fit the application, in CheckKind order; nil
 // means the configuration is valid. It never panics, whatever the
-// Config holds, and allocates problems only when it finds some. The
-// system is assumed to pass model.System.Validate.
+// Config holds, and allocates problems only when it finds some: on a
+// valid configuration of up to checkStack nodes and DYN messages it
+// allocates nothing (SA checks every candidate). The system is assumed
+// to pass model.System.Validate.
 func (c *Config) Check(p Params, sys *model.System) []Problem {
 	var probs []Problem
 	add := func(kind CheckKind, subject, format string, args ...any) {
@@ -81,7 +88,13 @@ func (c *Config) Check(p Params, sys *model.System) []Problem {
 	if len(c.StaticSlotOwner) != c.NumStaticSlots {
 		add(CheckSlotOwners, "owners", "StaticSlotOwner has %d entries for %d slots", len(c.StaticSlotOwner), c.NumStaticSlots)
 	}
-	owned := make([]bool, max(nodes, 0))
+	var ownedBuf [checkStack]bool
+	owned := ownedBuf[:0]
+	if nodes > checkStack {
+		owned = make([]bool, nodes)
+	} else if nodes > 0 {
+		owned = ownedBuf[:nodes]
+	}
 	for i, o := range c.StaticSlotOwner {
 		switch {
 		case int(o) >= nodes || o < -1:
@@ -109,7 +122,8 @@ func (c *Config) Check(p Params, sys *model.System) []Problem {
 		add(CheckSTFrameFits, "static", "largest ST message (%v) exceeds gdStaticSlot (%v)", maxST, c.StaticSlotLen)
 	}
 
-	frames := make([]dynFrame, 0, len(c.FrameID))
+	var frameBuf [checkStack]dynFrame
+	frames := frameBuf[:0]
 	keyed := 0 // DYN messages present in c.FrameID
 	for i := range app.Acts {
 		a := &app.Acts[i]

@@ -248,8 +248,9 @@ func (c *Config) FitsAt(app *model.Application, m model.ActID, ms int) bool {
 	}
 }
 
-// Clone returns a deep copy of the configuration; optimisers mutate
-// clones while keeping the incumbent intact.
+// Clone returns a deep copy of the configuration; the sweeps mutate
+// clones while keeping the incumbent intact, and SA clones its best
+// configuration when it improves.
 func (c *Config) Clone() *Config {
 	cl := *c
 	cl.StaticSlotOwner = append([]model.NodeID(nil), c.StaticSlotOwner...)

@@ -377,15 +377,9 @@ func (f *Facts) extractSlackFacts(an *analysis.Analyzer) {
 	for _, id := range f.Res.Violations {
 		violated[id] = true
 	}
-	ids := make([]model.ActID, 0, len(f.Res.R))
-	for id := range f.Res.R {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for id, r := range f.Res.R {
 		a := app.Act(id)
 		d := app.Deadline(id)
-		r := f.Res.R[id]
 		sf := SlackFact{
 			Act: id, Name: a.Name,
 			Deadline: d, Response: r, Jitter: an.Jitter(id),

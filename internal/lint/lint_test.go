@@ -297,9 +297,9 @@ func TestDYNDelayExplainsReportedResponse(t *testing.T) {
 					continue
 				}
 				explained++
-				if d.Delay.Response != f.Res.R[d.Msg] {
+				if r, _ := f.Res.Response(d.Msg); d.Delay.Response != r {
 					t.Errorf("%s trial %d: %s delay response %v, analysed %v",
-						sys.Name, trial, d.Name, d.Delay.Response, f.Res.R[d.Msg])
+						sys.Name, trial, d.Name, d.Delay.Response, r)
 				}
 			}
 		}

@@ -96,43 +96,42 @@ type allocPin struct {
 
 // allocPins is the allocation gate: one row per Suite scenario,
 // measured by measureAllocs at the scenario's AllocWarmup/AllocOps in
-// a go test build (no PGO: lint/report reads 1695 and fig9/quick about
-// 7059 under -pgo=default.pgo). Non-serial rows run at GOMAXPROCS 2
-// (fig7/sweep reads 151, 209-210 and 321-322 at 1, 2 and 4); serial
-// rows read the same at GOMAXPROCS 1, 2 and 4.
+// a go test build (no PGO; see OPERATIONS.md for the PGO counts).
+// Non-serial rows run at GOMAXPROCS 2 (fig7/sweep reads 142, 200-201
+// and 312-313 at 1, 2 and 4); serial rows read the same at GOMAXPROCS
+// 1, 2 and 4.
 //
-// A row is exact where at least five runs agreed: each exact row read
-// the same count in all 152 runs on 2 CPUs (fresh processes at
-// GOMAXPROCS 1, 2 and 4, shuffled whole-package runs with -count 3,
-// and two or three processes at once; CHANGES.md lists them). The
-// other rows were never identical in five runs; their comments cite
-// the measured min-max over such runs, and their spread covers it
-// with a margin about as wide again on either side, because their
+// A row is exact where every run agreed: each exact row read the same
+// count in all 50 runs on 2 CPUs (30 fresh processes one at a time
+// and 20 two at once; CHANGES.md lists them). The other rows were
+// never identical in five runs; their comments cite the measured
+// min-max over those 50 runs, and their spread covers it with a
+// margin about half as wide again on either side, because their
 // counts move with goroutine scheduling.
 //
 // A change that moves a count edits its pin and says why in
 // CHANGES.md.
 var allocPins = map[string]allocPin{
-	"eval/fresh":        {allocs: 535, bytes: 66447},
-	"eval/session":      {allocs: 11, bytes: 2960, race: true},
+	"eval/fresh":        {allocs: 527, bytes: 64352},
+	"eval/session":      {allocs: 3, bytes: 865, race: true},
 	"sched/build-table": {allocs: 0, bytes: 0, race: true},
-	// 5500-5503: the engine's goroutines interleave differently.
-	"campaign/serial": {allocs: 5502, spread: 6, bytes: 835400},
-	// 5502-5504.
-	"campaign/parallel": {allocs: 5503, spread: 6, bytes: 835400},
-	// 5096-5105: queue, progress events and subscription wake-ups.
-	"jobs/pipeline": {allocs: 5100, spread: 20, bytes: 484300},
-	// 5974-6018: the workers live for one op and make the same
+	// 4414-4416: the engine's goroutines interleave differently.
+	"campaign/serial": {allocs: 4415, spread: 3, bytes: 597400},
+	// 4415-4417.
+	"campaign/parallel": {allocs: 4416, spread: 3, bytes: 597400},
+	// 3924-3931: queue, progress events and subscription wake-ups.
+	"jobs/pipeline": {allocs: 3928, spread: 10, bytes: 379000},
+	// 4809-4828: the workers live for one op and make the same
 	// claims in every op; what moves is how the engine's, the
 	// manager's and the HTTP goroutines interleave (GOMAXPROCS 1:
-	// 5989; 4: 6000-6008).
-	"jobs/distributed-drain": {allocs: 5996, spread: 44, bytes: 557000, io: true},
+	// 4811-4812; 4: 4823-4832).
+	"jobs/distributed-drain": {allocs: 4818, spread: 28, bytes: 464000, io: true},
 	"serve/traced-request":   {allocs: 38, bytes: 8029},
-	"lint/report":            {allocs: 1765, bytes: 202551},
-	// 209-210.
-	"fig7/sweep": {allocs: 210, spread: 2, bytes: 26850},
-	// 7271-7273.
-	"fig9/quick":    {allocs: 7272, spread: 4, bytes: 808200},
+	"lint/report":            {allocs: 1752, bytes: 199580},
+	// 200-201.
+	"fig7/sweep": {allocs: 201, spread: 2, bytes: 24450},
+	// 4425-4427.
+	"fig9/quick":    {allocs: 4426, spread: 3, bytes: 472000},
 	"store/replay":  {allocs: 7, bytes: 1312, race: true, io: true},
 	"store/compact": {allocs: 2, bytes: 881, io: true},
 }

@@ -205,7 +205,7 @@ func TestBuildSmallHandSystem(t *testing.T) {
 		t.Errorf("hand system unschedulable: %v", res.Violations)
 	}
 	// Response of t2: delivery 400µs + 200µs = 600µs from release.
-	if got := res.R[t2]; got != 600*us {
+	if got, _ := res.Response(t2); got != 600*us {
 		t.Errorf("R(t2) = %v, want 600µs", got)
 	}
 }

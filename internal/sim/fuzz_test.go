@@ -41,8 +41,9 @@ func FuzzSimulationNeverExceedsAnalysis(f *testing.F) {
 		unbounded := unboundedActs(sys, an, ana)
 		for _, id := range aboveAnalysis(ana, res) {
 			if !unbounded[id] {
+				bound, _ := ana.Response(id)
 				t.Errorf("%s simulated %v above analysed bound %v (config %v)",
-					sys.App.Acts[id].Name, res.MaxResponse[id], ana.R[id], cfg)
+					sys.App.Acts[id].Name, res.MaxResponse[id], bound, cfg)
 			}
 		}
 		et, checked := 0, 0
@@ -83,8 +84,9 @@ func TestSelfBacklogEscapesTheAnalysis(t *testing.T) {
 		unbounded := unboundedActs(sys, an, ana)
 		for _, id := range above {
 			if !unbounded[id] {
+				bound, _ := ana.Response(id)
 				t.Errorf("%+v: %s simulated %v above analysed bound %v", in,
-					sys.App.Acts[id].Name, res.MaxResponse[id], ana.R[id])
+					sys.App.Acts[id].Name, res.MaxResponse[id], bound)
 			}
 		}
 	}
@@ -145,7 +147,7 @@ func fuzzInput(t *testing.T, nodes uint8, seed int64, algo uint8, perturb int64,
 func aboveAnalysis(ana *analysis.Result, res *Result) []model.ActID {
 	var out []model.ActID
 	for id, simR := range res.MaxResponse {
-		if bound, ok := ana.R[id]; ok && simR > bound {
+		if bound, ok := ana.Response(id); ok && simR > bound {
 			out = append(out, id)
 		}
 	}
@@ -168,7 +170,7 @@ func unboundedActs(sys *model.System, an *analysis.Analyzer, ana *analysis.Resul
 	out := map[model.ActID]bool{}
 	for i := range app.Acts {
 		a := &app.Acts[i]
-		if a.IsET() && ana.R[a.ID] > app.Period(a.ID) {
+		if r, _ := ana.Response(a.ID); a.IsET() && r > app.Period(a.ID) {
 			out[a.ID] = true
 		}
 	}
