@@ -12,6 +12,8 @@ package flexopt_test
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	flexopt "repro"
@@ -237,25 +239,46 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkPortfolioWorkers measures racing the full optimiser
-// portfolio on one Fig. 7 system over the shared caching engine.
+// BenchmarkPortfolioWorkers measures racing optimisers on one system
+// over the shared caching engine: the full portfolio on a Fig. 7
+// system under the campaign budgets at 1 and 4 workers; on the cruise
+// controller under default options — what POST /v1/optimize serves for
+// it — the full portfolio at 1 and GOMAXPROCS workers, and BBC and
+// OBC-EE alone at 1 and 4 workers, the request shapes in which no
+// other algorithm shares the worker pool.
 func BenchmarkPortfolioWorkers(b *testing.B) {
 	b.ReportAllocs()
-	sys, err := flexopt.Generate(fig7Population(1)[0])
+	fig7, err := flexopt.Generate(fig7Population(1)[0])
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := campaignBenchOpts()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := flexopt.Portfolio(context.Background(), sys, opts,
-					flexopt.EngineOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
+	cruise, err := flexopt.CruiseController()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		sys     *flexopt.System
+		opts    flexopt.Options
+		algs    []string
+		workers []int
+	}{
+		{"fig7", fig7, campaignBenchOpts(), nil, []int{1, 4}},
+		{"cruise", cruise, flexopt.DefaultOptions(), nil, slices.Compact([]int{1, runtime.GOMAXPROCS(0)})},
+		{"cruise-bbc", cruise, flexopt.DefaultOptions(), []string{"bbc"}, []int{1, 4}},
+		{"cruise-obc-ee", cruise, flexopt.DefaultOptions(), []string{"obc-ee"}, []int{1, 4}},
+	} {
+		for _, workers := range c.workers {
+			b.Run(fmt.Sprintf("%s/workers-%d", c.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := flexopt.Portfolio(context.Background(), c.sys, c.opts,
+						flexopt.EngineOptions{Workers: workers}, c.algs...); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -17,14 +17,20 @@
 //
 // Synchronous endpoints:
 //
-//	POST /v1/optimize  {"system": {...}, "algorithms": ["obc-cf"],
-//	                    "workers": 4, "options": {"sa_iterations": 500}}
+//	POST /v1/optimize  {"system": {...}, "algorithms": ["obc-cf", "sa"],
+//	                    "workers": 2, "options": {"sa_iterations": 500}}
 //	POST /v1/analyze   {"system": {...}, "config": {...}}
 //	POST /v1/simulate  {"system": {...}, "config": {...}, "repetitions": 2}
 //	GET  /livez        liveness probe (the process serves HTTP)
 //	GET  /readyz       readiness probe (503 while draining or shedding)
 //	GET  /metrics      Prometheus text exposition (see OPERATIONS.md)
 //	GET  /debug/pprof/ (only with -pprof; off by default)
+//
+// The requested algorithms of an optimize race concurrently, and
+// "workers" (default -workers) bounds how many evaluations run at
+// once. Each algorithm evaluates one candidate at a time, so a request
+// keeps at most one worker per algorithm busy: a single-algorithm
+// request runs serially whatever "workers" says.
 //
 // Asynchronous jobs (durable with -store; see internal/jobs):
 //

@@ -80,17 +80,21 @@
 // The campaign layer scales the optimisers from one goroutine to the
 // whole machine. Every optimiser spends its budget on one pure
 // operation — schedule build plus holistic analysis of a candidate
-// configuration — and the engine behind EngineOptions parallelises
-// exactly that: independent sweep candidates fan across a worker pool
-// whose workers each pin their own evaluation session, results are
-// memoised in a bounded LRU cache keyed on the configuration
-// fingerprint behind one mutex, and a context cancels in-flight work. Because
-// evaluations are pure, results are bit-identical at any worker count.
+// configuration — and hands its candidates to the engine behind
+// EngineOptions one at a time. The engine's worker pool, whose workers
+// each pin their own evaluation session, bounds how many evaluations
+// run at once; results are memoised in a bounded LRU cache keyed on the
+// configuration fingerprint behind one mutex, and a context cancels
+// in-flight work. Because evaluations are pure, results are
+// bit-identical at any worker count.
 //
 // Portfolio races BBC, OBC-CF, OBC-EE and SA concurrently on one
 // system over a shared engine (the cheap heuristics warm the cache
 // for the expensive ones) and returns the best Result plus
-// per-algorithm telemetry. Campaign and CampaignJSONL shard a
+// per-algorithm telemetry. The algorithms share the worker pool, and
+// each evaluates one candidate at a time, so a portfolio keeps at most
+// one worker per algorithm busy: a portfolio of one algorithm runs
+// serially at any worker count. Campaign and CampaignJSONL shard a
 // generated population — PopulationSpecs builds the paper's
 // Section 7 sets — across workers and stream per-system records in
 // deterministic order; CampaignSystems does the same over an explicit,

@@ -215,11 +215,12 @@ type Analyzer struct {
 	envSig        []int64
 	envSigScratch []int64
 
-	// topo caches the deterministic topological order of every task
-	// graph (system-dependent; computed on first use).
-	topo     [][]model.ActID
-	topoErr  []error
-	topoDone []bool
+	// topo holds the deterministic topological order of every task
+	// graph, back to back: graph g's is topo[topoOff[g]:topoOff[g+1]],
+	// empty when the graph has a cycle and topoErr[g] says so.
+	topo    []model.ActID
+	topoOff []int32
+	topoErr []error
 }
 
 // New builds an analyzer bound to one configuration and table.
@@ -299,6 +300,16 @@ func NewReusable(sys *model.System, opts Options) *Analyzer {
 	a.sizeMS = make([]int, len(a.dynMsgs))
 	a.largestMS = make([]int, len(byNode))
 	a.ar.envs = make([]flatEnv, len(a.dynMsgs))
+
+	a.topo = make([]model.ActID, 0, n)
+	a.topoOff = make([]int32, len(app.Graphs)+1)
+	a.topoErr = make([]error, len(app.Graphs))
+	for g := range app.Graphs {
+		order, err := app.TopoOrder(g)
+		a.topo = append(a.topo, order...)
+		a.topoOff[g+1] = int32(len(a.topo))
+		a.topoErr[g] = err
+	}
 	return a
 }
 
@@ -383,19 +394,9 @@ func (a *Analyzer) envSignature(cfg *flexray.Config, buf []int64) []int64 {
 	return buf
 }
 
-// topoOrder returns the cached topological order of graph g.
+// topoOrder returns the topological order of graph g.
 func (a *Analyzer) topoOrder(g int) ([]model.ActID, error) {
-	if a.topoDone == nil {
-		n := len(a.sys.App.Graphs)
-		a.topo = make([][]model.ActID, n)
-		a.topoErr = make([]error, n)
-		a.topoDone = make([]bool, n)
-	}
-	if !a.topoDone[g] {
-		a.topo[g], a.topoErr[g] = a.sys.App.TopoOrder(g)
-		a.topoDone[g] = true
-	}
-	return a.topo[g], a.topoErr[g]
+	return a.topo[a.topoOff[g]:a.topoOff[g+1]], a.topoErr[g]
 }
 
 func (a *Analyzer) availability(n model.NodeID) *schedule.Availability {

@@ -2,16 +2,17 @@
 // the whole machine. Three layers build on each other:
 //
 //   - Engine, a worker-pool evaluation service that plugs into the
-//     optimisers through core.EvalHook: independent candidate
-//     configurations (the BBC/OBC-EE sweep grids) are evaluated
-//     concurrently, every evaluation goes through a bounded LRU cache
-//     keyed on the configuration fingerprint, and a context
+//     optimisers through core.EvalHook: the optimisers hand it one
+//     candidate at a time, every evaluation goes through a bounded LRU
+//     cache keyed on the configuration fingerprint, and a context
 //     cancels in-flight work. An engine serves one system, and each
 //     worker owns one evaluation session (core.Session) for it, so the
 //     reusable-analyzer and schedule-table reuse of the serial path
-//     carries over to every worker. Because evaluations are pure, any
-//     worker count produces bit-identical optimiser results —
-//     workers=1 reproduces the serial behaviour exactly;
+//     carries over to every worker. The workers serve the portfolio's
+//     concurrently running algorithms, and EvalBatch fans a set of
+//     independent points (the Fig. 7 sweep) across them. Because
+//     evaluations are pure, any worker count produces bit-identical
+//     results — workers=1 reproduces the serial behaviour exactly;
 //   - Portfolio, which races BBC, OBC-CF, OBC-EE and SA concurrently
 //     on one system over a shared engine (the cheap heuristics warm
 //     the cache for the expensive ones) and reports the best result
@@ -46,11 +47,13 @@ const DefaultCacheSize = 4096
 
 // EngineOptions tune one evaluation engine.
 type EngineOptions struct {
-	// Workers is the number of goroutines evaluating candidate
-	// configurations; <= 0 selects GOMAXPROCS. Evaluations are pure
-	// and batch reductions are position-aligned, so every worker
-	// count produces identical optimiser results — only the
-	// wall-clock changes.
+	// Workers is the number of evaluations that may run at once;
+	// <= 0 selects GOMAXPROCS. The optimisers evaluate one candidate
+	// at a time, so a Portfolio keeps at most one worker per
+	// algorithm busy; only EvalBatch (the Fig. 7 sweep) can use more.
+	// Evaluations are pure and EvalBatch results are
+	// position-aligned, so every worker count produces identical
+	// results — only the wall-clock changes.
 	Workers int `json:"workers"`
 }
 
@@ -72,9 +75,10 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.CacheMisses += o.CacheMisses
 }
 
-// EngineCounters accumulate EngineStats from any number of goroutines;
-// the serving layer and the job manager track their process totals
-// with one. The zero value is ready to use.
+// EngineCounters accumulate EngineStats from any number of goroutines:
+// every Engine counts its own work in one, and the serving layer and
+// the job manager track their process totals with one. The zero value
+// is ready to use.
 type EngineCounters struct {
 	evals, hits, misses atomic.Int64
 }
@@ -150,9 +154,7 @@ type Engine struct {
 	lru      list.List // of *cacheEntry, most recent first
 	capacity int
 
-	evals  atomic.Int64
-	hits   atomic.Int64
-	misses atomic.Int64
+	counters EngineCounters
 }
 
 var _ core.EvalHook = (*Engine)(nil)
@@ -208,13 +210,7 @@ func (e *Engine) Hook(opts core.Options) core.Options {
 }
 
 // Stats snapshots the engine counters.
-func (e *Engine) Stats() EngineStats {
-	return EngineStats{
-		Evaluations: e.evals.Load(),
-		CacheHits:   e.hits.Load(),
-		CacheMisses: e.misses.Load(),
-	}
-}
+func (e *Engine) Stats() EngineStats { return e.counters.Total() }
 
 // Cancelled reports whether the engine's context has been cancelled
 // (results produced afterwards are garbage by design).
@@ -229,7 +225,7 @@ func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 		ent := el.Value.(*cacheEntry)
 		e.lru.MoveToFront(el)
 		e.mu.Unlock()
-		e.hits.Add(1)
+		e.counters.hits.Add(1)
 		<-ent.done
 		return ent.res, ent.cost
 	}
@@ -241,7 +237,7 @@ func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 		delete(e.entries, oldest.Value.(*cacheEntry).key)
 	}
 	e.mu.Unlock()
-	e.misses.Add(1)
+	e.counters.misses.Add(1)
 	// A cancelled evaluation caches an infeasible marker; that is
 	// sound because the engine's lifetime is bound to its context —
 	// every result produced after cancellation is discarded anyway.
@@ -254,6 +250,10 @@ func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 // returns positionally aligned results. Every candidate takes the
 // per-candidate cache protocol of Eval (lookup, in-flight coalescing,
 // insert), one goroutine each when the engine has more than one worker.
+// The optimisers never call it — they evaluate one candidate at a time
+// through Eval — but the Fig. 7 sweep does: its points are independent
+// and nothing else runs on its engine, so the fan-out is the only
+// parallelism it has.
 func (e *Engine) EvalBatch(sys *model.System, cfgs []*flexray.Config, opts sched.Options) ([]*analysis.Result, []float64) {
 	ress := make([]*analysis.Result, len(cfgs))
 	costs := make([]float64, len(cfgs))
@@ -289,6 +289,6 @@ func (e *Engine) run(sys *model.System, cfg *flexray.Config, opts sched.Options)
 	if e.ctx.Err() != nil {
 		return nil, infeasibleCost
 	}
-	e.evals.Add(1)
+	e.counters.evals.Add(1)
 	return wk.session(sys, opts).Eval(cfg)
 }

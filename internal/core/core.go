@@ -33,24 +33,28 @@ import (
 
 // EvalHook intercepts the evaluation of candidate configurations (one
 // global scheduling run plus one holistic analysis each). The campaign
-// engine plugs in here to add caching, cancellation and worker-pool
-// parallelism without the optimisers knowing. Implementations must be
-// pure: the same (system, config, options) triple must always produce
-// the same result, and EvalBatch must return slices positionally
-// aligned with cfgs. A nil analysis result with an infeasible cost
-// marks configurations that could not be scheduled at all.
+// engine plugs in here to add caching and cancellation without the
+// optimisers knowing. Implementations must be pure: the same (system,
+// config, options) triple must always produce the same result. A nil
+// analysis result with an infeasible cost marks configurations that
+// could not be scheduled at all.
 //
-// The configurations are borrowed for the call only: SA edits one
-// scratch configuration in place and passes it for every candidate, so
-// a hook that keeps a configuration past its return must keep a Clone
-// (the campaign engine keeps only its fingerprint). The returned
-// Result belongs to the caller and must not change afterwards.
+// Every optimiser evaluates its candidates one at a time through Eval,
+// in the order its sweep or walk reaches them, and lends one scratch
+// configuration per sweep or walk that it edits in place between
+// calls. The configuration is borrowed for the call only: a hook that
+// keeps one past its return must keep a Clone (the campaign engine
+// keeps only its fingerprint). The returned Result belongs to the
+// caller and must not change afterwards.
 type EvalHook interface {
 	// Eval evaluates one candidate configuration.
 	Eval(sys *model.System, cfg *flexray.Config, opts sched.Options) (*analysis.Result, float64)
 	// EvalBatch evaluates independent candidates, possibly
-	// concurrently; the optimisers only call it for candidate sets
-	// whose evaluations do not depend on each other.
+	// concurrently, and returns slices positionally aligned with
+	// cfgs. No optimiser calls it: it serves callers that hold a set
+	// of independent points and run nothing else at the time, such
+	// as the Fig. 7 sweep, and hook decorators that forward to an
+	// inner hook.
 	EvalBatch(sys *model.System, cfgs []*flexray.Config, opts sched.Options) ([]*analysis.Result, []float64)
 }
 
@@ -182,11 +186,12 @@ type Result struct {
 const infeasibleCost = 1e15
 
 // evaluator runs the global scheduling algorithm plus holistic analysis
-// for candidate configurations and counts the evaluations. The built-in
-// path owns one evaluation Session, created lazily, so every candidate
-// of one optimiser invocation reuses the same analyzer state and
-// schedule table. It also carries the run identity (algorithm,
-// start time) and the convergence state behind the span events.
+// for candidate configurations, one at a time through eval, and counts
+// the evaluations. The built-in path owns one evaluation Session,
+// created lazily, so every candidate of one optimiser invocation reuses
+// the same analyzer state and schedule table. It also carries the run
+// identity (algorithm, start time) and the convergence state behind the
+// span events.
 type evaluator struct {
 	sys   *model.System
 	opts  Options
@@ -228,18 +233,6 @@ func (e *evaluator) observe(nth int, cost float64) {
 	e.opts.Span.AddEvent("best", attrs...)
 }
 
-// observeBatch observes the costs of the batch that just brought the
-// evaluation count to e.evals, in candidate order.
-func (e *evaluator) observeBatch(costs []float64) {
-	if e.opts.Span == nil {
-		return
-	}
-	first := e.evals - len(costs)
-	for i, c := range costs {
-		e.observe(first+i+1, c)
-	}
-}
-
 // session returns the evaluator's built-in evaluation session.
 func (e *evaluator) session() *Session {
 	if e.sess == nil {
@@ -259,47 +252,6 @@ func (e *evaluator) eval(cfg *flexray.Config) (res *analysis.Result, cost float6
 		e.observe(e.evals, cost)
 	}
 	return res, cost
-}
-
-// evalBatch evaluates a slice of independent candidates and returns the
-// positionally aligned results plus how many were evaluated. The
-// remaining MaxEvaluations budget truncates the batch in slice order —
-// exactly the prefix the serial loop would have reached — so batched
-// sweeps spend the budget identically to candidate-at-a-time sweeps.
-func (e *evaluator) evalBatch(cfgs []*flexray.Config) ([]*analysis.Result, []float64, int) {
-	n := len(cfgs)
-	if e.opts.MaxEvaluations > 0 {
-		if rem := e.opts.MaxEvaluations - e.evals; rem < n {
-			n = rem
-			if n < 0 {
-				n = 0
-			}
-		}
-	}
-	ress, costs := e.evalBatchAll(cfgs[:n])
-	return ress, costs, n
-}
-
-// evalBatchAll evaluates every candidate regardless of the remaining
-// budget — the batched form of back-to-back e.eval calls on a fixed
-// slice, for call sites whose serial loop did not consult the budget
-// between evaluations (the curve fit's initial support set). With no
-// hook installed the batch is a plain loop through the evaluator's
-// session, in slice order.
-func (e *evaluator) evalBatchAll(cfgs []*flexray.Config) (ress []*analysis.Result, costs []float64) {
-	e.evals += len(cfgs)
-	if e.opts.Eval != nil {
-		ress, costs = e.opts.Eval.EvalBatch(e.sys, cfgs, e.opts.Sched)
-	} else {
-		ress = make([]*analysis.Result, len(cfgs))
-		costs = make([]float64, len(cfgs))
-		sess := e.session()
-		for i, cfg := range cfgs {
-			ress[i], costs[i] = sess.Eval(cfg)
-		}
-	}
-	e.observeBatch(costs)
-	return ress, costs
 }
 
 // exhausted reports whether the evaluation budget has run out.

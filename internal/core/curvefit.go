@@ -30,16 +30,17 @@ const (
 // DYN message over the whole grid with Newton polynomials, picks the
 // size with the best (interpolated or exact) cost, and refines the
 // support set until a schedulable size is confirmed exactly or
-// noImproveLimit iterations pass without improvement.
+// noImproveLimit iterations pass without improvement. Like
+// exhaustiveDYN it takes ownership of cfg: every evaluated size is set
+// on cfg, and the returned configuration is cfg set to the winner.
 func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.Result, float64) {
 	if len(cfg.FrameID) == 0 {
-		cand := cfg.Clone()
-		cand.NumMinislots = 0
-		if cand.Cycle() >= flexray.MaxCycle {
+		cfg.NumMinislots = 0
+		if cfg.Cycle() >= flexray.MaxCycle {
 			return nil, nil, infeasibleCost * 2
 		}
-		res, cost := e.eval(cand)
-		return cand, res, cost
+		res, cost := e.eval(cfg)
+		return cfg, res, cost
 	}
 
 	minMS, maxMS := dynBounds(e.sys, cfg, cfg.MinislotLen)
@@ -57,16 +58,18 @@ func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.
 	}
 
 	// Line 1: the initial support set — min, max and three evenly
-	// spaced sizes (the paper used five points). The sizes are
-	// independent, so they go through one batched evaluation. Phase
-	// granularity records the support build and the refinement loop as
-	// two spans; the per-point path stays untouched.
+	// spaced sizes (the paper used five points), evaluated in order
+	// without consulting the budget. Phase granularity records the
+	// support build and the refinement loop as two spans; the
+	// per-point path stays untouched.
 	phases := e.opts.Span.Phases()
 	var support *obs.Span
 	if phases {
 		support = e.opts.Span.StartChild("cf.support")
 	}
-	cf.addPoints(dynGrid(minMS, maxMS, initialSupportPoints)) // lines 2-5
+	for _, nMS := range dynGrid(minMS, maxMS, initialSupportPoints) { // lines 2-5
+		cf.addPoint(nMS)
+	}
 	if support != nil {
 		support.SetInt("points", int64(len(cf.pts)))
 		support.End()
@@ -92,12 +95,11 @@ func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.
 		}
 		switch {
 		case cost <= 0 && exact: // line 12
-			p := cf.pts[nMS]
-			return p.cfg, p.res, p.cost
+			return cf.result(cf.pts[nMS])
 		case cost <= 0: // lines 13-16
 			p := cf.addPoint(nMS)
 			if p != nil && p.res != nil && p.res.Schedulable { // line 14
-				return p.cfg, p.res, p.cost
+				return cf.result(p)
 			}
 		default: // Costmin > 0
 			if _, have := cf.pts[nMS]; !have {
@@ -141,7 +143,6 @@ func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.
 type evalPoint struct {
 	nMS  int
 	x    float64 // DYNbus in µs
-	cfg  *flexray.Config
 	res  *analysis.Result
 	cost float64
 	// rm[i] is the exact response (µs) of the i-th DYN message.
@@ -151,6 +152,10 @@ type evalPoint struct {
 	nonDYNf1, nonDYNf2 float64
 }
 
+// curveFit is the state of one Fig. 8 run. cfg is the static
+// configuration it sizes, owned by the run: every support point sets
+// its NumMinislots and is evaluated through it, and the returned
+// configuration is cfg set to the winning size.
 type curveFit struct {
 	e    *evaluator
 	cfg  *flexray.Config
@@ -178,48 +183,13 @@ func (cf *curveFit) addPoint(nMS int) *evalPoint {
 	if p, ok := cf.pts[nMS]; ok {
 		return p
 	}
-	cand := cf.cfg.Clone()
-	cand.NumMinislots = nMS
-	if cand.Cycle() >= flexray.MaxCycle {
-		cf.pts[nMS] = &evalPoint{nMS: nMS, x: cf.x(nMS), cfg: cand, cost: infeasibleCost}
+	cf.cfg.NumMinislots = nMS
+	if cf.cfg.Cycle() >= flexray.MaxCycle {
+		cf.pts[nMS] = &evalPoint{nMS: nMS, x: cf.x(nMS), cost: infeasibleCost}
 		return cf.pts[nMS]
 	}
-	res, cost := cf.e.eval(cand)
-	return cf.storePoint(nMS, cand, res, cost)
-}
-
-// addPoints evaluates a set of sizes through one batched evaluation.
-// Sizes already in the support set, duplicates, and structurally
-// infeasible cycles are filtered exactly as serial addPoint calls would
-// have, and the convergence events are observed in slice order — so
-// budget accounting, the stored support set and the events match the
-// serial loop.
-func (cf *curveFit) addPoints(sizes []int) {
-	var nms []int
-	var cands []*flexray.Config
-	for _, nMS := range sizes {
-		if _, ok := cf.pts[nMS]; ok {
-			continue
-		}
-		if slices.Contains(nms, nMS) {
-			continue
-		}
-		cand := cf.cfg.Clone()
-		cand.NumMinislots = nMS
-		if cand.Cycle() >= flexray.MaxCycle {
-			cf.pts[nMS] = &evalPoint{nMS: nMS, x: cf.x(nMS), cfg: cand, cost: infeasibleCost}
-			continue
-		}
-		nms = append(nms, nMS)
-		cands = append(cands, cand)
-	}
-	if len(cands) == 0 {
-		return
-	}
-	ress, costs := cf.e.evalBatchAll(cands)
-	for i, nMS := range nms {
-		cf.storePoint(nMS, cands[i], ress[i], costs[i])
-	}
+	res, cost := cf.e.eval(cf.cfg)
+	return cf.storePoint(nMS, res, cost)
 }
 
 // storePoint builds the support-set entry for one exactly evaluated
@@ -227,8 +197,8 @@ func (cf *curveFit) addPoints(sizes []int) {
 // targets) and the non-DYN contributions. The non-DYN sums run in
 // ActID order (the order R yields): float addition is not associative,
 // so summing in any other order could change the interpolated costs.
-func (cf *curveFit) storePoint(nMS int, cand *flexray.Config, res *analysis.Result, cost float64) *evalPoint {
-	p := &evalPoint{nMS: nMS, x: cf.x(nMS), cfg: cand, res: res, cost: cost}
+func (cf *curveFit) storePoint(nMS int, res *analysis.Result, cost float64) *evalPoint {
+	p := &evalPoint{nMS: nMS, x: cf.x(nMS), res: res, cost: cost}
 	if res != nil {
 		app := &cf.e.sys.App
 		p.rm = make([]float64, len(cf.dyn))
@@ -428,5 +398,12 @@ func (cf *curveFit) bestExact() (*flexray.Config, *analysis.Result, float64) {
 	if best == nil {
 		return nil, nil, infeasibleCost * 2
 	}
-	return best.cfg, best.res, best.cost
+	return cf.result(best)
+}
+
+// result returns a support point as the run's outcome: the run's
+// configuration set to the point's size, its analysis and its cost.
+func (cf *curveFit) result(p *evalPoint) (*flexray.Config, *analysis.Result, float64) {
+	cf.cfg.NumMinislots = p.nMS
+	return cf.cfg, p.res, p.cost
 }

@@ -58,9 +58,9 @@ func TestWidestGapMidSinglePoint(t *testing.T) {
 
 func TestBestExactPicksCheapest(t *testing.T) {
 	cf := cfFixture([]int{1, 2, 3})
-	cf.pts[1] = &evalPoint{nMS: 1, cost: 100, cfg: &flexray.Config{NumMinislots: 1}}
-	cf.pts[2] = &evalPoint{nMS: 2, cost: -5, cfg: &flexray.Config{NumMinislots: 2}}
-	cf.pts[3] = &evalPoint{nMS: 3, cost: 40, cfg: &flexray.Config{NumMinislots: 3}}
+	cf.pts[1] = &evalPoint{nMS: 1, cost: 100}
+	cf.pts[2] = &evalPoint{nMS: 2, cost: -5}
+	cf.pts[3] = &evalPoint{nMS: 3, cost: 40}
 	cfg, _, cost := cf.bestExact()
 	if cost != -5 || cfg.NumMinislots != 2 {
 		t.Errorf("bestExact = (%v, %v), want the nMS=2 point", cfg.NumMinislots, cost)
@@ -257,7 +257,9 @@ func bbcCurveFit(t *testing.T, sys *model.System) *curveFit {
 		pts:  map[int]*evalPoint{},
 		dyn:  sys.App.Messages(int(model.DYN)),
 	}
-	cf.addPoints(dynGrid(minMS, maxMS, initialSupportPoints))
+	for _, nMS := range dynGrid(minMS, maxMS, initialSupportPoints) {
+		cf.addPoint(nMS)
+	}
 	return cf
 }
 
@@ -291,7 +293,7 @@ func TestStorePointSumsInActIDOrder(t *testing.T) {
 			f2 += diff
 		}
 		for rep := 0; rep < 20; rep++ {
-			q := cf.storePoint(nMS, p.cfg, p.res, p.cost)
+			q := cf.storePoint(nMS, p.res, p.cost)
 			if math.Float64bits(q.nonDYNf1) != math.Float64bits(f1) || math.Float64bits(q.nonDYNf2) != math.Float64bits(f2) {
 				t.Fatalf("nMS %d rep %d: non-DYN sums %v/%v, ActID-order sums %v/%v",
 					nMS, rep, q.nonDYNf1, q.nonDYNf2, f1, f2)

@@ -152,42 +152,41 @@ func obc(sys *model.System, opts Options, alg string, size dynSizer) (*Result, e
 	return e.finish(best, bestRes, bestCost), nil
 }
 
-// exhaustiveDYN evaluates every dynamic segment size on the sweep grid
-// and returns the cheapest (the OBCEE inner loop). The grid points are
-// independent, so they are evaluated as one batch: the campaign engine
-// fans the batch across its worker pool, while the grid-order reduction
-// keeps the selection identical to the serial loop.
+// exhaustiveDYN evaluates every dynamic segment size on the sweep grid,
+// in grid order, and returns the cheapest (the OBCEE inner loop). The
+// sweep takes ownership of cfg: it sets cfg's NumMinislots for each
+// grid point and returns cfg set to the best size. Sizes whose cycle
+// exceeds the protocol limit are skipped without spending budget, and
+// the sweep stops when the budget runs out.
 func exhaustiveDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.Result, float64) {
-	var cands []*flexray.Config
-	add := func(nMS int) {
-		cand := cfg.Clone()
-		cand.NumMinislots = nMS
-		if cand.Cycle() >= flexray.MaxCycle {
-			return
-		}
-		cands = append(cands, cand)
-	}
-	if len(cfg.FrameID) == 0 {
-		add(0)
-	} else {
+	grid := []int{0}
+	if len(cfg.FrameID) > 0 {
 		minMS, maxMS := dynBounds(e.sys, cfg, cfg.MinislotLen)
 		if maxMS < minMS {
 			return nil, nil, infeasibleCost * 2
 		}
-		for _, nMS := range dynGrid(minMS, maxMS, e.opts.DYNGridCap) {
-			add(nMS)
-		}
+		grid = dynGrid(minMS, maxMS, e.opts.DYNGridCap)
 	}
 	var (
-		best     *flexray.Config
+		bestMS   = -1
 		bestRes  *analysis.Result
 		bestCost = infeasibleCost * 2
 	)
-	ress, costs, n := e.evalBatch(cands)
-	for i := 0; i < n; i++ {
-		if costs[i] < bestCost {
-			best, bestRes, bestCost = cands[i], ress[i], costs[i]
+	for _, nMS := range grid {
+		cfg.NumMinislots = nMS
+		if cfg.Cycle() >= flexray.MaxCycle {
+			continue
+		}
+		if e.exhausted() {
+			break
+		}
+		if res, cost := e.eval(cfg); cost < bestCost {
+			bestMS, bestRes, bestCost = nMS, res, cost
 		}
 	}
-	return best, bestRes, bestCost
+	if bestMS < 0 {
+		return nil, nil, bestCost
+	}
+	cfg.NumMinislots = bestMS
+	return cfg, bestRes, bestCost
 }

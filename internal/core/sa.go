@@ -66,13 +66,10 @@ func SA(sys *model.System, opts Options) (*Result, error) {
 	temp := math.Max(math.Abs(curCost), 100)
 	cooling := math.Pow(1e-3, 1/float64(opts.SAIterations))
 
-	// The walk is inherently candidate-at-a-time: each mutation starts
-	// from the current state, which the accept/reject decision of the
-	// previous evaluation just determined — so unlike the BBC/OBC sweep
-	// grids there is no independent slice to hand to the batched
-	// evaluation path.
-	// Phase granularity wraps the whole anneal loop in one span — the
-	// per-iteration path stays untouched.
+	// Each mutation starts from the current state, which the
+	// accept/reject decision of the previous evaluation just
+	// determined. Phase granularity wraps the whole anneal loop in one
+	// span — the per-iteration path stays untouched.
 	var phase *obs.Span
 	if opts.Span.Phases() {
 		phase = opts.Span.StartChild("sa.anneal")

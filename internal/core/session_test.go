@@ -15,7 +15,8 @@ import (
 // recordingHook is a pure EvalHook that evaluates every candidate with
 // the from-scratch pipeline (one sched.Build, one fresh Analyzer) while
 // recording a clone of each configuration — the exact candidate stream
-// an optimiser produces.
+// an optimiser produces. EvalBatch only serves the interface: no
+// optimiser calls it.
 type recordingHook struct {
 	cfgs []*flexray.Config
 }
@@ -109,12 +110,12 @@ func TestSessionMatchesFreshAnalyzer(t *testing.T) {
 }
 
 // TestSessionBatchMatchesFreshAnalyzer extends the determinism contract
-// to batched evaluation, separately for each algorithm's candidate
-// stream: the stream is captured, shuffled, chopped into random-sized
-// batches and replayed through the evaluator's batch path with no hook
-// installed (one session, looped in slice order). Every result must
-// equal the fresh-analyzer result bit for bit, in its original slice
-// position.
+// to the evaluator, separately for each algorithm's candidate stream:
+// the stream is captured, shuffled, chopped into random-sized batches
+// and replayed through the evaluator's eval with no hook installed (one
+// session). A batch's results are compared only after the whole batch
+// has been evaluated, so every Result must stay intact across later
+// evaluations and equal the fresh-analyzer result bit for bit.
 func TestSessionBatchMatchesFreshAnalyzer(t *testing.T) {
 	sys := genSystem(t, 3, 11)
 	opts := sessionQuickOpts()
@@ -140,26 +141,37 @@ func TestSessionBatchMatchesFreshAnalyzer(t *testing.T) {
 					hi = len(cfgs)
 				}
 				batch := cfgs[lo:hi]
-				ress, costs := ev.evalBatchAll(batch)
-				if len(ress) != len(batch) || len(costs) != len(batch) {
-					t.Fatalf("batch [%d:%d]: got %d results, %d costs", lo, hi, len(ress), len(costs))
-				}
+				ress, costs := evalAll(ev, batch)
 				for i, cfg := range batch {
 					fres, fcost := freshEval(sys, cfg, opts.Sched)
 					if costs[i] != fcost {
-						t.Fatalf("batch [%d:%d] pos %d: batched cost %v, fresh %v", lo, hi, i, costs[i], fcost)
+						t.Fatalf("batch [%d:%d] pos %d: evaluator cost %v, fresh %v", lo, hi, i, costs[i], fcost)
 					}
 					if !reflect.DeepEqual(ress[i], fres) {
-						t.Fatalf("batch [%d:%d] pos %d: batched result differs from fresh analyzer", lo, hi, i)
+						t.Fatalf("batch [%d:%d] pos %d: evaluator result differs from fresh analyzer", lo, hi, i)
 					}
 				}
 				lo = hi
+			}
+			if ev.evals != len(cfgs) {
+				t.Errorf("evaluator counted %d evaluations of %d candidates", ev.evals, len(cfgs))
 			}
 		})
 	}
 }
 
-// TestSessionBatchDuplicates pins the batch path against repeated
+// evalAll evaluates cfgs back to back through ev.eval and returns the
+// results in order.
+func evalAll(ev *evaluator, cfgs []*flexray.Config) ([]*analysis.Result, []float64) {
+	ress := make([]*analysis.Result, len(cfgs))
+	costs := make([]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		ress[i], costs[i] = ev.eval(cfg)
+	}
+	return ress, costs
+}
+
+// TestSessionBatchDuplicates pins the evaluator against repeated
 // candidates: duplicates rebuild the session's table and must each
 // produce the full, independent result.
 func TestSessionBatchDuplicates(t *testing.T) {
@@ -175,11 +187,11 @@ func TestSessionBatchDuplicates(t *testing.T) {
 		cfg.NumMinislots += i % 3
 		cfgs = append(cfgs, cfg)
 	}
-	ress, costs := newEvaluator(sys, opts, "BBC").evalBatchAll(cfgs)
+	ress, costs := evalAll(newEvaluator(sys, opts, "BBC"), cfgs)
 	for i, cfg := range cfgs {
 		fres, fcost := freshEval(sys, cfg, opts.Sched)
 		if costs[i] != fcost || !reflect.DeepEqual(ress[i], fres) {
-			t.Fatalf("position %d: batched (%v) differs from fresh (%v)", i, costs[i], fcost)
+			t.Fatalf("position %d: evaluator (%v) differs from fresh (%v)", i, costs[i], fcost)
 		}
 	}
 }

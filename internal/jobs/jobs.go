@@ -148,9 +148,12 @@ type Spec struct {
 	// priority.
 	Priority int `json:"priority,omitempty"`
 	// Workers bounds the job's evaluation parallelism; <= 0 uses the
-	// manager default. Every job kind clamps it to 8×GOMAXPROCS
-	// (campaign.ClampWorkers), so untrusted submissions cannot spawn
-	// unbounded goroutines.
+	// manager default. A campaign or sweep evaluates up to Workers
+	// systems or points at once; an optimize job evaluates one
+	// candidate per requested algorithm at a time, so Workers beyond
+	// the number of algorithms changes nothing there. Every job kind
+	// clamps it to 8×GOMAXPROCS (campaign.ClampWorkers), so untrusted
+	// submissions cannot spawn unbounded goroutines.
 	Workers int `json:"workers,omitempty"`
 	// Algorithms selects the optimisers (optimize, campaign); empty
 	// means the full canonical portfolio.

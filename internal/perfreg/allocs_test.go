@@ -115,23 +115,22 @@ var allocPins = map[string]allocPin{
 	"eval/fresh":        {allocs: 527, bytes: 64352},
 	"eval/session":      {allocs: 3, bytes: 865, race: true},
 	"sched/build-table": {allocs: 0, bytes: 0, race: true},
-	// 4414-4416: the engine's goroutines interleave differently.
-	"campaign/serial": {allocs: 4415, spread: 3, bytes: 597400},
-	// 4415-4417.
-	"campaign/parallel": {allocs: 4416, spread: 3, bytes: 597400},
-	// 3924-3931: queue, progress events and subscription wake-ups.
-	"jobs/pipeline": {allocs: 3928, spread: 10, bytes: 379000},
-	// 4809-4828: the workers live for one op and make the same
+	// 3524-3526: the engine's goroutines interleave differently.
+	"campaign/serial": {allocs: 3525, spread: 3, bytes: 468700},
+	// 3525-3527.
+	"campaign/parallel": {allocs: 3526, spread: 3, bytes: 468800},
+	// 3141-3148: queue, progress events and subscription wake-ups.
+	"jobs/pipeline": {allocs: 3145, spread: 10, bytes: 324700},
+	// 4026-4044: the workers live for one op and make the same
 	// claims in every op; what moves is how the engine's, the
-	// manager's and the HTTP goroutines interleave (GOMAXPROCS 1:
-	// 4811-4812; 4: 4823-4832).
-	"jobs/distributed-drain": {allocs: 4818, spread: 28, bytes: 464000, io: true},
+	// manager's and the HTTP goroutines interleave.
+	"jobs/distributed-drain": {allocs: 4035, spread: 28, bytes: 405000, io: true},
 	"serve/traced-request":   {allocs: 38, bytes: 8029},
 	"lint/report":            {allocs: 1752, bytes: 199580},
 	// 200-201.
 	"fig7/sweep": {allocs: 201, spread: 2, bytes: 24450},
-	// 4425-4427.
-	"fig9/quick":    {allocs: 4426, spread: 3, bytes: 472000},
+	// 3263-3264.
+	"fig9/quick":    {allocs: 3264, spread: 3, bytes: 384300},
 	"store/replay":  {allocs: 7, bytes: 1312, race: true, io: true},
 	"store/compact": {allocs: 2, bytes: 881, io: true},
 }
