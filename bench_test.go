@@ -12,8 +12,6 @@ package flexopt_test
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"slices"
 	"testing"
 
 	flexopt "repro"
@@ -239,14 +237,12 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkPortfolioWorkers measures racing optimisers on one system
-// over the shared caching engine: the full portfolio on a Fig. 7
-// system under the campaign budgets at 1 and 4 workers; on the cruise
-// controller under default options — what POST /v1/optimize serves for
-// it — the full portfolio at 1 and GOMAXPROCS workers, and BBC and
-// OBC-EE alone at 1 and 4 workers, the request shapes in which no
-// other algorithm shares the worker pool.
-func BenchmarkPortfolioWorkers(b *testing.B) {
+// BenchmarkPortfolio measures racing optimisers on one system over the
+// shared caching engine, one goroutine per algorithm: the full
+// portfolio on a Fig. 7 system under the campaign budgets; on the
+// cruise controller under default options — what POST /v1/optimize
+// serves for it — the full portfolio, and BBC and OBC-EE alone.
+func BenchmarkPortfolio(b *testing.B) {
 	b.ReportAllocs()
 	fig7, err := flexopt.Generate(fig7Population(1)[0])
 	if err != nil {
@@ -257,28 +253,24 @@ func BenchmarkPortfolioWorkers(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, c := range []struct {
-		name    string
-		sys     *flexopt.System
-		opts    flexopt.Options
-		algs    []string
-		workers []int
+		name string
+		sys  *flexopt.System
+		opts flexopt.Options
+		algs []string
 	}{
-		{"fig7", fig7, campaignBenchOpts(), nil, []int{1, 4}},
-		{"cruise", cruise, flexopt.DefaultOptions(), nil, slices.Compact([]int{1, runtime.GOMAXPROCS(0)})},
-		{"cruise-bbc", cruise, flexopt.DefaultOptions(), []string{"bbc"}, []int{1, 4}},
-		{"cruise-obc-ee", cruise, flexopt.DefaultOptions(), []string{"obc-ee"}, []int{1, 4}},
+		{"fig7", fig7, campaignBenchOpts(), nil},
+		{"cruise", cruise, flexopt.DefaultOptions(), nil},
+		{"cruise-bbc", cruise, flexopt.DefaultOptions(), []string{"bbc"}},
+		{"cruise-obc-ee", cruise, flexopt.DefaultOptions(), []string{"obc-ee"}},
 	} {
-		for _, workers := range c.workers {
-			b.Run(fmt.Sprintf("%s/workers-%d", c.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := flexopt.Portfolio(context.Background(), c.sys, c.opts,
-						flexopt.EngineOptions{Workers: workers}, c.algs...); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := flexopt.Portfolio(context.Background(), c.sys, c.opts, c.algs...); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

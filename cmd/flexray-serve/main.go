@@ -18,7 +18,7 @@
 // Synchronous endpoints:
 //
 //	POST /v1/optimize  {"system": {...}, "algorithms": ["obc-cf", "sa"],
-//	                    "workers": 2, "options": {"sa_iterations": 500}}
+//	                    "options": {"sa_iterations": 500}}
 //	POST /v1/analyze   {"system": {...}, "config": {...}}
 //	POST /v1/simulate  {"system": {...}, "config": {...}, "repetitions": 2}
 //	GET  /livez        liveness probe (the process serves HTTP)
@@ -26,11 +26,11 @@
 //	GET  /metrics      Prometheus text exposition (see OPERATIONS.md)
 //	GET  /debug/pprof/ (only with -pprof; off by default)
 //
-// The requested algorithms of an optimize race concurrently, and
-// "workers" (default -workers) bounds how many evaluations run at
-// once. Each algorithm evaluates one candidate at a time, so a request
-// keeps at most one worker per algorithm busy: a single-algorithm
-// request runs serially whatever "workers" says.
+// The requested algorithms of an optimize race concurrently, one
+// goroutine each, and each evaluates one candidate at a time; an
+// algorithm listed twice, in any spelling, is rejected with 400.
+// -workers sets the default evaluation parallelism of campaign and
+// sweep jobs, and of the shards a -peer worker runs.
 //
 // Asynchronous jobs (durable with -store; see internal/jobs):
 //
@@ -151,7 +151,7 @@ func registerFlags(fs *flag.FlagSet) *serveOptions {
 	o := &serveOptions{}
 	c := &o.cfg
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&c.Workers, "workers", 0, "evaluation workers per request (0 = GOMAXPROCS)")
+	fs.IntVar(&c.Workers, "workers", 0, "evaluation workers of a campaign or sweep job and of a -peer shard (0 = GOMAXPROCS)")
 	fs.IntVar(&c.MaxConcurrent, "max-concurrent", 2, "heavy requests served at once (excess gets 503)")
 	fs.DurationVar(&c.Timeout, "timeout", 2*time.Minute, "per-request wall-clock budget")
 	fs.Int64Var(&c.MaxBody, "max-body", 8<<20, "request body size cap in bytes")
@@ -591,7 +591,6 @@ func computeError(w http.ResponseWriter, err error) {
 type optimizeRequest struct {
 	System     json.RawMessage `json:"system"`
 	Algorithms []string        `json:"algorithms,omitempty"`
-	Workers    int             `json:"workers,omitempty"`
 	// Options reuses the jobs subsystem's serialisable knob set.
 	Options *jobs.Tuning `json:"options,omitempty"`
 }
@@ -617,9 +616,11 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request, req *opt
 	if !ok {
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
+	// A repeated algorithm is a malformed request; an unknown one is
+	// answered 422 by the optimisation below, as before.
+	if _, err := campaign.NormalizeAlgorithms(req.Algorithms); errors.Is(err, campaign.ErrDuplicateAlgorithm) {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	opts := req.Options.Apply(core.DefaultOptions())
 	var (
@@ -629,7 +630,7 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request, req *opt
 	)
 	if err := s.compute(r.Context(), func() {
 		start := time.Now()
-		res, oErr = s.jobs.Optimize(r.Context(), sys, opts, workers, req.Algorithms...)
+		res, oErr = s.jobs.Optimize(r.Context(), sys, opts, req.Algorithms...)
 		elapsed = time.Since(start)
 	}); err != nil {
 		computeError(w, err)

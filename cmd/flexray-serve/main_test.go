@@ -273,6 +273,25 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unknown algorithm: %d, want 422", resp.StatusCode)
 	}
+	// An algorithm listed twice, in any spelling, is a bad request on
+	// both the synchronous and the job path.
+	for _, algs := range [][]string{{"bbc", "BBC"}, {"obc-cf", "ObcCf"}} {
+		resp, _ := post(t, ts, "/v1/optimize", map[string]any{
+			"system":     systemJSON(t, sys),
+			"algorithms": algs,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("optimize %q: %d, want 400", algs, resp.StatusCode)
+		}
+		resp, _ = post(t, ts, "/v1/jobs", map[string]any{
+			"kind":       "optimize",
+			"system":     systemJSON(t, sys),
+			"algorithms": algs,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("optimize job %q: %d, want 400", algs, resp.StatusCode)
+		}
+	}
 }
 
 // TestRequestGuards pins the request-shaping paths shared by every

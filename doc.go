@@ -80,21 +80,23 @@
 // The campaign layer scales the optimisers from one goroutine to the
 // whole machine. Every optimiser spends its budget on one pure
 // operation — schedule build plus holistic analysis of a candidate
-// configuration — and hands its candidates to the engine behind
-// EngineOptions one at a time. The engine's worker pool, whose workers
-// each pin their own evaluation session, bounds how many evaluations
-// run at once; results are memoised in a bounded LRU cache keyed on the
+// configuration — and hands its candidates to the campaign engine one
+// at a time. The engine is a cache, not a worker pool: an evaluation
+// runs on the caller's goroutine, on an evaluation session taken from
+// the engine's free list (and returned to it afterwards), so the list
+// holds one session per evaluation that ever ran at the same time.
+// Results are memoised in a bounded LRU cache keyed on the
 // configuration fingerprint behind one mutex, and a context cancels
 // in-flight work. Because evaluations are pure, results are
-// bit-identical at any worker count.
+// bit-identical to the serial optimisers.
 //
 // Portfolio races BBC, OBC-CF, OBC-EE and SA concurrently on one
-// system over a shared engine (the cheap heuristics warm the cache
-// for the expensive ones) and returns the best Result plus
-// per-algorithm telemetry. The algorithms share the worker pool, and
-// each evaluates one candidate at a time, so a portfolio keeps at most
-// one worker per algorithm busy: a portfolio of one algorithm runs
-// serially at any worker count. Campaign and CampaignJSONL shard a
+// system, one goroutine each, over a shared engine (the cheap
+// heuristics warm the cache for the expensive ones) and returns the
+// best Result plus per-algorithm telemetry; its concurrency is its
+// algorithm count, and a name listed twice is an error. Only the
+// Fig. 7 sweep fans independent points out, across
+// EngineOptions.Workers goroutines. Campaign and CampaignJSONL shard a
 // generated population — PopulationSpecs builds the paper's
 // Section 7 sets — across workers and stream per-system records in
 // deterministic order; CampaignSystems does the same over an explicit,

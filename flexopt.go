@@ -211,8 +211,8 @@ func CruiseController() (*System, error) { return cruise.System() }
 
 // Concurrent campaign engine.
 type (
-	// EngineOptions tune the worker-pool evaluation engine; the
-	// zero value selects GOMAXPROCS workers and the default cache.
+	// EngineOptions tune the caching evaluation engine: Workers is
+	// the EvalBatch fan-out, and the zero value selects GOMAXPROCS.
 	EngineOptions = campaign.EngineOptions
 	// EngineStats report evaluations and cache traffic of one
 	// engine.
@@ -237,12 +237,13 @@ func PortfolioAlgorithms() []string {
 }
 
 // Portfolio races the requested optimisers (default: the full
-// portfolio) concurrently on one system over a shared caching
-// evaluation engine and returns the best result plus per-algorithm
-// telemetry. Results are identical for any worker count; cancelling
-// ctx aborts the race.
-func Portfolio(ctx context.Context, sys *System, opts Options, eng EngineOptions, algorithms ...string) (*PortfolioResult, error) {
-	return campaign.Portfolio(ctx, sys, opts, eng, algorithms...)
+// portfolio; a name listed twice is an error) concurrently on one
+// system, one goroutine each, over a shared caching evaluation engine
+// and returns the best result plus per-algorithm telemetry. Results
+// are bit-identical to the serial optimisers; cancelling ctx aborts
+// the race.
+func Portfolio(ctx context.Context, sys *System, opts Options, algorithms ...string) (*PortfolioResult, error) {
+	return campaign.Portfolio(ctx, sys, opts, algorithms...)
 }
 
 // Campaign shards a generated population across workers and calls emit

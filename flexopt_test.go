@@ -147,7 +147,7 @@ func TestDurationHelpers(t *testing.T) {
 func TestPublicAPIPortfolio(t *testing.T) {
 	sys := buildDemo(t)
 	opts := flexopt.DefaultOptions()
-	pf, err := flexopt.Portfolio(context.Background(), sys, opts, flexopt.EngineOptions{Workers: 2})
+	pf, err := flexopt.Portfolio(context.Background(), sys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/flexray"
@@ -32,17 +33,6 @@ type Options struct {
 	// bounded budget. It requires SA to be listed after the OBC
 	// variants (the canonical order does).
 	SAWarmFromOBC bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	o.Workers = ClampWorkers(o.Workers)
-	if len(o.Algorithms) == 0 {
-		o.Algorithms = Algorithms
-	}
-	return o
 }
 
 // Record is the streamed result of one system of a campaign.
@@ -74,17 +64,16 @@ type Record struct {
 
 // normalized applies defaults and canonicalises the algorithm list.
 func (o Options) normalized() (Options, error) {
-	o = o.withDefaults()
-	algs := make([]string, len(o.Algorithms))
-	for i, a := range o.Algorithms {
-		c, err := NormalizeAlgorithm(a)
-		if err != nil {
-			return o, err
-		}
-		algs[i] = c
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	o.Algorithms = algs
-	return o, nil
+	o.Workers = ClampWorkers(o.Workers)
+	if len(o.Algorithms) == 0 {
+		o.Algorithms = Algorithms
+	}
+	var err error
+	o.Algorithms, err = NormalizeAlgorithms(o.Algorithms)
+	return o, err
 }
 
 // Run shards the population across Workers goroutines — each system is
@@ -129,9 +118,11 @@ func runShards(ctx context.Context, n, workers int, emit func(Record) error, eva
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	jobs := make(chan int)
+	var (
+		item atomic.Int64 // the next work item to pull
+		wg   sync.WaitGroup
+	)
 	results := make(chan Record, workers)
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -147,7 +138,7 @@ func runShards(ctx context.Context, n, workers int, emit func(Record) error, eva
 				wsp.End()
 			}()
 			pprof.Do(wctx, pprof.Labels("campaign_shard", strconv.Itoa(w)), func(wctx context.Context) {
-				for i := range jobs {
+				for i := int(item.Add(1) - 1); i < n && wctx.Err() == nil; i = int(item.Add(1) - 1) {
 					rec := eval(wctx, i)
 					systems++
 					select {
@@ -159,16 +150,6 @@ func runShards(ctx context.Context, n, workers int, emit func(Record) error, eva
 			})
 		}(w)
 	}
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 	go func() {
 		wg.Wait()
 		close(results)

@@ -1,22 +1,23 @@
 // Package campaign scales the paper's optimisers from one goroutine to
 // the whole machine. Three layers build on each other:
 //
-//   - Engine, a worker-pool evaluation service that plugs into the
+//   - Engine, a caching evaluation service that plugs into the
 //     optimisers through core.EvalHook: the optimisers hand it one
 //     candidate at a time, every evaluation goes through a bounded LRU
 //     cache keyed on the configuration fingerprint, and a context
-//     cancels in-flight work. An engine serves one system, and each
-//     worker owns one evaluation session (core.Session) for it, so the
+//     cancels in-flight work. An engine serves one system. An
+//     evaluation runs on the caller's goroutine, on an evaluation
+//     session (core.Session) taken from the engine's free list, so the
 //     reusable-analyzer and schedule-table reuse of the serial path
-//     carries over to every worker. The workers serve the portfolio's
-//     concurrently running algorithms, and EvalBatch fans a set of
-//     independent points (the Fig. 7 sweep) across them. Because
-//     evaluations are pure, any worker count produces bit-identical
-//     results — workers=1 reproduces the serial behaviour exactly;
+//     carries over; the list holds one session per evaluation that
+//     ever ran at the same time. EvalBatch fans a set of independent
+//     points (the Fig. 7 sweep) across EngineOptions.Workers
+//     goroutines. Because evaluations are pure, results are
+//     bit-identical to the serial optimisers;
 //   - Portfolio, which races BBC, OBC-CF, OBC-EE and SA concurrently
 //     on one system over a shared engine (the cheap heuristics warm
-//     the cache for the expensive ones) and reports the best result
-//     plus per-algorithm telemetry;
+//     the cache for the expensive ones), one goroutine per algorithm,
+//     and reports the best result plus per-algorithm telemetry;
 //   - Run, which shards a generated population (the paper's Section 7
 //     experiment sweeps) across workers deterministically and streams
 //     per-system records, e.g. as JSONL.
@@ -47,13 +48,11 @@ const DefaultCacheSize = 4096
 
 // EngineOptions tune one evaluation engine.
 type EngineOptions struct {
-	// Workers is the number of evaluations that may run at once;
-	// <= 0 selects GOMAXPROCS. The optimisers evaluate one candidate
-	// at a time, so a Portfolio keeps at most one worker per
-	// algorithm busy; only EvalBatch (the Fig. 7 sweep) can use more.
-	// Evaluations are pure and EvalBatch results are
-	// position-aligned, so every worker count produces identical
-	// results — only the wall-clock changes.
+	// Workers is the number of goroutines EvalBatch (the Fig. 7
+	// sweep) fans its candidates across; <= 0 selects GOMAXPROCS.
+	// Nothing else reads it: Eval runs on the caller's goroutine.
+	// EvalBatch results are position-aligned, so every worker count
+	// produces identical results — only the wall-clock changes.
 	Workers int `json:"workers"`
 }
 
@@ -117,25 +116,25 @@ type cacheEntry struct {
 	done chan struct{}
 }
 
-// engineWorker is the state pinned to one worker slot: one evaluation
-// session and the (system, scheduler options) pair it was built for.
-// Every engine serves a single pair — Portfolio, a campaign's
-// per-system step, the Fig. 7 sweep — so the session is built on first
-// use and only replaced if the engine is ever asked for another pair.
-// Only one goroutine holds a worker at a time, so no locking is needed
-// inside.
-type engineWorker struct {
+// engineSession is one evaluation session of the free list and the
+// (system, scheduler options) pair it was built for. Every engine
+// serves a single pair — Portfolio, a campaign's per-system step, the
+// Fig. 7 sweep — so the session is built on first use and only
+// replaced if the engine is ever asked for another pair. Only the
+// goroutine that took it off the free list uses it, so no locking is
+// needed inside.
+type engineSession struct {
 	sys  *model.System
 	opts sched.Options
 	sess *core.Session
 }
 
-// session returns the worker's session for (sys, opts).
-func (w *engineWorker) session(sys *model.System, opts sched.Options) *core.Session {
-	if w.sess == nil || w.sys != sys || w.opts != opts {
-		w.sys, w.opts, w.sess = sys, opts, core.NewSession(sys, opts)
+// session returns the session for (sys, opts).
+func (s *engineSession) session(sys *model.System, opts sched.Options) *core.Session {
+	if s.sess == nil || s.sys != sys || s.opts != opts {
+		s.sys, s.opts, s.sess = sys, opts, core.NewSession(sys, opts)
 	}
-	return w.sess
+	return s.sess
 }
 
 // Engine is a concurrent, caching evaluation service for candidate bus
@@ -143,16 +142,19 @@ func (w *engineWorker) session(sys *model.System, opts sched.Options) *core.Sess
 // An Engine is safe for use by any number of goroutines.
 type Engine struct {
 	ctx context.Context
-	// workers is the pool of pinned worker states; receiving one
-	// grants a worker slot, returning it frees the slot.
-	workers chan *engineWorker
+	// width is the EvalBatch fan-out.
+	width int
 
-	// The evaluation cache sits behind one mutex: an evaluation costs
-	// far more than the map lookup the lock guards.
+	// The evaluation cache and the session free list sit behind one
+	// mutex: an evaluation costs far more than the map lookup or the
+	// slice pop the lock guards.
 	mu       sync.Mutex
 	entries  map[cacheKey]*list.Element
 	lru      list.List // of *cacheEntry, most recent first
 	capacity int
+	// free holds the idle sessions, last returned on top, so one
+	// caller's back-to-back evaluations keep reusing one warm session.
+	free []*engineSession
 
 	counters EngineCounters
 }
@@ -162,8 +164,8 @@ var _ core.EvalHook = (*Engine)(nil)
 // ClampWorkers bounds a requested worker count to 8×GOMAXPROCS:
 // evaluations are pure CPU, so parallelism beyond that only costs
 // memory — and the request may come from an untrusted client
-// (flexray-serve forwards worker counts from job specs). Every job
-// kind resolves its worker count through it.
+// (flexray-serve forwards worker counts from job specs). Campaigns,
+// sweeps and NewEngine resolve their worker counts through it.
 func ClampWorkers(w int) int {
 	if max := 8 * runtime.GOMAXPROCS(0); w > max {
 		return max
@@ -187,19 +189,15 @@ func NewEngine(ctx context.Context, opts EngineOptions) *Engine {
 	return newEngine(ctx, ClampWorkers(w), DefaultCacheSize)
 }
 
-// newEngine builds an engine with w worker slots and an evaluation
-// cache of the given capacity.
+// newEngine builds an engine with an EvalBatch fan-out of w and an
+// evaluation cache of the given capacity.
 func newEngine(ctx context.Context, w, capacity int) *Engine {
-	e := &Engine{
+	return &Engine{
 		ctx:      ctx,
-		workers:  make(chan *engineWorker, w),
+		width:    w,
 		entries:  map[cacheKey]*list.Element{},
 		capacity: capacity,
 	}
-	for i := 0; i < w; i++ {
-		e.workers <- &engineWorker{}
-	}
-	return e
 }
 
 // Hook returns a copy of opts with the engine installed as the
@@ -217,8 +215,14 @@ func (e *Engine) Stats() EngineStats { return e.counters.Total() }
 func (e *Engine) Cancelled() bool { return e.ctx.Err() != nil }
 
 // Eval evaluates one candidate configuration: cache lookup, then one
-// schedule build plus holistic analysis on a pinned worker session.
+// schedule build plus holistic analysis on a free-list session, on the
+// caller's goroutine.
 func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options) (*analysis.Result, float64) {
+	return e.eval(sys, cfg, opts, nil)
+}
+
+// eval is Eval on session s, or on a free-list session when s is nil.
+func (e *Engine) eval(sys *model.System, cfg *flexray.Config, opts sched.Options, s *engineSession) (*analysis.Result, float64) {
 	key := cacheKey{sys: sys, fp: cfg.Fingerprint(), opts: opts}
 	e.mu.Lock()
 	if el, ok := e.entries[key]; ok {
@@ -241,54 +245,74 @@ func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 	// A cancelled evaluation caches an infeasible marker; that is
 	// sound because the engine's lifetime is bound to its context —
 	// every result produced after cancellation is discarded anyway.
-	ent.res, ent.cost = e.run(sys, cfg, opts)
+	ent.res, ent.cost = e.run(sys, cfg, opts, s)
 	close(ent.done)
 	return ent.res, ent.cost
 }
 
-// EvalBatch evaluates independent candidates across the worker pool and
-// returns positionally aligned results. Every candidate takes the
-// per-candidate cache protocol of Eval (lookup, in-flight coalescing,
-// insert), one goroutine each when the engine has more than one worker.
-// The optimisers never call it — they evaluate one candidate at a time
+// EvalBatch evaluates independent candidates on w = min(Workers,
+// len(cfgs)) goroutines and returns positionally aligned results.
+// Goroutine k takes one session off the free list and evaluates
+// candidates k, k+w, k+2w, ... on it: a fixed share rather than the
+// next free index, so every session sees the same candidates in the
+// same order whatever the goroutines' timing, and the batch allocates
+// the same on every run. Every candidate takes the per-candidate cache
+// protocol of Eval (lookup, in-flight coalescing, insert). The
+// optimisers never call it — they evaluate one candidate at a time
 // through Eval — but the Fig. 7 sweep does: its points are independent
 // and nothing else runs on its engine, so the fan-out is the only
 // parallelism it has.
 func (e *Engine) EvalBatch(sys *model.System, cfgs []*flexray.Config, opts sched.Options) ([]*analysis.Result, []float64) {
 	ress := make([]*analysis.Result, len(cfgs))
 	costs := make([]float64, len(cfgs))
-	if cap(e.workers) == 1 || len(cfgs) <= 1 {
-		// A single worker slot serialises the batch anyway; skip the
-		// goroutine fan-out.
-		for i, cfg := range cfgs {
-			ress[i], costs[i] = e.Eval(sys, cfg, opts)
-		}
-		return ress, costs
-	}
+	w := min(e.width, len(cfgs))
 	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
+	for k := range w {
+		s := e.take()
 		wg.Add(1)
-		go func(i int, cfg *flexray.Config) {
+		go func() {
 			defer wg.Done()
-			ress[i], costs[i] = e.Eval(sys, cfg, opts)
-		}(i, cfg)
+			for i := k; i < len(cfgs); i += w {
+				ress[i], costs[i] = e.eval(sys, cfgs[i], opts, s)
+			}
+			e.give(s)
+		}()
 	}
 	wg.Wait()
 	return ress, costs
 }
 
-// run performs the real work on a pinned worker session.
-func (e *Engine) run(sys *model.System, cfg *flexray.Config, opts sched.Options) (*analysis.Result, float64) {
-	var wk *engineWorker
-	select {
-	case wk = <-e.workers:
-		defer func() { e.workers <- wk }()
-	case <-e.ctx.Done():
-		return nil, infeasibleCost
+// take pops the most recently returned session off the free list, or
+// makes a new one when the list is empty.
+func (e *Engine) take() *engineSession {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := len(e.free)
+	if n == 0 {
+		return &engineSession{}
 	}
+	s := e.free[n-1]
+	e.free = e.free[:n-1]
+	return s
+}
+
+// give pushes s back onto the free list.
+func (e *Engine) give(s *engineSession) {
+	e.mu.Lock()
+	e.free = append(e.free, s)
+	e.mu.Unlock()
+}
+
+// run performs the real work on session s, or on one taken from the
+// free list for this evaluation when s is nil.
+func (e *Engine) run(sys *model.System, cfg *flexray.Config, opts sched.Options, s *engineSession) (*analysis.Result, float64) {
 	if e.ctx.Err() != nil {
 		return nil, infeasibleCost
 	}
+	if s == nil {
+		s = e.take()
+		defer e.give(s)
+	}
 	e.counters.evals.Add(1)
-	return wk.session(sys, opts).Eval(cfg)
+	return s.session(sys, opts).Eval(cfg)
 }

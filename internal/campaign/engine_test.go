@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -70,6 +71,58 @@ func TestEngineMatchesSerial(t *testing.T) {
 				t.Fatalf("%s workers=%d: %v", alg, workers, err)
 			}
 			requireSameResult(t, alg, serial, res)
+		}
+	}
+}
+
+// sessions counts the engine's idle sessions.
+func (e *Engine) sessions() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.free)
+}
+
+// TestEngineFreeList: the engine builds one session per evaluation
+// that ran at the same time. A sequential caller reuses one session
+// whatever Workers says, a portfolio needs at most one per algorithm,
+// and EvalBatch at width w exactly w.
+func TestEngineFreeList(t *testing.T) {
+	sys := testSystem(t, 3, 7)
+	opts := quickOpts()
+	for _, alg := range Algorithms {
+		eng := NewEngine(context.Background(), EngineOptions{Workers: 8})
+		if _, err := runAlgorithm(context.Background(), alg, sys, eng.Hook(opts)); err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if n := eng.sessions(); n != 1 {
+			t.Errorf("%s through an 8-worker engine left %d sessions, want 1", alg, n)
+		}
+	}
+
+	for _, algs := range [][]string{Algorithms, {"BBC"}, {"OBC-EE", "SA"}} {
+		eng := NewEngine(context.Background(), EngineOptions{Workers: 8})
+		if _, err := portfolio(context.Background(), eng, sys, opts, algs); err != nil {
+			t.Fatalf("portfolio %v: %v", algs, err)
+		}
+		if n := eng.sessions(); n < 1 || n > len(algs) {
+			t.Errorf("portfolio %v left %d sessions, want 1..%d", algs, n, len(algs))
+		}
+	}
+
+	bbc, err := core.BBC(sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := make([]*flexray.Config, 32)
+	for i := range cfgs {
+		cfgs[i] = bbc.Config.Clone()
+		cfgs[i].NumMinislots += i
+	}
+	for _, w := range []int{1, 2, 4} {
+		eng := NewEngine(context.Background(), EngineOptions{Workers: w})
+		eng.EvalBatch(sys, cfgs, opts.Sched)
+		if n := eng.sessions(); n != w {
+			t.Errorf("EvalBatch at width %d left %d sessions, want %d", w, n, w)
 		}
 	}
 }
@@ -157,7 +210,7 @@ func TestEngineCancellation(t *testing.T) {
 		t.Error("Cancelled() = false after cancel")
 	}
 
-	// Four workers: the batch takes the per-candidate goroutine fan-out.
+	// Four workers: the batch fans out over four goroutines.
 	eng = NewEngine(ctx, EngineOptions{Workers: 4})
 	cfgs := make([]*flexray.Config, 8)
 	for i := range cfgs {
@@ -194,26 +247,24 @@ func TestPortfolioMatchesSerial(t *testing.T) {
 		serial[alg] = res
 	}
 
-	for _, workers := range []int{1, 4} {
-		pf, err := Portfolio(context.Background(), sys, opts, EngineOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	pf, err := Portfolio(context.Background(), sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pf.Runs) != len(Algorithms) {
+		t.Fatalf("%d runs, want %d", len(pf.Runs), len(Algorithms))
+	}
+	wantBest := serial["BBC"]
+	for _, alg := range Algorithms {
+		if serial[alg].Cost < wantBest.Cost {
+			wantBest = serial[alg]
 		}
-		if len(pf.Runs) != len(Algorithms) {
-			t.Fatalf("workers=%d: %d runs, want %d", workers, len(pf.Runs), len(Algorithms))
-		}
-		wantBest := serial["BBC"]
-		for _, alg := range Algorithms {
-			if serial[alg].Cost < wantBest.Cost {
-				wantBest = serial[alg]
-			}
-		}
-		if pf.Best.Cost != wantBest.Cost {
-			t.Errorf("workers=%d: best cost %v, want %v", workers, pf.Best.Cost, wantBest.Cost)
-		}
-		for _, run := range pf.Runs {
-			requireSameResult(t, run.Algorithm, serial[run.Algorithm], run.Result)
-		}
+	}
+	if pf.Best.Cost != wantBest.Cost {
+		t.Errorf("best cost %v, want %v", pf.Best.Cost, wantBest.Cost)
+	}
+	for _, run := range pf.Runs {
+		requireSameResult(t, run.Algorithm, serial[run.Algorithm], run.Result)
 	}
 }
 
@@ -223,7 +274,7 @@ func TestPortfolioCancelled(t *testing.T) {
 	sys := testSystem(t, 2, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Portfolio(ctx, sys, quickOpts(), EngineOptions{Workers: 2}); err == nil {
+	if _, err := Portfolio(ctx, sys, quickOpts()); err == nil {
 		t.Fatal("cancelled portfolio returned nil error")
 	}
 }
@@ -231,8 +282,32 @@ func TestPortfolioCancelled(t *testing.T) {
 // TestPortfolioUnknownAlgorithm rejects bad algorithm names up front.
 func TestPortfolioUnknownAlgorithm(t *testing.T) {
 	sys := testSystem(t, 2, 3)
-	if _, err := Portfolio(context.Background(), sys, quickOpts(), EngineOptions{}, "genetic"); err == nil {
+	if _, err := Portfolio(context.Background(), sys, quickOpts(), "genetic"); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+// TestDuplicateAlgorithmsRejected: an optimiser listed twice, in any
+// spelling, is an error of NormalizeAlgorithms, Portfolio and Run.
+func TestDuplicateAlgorithmsRejected(t *testing.T) {
+	sys := testSystem(t, 2, 3)
+	specs := PopulationSpecs([]int{2}, 1, 1, 2.0)
+	for _, algs := range [][]string{{"bbc", "BBC"}, {"obc-cf", "ObcCf"}} {
+		if _, err := NormalizeAlgorithms(algs); !errors.Is(err, ErrDuplicateAlgorithm) {
+			t.Errorf("NormalizeAlgorithms(%q) = %v, want ErrDuplicateAlgorithm", algs, err)
+		}
+		if _, err := Portfolio(context.Background(), sys, quickOpts(), algs...); !errors.Is(err, ErrDuplicateAlgorithm) {
+			t.Errorf("Portfolio(%q) = %v, want ErrDuplicateAlgorithm", algs, err)
+		}
+		err := Run(context.Background(), specs, quickOpts(), Options{Algorithms: algs},
+			func(Record) error { t.Error("Run emitted a record"); return nil })
+		if !errors.Is(err, ErrDuplicateAlgorithm) {
+			t.Errorf("Run(%q) = %v, want ErrDuplicateAlgorithm", algs, err)
+		}
+	}
+	got, err := NormalizeAlgorithms([]string{"sa", "obc_ee", " bbc "})
+	if err != nil || !reflect.DeepEqual(got, []string{"SA", "OBC-EE", "BBC"}) {
+		t.Errorf("NormalizeAlgorithms = %q, %v; want [SA OBC-EE BBC]", got, err)
 	}
 }
 

@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -18,17 +20,33 @@ import (
 // portfolio run picks a deterministic winner.
 var Algorithms = []string{"BBC", "OBC-CF", "OBC-EE", "SA"}
 
-// NormalizeAlgorithm maps user-facing spellings ("obc-cf", "ObcCf",
-// "sa") onto the canonical names of Algorithms.
-func NormalizeAlgorithm(name string) (string, error) {
-	n := strings.ToUpper(strings.ReplaceAll(strings.TrimSpace(name), "_", "-"))
-	for _, a := range Algorithms {
-		if n == a || n == strings.ReplaceAll(a, "-", "") {
-			return a, nil
+// ErrDuplicateAlgorithm reports an algorithm list that names one
+// optimiser twice.
+var ErrDuplicateAlgorithm = errors.New("campaign: algorithm listed twice")
+
+// NormalizeAlgorithms maps the user-facing spellings of an algorithm
+// list ("obc-cf", "ObcCf", "sa") onto the canonical names of
+// Algorithms, keeping the order. It rejects unknown names and any
+// optimiser listed twice, in any spelling: a portfolio runs one
+// goroutine per entry, so a repeated name would only multiply the
+// work. An empty list stays empty; callers default it to Algorithms.
+func NormalizeAlgorithms(names []string) ([]string, error) {
+	var algs []string
+	for _, name := range names {
+		n := strings.ToUpper(strings.ReplaceAll(strings.TrimSpace(name), "_", "-"))
+		i := slices.IndexFunc(Algorithms, func(a string) bool {
+			return n == a || n == strings.ReplaceAll(a, "-", "")
+		})
+		switch {
+		case i < 0:
+			return nil, fmt.Errorf("campaign: unknown algorithm %q (want one of %s)",
+				name, strings.Join(Algorithms, ", "))
+		case slices.Contains(algs, Algorithms[i]):
+			return nil, fmt.Errorf("%w: %q is %s", ErrDuplicateAlgorithm, name, Algorithms[i])
 		}
+		algs = append(algs, Algorithms[i])
 	}
-	return "", fmt.Errorf("campaign: unknown algorithm %q (want one of %s)",
-		name, strings.Join(Algorithms, ", "))
+	return algs, nil
 }
 
 // runAlgorithm dispatches one canonical algorithm name. Each run is
@@ -133,36 +151,36 @@ type PortfolioResult struct {
 	// cache hits count work one algorithm saved another.
 	Engine EngineStats
 	// Elapsed is the wall-clock time of the whole race — with more
-	// than one worker it is well below the sum of the per-run times.
+	// than one algorithm it is well below the sum of the per-run
+	// times.
 	Elapsed time.Duration
 }
 
 // Portfolio races the requested optimisers (default: all of
-// Algorithms) concurrently on one system over a shared evaluation
-// engine and returns the best result plus per-algorithm telemetry.
-// Every algorithm still runs to completion so the telemetry is
-// complete. The shared engine deduplicates overlapping candidate
-// evaluations across algorithms (BBC's sweep is a subset of OBC's
-// seed sweep, and SA revisits configurations).
+// Algorithms; see NormalizeAlgorithms) concurrently on one system, one
+// goroutine each, over a shared evaluation engine and returns the best
+// result plus per-algorithm telemetry. Every algorithm still runs to
+// completion so the telemetry is complete. The shared engine
+// deduplicates overlapping candidate evaluations across algorithms
+// (BBC's sweep is a subset of OBC's seed sweep, and SA revisits
+// configurations).
 //
-// Results are deterministic for any EngineOptions.Workers value; the
-// engine only changes how fast they arrive. Cancelling ctx aborts the
-// race with ctx's error.
-func Portfolio(ctx context.Context, sys *model.System, opts core.Options, eng EngineOptions, algorithms ...string) (*PortfolioResult, error) {
-	if len(algorithms) == 0 {
-		algorithms = Algorithms
+// Results are bit-identical to the serial optimisers. Cancelling ctx
+// aborts the race with ctx's error.
+func Portfolio(ctx context.Context, sys *model.System, opts core.Options, algorithms ...string) (*PortfolioResult, error) {
+	algs, err := NormalizeAlgorithms(algorithms)
+	if err != nil {
+		return nil, err
 	}
-	algs := make([]string, len(algorithms))
-	for i, a := range algorithms {
-		c, err := NormalizeAlgorithm(a)
-		if err != nil {
-			return nil, err
-		}
-		algs[i] = c
+	if len(algs) == 0 {
+		algs = Algorithms
 	}
+	return portfolio(ctx, newEngine(ctx, 1, DefaultCacheSize), sys, opts, algs)
+}
 
+// portfolio races the canonical algorithms algs over engine.
+func portfolio(ctx context.Context, engine *Engine, sys *model.System, opts core.Options, algs []string) (*PortfolioResult, error) {
 	start := time.Now()
-	engine := NewEngine(ctx, eng)
 	runOpts := engine.Hook(opts)
 	// The per-system span groups the concurrent per-algorithm child
 	// spans; engine cache counters land on it after the race.
@@ -186,21 +204,10 @@ func Portfolio(ctx context.Context, sys *model.System, opts core.Options, eng En
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	out := &PortfolioResult{
-		Runs:    runs,
-		Engine:  engine.Stats(),
-		Elapsed: time.Since(start),
+	best := bestRun(runs)
+	if best == nil {
+		// Every run without a result carries its error.
+		return nil, fmt.Errorf("campaign: every algorithm failed, first: %s", runs[0].Err)
 	}
-	if best := bestRun(runs); best != nil {
-		out.Best = best.Result
-	}
-	if out.Best == nil {
-		for _, r := range runs {
-			if r.Err != "" {
-				return nil, fmt.Errorf("campaign: every algorithm failed, first: %s", r.Err)
-			}
-		}
-		return nil, fmt.Errorf("campaign: empty portfolio")
-	}
-	return out, nil
+	return &PortfolioResult{Best: best.Result, Runs: runs, Engine: engine.Stats(), Elapsed: time.Since(start)}, nil
 }

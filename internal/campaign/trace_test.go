@@ -32,7 +32,7 @@ func TestPortfolioConvergenceEvents(t *testing.T) {
 		store := obs.NewSpanStore(obs.SpanStoreOptions{})
 		tracer := obs.NewTracer(obs.TracerOptions{Store: store, SampleRatio: 1, Detail: detail})
 		ctx, root := tracer.StartRoot(context.Background(), "test", obs.SpanContext{})
-		if _, err := Portfolio(ctx, sys, core.DefaultOptions(), EngineOptions{Workers: 2}); err != nil {
+		if _, err := Portfolio(ctx, sys, core.DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
 		root.End()

@@ -276,3 +276,29 @@ func TestDynBoundsReachability(t *testing.T) {
 		t.Errorf("maxMS %d exceeds protocol minislot limit", maxMS)
 	}
 }
+
+// TestEvaluationBudgetHolds: MaxEvaluations bounds what every
+// optimiser spends. On cruise, at every budget from 1 to 200, no
+// optimiser reports more evaluations than its budget. OBC-CF used to
+// evaluate its whole initial support set regardless, overspending by
+// up to 4 (budget 66 returned 69 evaluations).
+func TestEvaluationBudgetHolds(t *testing.T) {
+	sys := cruise.MustSystem()
+	algs := []struct {
+		name string
+		run  func(*model.System, Options) (*Result, error)
+	}{{"BBC", BBC}, {"OBC-CF", OBCCF}, {"OBC-EE", OBCEE}, {"SA", SA}}
+	for budget := 1; budget <= 200; budget++ {
+		opts := DefaultOptions()
+		opts.MaxEvaluations = budget
+		for _, alg := range algs {
+			res, err := alg.run(sys, opts)
+			if err != nil {
+				t.Fatalf("%s at budget %d: %v", alg.name, budget, err)
+			}
+			if res.Evaluations > budget {
+				t.Errorf("%s at budget %d: %d evaluations", alg.name, budget, res.Evaluations)
+			}
+		}
+	}
+}

@@ -59,7 +59,7 @@ func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.
 
 	// Line 1: the initial support set — min, max and three evenly
 	// spaced sizes (the paper used five points), evaluated in order
-	// without consulting the budget. Phase granularity records the
+	// until the budget runs out. Phase granularity records the
 	// support build and the refinement loop as two spans; the
 	// per-point path stays untouched.
 	phases := e.opts.Span.Phases()
@@ -68,11 +68,17 @@ func curveFitDYN(e *evaluator, cfg *flexray.Config) (*flexray.Config, *analysis.
 		support = e.opts.Span.StartChild("cf.support")
 	}
 	for _, nMS := range dynGrid(minMS, maxMS, initialSupportPoints) { // lines 2-5
+		if e.exhausted() {
+			break
+		}
 		cf.addPoint(nMS)
 	}
 	if support != nil {
 		support.SetInt("points", int64(len(cf.pts)))
 		support.End()
+	}
+	if len(cf.pts) == 0 {
+		return nil, nil, infeasibleCost * 2
 	}
 
 	if phases {

@@ -151,8 +151,8 @@ func Fig7(p Fig7Params) (*Fig7Series, error) {
 	minMS := int(units.CeilDiv(int64(fig7DYNMin), int64(cfg.MinislotLen)))
 	maxMS := int(int64(fig7DYNMax) / int64(cfg.MinislotLen))
 	// The sweep points are independent, so they are built up front and
-	// fanned across the campaign engine's worker pool; the series is
-	// assembled in sweep order afterwards.
+	// fanned across p.Workers goroutines by the campaign engine's
+	// EvalBatch; the series is assembled in sweep order afterwards.
 	cands := make([]*flexray.Config, p.Points)
 	for i := 0; i < p.Points; i++ {
 		// Geometric spacing, matching the paper's x-axis (2285,

@@ -147,16 +147,16 @@ type Spec struct {
 	// Priority orders the queue: higher runs first, FIFO within one
 	// priority.
 	Priority int `json:"priority,omitempty"`
-	// Workers bounds the job's evaluation parallelism; <= 0 uses the
-	// manager default. A campaign or sweep evaluates up to Workers
-	// systems or points at once; an optimize job evaluates one
-	// candidate per requested algorithm at a time, so Workers beyond
-	// the number of algorithms changes nothing there. Every job kind
-	// clamps it to 8×GOMAXPROCS (campaign.ClampWorkers), so untrusted
-	// submissions cannot spawn unbounded goroutines.
+	// Workers bounds a campaign's or sweep's evaluation parallelism:
+	// up to Workers systems or points at once; <= 0 uses the manager
+	// default. It is clamped to 8×GOMAXPROCS (campaign.ClampWorkers),
+	// so untrusted submissions cannot spawn unbounded goroutines. An
+	// optimize job ignores it: its portfolio runs one goroutine per
+	// requested algorithm.
 	Workers int `json:"workers,omitempty"`
 	// Algorithms selects the optimisers (optimize, campaign); empty
-	// means the full canonical portfolio.
+	// means the full canonical portfolio, and a name listed twice is
+	// rejected (campaign.NormalizeAlgorithms).
 	Algorithms []string `json:"algorithms,omitempty"`
 	// SAWarmFromOBC warm-starts SA from the best OBC configuration
 	// per system (campaign only; the Fig. 9 baseline protocol).
@@ -213,14 +213,11 @@ func (s *Spec) Validate() error {
 }
 
 func (s *Spec) compile() (*compiled, error) {
-	c := &compiled{opts: s.Tuning.Apply(core.DefaultOptions())}
-	for _, a := range s.Algorithms {
-		canon, err := campaign.NormalizeAlgorithm(a)
-		if err != nil {
-			return nil, err
-		}
-		c.algorithms = append(c.algorithms, canon)
+	algorithms, err := campaign.NormalizeAlgorithms(s.Algorithms)
+	if err != nil {
+		return nil, err
 	}
+	c := &compiled{opts: s.Tuning.Apply(core.DefaultOptions()), algorithms: algorithms}
 	switch s.Kind {
 	case KindOptimize:
 		sys, err := parseSystem(s.System)

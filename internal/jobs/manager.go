@@ -22,15 +22,15 @@ import (
 // ManagerOptions tune a job manager.
 type ManagerOptions struct {
 	// Workers is the number of jobs executed concurrently; <= 0
-	// selects 2. Each job additionally parallelises internally up to
-	// its spec's Workers (or EvalWorkers).
+	// selects 2. A campaign or sweep job additionally parallelises
+	// internally up to its spec's Workers (or EvalWorkers).
 	Workers int
 	// QueueCap bounds the number of queued (not yet running) jobs;
 	// <= 0 selects 64. Submissions beyond it fail with ErrQueueFull —
 	// the manager sheds instead of queueing unboundedly.
 	QueueCap int
-	// EvalWorkers is the per-job evaluation parallelism used when a
-	// spec does not set its own; <= 0 selects 1.
+	// EvalWorkers is the evaluation parallelism of a campaign or
+	// sweep whose spec does not set its own; <= 0 selects 1.
 	EvalWorkers int
 	// Retention bounds the terminal jobs (and their results) the
 	// manager keeps; the zero value retains everything for the

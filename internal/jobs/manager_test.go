@@ -141,7 +141,7 @@ func TestOptimizeJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf, err := campaign.Portfolio(context.Background(), sys, quickTuning().Apply(core.DefaultOptions()),
-		campaign.EngineOptions{Workers: 1}, "bbc", "obc-cf")
+		"bbc", "obc-cf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,6 +677,8 @@ func TestSpecValidation(t *testing.T) {
 		"unknown kind":     {Kind: "train"},
 		"optimize no sys":  {Kind: KindOptimize},
 		"bad algorithm":    {Kind: KindOptimize, System: raw, Algorithms: []string{"genetic"}},
+		"repeated bbc":     {Kind: KindOptimize, System: raw, Algorithms: []string{"bbc", "BBC"}},
+		"repeated obc-cf":  {Kind: KindCampaign, Population: &Population{NodeCounts: []int{2}, AppsPerCount: 1}, Algorithms: []string{"obc-cf", "ObcCf"}},
 		"campaign no pop":  {Kind: KindCampaign},
 		"campaign empty":   {Kind: KindCampaign, Population: &Population{}},
 		"campaign both":    {Kind: KindCampaign, Population: &Population{NodeCounts: []int{2}, AppsPerCount: 1, Systems: []json.RawMessage{raw}}},
@@ -687,6 +689,9 @@ func TestSpecValidation(t *testing.T) {
 	} {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("%s: submission accepted, want error", name)
+		}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the spec", name)
 		}
 	}
 	if list := m.List(""); len(list) != 0 {

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -36,8 +37,8 @@ func (m *Manager) run(ctx context.Context, j *job) (*Result, error) {
 	return nil, fmt.Errorf("jobs: unknown job kind %q", j.spec.Kind)
 }
 
-// evalWorkers resolves a job's evaluation parallelism, clamped like
-// the campaign engine's.
+// evalWorkers resolves a campaign's or sweep's evaluation
+// parallelism, clamped like the campaign engine's.
 func (m *Manager) evalWorkers(j *job) int {
 	w := m.opts.EvalWorkers
 	if j.spec.Workers > 0 {
@@ -48,7 +49,7 @@ func (m *Manager) evalWorkers(j *job) int {
 
 func (m *Manager) runOptimize(ctx context.Context, j *job, c *compiled) (*Result, error) {
 	m.updateProgress(j, func(p *Progress) { p.Total = 1 })
-	res, err := m.Optimize(ctx, c.sys, c.opts, m.evalWorkers(j), c.algorithms...)
+	res, err := m.Optimize(ctx, c.sys, c.opts, c.algorithms...)
 	if err != nil {
 		return nil, err
 	}
@@ -74,14 +75,16 @@ func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, e
 	// count.
 	workers := min(m.evalWorkers(j), total)
 	points := make([]SweepPoint, total)
-	idxc := make(chan int)
-	var wg sync.WaitGroup
+	var (
+		next atomic.Int64 // the next point to pull
+		wg   sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			session := core.NewSession(c.sys, c.opts.Sched)
-			for i := range idxc {
+			for i := int(next.Add(1) - 1); i < total && ctx.Err() == nil; i = int(next.Add(1) - 1) {
 				pt := m.sweepPoint(session, c, i, j.spec.Repetitions)
 				points[i] = pt
 				m.updateProgress(j, func(p *Progress) {
@@ -101,16 +104,6 @@ func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, e
 			}
 		}()
 	}
-	for i := 0; i < total; i++ {
-		select {
-		case idxc <- i:
-		case <-ctx.Done():
-			close(idxc)
-			wg.Wait()
-			return nil, ctx.Err()
-		}
-	}
-	close(idxc)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -164,11 +157,11 @@ func (pt *SweepPoint) evaluations() int64 {
 	return n
 }
 
-// Optimize races the optimiser portfolio on sys with the given
-// evaluation workers, on the caller's goroutine: POST /v1/optimize and
+// Optimize races the optimiser portfolio on sys, one goroutine per
+// algorithm, returning when the race is over: POST /v1/optimize and
 // the optimize job kind. A cancelled ctx surfaces as its error.
-func (m *Manager) Optimize(ctx context.Context, sys *model.System, opts core.Options, workers int, algorithms ...string) (*OptimizeResult, error) {
-	pf, err := campaign.Portfolio(ctx, sys, opts, campaign.EngineOptions{Workers: workers}, algorithms...)
+func (m *Manager) Optimize(ctx context.Context, sys *model.System, opts core.Options, algorithms ...string) (*OptimizeResult, error) {
+	pf, err := campaign.Portfolio(ctx, sys, opts, algorithms...)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr

@@ -97,9 +97,9 @@ type allocPin struct {
 // allocPins is the allocation gate: one row per Suite scenario,
 // measured by measureAllocs at the scenario's AllocWarmup/AllocOps in
 // a go test build (no PGO; see OPERATIONS.md for the PGO counts).
-// Non-serial rows run at GOMAXPROCS 2 (fig7/sweep reads 142, 200-201
-// and 312-313 at 1, 2 and 4); serial rows read the same at GOMAXPROCS
-// 1, 2 and 4.
+// Non-serial rows run at GOMAXPROCS 2 (fig7/sweep reads 142, 199 and
+// 311 at 1, 2 and 4); serial rows read the same at GOMAXPROCS 1, 2
+// and 4.
 //
 // A row is exact where every run agreed: each exact row read the same
 // count in all 50 runs on 2 CPUs (30 fresh processes one at a time
@@ -115,22 +115,21 @@ var allocPins = map[string]allocPin{
 	"eval/fresh":        {allocs: 527, bytes: 64352},
 	"eval/session":      {allocs: 3, bytes: 865, race: true},
 	"sched/build-table": {allocs: 0, bytes: 0, race: true},
-	// 3524-3526: the engine's goroutines interleave differently.
-	"campaign/serial": {allocs: 3525, spread: 3, bytes: 468700},
-	// 3525-3527.
-	"campaign/parallel": {allocs: 3526, spread: 3, bytes: 468800},
-	// 3141-3148: queue, progress events and subscription wake-ups.
-	"jobs/pipeline": {allocs: 3145, spread: 10, bytes: 324700},
-	// 4026-4044: the workers live for one op and make the same
+	// 3512-3514: the campaign's goroutines interleave differently.
+	"campaign/serial": {allocs: 3513, spread: 3, bytes: 466800},
+	// 3514-3516.
+	"campaign/parallel": {allocs: 3515, spread: 3, bytes: 466800},
+	// 3128-3134: queue, progress events and subscription wake-ups.
+	"jobs/pipeline": {allocs: 3131, spread: 10, bytes: 323000},
+	// 4016-4032: the workers live for one op and make the same
 	// claims in every op; what moves is how the engine's, the
 	// manager's and the HTTP goroutines interleave.
-	"jobs/distributed-drain": {allocs: 4035, spread: 28, bytes: 405000, io: true},
+	"jobs/distributed-drain": {allocs: 4024, spread: 28, bytes: 401500, io: true},
 	"serve/traced-request":   {allocs: 38, bytes: 8029},
 	"lint/report":            {allocs: 1752, bytes: 199580},
-	// 200-201.
-	"fig7/sweep": {allocs: 201, spread: 2, bytes: 24450},
-	// 3263-3264.
-	"fig9/quick":    {allocs: 3264, spread: 3, bytes: 384300},
+	"fig7/sweep":             {allocs: 199, bytes: 24350},
+	// 3262-3264.
+	"fig9/quick":    {allocs: 3263, spread: 3, bytes: 384200},
 	"store/replay":  {allocs: 7, bytes: 1312, race: true, io: true},
 	"store/compact": {allocs: 2, bytes: 881, io: true},
 }
