@@ -169,6 +169,14 @@ type flatEnv struct {
 	// ended, or at lfLo).
 	lfLo, lfHi   int32
 	grpLo, grpHi int32
+	// maxSum is the sum over the groups of each group's first, and
+	// so largest, extra: the most extra minislots lf(m) can place in
+	// one cycle, which carries at most one frame per FrameID. When it
+	// is below need the env is a static zero: lf(m) fills no cycle,
+	// whatever the window, and fillCycles skips its solvers. The
+	// leftover is then maxSum for any window t > 0; at t = 0 only
+	// items with a positive jitter have an instance (jitteredMaxSum).
+	maxSum int
 }
 
 // dynArena holds every DYN interference environment of an analyzer in
@@ -279,13 +287,22 @@ func (a *Analyzer) buildEnv(di int, act *model.Activity, fid int) *flatEnv {
 		}
 	}
 	env.hpHi = int32(len(ar.hp))
+	ar.groupLF(env)
+	env.built = true
+	return env
+}
+
+// groupLF closes env's lf run, the slab items from lfLo on: it sorts
+// the run, records its group end offsets, sums the group maxima into
+// maxSum and sizes the budget row alongside the lf slab.
+func (ar *dynArena) groupLF(env *flatEnv) {
 	env.lfHi = int32(len(ar.lf))
 	ar.lfSorter.s = ar.lf[env.lfLo:env.lfHi]
 	sort.Sort(&ar.lfSorter)
 
-	// Record the group end offsets of the sorted run and size the
-	// budget row alongside the lf slab.
+	env.maxSum = 0
 	for i := int(env.lfLo); i < int(env.lfHi); {
+		env.maxSum += ar.lf[i].extra
 		j := i
 		for j < int(env.lfHi) && ar.lf[j].fid == ar.lf[i].fid {
 			j++
@@ -299,8 +316,6 @@ func (a *Analyzer) buildEnv(di int, act *model.Activity, fid int) *flatEnv {
 	} else {
 		ar.budget = ar.budget[:len(ar.lf)]
 	}
-	env.built = true
-	return env
 }
 
 // instances returns how many activations of message m can fall inside a
@@ -326,22 +341,41 @@ func (a *Analyzer) instances(m model.ActID, t units.Duration) int64 {
 // solver is the polynomial greedy heuristic; Options.ExactFill enables
 // the branch-and-bound of ref [14] (with fallback when the search
 // explodes).
+//
+// A static-zero env (flatEnv.maxSum below need) skips both solvers:
+// even one frame of every FrameID group cannot meet the need, so lf(m)
+// fills no cycle, and the leftover is every group's largest extra with
+// an instance in the window, which leftoverExtras would take whole.
+// Jitters are never negative, so for t > 0 every item has an instance
+// and the leftover is maxSum; at t = 0, the fixpoint's first iterate,
+// only items with a positive jitter count (jitteredMaxSum).
 func (a *Analyzer) fillCycles(env *flatEnv, t units.Duration) (filled int64, leftover int) {
-	ar := &a.ar
 	// hp(m): every instance occupies the slot for one whole cycle.
 	var hpFill int64
-	for _, m := range ar.hp[env.hpLo:env.hpHi] {
+	for _, m := range a.ar.hp[env.hpLo:env.hpHi] {
 		hpFill += a.instances(m, t)
 	}
+	if env.maxSum < env.need {
+		if t > 0 {
+			return hpFill, env.maxSum
+		}
+		return hpFill, a.jitteredMaxSum(env)
+	}
+	lfFill, leftover := a.solveFill(env, t)
+	return hpFill + lfFill, leftover
+}
 
+// solveFill runs the lf(m) fill solver over a window of length t and
+// returns the cycles lf(m) fills and the leftover extras.
+func (a *Analyzer) solveFill(env *flatEnv, t units.Duration) (lfFill int64, leftover int) {
+	ar := &a.ar
 	// Budgets for lf items within the window; the row is part of the
 	// arena and refilled in place (greedyFill and leftoverExtras
-	// consume it destructively, exactly as before).
+	// consume it destructively).
 	for i := int(env.lfLo); i < int(env.lfHi); i++ {
 		ar.budget[i] = a.instances(ar.lf[i].id, t)
 	}
 
-	var lfFill int64
 	if a.opts.ExactFill {
 		var exact bool
 		lfFill, exact = ar.exactFill(env, a.opts.FillNodeCap)
@@ -354,8 +388,25 @@ func (a *Analyzer) fillCycles(env *flatEnv, t units.Duration) (filled int64, lef
 
 	// Leftover: maximise extras in the final cycle without reaching
 	// `need` (the message still transmits, as late as possible).
-	leftover = ar.leftoverExtras(env)
-	return hpFill + lfFill, leftover
+	return lfFill, ar.leftoverExtras(env)
+}
+
+// jitteredMaxSum is the leftover of a static-zero env at t = 0: the
+// sum over the groups of the largest extra whose message has a positive
+// jitter, the only items with an instance in an empty window.
+func (a *Analyzer) jitteredMaxSum(env *flatEnv) int {
+	ar := &a.ar
+	total := 0
+	for g := 0; g < ar.groups(env); g++ {
+		start, end := ar.groupBounds(env, g)
+		for i := start; i < end; i++ {
+			if a.j[ar.lf[i].id] > 0 {
+				total += ar.lf[i].extra
+				break // one item per FrameID group
+			}
+		}
+	}
+	return total
 }
 
 // greedyFill fills cycles in runs from one candidate list per call. A

@@ -24,7 +24,6 @@
 package campaign
 
 import (
-	"container/list"
 	"context"
 	"runtime"
 	"sync"
@@ -106,14 +105,17 @@ type cacheKey struct {
 	opts sched.Options
 }
 
-// cacheEntry is one memoised (possibly still in-flight) evaluation.
-// done is closed once res/cost are valid; concurrent evaluations of the
-// same key coalesce by waiting on it instead of re-running the build.
+// cacheEntry is one memoised (possibly still in-flight) evaluation and
+// its own node in the engine's LRU list, so a cache miss allocates the
+// entry and nothing else. ready is held from the insert until res/cost
+// are valid; concurrent evaluations of the same key coalesce by waiting
+// on it instead of re-running the build.
 type cacheEntry struct {
-	key  cacheKey
-	res  *analysis.Result
-	cost float64
-	done chan struct{}
+	key        cacheKey
+	prev, next *cacheEntry
+	res        *analysis.Result
+	cost       float64
+	ready      sync.WaitGroup
 }
 
 // engineSession is one evaluation session of the free list and the
@@ -148,9 +150,11 @@ type Engine struct {
 	// The evaluation cache and the session free list sit behind one
 	// mutex: an evaluation costs far more than the map lookup or the
 	// slice pop the lock guards.
-	mu       sync.Mutex
-	entries  map[cacheKey]*list.Element
-	lru      list.List // of *cacheEntry, most recent first
+	mu      sync.Mutex
+	entries map[cacheKey]*cacheEntry
+	// lru is the sentinel of the circular list of entries, most
+	// recent first (lru.next); only its links are used.
+	lru      cacheEntry
 	capacity int
 	// free holds the idle sessions, last returned on top, so one
 	// caller's back-to-back evaluations keep reusing one warm session.
@@ -192,12 +196,14 @@ func NewEngine(ctx context.Context, opts EngineOptions) *Engine {
 // newEngine builds an engine with an EvalBatch fan-out of w and an
 // evaluation cache of the given capacity.
 func newEngine(ctx context.Context, w, capacity int) *Engine {
-	return &Engine{
+	e := &Engine{
 		ctx:      ctx,
 		width:    w,
-		entries:  map[cacheKey]*list.Element{},
+		entries:  map[cacheKey]*cacheEntry{},
 		capacity: capacity,
 	}
+	e.lru.prev, e.lru.next = &e.lru, &e.lru
+	return e
 }
 
 // Hook returns a copy of opts with the engine installed as the
@@ -225,20 +231,22 @@ func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 func (e *Engine) eval(sys *model.System, cfg *flexray.Config, opts sched.Options, s *engineSession) (*analysis.Result, float64) {
 	key := cacheKey{sys: sys, fp: cfg.Fingerprint(), opts: opts}
 	e.mu.Lock()
-	if el, ok := e.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		e.lru.MoveToFront(el)
+	if ent, ok := e.entries[key]; ok {
+		e.unlink(ent)
+		e.pushFront(ent)
 		e.mu.Unlock()
 		e.counters.hits.Add(1)
-		<-ent.done
+		ent.ready.Wait()
 		return ent.res, ent.cost
 	}
-	ent := &cacheEntry{key: key, done: make(chan struct{})}
-	e.entries[key] = e.lru.PushFront(ent)
-	for e.lru.Len() > e.capacity {
-		oldest := e.lru.Back()
-		e.lru.Remove(oldest)
-		delete(e.entries, oldest.Value.(*cacheEntry).key)
+	ent := &cacheEntry{key: key}
+	ent.ready.Add(1)
+	e.entries[key] = ent
+	e.pushFront(ent)
+	if len(e.entries) > e.capacity {
+		oldest := e.lru.prev
+		e.unlink(oldest)
+		delete(e.entries, oldest.key)
 	}
 	e.mu.Unlock()
 	e.counters.misses.Add(1)
@@ -246,8 +254,21 @@ func (e *Engine) eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 	// sound because the engine's lifetime is bound to its context —
 	// every result produced after cancellation is discarded anyway.
 	ent.res, ent.cost = e.run(sys, cfg, opts, s)
-	close(ent.done)
+	ent.ready.Done()
 	return ent.res, ent.cost
+}
+
+// pushFront links ent in as the most recent entry. The caller holds
+// e.mu.
+func (e *Engine) pushFront(ent *cacheEntry) {
+	ent.prev, ent.next = &e.lru, e.lru.next
+	ent.prev.next, ent.next.prev = ent, ent
+}
+
+// unlink takes ent out of the LRU list. The caller holds e.mu.
+func (e *Engine) unlink(ent *cacheEntry) {
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+	ent.prev, ent.next = nil, nil
 }
 
 // EvalBatch evaluates independent candidates on w = min(Workers,

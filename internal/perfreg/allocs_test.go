@@ -97,8 +97,8 @@ type allocPin struct {
 // allocPins is the allocation gate: one row per Suite scenario,
 // measured by measureAllocs at the scenario's AllocWarmup/AllocOps in
 // a go test build (no PGO; see OPERATIONS.md for the PGO counts).
-// Non-serial rows run at GOMAXPROCS 2 (fig7/sweep reads 142, 199 and
-// 311 at 1, 2 and 4); serial rows read the same at GOMAXPROCS 1, 2
+// Non-serial rows run at GOMAXPROCS 2 (fig7/sweep reads 140, 197 and
+// 309 at 1, 2 and 4); serial rows read the same at GOMAXPROCS 1, 2
 // and 4.
 //
 // A row is exact where every run agreed: each exact row read the same
@@ -115,21 +115,21 @@ var allocPins = map[string]allocPin{
 	"eval/fresh":        {allocs: 527, bytes: 64352},
 	"eval/session":      {allocs: 3, bytes: 865, race: true},
 	"sched/build-table": {allocs: 0, bytes: 0, race: true},
-	// 3512-3514: the campaign's goroutines interleave differently.
-	"campaign/serial": {allocs: 3513, spread: 3, bytes: 466800},
-	// 3514-3516.
-	"campaign/parallel": {allocs: 3515, spread: 3, bytes: 466800},
-	// 3128-3134: queue, progress events and subscription wake-ups.
-	"jobs/pipeline": {allocs: 3131, spread: 10, bytes: 323000},
-	// 4016-4032: the workers live for one op and make the same
+	// 3333-3335: the campaign's goroutines interleave differently.
+	"campaign/serial": {allocs: 3334, spread: 3, bytes: 455700},
+	// 3335-3336.
+	"campaign/parallel": {allocs: 3335, spread: 3, bytes: 455700},
+	// 2886-2890: queue, progress events and subscription wake-ups.
+	"jobs/pipeline": {allocs: 2888, spread: 7, bytes: 307500},
+	// 3774-3806: the workers live for one op and make the same
 	// claims in every op; what moves is how the engine's, the
 	// manager's and the HTTP goroutines interleave.
-	"jobs/distributed-drain": {allocs: 4024, spread: 28, bytes: 401500, io: true},
+	"jobs/distributed-drain": {allocs: 3790, spread: 28, bytes: 395000, io: true},
 	"serve/traced-request":   {allocs: 38, bytes: 8029},
 	"lint/report":            {allocs: 1752, bytes: 199580},
-	"fig7/sweep":             {allocs: 199, bytes: 24350},
-	// 3262-3264.
-	"fig9/quick":    {allocs: 3263, spread: 3, bytes: 384200},
+	"fig7/sweep":             {allocs: 197, bytes: 24300},
+	// 2786-2788.
+	"fig9/quick":    {allocs: 2787, spread: 3, bytes: 354100},
 	"store/replay":  {allocs: 7, bytes: 1312, race: true, io: true},
 	"store/compact": {allocs: 2, bytes: 881, io: true},
 }
