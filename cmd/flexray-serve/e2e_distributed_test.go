@@ -310,8 +310,8 @@ func TestDistributedCampaignMultiProcess(t *testing.T) {
 		"-store", filepath.Join(t.TempDir(), "jobs.jsonl"),
 		"-lease-ttl", "10s", "-lease-systems", "1",
 		"-job-workers", "1", "-workers", "1")
-	w1 := startServeChild(t, "worker1", "-peer", coord.url, "-peer-id", "w1", "-peer-poll", "25ms", "-workers", "1")
-	w2 := startServeChild(t, "worker2", "-peer", coord.url, "-peer-id", "w2", "-peer-poll", "25ms", "-workers", "1")
+	w1 := startServeChild(t, "worker1", "-peer", coord.url, "-peer-id", "w1", "-workers", "1")
+	w2 := startServeChild(t, "worker2", "-peer", coord.url, "-peer-id", "w2", "-workers", "1")
 
 	counts := []int{2, 2, 3, 3, 2, 2}
 	serial := submitChildJob(t, coord.url, distributedE2ESpec(counts, quickServeOptions(), false))
@@ -356,8 +356,8 @@ func TestDistributedChaosWorkerKill(t *testing.T) {
 		"-lease-ttl", "750ms", "-lease-systems", "1",
 		"-job-workers", "1", "-workers", "1")
 	victim := startServeChildEnv(t, "victim", []string{holdAfterClaimEnv + "=1"},
-		"-peer", coord.url, "-peer-id", "victim", "-peer-poll", "10ms", "-workers", "1")
-	startServeChild(t, "survivor", "-peer", coord.url, "-peer-id", "survivor", "-peer-poll", "10ms", "-workers", "1")
+		"-peer", coord.url, "-peer-id", "victim", "-workers", "1")
+	startServeChild(t, "survivor", "-peer", coord.url, "-peer-id", "survivor", "-workers", "1")
 
 	counts := []int{2, 3, 2, 3, 2}
 	dist := submitChildJob(t, coord.url, distributedE2ESpec(counts, tuning, true))
@@ -404,4 +404,65 @@ func TestDistributedChaosWorkerKill(t *testing.T) {
 	if got := childRecords(t, coord.url, dist.ID); string(got) != string(want) {
 		t.Errorf("post-chaos result differs from serial:\n got %s\nwant %s", got, want)
 	}
+}
+
+// TestShutdownWithHeldClaims: SIGTERM to a coordinator whose workers
+// hold claims answers the claims with 503 at once — not after the
+// hold period — and the process exits inside its 15s drain grace.
+func TestShutdownWithHeldClaims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e")
+	}
+	coord := startServeChild(t, "coordinator", "-lease-ttl", "1m")
+	codes := make(chan int, 2)
+	for _, id := range []string{"w1", "w2"} {
+		go func() {
+			resp, err := http.Post(coord.url+"/v1/leases/claim", "application/json",
+				strings.NewReader(`{"worker":"`+id+`"}`))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		_, body := childGet(t, coord.url, "/v1/leases")
+		var list jobs.LeaseList
+		if err := json.Unmarshal(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Workers) == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("claims never held; leases: %s", body)
+		}
+	}
+
+	start := time.Now()
+	if err := coord.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		select {
+		case code := <-codes:
+			if code != http.StatusServiceUnavailable {
+				t.Errorf("held claim answered %d at shutdown, want 503", code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("held claim not answered within 5s of SIGTERM")
+		}
+	}
+	select {
+	case err := <-coord.done:
+		coord.done <- err
+		if err != nil {
+			t.Errorf("coordinator exit: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("coordinator still running 15s after SIGTERM")
+	}
+	t.Logf("claims answered and coordinator exited %v after SIGTERM", time.Since(start))
 }

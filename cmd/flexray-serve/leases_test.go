@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -99,7 +100,7 @@ func TestLeaseEndpointGuards(t *testing.T) {
 }
 
 // claimLease claims a shard over HTTP and decodes the grant; nil means
-// 204 (no work yet).
+// 204 (the claim was held and no work appeared).
 func claimLease(t *testing.T, ts *httptest.Server, worker string) *jobs.ShardGrant {
 	t.Helper()
 	resp, body := post(t, ts, "/v1/leases/claim", map[string]any{"worker": worker})
@@ -117,8 +118,8 @@ func claimLease(t *testing.T, ts *httptest.Server, worker string) *jobs.ShardGra
 	return nil
 }
 
-// waitClaim polls the claim endpoint until the submitted job publishes
-// a shard.
+// waitClaim claims until the submitted job publishes a shard; the
+// server holds each claim until one is pending.
 func waitClaim(t *testing.T, ts *httptest.Server, worker string) *jobs.ShardGrant {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -126,7 +127,6 @@ func waitClaim(t *testing.T, ts *httptest.Server, worker string) *jobs.ShardGran
 		if g := claimLease(t, ts, worker); g != nil {
 			return g
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("no shard lease became claimable")
 	return nil
@@ -219,5 +219,56 @@ func TestLeaseList(t *testing.T) {
 	}
 	if len(list.Workers) != 1 || list.Workers[0].ID != "w1" {
 		t.Errorf("workers %+v, want exactly w1", list.Workers)
+	}
+}
+
+// TestClaimTimeoutAnswers204: a -timeout shorter than the hold period
+// ends a held claim with 204 (no work), not an error, once the request
+// budget is spent.
+func TestClaimTimeoutAnswers204(t *testing.T) {
+	const timeout = 150 * time.Millisecond
+	ts := mustServer(t, serverConfig{Workers: 1, Timeout: timeout, LeaseTTL: time.Minute})
+	start := time.Now()
+	resp, body := post(t, ts, "/v1/leases/claim", map[string]any{"worker": "w"})
+	held := time.Since(start)
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("claim: %d: %s, want 204", resp.StatusCode, body)
+	}
+	if held < timeout {
+		t.Errorf("claim answered after %v, want it held for the %v request budget", held, timeout)
+	}
+}
+
+// TestLeaseListKeepsHoldingWorker: an idle worker spends its time in
+// held claims, so GET /v1/leases keeps listing it, seen within the
+// three TTLs after which the janitor forgets a silent worker.
+func TestLeaseListKeepsHoldingWorker(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	ts := mustServer(t, serverConfig{Workers: 1, Timeout: time.Minute, LeaseTTL: ttl})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		jobs.NewWorker(jobs.WorkerOptions{ID: "idle", BaseURL: ts.URL, Logf: t.Logf}).Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+
+	time.Sleep(5 * ttl)
+	resp, body := get(t, ts, "/v1/leases")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("list: %d: %s", resp.StatusCode, body)
+	}
+	var list jobs.LeaseList
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Workers) != 1 || list.Workers[0].ID != "idle" {
+		t.Fatalf("workers %+v, want the holding worker", list.Workers)
+	}
+	if age := time.Since(list.Workers[0].LastSeen); age > 3*ttl {
+		t.Errorf("holding worker last seen %v ago, want within %v", age, 3*ttl)
 	}
 }

@@ -50,11 +50,15 @@
 // peers pull, execute and report back instead of running in this
 // process. Any flexray-serve started with -peer pointing at this server
 // joins as a worker; the lease TTL is a coordinator-side knob
-// (-lease-ttl). Results are bit-identical to a single-process run — a
-// dead worker's lease expires and its shard is re-queued
-// deterministically.
+// (-lease-ttl). An idle worker waits in a held claim, so a new shard
+// starts at once; -peer-poll only paces the retries of failed claims.
+// Results are bit-identical to a single-process run — a dead worker's
+// lease expires and its shard is re-queued deterministically.
 //
-//	POST /v1/leases/claim           worker pulls a shard lease (204 = no work)
+//	POST /v1/leases/claim           worker pulls a shard lease; with no
+//	                                shard pending the claim is held until
+//	                                one is, or for up to 10s (at most
+//	                                -lease-ttl), then answers 204
 //	POST /v1/leases/{id}/renew      heartbeat a held lease
 //	POST /v1/leases/{id}/complete   report shard records or failure
 //	GET  /v1/leases                 lease table snapshot (shards + workers)
@@ -172,7 +176,7 @@ func registerFlags(fs *flag.FlagSet) *serveOptions {
 	fs.IntVar(&c.LeaseSystems, "lease-systems", 4, "systems per campaign shard, the unit of durable progress and, with distribute, of a lease (campaign jobs may override per spec)")
 	fs.StringVar(&o.peer, "peer", "", "coordinator base URL; set to join it as a lease worker peer")
 	fs.StringVar(&o.peerID, "peer-id", "", "worker identity reported to the coordinator (default hostname-pid)")
-	fs.DurationVar(&o.peerPoll, "peer-poll", 250*time.Millisecond, "idle wait between lease claim attempts in -peer mode")
+	fs.DurationVar(&o.peerPoll, "peer-poll", 250*time.Millisecond, "wait before retrying a failed lease claim in -peer mode")
 	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound listen address to this file once serving (for :0 addresses)")
 	fs.BoolVar(&c.ValidateJobs, "validate-jobs", false, "lint uploaded systems at job submission and reject error-severity findings with 422")
 	fs.BoolVar(&o.version, "version", false, "print build information and exit")

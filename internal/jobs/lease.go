@@ -15,11 +15,15 @@ package jobs
 // Distribute picks only who runs the pending shards: the job goroutine,
 // as one campaign call, or worker peers that pull them with
 // ClaimLease, heartbeat them with RenewLease and return records with
-// CompleteLease. A lease is the ownership token of that remote
-// transport, for a worker that can die apart from the coordinator;
-// local campaigns take none. Expire and fail events are appended
-// best-effort as evidence of a fault and ignored by replay; grants are
-// not stored (GET /v1/leases and the grant counter show them).
+// CompleteLease. Over HTTP a claim that finds no pending shard is held
+// (LeaseAPI.HandleClaim) until one becomes pending — a distributed
+// submit, an expiry or a failure re-queue — so an idle worker starts
+// new work at once instead of polling. A lease is the ownership token
+// of that remote transport, for a worker that can die apart from the
+// coordinator; local campaigns take none. Expire and fail events are
+// appended best-effort as evidence of a fault and ignored by replay;
+// grants are not stored (GET /v1/leases and the grant counter show
+// them).
 //
 // Worker death is survived by lease expiry: the manager's janitor
 // loop (manager.go) re-queues any granted shard whose lease outlived
@@ -244,6 +248,7 @@ func (m *Manager) runCampaign(ctx context.Context, j *job, c *compiled) (*Result
 	if distribute {
 		lj.traceparent = obs.SpanFromContext(ctx).Traceparent()
 		m.leaseJobs[j.id] = lj
+		m.wakeClaimsLocked()
 	}
 	m.publishLocked(j, "update")
 	m.mu.Unlock()
@@ -359,11 +364,20 @@ func applyShardProgressLocked(j *job, recs []campaign.Record) {
 // pending shard in (job submission order, shard index) order. A nil
 // grant with nil error means no work is available.
 func (m *Manager) ClaimLease(workerID string) (*ShardGrant, error) {
+	g, _, err := m.claimLease(workerID)
+	return g, err
+}
+
+// claimLease is ClaimLease that, when no shard is pending, also
+// returns a channel closed once one becomes pending. The channel is
+// taken under the lock of the scan, so no wake-up is lost between the
+// scan and the wait.
+func (m *Manager) claimLease(workerID string) (*ShardGrant, <-chan struct{}, error) {
 	now := time.Now()
 	m.mu.Lock()
 	if m.closing {
 		m.mu.Unlock()
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	m.leaseWorkers[workerID] = now
 	var pick *leaseShard
@@ -377,8 +391,9 @@ scan:
 		}
 	}
 	if pick == nil {
+		wake := m.leaseWake
 		m.mu.Unlock()
-		return nil, nil
+		return nil, wake, nil
 	}
 	pick.state = leaseGranted
 	pick.attempt++
@@ -389,7 +404,13 @@ scan:
 	g := pick.lj.grantFor(pick, m.opts.LeaseTTL)
 	m.mu.Unlock()
 	m.opts.Metrics.observeLeaseGranted()
-	return g, nil
+	return g, nil, nil
+}
+
+// wakeClaimsLocked wakes every held claim: a shard became pending.
+func (m *Manager) wakeClaimsLocked() {
+	close(m.leaseWake)
+	m.leaseWake = make(chan struct{})
 }
 
 // leaseJobsLocked lists the running distributed jobs in submission
@@ -651,6 +672,7 @@ func (m *Manager) releaseShardLocked(sh *leaseShard, reason error) {
 	sh.state = leasePending
 	sh.worker, sh.leaseID = "", ""
 	sh.expiry = time.Time{}
+	m.wakeClaimsLocked()
 }
 
 // expireLeases re-queues every granted shard whose lease outlived its

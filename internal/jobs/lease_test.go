@@ -29,11 +29,7 @@ func startLeaseFleet(t *testing.T, m *Manager, ids ...string) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for _, id := range ids {
-		w := NewWorker(WorkerOptions{
-			ID: id, BaseURL: ts.URL,
-			Poll: 5 * time.Millisecond, Workers: 1,
-			Logf: t.Logf,
-		})
+		w := NewWorker(WorkerOptions{ID: id, BaseURL: ts.URL, Workers: 1, Logf: t.Logf})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -7,7 +7,7 @@ package jobs
 // the Worker client and the coordinator always agree.
 //
 //	POST /v1/leases/claim               {"worker":w}
-//	    200 ShardGrant | 204 no work
+//	    200 ShardGrant | 204 no work (after a hold; see HandleClaim)
 //	POST /v1/leases/{id}/renew          {"worker":w}
 //	    200 {"expires_at":t}
 //	POST /v1/leases/{id}/complete       {"worker":w,"records":[...]} or
@@ -23,6 +23,7 @@ package jobs
 // bodies, 500 for store faults and 503 while shutting down.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -65,7 +66,16 @@ func (a *LeaseAPI) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/leases", a.HandleList)
 }
 
-// HandleClaim answers POST /v1/leases/claim.
+// claimHold is how long a claim waits for work before answering 204;
+// HandleClaim caps it at the lease TTL, so a holding worker is never
+// silent long enough for the janitor to forget it.
+const claimHold = 10 * time.Second
+
+// HandleClaim answers POST /v1/leases/claim. A claim that finds no
+// pending shard is held: it is granted as soon as a shard becomes
+// pending, answers 503 once the manager closes, and 204 when the
+// request's context ends or the hold period passes. A held claim takes
+// no compute slot.
 func (a *LeaseAPI) HandleClaim(w http.ResponseWriter, r *http.Request) {
 	var req leaseClaimRequest
 	if !a.decode(w, r, &req) {
@@ -75,16 +85,26 @@ func (a *LeaseAPI) HandleClaim(w http.ResponseWriter, r *http.Request) {
 		a.error(w, http.StatusBadRequest, `lease claim needs a "worker" id`)
 		return
 	}
-	grant, err := a.m.ClaimLease(req.Worker)
-	if err != nil {
-		a.leaseError(w, err)
-		return
+	ctx, cancel := context.WithTimeout(r.Context(), min(claimHold, a.m.opts.LeaseTTL))
+	defer cancel()
+	for {
+		grant, wake, err := a.m.claimLease(req.Worker)
+		switch {
+		case err != nil:
+			a.leaseError(w, err)
+			return
+		case grant != nil:
+			a.json(w, http.StatusOK, grant)
+			return
+		}
+		select {
+		case <-wake:
+		case <-a.m.ctx.Done(): // Close: the next claim answers 503
+		case <-ctx.Done():
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
 	}
-	if grant == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	a.json(w, http.StatusOK, grant)
 }
 
 // HandleRenew answers POST /v1/leases/{id}/renew.

@@ -200,14 +200,17 @@ type Manager struct {
 	// Campaign shard and lease state (lease.go), all guarded by mu:
 	// running distributed jobs by job ID, granted leases by lease ID
 	// (each shard points at its job), recently seen worker peers, the
-	// bounded why-is-this-lease-dead memory, and the completed shard
-	// results of every campaign, retained until its job goes terminal.
+	// bounded why-is-this-lease-dead memory, the completed shard
+	// results of every campaign, retained until its job goes terminal,
+	// and the channel held claims wait on (closed and replaced when a
+	// shard becomes pending).
 	leaseJobs     map[string]*leaseJob
 	leaseIndex    map[string]*leaseShard
 	leaseWorkers  map[string]time.Time
 	leaseRetired  map[string]error
 	leaseRetiredQ []string
 	shardResults  map[string]map[int]shardResult
+	leaseWake     chan struct{}
 
 	engine campaign.EngineCounters
 }
@@ -233,6 +236,7 @@ func NewManager(store Store, opts ManagerOptions) (*Manager, error) {
 		leaseWorkers: map[string]time.Time{},
 		leaseRetired: map[string]error{},
 		shardResults: map[string]map[int]shardResult{},
+		leaseWake:    make(chan struct{}),
 	}
 	if err := m.replay(); err != nil {
 		cancel()

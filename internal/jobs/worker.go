@@ -39,8 +39,10 @@ type WorkerOptions struct {
 	// Client is the HTTP client; nil selects one with a 2-minute
 	// timeout (completion bodies can be large).
 	Client *http.Client
-	// Poll is the idle wait between claim attempts when the
-	// coordinator has no work (or is unreachable); <= 0 selects 250ms.
+	// Poll is the wait before retrying a failed claim (unreachable or
+	// closing coordinator); <= 0 selects 250ms. An empty answer is
+	// retried at once: the coordinator holds a claim until work
+	// appears, so an idle worker does not poll.
 	Poll time.Duration
 	// Workers is the per-shard campaign parallelism; <= 0 lets the
 	// campaign layer default (GOMAXPROCS). Record content is
@@ -98,36 +100,30 @@ func NewWorker(o WorkerOptions) *Worker {
 func (w *Worker) ID() string { return w.o.ID }
 
 // Run claims and executes shards until ctx is cancelled; it always
-// returns ctx's error. Claim failures (unreachable coordinator,
-// shutdown) back off by the poll interval and retry — a worker outlives
-// coordinator restarts.
+// returns ctx's error. The coordinator holds each claim until work
+// appears, so an empty answer is claimed again at once. Claim failures
+// (unreachable coordinator, shutdown) back off by the poll interval
+// and retry — a worker outlives coordinator restarts.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		grant, err := w.claim(ctx)
-		if err != nil {
+		switch {
+		case err != nil:
 			if ctx.Err() == nil {
 				w.o.Logf("jobs: worker %s: claim: %v", w.o.ID, err)
 			}
-			w.sleep(ctx)
-			continue
+			t := time.NewTimer(w.o.Poll)
+			select {
+			case <-ctx.Done():
+			case <-t.C:
+			}
+			t.Stop()
+		case grant != nil:
+			w.runLease(ctx, grant)
 		}
-		if grant == nil {
-			w.sleep(ctx)
-			continue
-		}
-		w.runLease(ctx, grant)
-	}
-}
-
-func (w *Worker) sleep(ctx context.Context) {
-	t := time.NewTimer(w.o.Poll)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
 	}
 }
 
@@ -273,8 +269,8 @@ func runShardGrant(ctx context.Context, g *ShardGrant, workers int) ([]campaign.
 	return recs, nil
 }
 
-// claim asks the coordinator for a shard; nil without error means no
-// work is available right now.
+// claim asks the coordinator for a shard; nil without error means the
+// coordinator held the claim and no work appeared.
 func (w *Worker) claim(ctx context.Context) (*ShardGrant, error) {
 	resp, err := w.post(ctx, "/v1/leases/claim", leaseClaimRequest{Worker: w.o.ID})
 	if err != nil {

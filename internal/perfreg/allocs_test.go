@@ -121,10 +121,10 @@ var allocPins = map[string]allocPin{
 	"campaign/parallel": {allocs: 3335, spread: 3, bytes: 455700},
 	// 2886-2890: queue, progress events and subscription wake-ups.
 	"jobs/pipeline": {allocs: 2888, spread: 7, bytes: 307500},
-	// 3774-3806: the workers live for one op and make the same
-	// claims in every op; what moves is how the engine's, the
-	// manager's and the HTTP goroutines interleave.
-	"jobs/distributed-drain": {allocs: 3790, spread: 28, bytes: 395000, io: true},
+	// 3452-3468: the workers wait in held claims between ops and
+	// make the same claims in every op; what moves is how the
+	// engine's, the manager's and the HTTP goroutines interleave.
+	"jobs/distributed-drain": {allocs: 3460, spread: 12, bytes: 369000, io: true},
 	"serve/traced-request":   {allocs: 38, bytes: 8029},
 	"lint/report":            {allocs: 1752, bytes: 199580},
 	"fig7/sweep":             {allocs: 197, bytes: 24300},

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -400,11 +399,12 @@ func jobsPipelineSetup() (func() error, func(), error) {
 // against jobs/pipeline is the lease-protocol overhead (HTTP hops,
 // durable shard completes, merge) on an otherwise identical workload.
 //
-// The workers live for one op: they start once the job's shards are
-// claimable and stop once the job is done and each has made its one
-// empty claim (a 204, after which it would sleep for its poll interval,
-// longer than any op). So every op does the same claims, and none
-// lands in the op by the clock.
+// The workers live as long as the scenario and wait in held claims, as
+// idle peers of a real fleet do: a submit wakes both, each shard
+// completion is followed by one new claim, and an op ends once its job
+// is done and the coordinator has received one claim per shard, so
+// both workers hold claims again. Every op does the same claims, and
+// none lands in the op by the clock.
 func distributedDrainSetup() (func() error, func(), error) {
 	mgr, err := jobs.NewManager(nil, jobs.ManagerOptions{
 		Workers:      1,
@@ -418,12 +418,15 @@ func distributedDrainSetup() (func() error, func(), error) {
 	}
 	mux := http.NewServeMux()
 	jobs.NewLeaseAPI(mgr).Register(mux)
-	srv := httptest.NewServer(mux)
-	idle := make(chan struct{}, 2)
-	client := &http.Client{
-		Timeout:   2 * time.Minute,
-		Transport: &idleSignal{base: srv.Client().Transport, idle: idle},
-	}
+	// claims receives one value per claim request the coordinator
+	// gets; awaitClaims (in setup and in each op) is its only reader.
+	claims := make(chan struct{}, 16)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/leases/claim" {
+			claims <- struct{}{}
+		}
+		mux.ServeHTTP(w, r)
+	}))
 
 	tuning := CampaignTuning()
 	tuning.SAIterations = 20
@@ -439,59 +442,63 @@ func distributedDrainSetup() (func() error, func(), error) {
 			DeadlineFactor: 2.0,
 		},
 	}
-	const workers = 2
+	const workers, shards = 2, 2
+	// awaitClaims waits for n claim requests.
+	awaitClaims := func(n int) error {
+		deadline := time.NewTimer(time.Minute)
+		defer deadline.Stop()
+		for i := 0; i < n; i++ {
+			select {
+			case <-claims:
+			case <-deadline.C:
+				return fmt.Errorf("%d of %d lease claims arrived", i, n)
+			}
+		}
+		return nil
+	}
+	wctx, wstop := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		w := jobs.NewWorker(jobs.WorkerOptions{
+			ID:      fmt.Sprintf("perf-w%d", i+1),
+			BaseURL: srv.URL,
+			Client:  srv.Client(),
+			Workers: 1,
+			Logf:    func(string, ...any) {},
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(wctx)
+		}()
+	}
+	cleanup := func() {
+		wstop()
+		wg.Wait()
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		mgr.Close(ctx)
+	}
+	if err := awaitClaims(workers); err != nil {
+		cleanup()
+		return nil, nil, err
+	}
 	op := func() error {
 		j, err := mgr.Submit(spec)
 		if err != nil {
 			return err
 		}
-		snap, ch, cancel, err := mgr.Subscribe(j.ID)
+		_, ch, cancel, err := mgr.Subscribe(j.ID)
 		if err != nil {
 			return err
 		}
 		defer cancel()
-		// The job goroutine sets Total and registers the shards under
-		// one lock, so a non-zero Total means they are claimable.
-		for snap.Progress.Total == 0 {
-			ev, ok := <-ch
-			if !ok {
-				return fmt.Errorf("job %s ended before its shards were claimable", j.ID)
-			}
-			snap = ev.Job
-		}
-		wctx, wstop := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			w := jobs.NewWorker(jobs.WorkerOptions{
-				ID:      fmt.Sprintf("perf-w%d", i+1),
-				BaseURL: srv.URL,
-				Client:  client,
-				Poll:    time.Hour,
-				Workers: 1,
-				Logf:    func(string, ...any) {},
-			})
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w.Run(wctx)
-			}()
-		}
 		for range ch {
 			// Drain until the terminal transition closes the stream.
 		}
-		deadline := time.NewTimer(time.Minute)
-		defer deadline.Stop()
-		for i := 0; i < workers && err == nil; i++ {
-			select {
-			case <-idle:
-			case <-deadline.C:
-				err = fmt.Errorf("job %s: %d of %d workers made their empty claim", j.ID, i, workers)
-			}
-		}
-		wstop()
-		wg.Wait()
-		if err != nil {
-			return err
+		if err := awaitClaims(shards); err != nil {
+			return fmt.Errorf("job %s: %w", j.ID, err)
 		}
 		final, err := mgr.Get(j.ID)
 		if err != nil {
@@ -502,43 +509,7 @@ func distributedDrainSetup() (func() error, func(), error) {
 		}
 		return nil
 	}
-	cleanup := func() {
-		srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		mgr.Close(ctx)
-	}
 	return op, cleanup, nil
-}
-
-// idleSignal is a lease worker's transport that sends on idle once the
-// body of an empty claim (204 No Content) is closed: from there the
-// worker only returns to its poll sleep.
-type idleSignal struct {
-	base http.RoundTripper
-	idle chan<- struct{}
-}
-
-func (t *idleSignal) RoundTrip(r *http.Request) (*http.Response, error) {
-	resp, err := t.base.RoundTrip(r)
-	if err == nil && resp.StatusCode == http.StatusNoContent {
-		resp.Body = &signalOnClose{ReadCloser: resp.Body, idle: t.idle}
-	}
-	return resp, err
-}
-
-type signalOnClose struct {
-	io.ReadCloser
-	idle chan<- struct{}
-}
-
-func (b *signalOnClose) Close() error {
-	err := b.ReadCloser.Close()
-	select {
-	case b.idle <- struct{}{}:
-	default: // never block a worker; the op waits for one per worker
-	}
-	return err
 }
 
 // tracedRequestSetup measures the cost a fully sampled trace adds to
